@@ -79,23 +79,28 @@ class AlcoveDescription:
     simple_roots: tuple[Vec, ...]
     theta: Vec
     vertices: tuple[Vec, ...]
-    _ctx: FoldingContext
+    _base: RootDatum  # the base datum, not the context that caches this alcove
 
     def contains(self, xi: Vec) -> bool:
-        base = self._ctx.base
+        base = self._base
         return all(base.inner(a, xi) >= 0 for a in self.simple_roots) and base.inner(
             self.theta, xi
         ) <= 1
 
     def is_interior(self, xi: Vec) -> bool:
-        base = self._ctx.base
+        base = self._base
         return all(base.inner(a, xi) > 0 for a in self.simple_roots) and base.inner(
             self.theta, xi
         ) < 1
 
 
 def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
-    """Vertices are 0 and the rescaled fundamental coweights of the orbit system."""
+    """Vertices are 0 and the rescaled fundamental coweights of the orbit system.
+
+    Built once per context.
+    """
+    if ctx._alcove is not None:
+        return ctx._alcove
     orbit = ctx.orbit.datum
     theta = ctx.orbit.highest_root
     vertices = [zero_vec(ctx.base.ambient_dim)]
@@ -104,10 +109,11 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
         if c <= 0:
             raise AlcoveError("highest root pairs non-positively with a coweight")
         vertices.append(vscale(1 / c, cw))
-    alc = AlcoveDescription(orbit.simple_roots, theta, tuple(vertices), ctx)
+    alc = AlcoveDescription(orbit.simple_roots, theta, tuple(vertices), ctx.base)
     for v in alc.vertices:
         if not alc.contains(v):
             raise AlcoveError("computed vertex violates the alcove constraints")
+    ctx._alcove = alc
     return alc
 
 

@@ -270,6 +270,7 @@ def cmd_fusion(args) -> dict:
         "rescale": format_rational(level.rescale),
         "dual_coxeter": level.dual_coxeter,
         "t_group_order": level.t_group_order,
+        "max_residual": table.max_residual,
         "level_weights": [wname(l) for l in weights],
         "coefficients": entries,
     }
@@ -309,7 +310,7 @@ def _suite_lattices(rng) -> list[tuple[str, bool]]:
         try:
             ctx = build_context(group, name)
             ok = True
-            if getattr(ctx, "_is_a_even", False):
+            if ctx._is_a_even:
                 ok = (
                     all(v == 2 for v in ctx.index_two_quotients.values())
                     and len(ctx.index_two_quotients) == 4

@@ -226,6 +226,13 @@ class FoldingContext:
             raise FoldingError("permutation does not preserve the Cartan matrix")
         self.base = base
         self.kappa = kappa
+        self._is_a_even = False
+        # per-context caches, filled on first use: signed Weyl orbits for
+        # twining._alternating_sum, the alcove.fundamental_alcove description,
+        # and the fusion.level_values table of each level k
+        self._alt_sum_cache: dict[Vec, list] = {}
+        self._alcove = None
+        self._level_values: dict[int, object] = {}
         self.kappa_matrix = kappa.matrix(base.ambient_dim)
         self.node_orbits = kappa.orbits()
         self.fixed_dim = len(self.node_orbits)

@@ -15,10 +15,10 @@ from fractions import Fraction
 import itertools
 import math
 
-from .linalg import Vec, vadd, vneg, vscale, zero_vec
+from .linalg import Vec, mat_vec, vadd, vneg, vscale, zero_vec
 from .folding import FoldingContext
 from .rootcore import FourierPolynomial, decompose_into_irreducibles
-from .twining import TorusPoint, is_regular, twining_character
+from .twining import TorusPoint, denominator_norm_sq, is_regular, twining_character
 from .alcove import fold_to_alcove, fundamental_alcove
 
 INTEGRALITY_TOL = 1e-6
@@ -58,15 +58,7 @@ class RingElement:
 
 
 def _character_poly(ctx: FoldingContext, lam: Vec) -> FourierPolynomial:
-    cache = getattr(ctx, "_char_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._char_cache = cache
-    poly = cache.get(lam)
-    if poly is None:
-        poly = twining_character(ctx, lam).poly
-        cache[lam] = poly
-    return poly
+    return twining_character(ctx, lam).poly
 
 
 def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingElement:
@@ -251,36 +243,61 @@ def phi_project(
 # ---------------------------------------------------------------------------
 
 
-def _j0_values(ctx: FoldingContext, level: LevelData) -> list[complex]:
-    from .twining import _alternating_sum
+@dataclass(frozen=True)
+class LevelValues:
+    """Everything the Verlinde sum at one level reads, each value computed once.
 
-    rho = ctx.orbit.half_sum
-    return [_alternating_sum(ctx, rho, pt.xi) for pt in level.s_points]
+    ``characters[lam][i]`` is chi_lam(s_i) for every level weight lam;
+    ``weights[i]`` is |J(rho)(s_i)|^2 / |T|; ``dual`` maps nu to nu*.
+    """
+
+    characters: dict[Vec, tuple[complex, ...]]
+    weights: tuple[float, ...]
+    dual: dict[Vec, Vec]
+
+
+def level_values(ctx: FoldingContext, level: LevelData) -> LevelValues:
+    """The value table of ``level``, built on first use and kept on the context."""
+    table = ctx._level_values.get(level.k)
+    if table is not None:
+        return table
+    gram = ctx.base.ambient_gram
+    covectors = [mat_vec(gram, pt.xi) for pt in level.s_points]
+    characters = {
+        lam: tuple(_character_poly(ctx, lam).evaluate_covector(gx) for gx in covectors)
+        for lam in level.level_weights
+    }
+    weights = tuple(
+        denominator_norm_sq(ctx, pt.xi) / level.t_group_order for pt in level.s_points
+    )
+    dual = {nu: dual_weight(ctx, nu) for nu in level.level_weights}
+    for nu, nu_star in dual.items():
+        if nu_star not in characters:
+            raise FusionError(f"the dual of level weight {nu} is not a level weight")
+    table = ctx._level_values[level.k] = LevelValues(characters, weights, dual)
+    return table
 
 
 def verlinde_coefficient(
     ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
 ) -> int:
+    """N_{lam mu}^nu by the Verlinde sum over the s-points of ``level``."""
+    return _verlinde(ctx, level, lam, mu, nu)[0]
+
+
+def _verlinde(
+    ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
+) -> tuple[int, float]:
+    """Verlinde coefficient and the distance of its sum to that integer."""
     for w in (lam, mu, nu):
         if w not in level.level_weights:
             raise FusionError("weight is not a level weight")
-    cache = getattr(ctx, "_j0_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._j0_cache = cache
-    j0 = cache.get(level.k)
-    if j0 is None:
-        j0 = _j0_values(ctx, level)
-        cache[level.k] = j0
-    nu_star = dual_weight(ctx, nu)
-    total = 0j
-    for pt, j in zip(level.s_points, j0):
-        value = abs(j) ** 2
-        value *= _character_poly(ctx, lam).evaluate(ctx.base.ambient_gram, pt.xi)
-        value *= _character_poly(ctx, mu).evaluate(ctx.base.ambient_gram, pt.xi)
-        value *= _character_poly(ctx, nu_star).evaluate(ctx.base.ambient_gram, pt.xi)
-        total += value
-    total /= level.t_group_order
+    table = level_values(ctx, level)
+    chi = table.characters
+    total = sum(
+        w * a * b * c
+        for w, a, b, c in zip(table.weights, chi[lam], chi[mu], chi[table.dual[nu]])
+    )
     nearest = round(total.real)
     residual = abs(total - nearest)
     if residual > INTEGRALITY_TOL:
@@ -290,7 +307,7 @@ def verlinde_coefficient(
         )
     if nearest < 0:
         raise FusionError(f"negative fusion coefficient {nearest}")
-    return int(nearest)
+    return int(nearest), residual
 
 
 def algebraic_coefficient(
@@ -313,6 +330,7 @@ def algebraic_coefficient(
 class FusionTable:
     level: LevelData
     coefficients: dict[tuple[Vec, Vec, Vec], int]
+    max_residual: float  # largest |Verlinde sum - nearest integer| over entries
 
     def get(self, lam: Vec, mu: Vec, nu: Vec) -> int:
         return self.coefficients[(lam, mu, nu)]
@@ -322,6 +340,7 @@ def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
     """Full table with every entry computed by both routes; they must agree."""
     level = level_data(ctx, k)
     coeffs: dict[tuple[Vec, Vec, Vec], int] = {}
+    max_residual = 0.0
     for lam, mu in itertools.combinations_with_replacement(level.level_weights, 2):
         product = ring_product(ctx, RingElement.basis(lam), RingElement.basis(mu))
         folded: dict[Vec, int] = {}
@@ -332,7 +351,8 @@ def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
             sign, sigma0 = projected
             folded[sigma0] = folded.get(sigma0, 0) + sign * m
         for nu in level.level_weights:
-            n_verlinde = verlinde_coefficient(ctx, level, lam, mu, nu)
+            n_verlinde, residual = _verlinde(ctx, level, lam, mu, nu)
+            max_residual = max(max_residual, residual)
             n_phi = folded.get(nu, 0)
             if n_verlinde != n_phi:
                 raise FusionError(
@@ -341,4 +361,4 @@ def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
                 )
             coeffs[(lam, mu, nu)] = n_verlinde
             coeffs[(mu, lam, nu)] = n_verlinde
-    return FusionTable(level, coeffs)
+    return FusionTable(level, coeffs, max_residual)

@@ -30,6 +30,7 @@ from .linalg import (
     mat_vec,
     rank_of,
     vadd,
+    vdot,
     vneg,
     vscale,
     vsub,
@@ -257,19 +258,18 @@ class FourierPolynomial:
     restricted to a torus.
     """
 
-    __slots__ = ("terms", "lattice_tag")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, lattice_tag: str = ""):
+    def __init__(self, terms=None):
         self.terms: dict[Vec, int] = {}
         if terms:
             for k, v in dict(terms).items():
                 if v != 0:
                     self.terms[k] = int(v)
-        self.lattice_tag = lattice_tag
 
     @classmethod
-    def constant(cls, dim: int, value: int = 1, lattice_tag: str = "") -> "FourierPolynomial":
-        return cls({zero_vec(dim): value} if value else {}, lattice_tag)
+    def constant(cls, dim: int, value: int = 1) -> "FourierPolynomial":
+        return cls({zero_vec(dim): value} if value else {})
 
     def coeff(self, mu: Vec) -> int:
         return self.terms.get(mu, 0)
@@ -295,15 +295,15 @@ class FourierPolynomial:
                 out[k] = c
             else:
                 out.pop(k, None)
-        return FourierPolynomial(out, self.lattice_tag)
+        return FourierPolynomial(out)
 
     def __sub__(self, other: "FourierPolynomial") -> "FourierPolynomial":
         return self + other.scaled(-1)
 
     def scaled(self, c: int) -> "FourierPolynomial":
         if c == 0:
-            return FourierPolynomial({}, self.lattice_tag)
-        return FourierPolynomial({k: c * v for k, v in self.terms.items()}, self.lattice_tag)
+            return FourierPolynomial({})
+        return FourierPolynomial({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "FourierPolynomial") -> "FourierPolynomial":
         out: dict[Vec, int] = {}
@@ -316,10 +316,10 @@ class FourierPolynomial:
                     out[k] = c
                 else:
                     out.pop(k, None)
-        return FourierPolynomial(out, self.lattice_tag)
+        return FourierPolynomial(out)
 
     def conj(self) -> "FourierPolynomial":
-        return FourierPolynomial({vneg(k): v for k, v in self.terms.items()}, self.lattice_tag)
+        return FourierPolynomial({vneg(k): v for k, v in self.terms.items()})
 
     def evaluate(self, gram: Matrix, xi: Vec) -> complex:
         """Numeric value sum_mu c_mu e^{2 pi i (mu, xi)}.
@@ -328,7 +328,13 @@ class FourierPolynomial:
         are accumulated with fsum, so the result is accurate to a few ulps
         even with heavy cancellation.
         """
-        gx = mat_vec(gram, xi)
+        return self.evaluate_covector(mat_vec(gram, xi))
+
+    def evaluate_covector(self, gx: Vec) -> complex:
+        """Value at the point whose covector gram @ xi is ``gx``.
+
+        Callers evaluating many polynomials at one point compute ``gx`` once.
+        """
         res, ims = [], []
         for muv, c in self.terms.items():
             phase = sum((a * b for a, b in zip(muv, gx)), ZERO)
@@ -430,11 +436,17 @@ class RootDatum:
                 "fundamental weights"
             )
 
+        # G @ alpha_i^vee: each pairing <v, alpha_i^vee> is then one dot product
+        self._coroot_covectors = tuple(
+            mat_vec(g, self.coroot(a)) for a in self.simple_roots
+        )
+
         self.highest_root = self._dominant_root(long=True)
         self.highest_short_root = self._dominant_root(long=False)
 
         self._weyl_cache: list[WeylElement] | None = None
         self._refl_cache: dict[int, Matrix] = {}
+        self._char_cache: dict[Vec, FourierPolynomial] = {}
         self._basis_solver = None
 
     # -- basic geometry ----------------------------------------------------
@@ -482,12 +494,12 @@ class RootDatum:
         return all(self.inner(v, a) >= 0 for a in self.simple_roots)
 
     def is_integral(self, v: Vec) -> bool:
-        return all(self.pair_coroot(v, a).denominator == 1 for a in self.simple_roots)
+        return all(vdot(v, c).denominator == 1 for c in self._coroot_covectors)
 
     def is_dominant_integral(self, v: Vec) -> bool:
         return all(
-            (p := self.pair_coroot(v, a)) >= 0 and p.denominator == 1
-            for a in self.simple_roots
+            (p := vdot(v, c)) >= 0 and p.denominator == 1
+            for c in self._coroot_covectors
         )
 
     def make_dominant(self, v: Vec) -> tuple[Vec, Matrix]:
@@ -502,20 +514,6 @@ class RootDatum:
                     break
             else:
                 return cur, m
-
-    def weyl_orbit(self, v: Vec) -> set[Vec]:
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a in self.simple_roots:
-                    w = self.reflect(u, a)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return seen
 
     # -- Weyl group traversal ----------------------------------------------
 
@@ -551,11 +549,6 @@ class RootDatum:
 
     def weyl_order(self, cap: int | None = None) -> int:
         return sum(1 for _ in self.weyl_elements(cap))
-
-    def longest_element_matrix(self) -> Matrix:
-        """Matrix of w_0, computed by folding -rho to the dominant chamber."""
-        _, m = self.make_dominant(vneg(self.weyl_vector))
-        return m
 
     # -- misc ----------------------------------------------------------------
 
@@ -966,15 +959,20 @@ def irreducible_character(datum: RootDatum, lam: Vec) -> FourierPolynomial:
     """Exact character of the irrep with highest weight ``lam``.
 
     Freudenthal multiplicities on the dominant cone, then Weyl-orbit
-    expansion; the result is W-invariant with highest coefficient 1.
+    expansion; the result is W-invariant with highest coefficient 1.  Memoized
+    on the datum: callers share the returned polynomial and must not mutate it.
     """
-    frame = _CoordFrame(datum)
-    mults = freudenthal_multiplicities(datum, lam)
-    terms: dict[Vec, int] = {}
-    for mu, m in mults.items():
-        for c in frame.orbit(frame.coords_of(mu)):
-            terms[datum._from_coords(c)] = m
-    return FourierPolynomial(terms, lattice_tag=datum.type_label)
+    poly = datum._char_cache.get(lam)
+    if poly is None:
+        frame = _CoordFrame(datum)
+        mults = freudenthal_multiplicities(datum, lam)
+        terms: dict[Vec, int] = {}
+        for mu, m in mults.items():
+            for c in frame.orbit(frame.coords_of(mu)):
+                terms[datum._from_coords(c)] = m
+        poly = FourierPolynomial(terms)
+        datum._char_cache[lam] = poly
+    return poly
 
 
 def decompose_into_irreducibles(
@@ -985,19 +983,32 @@ def decompose_into_irreducibles(
     Highest-term peel-off; raises if the input is not a virtual character on
     the weight lattice of the datum.
     """
-    rho = datum.weyl_vector
-    remaining = FourierPolynomial(poly.terms)
+    # the peel key (v, rho) is computed once per weight, against gram @ rho
+    grho = mat_vec(datum.ambient_gram, datum.weyl_vector)
+    keys: dict[Vec, tuple[Fraction, Vec]] = {}
+
+    def peel_key(v: Vec) -> tuple[Fraction, Vec]:
+        key = keys.get(v)
+        if key is None:
+            key = keys[v] = (vdot(v, grho), v)
+        return key
+
+    remaining = dict(poly.terms)
     out: dict[Vec, int] = {}
     while remaining:
-        mu = max(
-            remaining.terms, key=lambda v: (datum.inner(v, rho), v)
-        )
+        mu = max(remaining, key=peel_key)
         if not datum.is_dominant_integral(mu):
             raise RootSystemError(
                 "input is not Weyl-invariant: highest remaining term "
                 f"{mu} is not dominant integral"
             )
-        m = remaining.terms[mu]
-        out[mu] = out.get(mu, 0) + m
-        remaining = remaining - irreducible_character(datum, mu).scaled(m)
-    return {k: v for k, v in out.items() if v}
+        # chi_mu has coefficient 1 at mu and lower keys elsewhere, so mu is
+        # peeled once
+        m = out[mu] = remaining[mu]
+        for v, c in irreducible_character(datum, mu).terms.items():
+            r = remaining.get(v, 0) - m * c
+            if r:
+                remaining[v] = r
+            else:
+                remaining.pop(v, None)
+    return out

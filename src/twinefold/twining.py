@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, fsum, pi, sin
+from math import cos, fsum, pi, prod, sin
 
 from .linalg import Vec, vadd, vneg
 from .folding import FoldingContext
@@ -91,11 +91,20 @@ def _phase_angle(phase: Fraction) -> float:
     return 2 * pi * float(phase - (phase.numerator // phase.denominator))
 
 
+def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
+    """|J(rho)(exp xi)|^2 by the Weyl denominator product formula.
+
+    J(rho) = e^rho prod (1 - e^{-alpha}) over positive orbit roots, and
+    |1 - e^{2 pi i t}|^2 = 4 sin^2(pi t); no Weyl-group traversal is needed.
+    """
+    return prod(
+        4 * sin(_phase_angle(ctx.base.inner(alpha, xi)) / 2) ** 2
+        for alpha in ctx.orbit.datum.positive_roots
+    )
+
+
 def _alternating_sum(ctx: FoldingContext, shifted: Vec, xi: Vec) -> complex:
-    cache = getattr(ctx, "_alt_sum_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._alt_sum_cache = cache
+    cache = ctx._alt_sum_cache
     orbit = cache.get(shifted)
     if orbit is None:
         # store G.w(shifted) per Weyl element so each point costs one dot product
@@ -136,7 +145,7 @@ def adjoint_oracle(ctx: FoldingContext, point: TorusPoint) -> complex:
     of kappa on the Chevalley generators ((-1)^{ht+1} for the even A cases,
     +1 otherwise).  Independent of the orbit-system construction.
     """
-    a_even = getattr(ctx, "_is_a_even", False)
+    a_even = ctx._is_a_even
     fixed_nodes = sum(1 for i, j in enumerate(ctx.kappa.permutation) if i == j)
     total: complex = complex(fixed_nodes)
     for alpha in ctx.kappa_fixed_roots():

@@ -84,6 +84,7 @@ def test_fusion_su2_level_one():
     # four nonzero coefficients, all 1: the SU(2) level-1 table
     assert len(doc["coefficients"]) == 4
     assert all(entry[3] == 1 for entry in doc["coefficients"])
+    assert 0 <= doc["max_residual"] < 1e-6
 
 
 def test_deterministic_output():

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from twinefold.linalg import vadd, vscale, zero_vec
-from twinefold.rootcore import build_root_datum
+from twinefold.rootcore import build_root_datum, irreducible_character
 from twinefold.folding import automorphism_by_name, fold
+from twinefold.twining import _alternating_sum, denominator_norm_sq
 from twinefold.fusion import (
+    INTEGRALITY_TOL,
     FusionError,
     RingElement,
     algebraic_coefficient,
@@ -155,8 +157,8 @@ def test_unit_axiom():
 def test_route_equivalence_builds():
     # fusion_table raises on any Verlinde/folding disagreement
     for label, name, ks in [("A2", "flip", (1, 2, 3, 4)),
-                            ("A3", "flip", (1, 2)),
-                            ("D4", "rot", (1, 2))]:
+                            ("A3", "flip", (1, 2, 3)),
+                            ("D4", "rot", (1, 2, 3))]:
         ctx = ctx_for(label, name)
         for k in ks:
             fusion_table(ctx, k)
@@ -230,3 +232,42 @@ def test_algebraic_coefficient_matches_table():
     ld = table.level
     for (lam, mu, nu), n in table.coefficients.items():
         assert algebraic_coefficient(ctx, ld, lam, mu, nu) == n
+
+
+def test_denominator_product_formula_matches_alternating_sum():
+    """|J(rho)(s)|^2 by the product formula against the alternating sum."""
+    for label, name, k in [("A2", "flip", 3), ("A3", "flip", 2),
+                           ("D4", "rot", 2), ("E6", "flip", 1)]:
+        ctx = ctx_for(label, name)
+        rho = ctx.orbit.half_sum
+        for pt in level_data(ctx, k).s_points:
+            product = denominator_norm_sq(ctx, pt.xi)
+            reference = abs(_alternating_sum(ctx, rho, pt.xi)) ** 2
+            assert abs(product - reference) <= 1e-9 * reference
+
+
+def test_fusion_table_shares_correct_characters():
+    """Memoized characters read after a table equal freshly computed ones."""
+    for label, name, k in [("A3", "flip", 2), ("D4", "rot", 2)]:
+        ctx = ctx_for(label, name)
+        table = fusion_table(ctx, k)
+        fresh = ctx_for(label, name).orbit.datum
+        for lam in table.level.level_weights:
+            assert irreducible_character(ctx.orbit.datum, lam) == (
+                irreducible_character(fresh, lam)
+            )
+
+
+def test_dual_weight_permutes_level_weights():
+    for label, name, k in [("A2", "flip", 3), ("A3", "flip", 2), ("D4", "rot", 2),
+                           ("A4", "flip", 2), ("D4", "swap34", 1)]:
+        ctx = ctx_for(label, name)
+        ws = level_data(ctx, k).level_weights
+        assert sorted(dual_weight(ctx, nu) for nu in ws) == sorted(ws)
+
+
+def test_fusion_table_skips_weyl_traversal_and_reports_residual():
+    ctx = ctx_for("A3")
+    table = fusion_table(ctx, 2)
+    assert ctx.orbit.datum._weyl_cache is None
+    assert 0 <= table.max_residual <= INTEGRALITY_TOL

@@ -178,6 +178,23 @@ def test_decompose_recomposition_a2():
     assert total == prod
 
 
+def test_decompose_virtual_character():
+    # peeling the first character exposes weights absent from the input
+    a2 = build_root_datum("A2")
+    w1, w2 = a2.fundamental_weights
+    big, small = vadd(w1, w1), w2
+    diff = irreducible_character(a2, big) - irreducible_character(a2, small)
+    assert decompose_into_irreducibles(a2, diff) == {big: 1, small: -1}
+
+
+def test_character_memoized_on_datum():
+    a2 = build_root_datum("A2")
+    lam = vadd(*a2.fundamental_weights)
+    chi = irreducible_character(a2, lam)
+    assert irreducible_character(a2, lam) is chi
+    assert chi == irreducible_character(build_root_datum("A2"), lam)
+
+
 def test_lattice_quotient_doubling():
     z2 = lattice([vec(1, 0), vec(0, 1)], 2)
     two_z2 = lattice([vec(2, 0), vec(0, 2)], 2)

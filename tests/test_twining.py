@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinefold.linalg import vadd, vneg, vscale, zero_vec
+from twinefold.linalg import mat_vec, vadd, vneg, vscale, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     RootSystemError,
@@ -65,6 +65,14 @@ def test_denominator_vanishes_at_identity():
         ctx = ctx_for(label, name)
         value = weyl_denominator(ctx).eval(ctx, TorusPoint(zero_vec(ctx.base.ambient_dim)))
         assert abs(value) < 1e-12
+
+
+def test_evaluate_covector_matches_evaluate():
+    ctx = ctx_for("A3")
+    gram = ctx.base.ambient_gram
+    poly = twining_character(ctx, ctx.base.highest_root).poly
+    for pt in random_regular_points(ctx, 3):
+        assert poly.evaluate_covector(mat_vec(gram, pt.xi)) == poly.evaluate(gram, pt.xi)
 
 
 def test_twining_character_trivial_weight():
