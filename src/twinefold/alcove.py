@@ -4,26 +4,18 @@ The affine group is the semidirect product of translations by the orbit
 coroot lattice with the orbit Weyl group; its fundamental alcove in the fixed
 subspace parametrizes twisted conjugacy classes.  Point folding, stabilizer
 root data from the extended-diagram deletion rule, and the Jacobian of the
-conjugation map all live here.
+conjugation map all live here.  Group elements are words of affine
+reflections, never matrices: the sign of the linear part is the parity of
+the word length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .linalg import (
-    Matrix,
-    Vec,
-    identity,
-    mat_det,
-    mat_mul,
-    mat_vec,
-    vadd,
-    vscale,
-    vsub,
-    zero_vec,
-)
+from .linalg import Vec, identity, mat_vec, vdot, vscale, vsub, zero_vec
 from .folding import FoldingContext, fundamental_coweights
 from .rootcore import (
     FiniteAbelianGroup,
@@ -40,45 +32,64 @@ class AlcoveError(ValueError):
     pass
 
 
+class AffineReflection(NamedTuple):
+    """x -> x - (<alpha, x> - k) alpha^vee, the reflection in <alpha, x> = k."""
+
+    covector: Vec  # G alpha, so <alpha, x> is one dot product
+    k: Fraction
+    coroot: Vec
+
+
+def affine_reflection(datum: RootDatum, alpha: Vec, k: int = 0) -> AffineReflection:
+    return AffineReflection(
+        mat_vec(datum.ambient_gram, alpha), Fraction(k), datum.coroot(alpha)
+    )
+
+
 @dataclass(frozen=True)
 class AffineElement:
-    """x -> linear @ x + translation, with translation in the orbit coroot lattice."""
+    """A product of affine reflections, applied in the order of ``word``.
 
-    linear: Matrix
-    translation: Vec
+    Each reflection has linear part of determinant -1, so ``linear_det`` is
+    the parity of the word length.  ``fold_to_alcove`` builds its words from
+    the alcove walls, so their translations lie in the orbit coroot lattice.
+    """
 
-    @classmethod
-    def identity_element(cls, dim: int) -> "AffineElement":
-        return cls(identity(dim), zero_vec(dim))
+    dim: int
+    word: tuple[AffineReflection, ...] = ()
 
     def apply(self, v: Vec) -> Vec:
-        return vadd(mat_vec(self.linear, v), self.translation)
+        for covector, k, coroot in self.word:
+            v = vsub(v, vscale(vdot(covector, v) - k, coroot))
+        return v
 
-    def compose(self, other: "AffineElement") -> "AffineElement":
-        """self after other."""
-        return AffineElement(
-            mat_mul(self.linear, other.linear),
-            vadd(mat_vec(self.linear, other.translation), self.translation),
-        )
+    @property
+    def translation(self) -> Vec:
+        return self.apply(zero_vec(self.dim))
 
     @property
     def linear_det(self) -> int:
-        return int(mat_det(self.linear))
+        return -1 if len(self.word) % 2 else 1
 
     @property
     def is_identity(self) -> bool:
-        return self.linear == identity(len(self.linear)) and all(
-            e == 0 for e in self.translation
-        )
+        # an affine map is fixed by its values at 0 and the unit vectors
+        points = (zero_vec(self.dim), *identity(self.dim))
+        return all(self.apply(p) == p for p in points)
 
 
 @dataclass(frozen=True)
 class AlcoveDescription:
-    """0 <= <alpha, xi> for simple orbit roots, <theta, xi> <= 1."""
+    """0 <= <alpha, xi> for simple orbit roots, <theta, xi> <= 1.
+
+    ``walls`` holds the reflection in each wall: one per simple orbit root,
+    then the ceiling <theta, xi> = 1.
+    """
 
     simple_roots: tuple[Vec, ...]
     theta: Vec
     vertices: tuple[Vec, ...]
+    walls: tuple[AffineReflection, ...]
     _base: RootDatum  # the base datum, not the context that caches this alcove
 
     def contains(self, xi: Vec) -> bool:
@@ -109,7 +120,9 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
         if c <= 0:
             raise AlcoveError("highest root pairs non-positively with a coweight")
         vertices.append(vscale(1 / c, cw))
-    alc = AlcoveDescription(orbit.simple_roots, theta, tuple(vertices), ctx.base)
+    walls = tuple(affine_reflection(ctx.base, a) for a in orbit.simple_roots)
+    walls += (affine_reflection(ctx.base, theta, 1),)
+    alc = AlcoveDescription(orbit.simple_roots, theta, tuple(vertices), walls, ctx.base)
     for v in alc.vertices:
         if not alc.contains(v):
             raise AlcoveError("computed vertex violates the alcove constraints")
@@ -130,44 +143,31 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     """
     _check_fixed(ctx, xi)
     base = ctx.base
-    orbit = ctx.orbit.datum
-    theta = ctx.orbit.highest_root
-    theta_cov = base.coroot(theta)
-    dim = base.ambient_dim
-    g = AffineElement.identity_element(dim)
+    alc = fundamental_alcove(ctx)
+    *floors, ceiling = alc.walls
+    word = []
     cur = xi
     for _ in range(FOLD_ITERATION_CAP):
         moved = False
-        for i, alpha in enumerate(orbit.simple_roots):
-            if base.inner(alpha, cur) < 0:
+        for alpha, wall in zip(alc.simple_roots, floors):
+            if vdot(wall.covector, cur) < 0:
                 cur = base.reflect(cur, alpha)
-                g = AffineElement(
-                    orbit.simple_reflection_matrix(i), zero_vec(dim)
-                ).compose(g)
+                word.append(wall)
                 moved = True
                 break
         if moved:
             continue
-        height = base.inner(theta, cur)
+        height = vdot(ceiling.covector, cur)
         if height > 1:
             # reflection in the affine wall <theta, xi> = 1
-            cur = vsub(cur, vscale(height - 1, theta_cov))
-            lin = _reflection_matrix(base, theta)
-            g = AffineElement(lin, theta_cov).compose(g)
+            cur = vsub(cur, vscale(height - 1, ceiling.coroot))
+            word.append(ceiling)
             continue
+        g = AffineElement(base.ambient_dim, tuple(word))
         if g.apply(xi) != cur:
             raise AlcoveError("affine bookkeeping drifted from the folded point")
         return cur, g
     raise AlcoveError("alcove folding did not terminate within the iteration cap")
-
-
-def _reflection_matrix(datum: RootDatum, alpha: Vec) -> Matrix:
-    dim = datum.ambient_dim
-    cols = [
-        datum.reflect(tuple(Fraction(int(i == j)) for i in range(dim)), alpha)
-        for j in range(dim)
-    ]
-    return tuple(tuple(cols[j][r] for j in range(dim)) for r in range(dim))
 
 
 @dataclass(frozen=True)

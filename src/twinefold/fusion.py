@@ -79,8 +79,7 @@ def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingEle
 
 def dual_weight(ctx: FoldingContext, lam: Vec) -> Vec:
     """-w0(lam) on the orbit system."""
-    dom, _ = ctx.orbit.datum.make_dominant(vneg(lam))
-    return dom
+    return ctx.orbit.datum.make_dominant(vneg(lam))
 
 
 def involution(ctx: FoldingContext, a: RingElement) -> RingElement:

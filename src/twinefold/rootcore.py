@@ -1,10 +1,14 @@
-"""Root data, Weyl combinatorics and exact character computations.
+"""Root data, Weyl orbits and exact character computations.
 
 All vectors live in a single rational ambient space: the coefficient space of
 the simple roots of some base system, with the invariant form given by a Gram
 matrix normalized so long roots of the base have squared length 2.  Subsystems
 (folded and orbit systems, stabilizer subsystems) are realized in the same
 ambient space and reuse the same form.
+
+No Weyl-group element is built as a matrix: ``weyl_traverse`` walks the orbit
+of a regular dominant weight in integer Dynkin labels, which is in bijection
+with the group, and reads det w = (-1)^length(w) off the search depth.
 """
 
 from __future__ import annotations
@@ -21,12 +25,9 @@ from .linalg import (
     ONE,
     bilinear,
     coords_in_basis,
-    identity,
     invariant_factors,
-    is_zero_vec,
     mat,
-    mat_det,
-    mat_mul,
+    mat_scale,
     mat_vec,
     rank_of,
     vadd,
@@ -41,13 +42,26 @@ DEFAULT_WEYL_CAP = 10**6
 
 
 def resolve_weyl_cap(cap: int | None) -> int:
-    """Explicit cap, else the TWINEFOLD_WEYL_CAP env var, else the default."""
+    """Explicit cap, else the TWINEFOLD_WEYL_CAP env var, else the default.
+
+    The cap bounds the size of a Weyl orbit enumerated by ``weyl_traverse``.
+    """
     if cap is not None:
         return cap
     import os
 
     env = os.environ.get("TWINEFOLD_WEYL_CAP")
-    return int(env) if env else DEFAULT_WEYL_CAP
+    if not env:
+        return DEFAULT_WEYL_CAP
+    try:
+        cap = int(env)
+        if cap < 0:
+            raise ValueError
+    except ValueError:
+        raise RootSystemError(
+            f"TWINEFOLD_WEYL_CAP must be a non-negative integer, got {env!r}"
+        ) from None
+    return cap
 
 _WEYL_ORDERS = {
     "A": lambda n: factorial(n + 1),
@@ -347,28 +361,6 @@ class FourierPolynomial:
         return f"FourierPolynomial({len(self.terms)} terms)"
 
 
-# ---------------------------------------------------------------------------
-# Weyl elements
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: Matrix
-    word: tuple[int, ...]
-
-    @property
-    def det(self) -> int:
-        return int(mat_det(self.matrix))
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def apply(self, v: Vec) -> Vec:
-        return mat_vec(self.matrix, v)
-
-
 class WeylOverflowError(RuntimeError):
     pass
 
@@ -444,8 +436,6 @@ class RootDatum:
         self.highest_root = self._dominant_root(long=True)
         self.highest_short_root = self._dominant_root(long=False)
 
-        self._weyl_cache: list[WeylElement] | None = None
-        self._refl_cache: dict[int, Matrix] = {}
         self._char_cache: dict[Vec, FourierPolynomial] = {}
         self._basis_solver = None
 
@@ -465,17 +455,6 @@ class RootDatum:
 
     def reflect(self, v: Vec, alpha: Vec) -> Vec:
         return vsub(v, vscale(self.pair_coroot(v, alpha), alpha))
-
-    def simple_reflection_matrix(self, i: int) -> Matrix:
-        m = self._refl_cache.get(i)
-        if m is None:
-            cols = [
-                self.reflect(_unit(self.ambient_dim, j), self.simple_roots[i])
-                for j in range(self.ambient_dim)
-            ]
-            m = tuple(tuple(cols[j][r] for j in range(self.ambient_dim)) for r in range(self.ambient_dim))
-            self._refl_cache[i] = m
-        return m
 
     def coords_of(self, v: Vec) -> Vec | None:
         """Coordinates of v in the simple-root basis (None if outside span)."""
@@ -502,53 +481,16 @@ class RootDatum:
             for c in self._coroot_covectors
         )
 
-    def make_dominant(self, v: Vec) -> tuple[Vec, Matrix]:
-        """Dominant Weyl-chamber representative and the matrix achieving it."""
-        m = identity(self.ambient_dim)
+    def make_dominant(self, v: Vec) -> Vec:
+        """Dominant Weyl-chamber representative of v."""
         cur = v
         while True:
-            for i, a in enumerate(self.simple_roots):
+            for a in self.simple_roots:
                 if self.inner(cur, a) < 0:
                     cur = self.reflect(cur, a)
-                    m = mat_mul(self.simple_reflection_matrix(i), m)
                     break
             else:
-                return cur, m
-
-    # -- Weyl group traversal ----------------------------------------------
-
-    def weyl_elements(self, cap: int | None = None):
-        """Yield every Weyl element once, with a reduced word (BFS order)."""
-        cap = resolve_weyl_cap(cap)
-        if self._weyl_cache is not None:
-            yield from self._weyl_cache
-            return
-        acc: list[WeylElement] = []
-        ident = WeylElement(identity(self.ambient_dim), ())
-        seen = {ident.matrix}
-        frontier = [ident]
-        acc.append(ident)
-        yield ident
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(self.rank):
-                    m = mat_mul(self.simple_reflection_matrix(i), w.matrix)
-                    if m not in seen:
-                        if len(seen) >= cap:
-                            raise WeylOverflowError(
-                                f"Weyl group exceeds the traversal cap {cap}"
-                            )
-                        seen.add(m)
-                        el = WeylElement(m, (i,) + w.word)
-                        nxt.append(el)
-                        acc.append(el)
-                        yield el
-            frontier = nxt
-        self._weyl_cache = acc
-
-    def weyl_order(self, cap: int | None = None) -> int:
-        return sum(1 for _ in self.weyl_elements(cap))
+                return cur
 
     # -- misc ----------------------------------------------------------------
 
@@ -798,15 +740,46 @@ def is_of_type(simple_roots, ambient_gram: Matrix, label: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Weyl traversal entry point
+# signed Weyl orbits
 # ---------------------------------------------------------------------------
 
 
-def weyl_traverse(datum: RootDatum, cap: int | None = None):
-    """Iterate the Weyl group; raises WeylOverflowError beyond ``cap``."""
+def weyl_traverse(datum: RootDatum, v: Vec, cap: int | None = None):
+    """Yield (det w, w.v) once for every Weyl element w, identity first.
+
+    ``v`` must be regular dominant integral, so w -> w.v is a bijection and
+    the orbit stands in for the group.  w.v is given by its integer Dynkin
+    labels <w.v, alpha_i^vee> (fundamental-weight coordinates, which omit the
+    part of v orthogonal to the roots; w fixes it).  The search reflects u
+    by s_i only when its label m_i > 0, which lengthens w by one, so
+    det w = (-1)^length(w) is the parity of the breadth-first depth (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.6-1.8).  Raises WeylOverflowError
+    when the orbit has more than ``cap`` elements.
+    """
     if not datum.reduced:
         raise RootSystemError("no Weyl machinery on non-reduced systems")
-    return datum.weyl_elements(cap)
+    cap = resolve_weyl_cap(cap)
+    labels = tuple(vdot(v, c) for c in datum._coroot_covectors)
+    if any(m.denominator != 1 or m <= 0 for m in labels):
+        raise RootSystemError("weight must be regular dominant integral")
+    # column i of the Cartan matrix holds the Dynkin labels of alpha_i
+    alpha_labels = tuple(zip(*datum.cartan))
+    frontier = [tuple(int(m) for m in labels)]
+    sign, count = 1, 0
+    while frontier:
+        count += len(frontier)
+        if count > cap:
+            raise WeylOverflowError(f"Weyl orbit exceeds the traversal cap {cap}")
+        for u in frontier:
+            yield sign, u
+        # one dict per depth: elements of different lengths never coincide
+        nxt: dict[tuple[int, ...], None] = {}
+        for u in frontier:
+            for m, a in zip(u, alpha_labels):
+                if m > 0:
+                    nxt[tuple(x - m * y for x, y in zip(u, a))] = None
+        frontier = list(nxt)
+        sign = -sign
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, fsum, pi, prod, sin
+from math import cos, fsum, lcm, pi, prod, sin
 
 from .linalg import Vec, vadd, vneg
 from .folding import FoldingContext
@@ -104,23 +104,26 @@ def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
 
 
 def _alternating_sum(ctx: FoldingContext, shifted: Vec, xi: Vec) -> complex:
-    cache = ctx._alt_sum_cache
-    orbit = cache.get(shifted)
-    if orbit is None:
-        # store G.w(shifted) per Weyl element so each point costs one dot product
-        from .linalg import mat_vec
+    """J(shifted)(exp xi) = sum over the orbit Weyl group of det w e^{w.shifted}.
 
-        gram = ctx.base.ambient_gram
-        orbit = [
-            (w.det, mat_vec(gram, w.apply(shifted)))
-            for w in weyl_traverse(ctx.orbit.datum)
-        ]
-        cache[shifted] = orbit
+    The signed orbit is cached per context.  With u = sum_j m_j omega_j in
+    integer Dynkin labels, <u, xi> = sum_j m_j <omega_j, xi> is an integer over
+    the common denominator of the <omega_j, xi>, so each phase is reduced mod
+    1 exactly in integer arithmetic.
+    """
+    orbit = ctx._alt_sum_cache.get(shifted)
+    if orbit is None:
+        orbit = ctx._alt_sum_cache[shifted] = list(
+            weyl_traverse(ctx.orbit.datum, shifted)
+        )
+    pairings = [ctx.base.inner(w, xi) for w in ctx.orbit.datum.fundamental_weights]
+    den = lcm(*(p.denominator for p in pairings))
+    nums = [int(p * den) for p in pairings]
     res, ims = [], []
-    for det, gmu in orbit:
-        angle = _phase_angle(sum(a * b for a, b in zip(gmu, xi)))
-        res.append(det * cos(angle))
-        ims.append(det * sin(angle))
+    for sign, labels in orbit:
+        angle = 2 * pi * ((sum(m * a for m, a in zip(labels, nums)) % den) / den)
+        res.append(sign * cos(angle))
+        ims.append(sign * sin(angle))
     return complex(fsum(res), fsum(ims))
 
 

@@ -81,7 +81,7 @@ def test_criterion_03_lattice_suite():
         ok = ok and is_sublattice(lat["QO"], lat["PO"])
         ok = ok and is_sublattice(lat["QOv"], lat["POv"])
         ok = ok and lattice_eq(lat["QOv"], lat["p_integral"])
-        if getattr(ctx, "_is_a_even", False):
+        if ctx._is_a_even:
             ok = ok and len(ctx.index_two_quotients) == 4
             ok = ok and all(v == 2 for v in ctx.index_two_quotients.values())
         else:

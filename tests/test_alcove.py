@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinefold.linalg import vadd, vneg, vscale, zero_vec, mat_vec
-from twinefold.rootcore import build_root_datum, weyl_traverse
+from twinefold.linalg import identity, mat_det, vadd, vneg, vscale, vsub, zero_vec
+from twinefold.rootcore import build_root_datum
 from twinefold.folding import automorphism_by_name, fold, fundamental_coweights
 from twinefold.alcove import (
     AffineElement,
     AlcoveError,
+    affine_reflection,
     det_diff_conj,
     fold_to_alcove,
     fundamental_alcove,
@@ -104,14 +106,22 @@ def test_fundamental_domain_property_a2():
     ctx = ctx_for("A2")
     theta = ctx.base.highest_root
     points = [vscale(Fraction(k, 32), theta) for k in (1, 3, 5, 7)]
-    refl = ctx.orbit.datum.simple_reflection_matrix(0)
-    ident = AffineElement.identity_element(2)
+    base = ctx.base
+    alpha = ctx.orbit.datum.simple_roots[0]
     gen = ctx.orbit.coroot_lattice.basis[0]
+    assert gen == base.coroot(alpha)
     elements = []
     for k in range(-4, 5):
         shift = vscale(k, gen)
-        elements.append(AffineElement(ident.linear, shift))
-        elements.append(AffineElement(refl, shift))
+        # x -> x + shift and x -> s_alpha(x) + shift, as reflection words
+        translate = AffineElement(
+            2, (affine_reflection(base, alpha), affine_reflection(base, alpha, k))
+        )
+        reflect = AffineElement(2, (affine_reflection(base, alpha, k),))
+        for g, det in ((translate, 1), (reflect, -1)):
+            assert g.translation == shift and g.linear_det == det
+            elements.append(g)
+    assert len(elements) == 18
     for i, p in enumerate(points):
         for q in points[i + 1:]:
             for g in elements:
@@ -178,3 +188,32 @@ def test_det_diff_conj_wall_zero():
     alc = fundamental_alcove(ctx)
     # a vertex lies on affine walls, so the Jacobian vanishes there
     assert det_diff_conj(ctx, alc.vertices[1]) < 1e-9
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    case=st.sampled_from([("A2", "flip"), ("A3", "flip"), ("D4", "rot")]),
+    coeffs=st.lists(
+        st.fractions(min_value=-60, max_value=60, max_denominator=23),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_fold_to_alcove_properties(case, coeffs):
+    ctx = ctx_for(*case)
+    alc = fundamental_alcove(ctx)
+    dim = ctx.base.ambient_dim
+    xi = zero_vec(dim)
+    for c, cw in zip(coeffs, fundamental_coweights(ctx.orbit.datum)):
+        xi = vadd(xi, vscale(c, cw))
+    folded, g = fold_to_alcove(ctx, xi)
+    assert alc.contains(folded)
+    assert g.apply(xi) == folded
+    again, h = fold_to_alcove(ctx, folded)
+    assert again == folded and h.is_identity
+    t = g.translation
+    assert ctx.orbit.coroot_lattice.contains(t)
+    # reference: the matrix of the linear part, column j = g(e_j) - g(0)
+    cols = [vsub(g.apply(e), t) for e in identity(dim)]
+    linear = tuple(tuple(col[r] for col in cols) for r in range(dim))
+    assert mat_det(linear) == g.linear_det

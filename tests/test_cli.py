@@ -132,6 +132,25 @@ def test_verify_all_passes():
 
 
 def test_weyl_cap_env(monkeypatch):
+    argv = ["eval", "A2", "flip", "--weight", "1,1", "--point", "1/9,1/9"]
     monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "1")
-    code, text = run(["eval", "A2", "flip", "--weight", "1,1", "--point", "1/9,1/9"])
+    code, text = run(argv)
     assert code == EXIT_COMPUTE
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("TWINEFOLD_WEYL_CAP", bad)
+        code, doc = run_json(argv)
+        assert code == EXIT_COMPUTE
+        assert doc["error"]["type"] == "RootSystemError"
+        assert "TWINEFOLD_WEYL_CAP" in doc["error"]["message"]
+
+
+def test_verify_names_the_exception(monkeypatch):
+    def broken(group, automorphism):
+        raise ZeroDivisionError(f"no context for {group}")
+
+    monkeypatch.setattr("twinefold.cli.build_context", broken)
+    code, doc = run_json(["verify", "--suite", "tables"])
+    assert code == EXIT_COMPUTE
+    assert doc["checks"] and not any(c["pass"] for c in doc["checks"])
+    for c in doc["checks"]:
+        assert c["error"].startswith("ZeroDivisionError: no context for ")

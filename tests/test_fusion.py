@@ -269,5 +269,5 @@ def test_dual_weight_permutes_level_weights():
 def test_fusion_table_skips_weyl_traversal_and_reports_residual():
     ctx = ctx_for("A3")
     table = fusion_table(ctx, 2)
-    assert ctx.orbit.datum._weyl_cache is None
+    assert ctx._alt_sum_cache == {}
     assert 0 <= table.max_residual <= INTEGRALITY_TOL

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinefold.linalg import vec, vscale, vadd
 from twinefold import rootcore
@@ -77,6 +78,14 @@ def test_bc_system():
     lengths = sorted(set(bc2.norm_sq(a) for a in bc2.positive_roots))
     assert lengths == [1, 2, 4]
 
+    bc1 = build_root_datum("BC1")
+    assert not bc1.reduced
+    v = bc1.simple_roots[0]
+    assert bc1.positive_roots == (v, vscale(2, v))
+    assert bc1.norm_sq(vscale(2, v)) == 2
+    with pytest.raises(RootSystemError):
+        list(weyl_traverse(bc1, bc1.weyl_vector))
+
 
 def test_rho_identities():
     for label in ("A3", "B2", "G2", "D4"):
@@ -88,20 +97,66 @@ def test_rho_identities():
         assert acc == two_rho
 
 
+def _ambient(d, labels):
+    out = rootcore.zero_vec(d.ambient_dim)
+    for m, w in zip(labels, d.fundamental_weights):
+        out = vadd(out, vscale(m, w))
+    return out
+
+
+def _length_sign(d):
+    """u -> (-1)^#{alpha > 0 : <u, alpha> < 0} for u in Dynkin labels.
+
+    <u, alpha> = sum_i c_i m_i (alpha_i, alpha_i)/2 for alpha = sum_i c_i alpha_i.
+    """
+    half = [d.norm_sq(a) / 2 for a in d.simple_roots]
+    rows = [
+        [c * h for c, h in zip(d.coords_of(alpha), half)] for alpha in d.positive_roots
+    ]
+
+    def sign(labels):
+        negative = sum(1 for r in rows if sum(m * x for m, x in zip(labels, r)) < 0)
+        return (-1) ** negative
+
+    return sign
+
+
 def test_weyl_traverse_counts():
-    for label in ("A2", "B2", "G2", "A3", "F4"):
+    # the orbit of rho; E6's 51840 elements are sign-checked on a sample
+    for label, stride in [("A2", 1), ("B2", 1), ("G2", 1), ("A3", 1), ("F4", 1),
+                          ("E6", 97)]:
         d = build_root_datum(label)
-        els = list(weyl_traverse(d))
+        els = list(weyl_traverse(d, d.weyl_vector))
         assert len(els) == classical_weyl_order(label)
-        assert els[0].word == ()
-        for w in els:
-            assert w.det == (-1) ** len(w.word)
+        assert len({u for _, u in els}) == len(els)
+        assert els[0] == (1, (1,) * d.rank)
+        assert _ambient(d, els[0][1]) == d.weyl_vector
+        sign = _length_sign(d)
+        for det, u in els[::stride]:
+            assert det == sign(u)
 
 
 def test_weyl_traverse_cap():
     d = build_root_datum("A3")
     with pytest.raises(WeylOverflowError):
-        list(weyl_traverse(d, cap=5))
+        list(weyl_traverse(d, d.weyl_vector, cap=5))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    label=st.sampled_from(["A3", "B3", "C3", "G2"]),
+    coeffs=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+)
+def test_signed_orbit_of_shifted_weight(label, coeffs):
+    d = build_root_datum(label)
+    lam = rootcore.zero_vec(d.ambient_dim)
+    for n, w in zip(coeffs, d.fundamental_weights):
+        lam = vadd(lam, vscale(n, w))
+    els = list(weyl_traverse(d, vadd(lam, d.weyl_vector)))
+    assert len(els) == classical_weyl_order(label)
+    sign = _length_sign(d)
+    assert all(det == sign(u) for det, u in els)
+    assert sum(det for det, _ in els) == 0
 
 
 def test_simple_reflection_permutes_positive_roots():
@@ -236,7 +291,6 @@ def test_classify():
 def test_make_dominant():
     d = build_root_datum("A2")
     v = rootcore.vneg(d.weyl_vector)
-    dom, m = d.make_dominant(v)
+    dom = d.make_dominant(v)
     assert d.is_dominant(dom)
-    assert rootcore.mat_vec(m, v) == dom
     assert dom == d.weyl_vector
