@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -28,21 +27,18 @@ from .folding import (
     FoldingError,
     automorphism_by_name,
     fold,
-    fundamental_coweights,
     root_lattice,
     weight_lattice,
 )
 from .twining import (
     SingularPointError,
     TorusPoint,
-    adjoint_oracle,
-    inner_product,
     is_regular,
     jantzen_eval,
     twining_character,
 )
 from .alcove import AlcoveError, fundamental_alcove, stabilizer_datum
-from .fusion import FusionError, dual_coxeter_number, fusion_table
+from .fusion import FusionError, fusion_table
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -277,162 +273,33 @@ def cmd_fusion(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification: the acceptance criteria of ``checks``
 # ---------------------------------------------------------------------------
-
-_TABLE_ROWS = [
-    ("A3", "flip"), ("A4", "flip"), ("A5", "flip"), ("A6", "flip"),
-    ("D5", "flip"), ("D6", "flip"), ("D4", "swap34"), ("D4", "rot"),
-    ("E6", "flip"),
-]
-
-
-def _check(checks: list, label: str, fn, *args) -> None:
-    """Run fn(*args) as one check; an exception fails it and is named."""
-    try:
-        ok, error = bool(fn(*args)), None
-    except Exception as exc:
-        ok, error = False, f"{type(exc).__name__}: {exc}"
-    checks.append((label, ok, error))
-
-
-def _suite_tables(rng) -> list[tuple[str, bool, str | None]]:
-    def half_sum(group, name):
-        # construction itself cross-checks the folded/orbit classification
-        ctx = build_context(group, name)
-        half = zero_vec(ctx.base.ambient_dim)
-        for a in ctx.orbit.datum.positive_roots:
-            half = vadd(half, a)
-        return vscale(Fraction(1, 2), half) == ctx.base.weyl_vector
-
-    checks = []
-    for group, name in _TABLE_ROWS:
-        _check(checks, f"table-row {group} {name}", half_sum, group, name)
-    return checks
-
-
-def _suite_lattices(rng) -> list[tuple[str, bool, str | None]]:
-    def lattices(group, name):
-        ctx = build_context(group, name)
-        ok = True
-        if ctx._is_a_even:
-            ok = (
-                all(v == 2 for v in ctx.index_two_quotients.values())
-                and len(ctx.index_two_quotients) == 4
-            )
-        expected = (3,) if ctx.kappa.order == 3 else (2,) * ctx.moving_dim
-        ok = ok and ctx.fixed_intersection.invariant_factors == expected
-        return ok and ctx.outer_weyl_order == (
-            ctx.fixed_intersection.order * ctx.orbit_weyl_order
-        )
-
-    checks = []
-    for group, name in _TABLE_ROWS:
-        _check(checks, f"lattices {group} {name}", lattices, group, name)
-    return checks
-
-
-def _suite_characters(rng) -> list[tuple[str, bool, str | None]]:
-    import math
-
-    def alcove_length():
-        ctx = build_context("A2", "flip")
-        alc = fundamental_alcove(ctx)
-        length = math.sqrt(float(ctx.base.norm_sq(alc.vertices[1])))
-        return abs(length - math.sqrt(2) / 4) < 1e-12
-
-    def stabilizer(group, want_dual, want_pi1):
-        ctx = build_context(group, "flip")
-        stab = stabilizer_datum(ctx, zero_vec(ctx.base.rank))
-        return stab.dual_label == want_dual and stab.pi1.invariant_factors == want_pi1
-
-    def oracle(group, name):
-        ctx = build_context(group, name)
-        chi = twining_character(ctx, ctx.base.highest_root)
-        cws = fundamental_coweights(ctx.orbit.datum)
-        ok = True
-        trials = 0
-        while trials < 5:
-            xi = zero_vec(ctx.base.ambient_dim)
-            for cw in cws:
-                c = Fraction(rng.randint(1, 300), rng.randint(301, 997))
-                xi = vadd(xi, vscale(c, cw))
-            pt = TorusPoint(xi)
-            if not is_regular(ctx, pt):
-                continue
-            trials += 1
-            a = chi.eval(ctx, pt)
-            b = jantzen_eval(ctx, ctx.base.highest_root, pt)
-            c2 = adjoint_oracle(ctx, pt)
-            scale = max(1.0, abs(a))
-            ok = ok and abs(a - b) < 1e-9 * scale and abs(a - c2) < 1e-9 * scale
-        return ok
-
-    def orthogonality():
-        ctx = build_context("A2", "flip")
-        theta = ctx.base.highest_root
-        polys = [twining_character(ctx, vscale(m, theta)).poly for m in range(3)]
-        return all(
-            inner_product(ctx, f, g) == (1 if i == j else 0)
-            for i, f in enumerate(polys)
-            for j, g in enumerate(polys)
-        )
-
-    checks = []
-    _check(checks, "alcove A2 length", alcove_length)
-    for group, *want in [("A4", "B2", (2,)), ("E6", "F4", ())]:
-        _check(checks, f"stabilizer {group} at origin", stabilizer, group, *want)
-    for group, name in [("A2", "flip"), ("A3", "flip"), ("D4", "rot")]:
-        _check(checks, f"character oracle {group} {name}", oracle, group, name)
-    _check(checks, "orthogonality A2", orthogonality)
-    return checks
-
-
-def _suite_fusion(rng) -> list[tuple[str, bool, str | None]]:
-    def unit_row(group, name, k):
-        table = fusion_table(build_context(group, name), k)
-        zero = zero_vec(len(table.level.level_weights[0]))
-        return all(
-            table.get(zero, mu, nu) == (1 if mu == nu else 0)
-            for mu in table.level.level_weights
-            for nu in table.level.level_weights
-        )
-
-    def dual_coxeter(group, name, want):
-        return dual_coxeter_number(build_context(group, name)) == want
-
-    checks = []
-    for group, name, k in [("A2", "flip", 2), ("A3", "flip", 1), ("D4", "rot", 1)]:
-        _check(checks, f"fusion {group} {name} level {k}", unit_row, group, name, k)
-    for group, name, want in [
-        ("A2", "flip", 2), ("A3", "flip", 3), ("E6", "flip", 9), ("D4", "rot", 4)
-    ]:
-        _check(checks, f"dual Coxeter {group} {name}", dual_coxeter, group, name, want)
-    return checks
-
-
-_SUITES = {
-    "tables": _suite_tables,
-    "lattices": _suite_lattices,
-    "characters": _suite_characters,
-    "fusion": _suite_fusion,
-}
 
 
 def cmd_verify(args) -> dict:
-    rng = random.Random(args.seed)
-    names = list(_SUITES) if args.suite in (None, "all") else [args.suite]
-    checks = []
-    for name in names:
-        for label, ok, error in _SUITES[name](rng):
-            entry = {"suite": name, "check": label, "pass": ok}
-            if error is not None:
-                entry["error"] = error
-            checks.append(entry)
-    failed = sum(1 for c in checks if not c["pass"])
+    # imported here: no other command needs the registry, and loading it adds
+    # several milliseconds to the start of every command
+    from . import checks
+
+    if args.suite not in (*checks.SUITES, "all"):
+        raise ParseError(f"unknown suite {args.suite!r}")
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    entries = []
+    for criterion in checks.CRITERIA:
+        if criterion.suite not in names:
+            continue
+        for row in checks.run(criterion.rows()):
+            entry = {"suite": criterion.suite, "criterion": criterion.name,
+                     "check": row.label, "pass": row.ok,
+                     "observed": row.observed, "expected": row.expected}
+            if row.error is not None:
+                entry["error"] = row.error
+            entries.append(entry)
+    failed = sum(1 for e in entries if not e["pass"])
     return {
         "suites": names,
-        "checks": checks,
+        "checks": entries,
         "failed": failed,
         "ok": failed == 0,
     }
@@ -477,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Twisted conjugation, twining characters, and fusion rings.",
     )
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def group_args(p):
@@ -501,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion", help="level-k fusion table (both routes)")
     group_args(p)
     p.add_argument("--level", type=int, required=True)
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
+    p = sub.add_parser("verify", help="run the acceptance criteria")
+    p.add_argument("--suite", default="all", help="tables, lattices, characters, fusion or all")
     return parser
 
 

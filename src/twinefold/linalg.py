@@ -9,8 +9,7 @@ membership tests must never go through floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vec = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -20,10 +19,6 @@ ONE = Fraction(1)
 
 
 def vec(*entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
-def as_vec(entries: Iterable) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
@@ -309,10 +304,3 @@ def integer_kernel(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     r = sum(1 for i in range(min(m, n)) if s[i][i] != 0)
     return [tuple(v[i][j] for i in range(n)) for j in range(r, n)]
 
-
-def common_denominator(vectors: Iterable[Vec]) -> int:
-    d = 1
-    for v in vectors:
-        for e in v:
-            d = d * e.denominator // gcd(d, e.denominator)
-    return d

@@ -285,9 +285,6 @@ class FourierPolynomial:
     def constant(cls, dim: int, value: int = 1) -> "FourierPolynomial":
         return cls({zero_vec(dim): value} if value else {})
 
-    def coeff(self, mu: Vec) -> int:
-        return self.terms.get(mu, 0)
-
     def constant_term(self, dim: int) -> int:
         return self.terms.get(zero_vec(dim), 0)
 
@@ -471,9 +468,6 @@ class RootDatum:
 
     def is_dominant(self, v: Vec) -> bool:
         return all(self.inner(v, a) >= 0 for a in self.simple_roots)
-
-    def is_integral(self, v: Vec) -> bool:
-        return all(vdot(v, c).denominator == 1 for c in self._coroot_covectors)
 
     def is_dominant_integral(self, v: Vec) -> bool:
         return all(

@@ -1,6 +1,19 @@
+import io
+import json
+
 import pytest
 
+from twinefold.cli import main
+
 _CRITERION_RESULTS = []
+
+
+@pytest.fixture(scope="session")
+def verify_run():
+    """(exit code, JSON) of one `twinefold verify --suite all`, shared by the session."""
+    out = io.StringIO()
+    code = main(["verify", "--suite", "all"], out=out)
+    return code, json.loads(out.getvalue())
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -107,6 +107,8 @@ def test_parse_errors_exit_two():
     assert run(["fold", "A2", "nosuch"])[0] == EXIT_PARSE
     assert run(["stabilizer", "A2", "flip", "--point", "1/8"])[0] == EXIT_PARSE
     assert run(["nosuchcommand"])[0] == EXIT_PARSE
+    assert run(["--seed", "3", "verify"])[0] == EXIT_PARSE
+    assert run(["verify", "--suite", "nosuch"])[0] == EXIT_PARSE
 
 
 def test_compute_errors_exit_one():
@@ -124,8 +126,8 @@ def test_verify_suites():
         assert all(c["pass"] for c in doc["checks"])
 
 
-def test_verify_all_passes():
-    code, doc = run_json(["--seed", "3", "verify"])
+def test_verify_all_passes(verify_run):
+    code, doc = verify_run
     assert code == EXIT_OK
     assert doc["ok"] is True
     assert doc["failed"] == 0
@@ -148,7 +150,7 @@ def test_verify_names_the_exception(monkeypatch):
     def broken(group, automorphism):
         raise ZeroDivisionError(f"no context for {group}")
 
-    monkeypatch.setattr("twinefold.cli.build_context", broken)
+    monkeypatch.setattr("twinefold.checks.context", broken)
     code, doc = run_json(["verify", "--suite", "tables"])
     assert code == EXIT_COMPUTE
     assert doc["checks"] and not any(c["pass"] for c in doc["checks"])
