@@ -264,7 +264,7 @@ class FoldingContext:
         return mat_vec(self.projection, v)
 
     def apply_kappa(self, v: Vec) -> Vec:
-        return mat_vec(self.kappa_matrix, v)
+        return self.kappa.apply(v)
 
     @property
     def is_trivial(self) -> bool:

@@ -14,11 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 import math
+from operator import add
 
-from .linalg import Vec, mat_vec, vadd, vneg, vscale, zero_vec
+from .linalg import Vec, vadd, vneg, vscale, zero_vec
 from .folding import FoldingContext
-from .rootcore import FourierPolynomial, decompose_into_irreducibles
-from .twining import TorusPoint, denominator_norm_sq, is_regular, twining_character
+from .rootcore import Labels, decompose_labels
+from .twining import (
+    TorusPoint,
+    denominator_norm_sq,
+    evaluate_labels,
+    is_regular,
+    label_phases,
+    twining_labels,
+)
 from .alcove import fold_to_alcove, fundamental_alcove
 
 INTEGRALITY_TOL = 1e-6
@@ -57,24 +65,30 @@ class RingElement:
         return RingElement.from_dict(out)
 
 
-def _character_poly(ctx: FoldingContext, lam: Vec) -> FourierPolynomial:
-    return twining_character(ctx, lam).poly
-
-
 def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingElement:
-    """Product via character multiplication and exact peel-off decomposition."""
-    total = FourierPolynomial({})
+    """Product via character multiplication and exact peel-off decomposition.
+
+    Characters are multiplied and peeled in the orbit system's Dynkin labels;
+    only the factors' and the result's highest weights are ambient vectors.
+    """
+    total: dict[Labels, int] = {}
     for lam, m in a.coeffs:
-        pa = _character_poly(ctx, lam)
+        pa = twining_labels(ctx, lam)
         for mu, n in b.coeffs:
-            total = total + (pa * _character_poly(ctx, mu)).scaled(m * n)
-    if not total:
-        return RingElement(())
-    dec = decompose_into_irreducibles(ctx.orbit.datum, total)
-    for lam in dec:
+            small, big = sorted((pa, twining_labels(ctx, mu)), key=len)
+            for ka, va in small.items():
+                c = m * n * va
+                for kb, vb in big.items():
+                    k = tuple(map(add, ka, kb))
+                    total[k] = total.get(k, 0) + c * vb
+    datum = ctx.orbit.datum
+    out: dict[Vec, int] = {}
+    for labels, c in decompose_labels(datum, total).items():
+        lam = datum.from_labels(labels)
         if ctx.apply_kappa(lam) != lam:
             raise FusionError("product decomposition left the kappa-fixed cone")
-    return RingElement.from_dict(dec)
+        out[lam] = c
+    return RingElement.from_dict(out)
 
 
 def dual_weight(ctx: FoldingContext, lam: Vec) -> Vec:
@@ -260,12 +274,11 @@ def level_values(ctx: FoldingContext, level: LevelData) -> LevelValues:
     table = ctx._level_values.get(level.k)
     if table is not None:
         return table
-    gram = ctx.base.ambient_gram
-    covectors = [mat_vec(gram, pt.xi) for pt in level.s_points]
-    characters = {
-        lam: tuple(_character_poly(ctx, lam).evaluate_covector(gx) for gx in covectors)
-        for lam in level.level_weights
-    }
+    phases = [label_phases(ctx, pt.xi) for pt in level.s_points]
+    characters = {}
+    for lam in level.level_weights:
+        terms = twining_labels(ctx, lam).items()
+        characters[lam] = tuple(evaluate_labels(terms, ph) for ph in phases)
     weights = tuple(
         denominator_norm_sq(ctx, pt.xi) / level.t_group_order for pt in level.s_points
     )

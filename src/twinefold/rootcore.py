@@ -9,6 +9,12 @@ ambient space and reuse the same form.
 No Weyl-group element is built as a matrix: ``weyl_traverse`` walks the orbit
 of a regular dominant weight in integer Dynkin labels, which is in bijection
 with the group, and reads det w = (-1)^length(w) off the search depth.
+
+Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
+Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
+decomposition run on integer tuples, with the form as one integer matrix over
+a common denominator.  Ambient vectors appear only at the API boundary
+(``RootDatum.labels_of`` / ``RootDatum.from_labels``).
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import cos, factorial, fsum, pi, sin
+from heapq import heapify, heappop, heappush
+from math import cos, factorial, fsum, lcm, pi, sin
 
 from .linalg import (
     Matrix,
@@ -39,6 +46,9 @@ from .linalg import (
 )
 
 DEFAULT_WEYL_CAP = 10**6
+
+# a weight by its integer Dynkin labels <mu, alpha_i^vee>
+Labels = tuple[int, ...]
 
 
 def resolve_weyl_cap(cap: int | None) -> int:
@@ -339,13 +349,7 @@ class FourierPolynomial:
         are accumulated with fsum, so the result is accurate to a few ulps
         even with heavy cancellation.
         """
-        return self.evaluate_covector(mat_vec(gram, xi))
-
-    def evaluate_covector(self, gx: Vec) -> complex:
-        """Value at the point whose covector gram @ xi is ``gx``.
-
-        Callers evaluating many polynomials at one point compute ``gx`` once.
-        """
+        gx = mat_vec(gram, xi)
         res, ims = [], []
         for muv, c in self.terms.items():
             phase = sum((a * b for a, b in zip(muv, gx)), ZERO)
@@ -390,16 +394,13 @@ class RootDatum:
         self.reduced = reduced
 
         g = ambient_gram
-        self.cartan = tuple(
-            tuple(
-                _as_int(2 * bilinear(g, a_i, a_j) / bilinear(g, a_i, a_i))
-                for a_j in simple_roots
-            )
-            for a_i in simple_roots
-        )
+        # G @ alpha_i: every pairing with a simple root is one dot product
+        galpha = tuple(mat_vec(g, a) for a in simple_roots)
         # gram matrix of the simple roots themselves
-        self.gram = tuple(
-            tuple(bilinear(g, a, b) for b in simple_roots) for a in simple_roots
+        self.gram = tuple(tuple(vdot(a, gb) for gb in galpha) for a in simple_roots)
+        self.cartan = tuple(
+            tuple(_as_int(2 * gij / row[i]) for gij in row)
+            for i, row in enumerate(self.gram)
         )
 
         pos_coords = _positive_roots_by_closure(self.cartan)
@@ -427,14 +428,56 @@ class RootDatum:
 
         # G @ alpha_i^vee: each pairing <v, alpha_i^vee> is then one dot product
         self._coroot_covectors = tuple(
-            mat_vec(g, self.coroot(a)) for a in self.simple_roots
+            vscale(2 / self.gram[i][i], ga) for i, ga in enumerate(galpha)
         )
+        self._init_label_frame(cinv)
 
-        self.highest_root = self._dominant_root(long=True)
-        self.highest_short_root = self._dominant_root(long=False)
+        # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels, and
+        # the extra roots of a non-reduced datum through the ambient form
+        norms = [
+            Fraction(sum(x * y for x, y in zip(a, cov)), self._form_den)
+            for a, cov in zip(self._pos_labels, self._root_covectors)
+        ] + [self.norm_sq(beta) for beta in extra_positive_roots]
+        self.highest_root = self._dominant_root(norms, max(norms))
+        self.highest_short_root = self._dominant_root(norms, min(norms))
 
         self._char_cache: dict[Vec, FourierPolynomial] = {}
+        self._label_char_cache: dict[Labels, dict[Labels, int]] = {}
         self._basis_solver = None
+
+    def _init_label_frame(self, cinv: Matrix) -> None:
+        """Integer data for weights given by their Dynkin labels.
+
+        A weight mu = sum_i m_i omega_i is the integer tuple m with
+        m_i = <mu, alpha_i^vee>.  Column j of the Cartan matrix holds the
+        labels of alpha_j, so s_j is m -> m - m_j * column j.  The form is
+        (mu, nu) = m^T F n / D with the integer matrix F = D (omega_i, omega_j),
+        where (omega_i, omega_j) = (A^-1)_ij (alpha_i, alpha_i) / 2.
+        """
+        r = self.rank
+        self._alpha_labels = tuple(zip(*self.cartan))
+        self._pos_labels = tuple(
+            tuple(sum(a * c for a, c in zip(row, coords)) for row in self.cartan)
+            for coords in self._pos_coords
+        )
+        form = [[cinv[i][j] * self.gram[i][i] / 2 for j in range(r)] for i in range(r)]
+        den = lcm(*(x.denominator for row in form for x in row))
+        self._form = tuple(tuple(int(x * den) for x in row) for row in form)
+        self._form_den = den
+        # D (nu, alpha) = nu . (F a) for each positive root alpha, in _pos_labels order
+        self._root_covectors = tuple(
+            tuple(sum(f * x for f, x in zip(row, a)) for row in self._form)
+            for a in self._pos_labels
+        )
+        # D (nu, rho) = nu . (F rho), with rho = (1, ..., 1) in labels
+        self._rho_covector = tuple(sum(row) for row in self._form)
+        # ambient coordinate k of sum_i m_i omega_i is (m . omega_num[k]) / omega_den
+        omega_den = lcm(*(x.denominator for w in self.fundamental_weights for x in w))
+        self._omega_num = tuple(
+            tuple(int(w[k] * omega_den) for w in self.fundamental_weights)
+            for k in range(self.ambient_dim)
+        )
+        self._omega_den = omega_den
 
     # -- basic geometry ----------------------------------------------------
 
@@ -457,6 +500,28 @@ class RootDatum:
         """Coordinates of v in the simple-root basis (None if outside span)."""
         return coords_in_basis(self.simple_roots, v)
 
+    def labels_of(self, v: Vec) -> Labels:
+        """Dynkin labels of the weight v of this datum.
+
+        Raises RootSystemError when v is off the weight lattice or outside the
+        root span (the labels alone would drop the orthogonal part).
+        """
+        labels = tuple(vdot(v, c) for c in self._coroot_covectors)
+        if any(m.denominator != 1 for m in labels):
+            raise RootSystemError(f"{v} is not on the weight lattice")
+        labels = tuple(int(m) for m in labels)
+        if self.from_labels(labels) != tuple(v):
+            raise RootSystemError(f"{v} lies outside the root span")
+        return labels
+
+    def from_labels(self, labels: Labels) -> Vec:
+        """The ambient vector sum_i m_i omega_i."""
+        den = self._omega_den
+        return tuple(
+            Fraction(sum(m * w for m, w in zip(labels, row)), den)
+            for row in self._omega_num
+        )
+
     def _from_coords(self, coords) -> Vec:
         out = zero_vec(self.ambient_dim)
         for c, a in zip(coords, self.simple_roots, strict=True):
@@ -476,24 +541,16 @@ class RootDatum:
         )
 
     def make_dominant(self, v: Vec) -> Vec:
-        """Dominant Weyl-chamber representative of v."""
-        cur = v
-        while True:
-            for a in self.simple_roots:
-                if self.inner(cur, a) < 0:
-                    cur = self.reflect(cur, a)
-                    break
-            else:
-                return cur
+        """Dominant Weyl-chamber representative of the weight v."""
+        return self.from_labels(_make_dominant_labels(self, self.labels_of(v)))
 
     # -- misc ----------------------------------------------------------------
 
-    def _dominant_root(self, long: bool) -> Vec | None:
-        """Dominant root of extreme length; None for reducible systems."""
-        lengths = {self.norm_sq(a) for a in self.positive_roots}
-        target = max(lengths) if long else min(lengths)
-        for beta in self.positive_roots:
-            if self.norm_sq(beta) == target and self.is_dominant(beta):
+    def _dominant_root(self, norms: list[Fraction], target: Fraction) -> Vec | None:
+        """Dominant positive root of squared length ``target``; None for
+        reducible systems (``norms`` lists the positive roots' lengths)."""
+        for beta, n in zip(self.positive_roots, norms):
+            if n == target and all(vdot(beta, c) >= 0 for c in self._coroot_covectors):
                 return beta
         return None
 
@@ -738,6 +795,31 @@ def is_of_type(simple_roots, ambient_gram: Matrix, label: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _require_reduced(datum: RootDatum) -> None:
+    if not datum.reduced:
+        raise RootSystemError("no Weyl machinery on non-reduced systems")
+
+
+def _orbit_levels(datum: RootDatum, labels: Labels):
+    """Yield the Weyl orbit of dominant ``labels`` one length at a time.
+
+    Reflecting u by s_i only where its label m_i > 0 lengthens the minimal
+    coset representative of u by one, so the orbit is reached breadth-first
+    and elements of different depths never coincide.
+    """
+    alpha_labels = datum._alpha_labels
+    frontier = [labels]
+    while frontier:
+        yield frontier
+        # one dict per depth keeps the order and drops repeats
+        nxt: dict[Labels, None] = {}
+        for u in frontier:
+            for m, a in zip(u, alpha_labels):
+                if m > 0:
+                    nxt[tuple(x - m * y for x, y in zip(u, a))] = None
+        frontier = list(nxt)
+
+
 def weyl_traverse(datum: RootDatum, v: Vec, cap: int | None = None):
     """Yield (det w, w.v) once for every Weyl element w, identity first.
 
@@ -750,29 +832,18 @@ def weyl_traverse(datum: RootDatum, v: Vec, cap: int | None = None):
     Reflection Groups and Coxeter Groups, 1.6-1.8).  Raises WeylOverflowError
     when the orbit has more than ``cap`` elements.
     """
-    if not datum.reduced:
-        raise RootSystemError("no Weyl machinery on non-reduced systems")
+    _require_reduced(datum)
     cap = resolve_weyl_cap(cap)
     labels = tuple(vdot(v, c) for c in datum._coroot_covectors)
     if any(m.denominator != 1 or m <= 0 for m in labels):
         raise RootSystemError("weight must be regular dominant integral")
-    # column i of the Cartan matrix holds the Dynkin labels of alpha_i
-    alpha_labels = tuple(zip(*datum.cartan))
-    frontier = [tuple(int(m) for m in labels)]
     sign, count = 1, 0
-    while frontier:
-        count += len(frontier)
+    for level in _orbit_levels(datum, tuple(int(m) for m in labels)):
+        count += len(level)
         if count > cap:
             raise WeylOverflowError(f"Weyl orbit exceeds the traversal cap {cap}")
-        for u in frontier:
+        for u in level:
             yield sign, u
-        # one dict per depth: elements of different lengths never coincide
-        nxt: dict[tuple[int, ...], None] = {}
-        for u in frontier:
-            for m, a in zip(u, alpha_labels):
-                if m > 0:
-                    nxt[tuple(x - m * y for x, y in zip(u, a))] = None
-        frontier = list(nxt)
         sign = -sign
 
 
@@ -795,66 +866,82 @@ def weyl_dimension(datum: RootDatum, lam: Vec) -> int:
     return _as_int(num / den)
 
 
-class _CoordFrame:
-    """Simple-root coordinate frame of a datum, for fast weight combinatorics."""
+def dominant_labels(datum: RootDatum, lam: Vec) -> Labels:
+    """Dynkin labels of a dominant integral highest weight of a reduced datum."""
+    _require_reduced(datum)
+    labels = datum.labels_of(lam)
+    if any(m < 0 for m in labels):
+        raise RootSystemError("weight must be dominant and integral")
+    return labels
 
-    def __init__(self, datum: RootDatum):
-        self.datum = datum
-        self.cartan = datum.cartan
-        self.rank = datum.rank
-        # gram of the simple roots
-        self.g = datum.gram
-        self.rho = self.coords_of(datum.weyl_vector)
 
-    def coords_of(self, v: Vec):
-        c = self.datum.coords_of(v)
-        if c is None:
-            raise RootSystemError("vector lies outside the root span")
-        return c
+def _make_dominant_labels(datum: RootDatum, labels: Labels) -> Labels:
+    alpha_labels = datum._alpha_labels
+    cur = labels
+    while True:
+        for m, a in zip(cur, alpha_labels):
+            if m < 0:
+                cur = tuple(x - m * y for x, y in zip(cur, a))
+                break
+        else:
+            return cur
 
-    def inner(self, u, v) -> Fraction:
-        return sum(
-            (
-                ui * vj * self.g[i][j]
-                for i, ui in enumerate(u)
-                if ui
-                for j, vj in enumerate(v)
-                if vj
-            ),
-            ZERO,
-        )
 
-    def pairing(self, c, i) -> Fraction:
-        return sum((cj * self.cartan[i][j] for j, cj in enumerate(c) if cj), ZERO)
+def _dominant_multiplicities(datum: RootDatum, lam: Labels) -> dict[Labels, int]:
+    """Freudenthal's formula in Dynkin labels, over the common denominator D.
 
-    def reflect(self, c, i):
-        out = list(c)
-        out[i] -= self.pairing(c, i)
-        return tuple(out)
+    m(mu) [(lam+rho, lam+rho) - (mu+rho, mu+rho)]
+        = 2 sum_{alpha > 0} sum_{j >= 1} m(mu + j alpha) (mu + j alpha, alpha)
 
-    def make_dominant(self, c):
-        cur = c
-        while True:
-            for i in range(self.rank):
-                if self.pairing(cur, i) < 0:
-                    cur = self.reflect(cur, i)
+    The dominant weights below lam are closed downward under subtracting
+    positive roots (Stembridge, "The partial order of dominant weights",
+    Adv. Math. 136 (1998), Cor. 2.7), and they are visited by decreasing
+    height (mu, rho), so every m(dom(mu + j alpha)) is known when read.
+    """
+    form, rho_cov = datum._form, datum._rho_covector
+    dominant = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for a in datum._pos_labels:
+                nu = tuple(x - y for x, y in zip(mu, a))
+                if nu not in dominant and min(nu) >= 0:
+                    dominant.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+    order = sorted(
+        dominant, key=lambda mu: (-sum(x * y for x, y in zip(mu, rho_cov)), mu)
+    )
+
+    def norm_shifted(mu: Labels) -> int:
+        # D (mu + rho, mu + rho)
+        v = [x + 1 for x in mu]
+        return sum(x * sum(f * y for f, y in zip(row, v)) for x, row in zip(v, form))
+
+    to_dominant: dict[Labels, Labels] = {}
+    nlam = norm_shifted(lam)
+    mults = {lam: 1}
+    for mu in order[1:]:
+        total = 0
+        for a, cov in zip(datum._pos_labels, datum._root_covectors):
+            nu = tuple(x + y for x, y in zip(mu, a))
+            while True:
+                dom = to_dominant.get(nu)
+                if dom is None:
+                    dom = to_dominant[nu] = _make_dominant_labels(datum, nu)
+                # alpha-strings are unbroken: the first non-weight ends the string
+                if dom not in dominant:
                     break
-            else:
-                return cur
-
-    def orbit(self, c):
-        seen = {c}
-        frontier = [c]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in range(self.rank):
-                    w = self.reflect(u, i)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return seen
+                total += mults[dom] * sum(x * c for x, c in zip(nu, cov))
+                nu = tuple(x + y for x, y in zip(nu, a))
+        mult, rest = divmod(2 * total, nlam - norm_shifted(mu))
+        if rest:
+            raise RootSystemError(
+                f"Freudenthal multiplicity of {mu} in {lam} is not an integer"
+            )
+        mults[mu] = mult
+    return mults
 
 
 def freudenthal_multiplicities(datum: RootDatum, lam: Vec) -> dict[Vec, int]:
@@ -863,83 +950,86 @@ def freudenthal_multiplicities(datum: RootDatum, lam: Vec) -> dict[Vec, int]:
     Returns dominant-weight multiplicities, keyed by ambient vectors; the full
     weight system is the union of the Weyl orbits of the keys.
     """
-    if not datum.is_dominant_integral(lam):
-        raise RootSystemError("weight must be dominant and integral")
-    frame = _CoordFrame(datum)
-    lam_c = frame.coords_of(lam)
+    mults = _dominant_multiplicities(datum, dominant_labels(datum, lam))
+    return {datum.from_labels(mu): m for mu, m in mults.items() if m}
 
-    def in_hull(c) -> bool:
-        dom = frame.make_dominant(c)
-        return all(
-            (d := li - mi).denominator == 1 and d >= 0
-            for li, mi in zip(lam_c, dom, strict=True)
-        )
 
-    # all weights by saturation downward from lam
-    weights = {lam_c}
-    frontier = [lam_c]
-    units = [tuple(int(i == j) for j in range(frame.rank)) for i in range(frame.rank)]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for u in units:
-                w = tuple(a - b for a, b in zip(c, u))
-                if w not in weights and in_hull(w):
-                    weights.add(w)
-                    nxt.append(w)
-        frontier = nxt
+def label_character(datum: RootDatum, lam: Labels) -> dict[Labels, int]:
+    """Character of the irrep with dominant highest weight ``lam``, in labels.
 
-    dominant = [c for c in weights if all(frame.pairing(c, i) >= 0 for i in range(frame.rank))]
-    dominant.sort(key=lambda c: (-frame.inner(c, frame.rho), c))
-
-    pos = [frame.coords_of(a) for a in datum.positive_roots]
-    lam_rho = tuple(a + b for a, b in zip(lam_c, frame.rho))
-    nlam = frame.inner(lam_rho, lam_rho)
-
-    mults: dict[tuple, int] = {lam_c: 1}
-    for mu in dominant:
-        if mu == lam_c:
-            continue
-        total = ZERO
-        for a in pos:
-            j = 1
-            while True:
-                nu = tuple(m + j * ai for m, ai in zip(mu, a))
-                if not in_hull(nu):
-                    break
-                m_nu = mults.get(frame.make_dominant(nu), 0)
-                if m_nu:
-                    total += m_nu * frame.inner(nu, a)
-                j += 1
-        mu_rho = tuple(m + r for m, r in zip(mu, frame.rho))
-        denom = nlam - frame.inner(mu_rho, mu_rho)
-        mults[mu] = _as_int(2 * total / denom)
-
-    out = {}
-    for c, m in mults.items():
-        if m:
-            out[datum._from_coords(c)] = m
-    return out
+    Freudenthal multiplicities on the dominant cone, then Weyl-orbit
+    expansion.  Memoized on the datum: callers must not mutate the result.
+    """
+    terms = datum._label_char_cache.get(lam)
+    if terms is None:
+        terms = {}
+        for mu, m in _dominant_multiplicities(datum, lam).items():
+            if m:
+                for level in _orbit_levels(datum, mu):
+                    terms.update(dict.fromkeys(level, m))
+        datum._label_char_cache[lam] = terms
+    return terms
 
 
 def irreducible_character(datum: RootDatum, lam: Vec) -> FourierPolynomial:
     """Exact character of the irrep with highest weight ``lam``.
 
-    Freudenthal multiplicities on the dominant cone, then Weyl-orbit
-    expansion; the result is W-invariant with highest coefficient 1.  Memoized
-    on the datum: callers share the returned polynomial and must not mutate it.
+    ``label_character`` with its keys taken to ambient vectors; the result is
+    W-invariant with highest coefficient 1.  Memoized on the datum: callers
+    share the returned polynomial and must not mutate it.
     """
     poly = datum._char_cache.get(lam)
     if poly is None:
-        frame = _CoordFrame(datum)
-        mults = freudenthal_multiplicities(datum, lam)
-        terms: dict[Vec, int] = {}
-        for mu, m in mults.items():
-            for c in frame.orbit(frame.coords_of(mu)):
-                terms[datum._from_coords(c)] = m
-        poly = FourierPolynomial(terms)
+        terms = label_character(datum, dominant_labels(datum, lam))
+        poly = FourierPolynomial(
+            {datum.from_labels(mu): m for mu, m in terms.items()}
+        )
         datum._char_cache[lam] = poly
     return poly
+
+
+def decompose_labels(datum: RootDatum, terms: dict[Labels, int]) -> dict[Labels, int]:
+    """Write a label-keyed W-invariant polynomial as a combination of characters.
+
+    Highest-term peel-off: the dominant terms are taken by decreasing height
+    (mu, rho), and each peels its character off the whole polynomial.  A
+    W-invariant polynomial is then used up; a remainder means the input was
+    not W-invariant, and raises.
+    """
+    _require_reduced(datum)
+    rho_cov = datum._rho_covector
+
+    def height(mu: Labels) -> int:
+        return sum(x * y for x, y in zip(mu, rho_cov))
+
+    remaining = {mu: c for mu, c in terms.items() if c}
+    heap = [(-height(mu), mu) for mu in remaining if min(mu, default=0) >= 0]
+    heapify(heap)
+    queued = {mu for _, mu in heap}
+    out: dict[Labels, int] = {}
+    while heap:
+        mu = heappop(heap)[1]
+        m = remaining.get(mu)
+        if not m:
+            continue
+        out[mu] = m
+        # chi_mu has coefficient 1 at mu and lower terms elsewhere
+        for v, c in label_character(datum, mu).items():
+            r = remaining.get(v, 0) - m * c
+            if r:
+                remaining[v] = r
+            else:
+                remaining.pop(v, None)
+            if v not in queued and min(v, default=0) >= 0:
+                queued.add(v)
+                heappush(heap, (-height(v), v))
+    if remaining:
+        mu = max(remaining, key=lambda v: (height(v), v))
+        raise RootSystemError(
+            "input is not Weyl-invariant: highest remaining term "
+            f"{datum.from_labels(mu)} is not dominant integral"
+        )
+    return out
 
 
 def decompose_into_irreducibles(
@@ -947,35 +1037,10 @@ def decompose_into_irreducibles(
 ) -> dict[Vec, int]:
     """Write a W-invariant polynomial as an integer combination of characters.
 
-    Highest-term peel-off; raises if the input is not a virtual character on
-    the weight lattice of the datum.
+    Highest-term peel-off in Dynkin labels (``decompose_labels``); raises if
+    the input is not a virtual character on the weight lattice of the datum.
     """
-    # the peel key (v, rho) is computed once per weight, against gram @ rho
-    grho = mat_vec(datum.ambient_gram, datum.weyl_vector)
-    keys: dict[Vec, tuple[Fraction, Vec]] = {}
-
-    def peel_key(v: Vec) -> tuple[Fraction, Vec]:
-        key = keys.get(v)
-        if key is None:
-            key = keys[v] = (vdot(v, grho), v)
-        return key
-
-    remaining = dict(poly.terms)
-    out: dict[Vec, int] = {}
-    while remaining:
-        mu = max(remaining, key=peel_key)
-        if not datum.is_dominant_integral(mu):
-            raise RootSystemError(
-                "input is not Weyl-invariant: highest remaining term "
-                f"{mu} is not dominant integral"
-            )
-        # chi_mu has coefficient 1 at mu and lower keys elsewhere, so mu is
-        # peeled once
-        m = out[mu] = remaining[mu]
-        for v, c in irreducible_character(datum, mu).terms.items():
-            r = remaining.get(v, 0) - m * c
-            if r:
-                remaining[v] = r
-            else:
-                remaining.pop(v, None)
-    return out
+    terms = {datum.labels_of(v): c for v, c in poly.terms.items()}
+    return {
+        datum.from_labels(mu): m for mu, m in decompose_labels(datum, terms).items()
+    }

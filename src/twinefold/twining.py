@@ -8,6 +8,7 @@ structural identities (orthogonality, decomposition) are exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, fsum, lcm, pi, prod, sin
@@ -16,8 +17,11 @@ from .linalg import Vec, vadd, vneg
 from .folding import FoldingContext
 from .rootcore import (
     FourierPolynomial,
+    Labels,
     RootSystemError,
+    dominant_labels,
     irreducible_character,
+    label_character,
     weyl_traverse,
 )
 
@@ -78,6 +82,14 @@ def twining_character(ctx: FoldingContext, lam: Vec) -> TwiningCharacter:
     return TwiningCharacter(lam, irreducible_character(ctx.orbit.datum, lam))
 
 
+def twining_labels(ctx: FoldingContext, lam: Vec) -> dict[Labels, int]:
+    """The polynomial of ``twining_character(ctx, lam)`` keyed by the Dynkin
+    labels of the orbit system."""
+    _require_admissible(ctx, lam)
+    datum = ctx.orbit.datum
+    return label_character(datum, dominant_labels(datum, lam))
+
+
 def is_regular(ctx: FoldingContext, point: TorusPoint) -> bool:
     """Exact test: no positive orbit root pairs integrally with xi."""
     return all(
@@ -103,28 +115,48 @@ def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
     )
 
 
+def label_phases(ctx: FoldingContext, xi: Vec) -> tuple[tuple[int, ...], int]:
+    """The pairings <omega_j, xi> with the orbit fundamental weights, as
+    integer numerators over their common denominator.
+
+    With u = sum_j m_j omega_j in integer Dynkin labels, <u, xi> is then
+    sum_j m_j nums_j / den, so each phase is reduced mod 1 exactly in integer
+    arithmetic.
+    """
+    pairings = [ctx.base.inner(w, xi) for w in ctx.orbit.datum.fundamental_weights]
+    den = lcm(*(p.denominator for p in pairings))
+    return tuple(int(p * den) for p in pairings), den
+
+
+def evaluate_labels(
+    terms: Iterable[tuple[Labels, int]], phases: tuple[tuple[int, ...], int]
+) -> complex:
+    """sum c e^{2 pi i <u, xi>} over the (labels u, coefficient c) pairs of
+    ``terms``, at the point whose ``label_phases`` are ``phases``.
+
+    Equal to ``FourierPolynomial.evaluate`` of the same polynomial: each angle
+    is the same correctly rounded fraction, and fsum is order-independent.
+    """
+    nums, den = phases
+    res, ims = [], []
+    for labels, c in terms:
+        angle = 2 * pi * ((sum(m * a for m, a in zip(labels, nums)) % den) / den)
+        res.append(c * cos(angle))
+        ims.append(c * sin(angle))
+    return complex(fsum(res), fsum(ims))
+
+
 def _alternating_sum(ctx: FoldingContext, shifted: Vec, xi: Vec) -> complex:
     """J(shifted)(exp xi) = sum over the orbit Weyl group of det w e^{w.shifted}.
 
-    The signed orbit is cached per context.  With u = sum_j m_j omega_j in
-    integer Dynkin labels, <u, xi> = sum_j m_j <omega_j, xi> is an integer over
-    the common denominator of the <omega_j, xi>, so each phase is reduced mod
-    1 exactly in integer arithmetic.
+    The signed orbit is cached per context as (labels, det w) pairs.
     """
     orbit = ctx._alt_sum_cache.get(shifted)
     if orbit is None:
-        orbit = ctx._alt_sum_cache[shifted] = list(
-            weyl_traverse(ctx.orbit.datum, shifted)
-        )
-    pairings = [ctx.base.inner(w, xi) for w in ctx.orbit.datum.fundamental_weights]
-    den = lcm(*(p.denominator for p in pairings))
-    nums = [int(p * den) for p in pairings]
-    res, ims = [], []
-    for sign, labels in orbit:
-        angle = 2 * pi * ((sum(m * a for m, a in zip(labels, nums)) % den) / den)
-        res.append(sign * cos(angle))
-        ims.append(sign * sin(angle))
-    return complex(fsum(res), fsum(ims))
+        orbit = ctx._alt_sum_cache[shifted] = [
+            (u, sign) for sign, u in weyl_traverse(ctx.orbit.datum, shifted)
+        ]
+    return evaluate_labels(orbit, label_phases(ctx, xi))
 
 
 def jantzen_eval(ctx: FoldingContext, lam: Vec, point: TorusPoint) -> complex:

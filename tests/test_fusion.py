@@ -5,7 +5,7 @@ import pytest
 from twinefold.linalg import vadd, vscale, zero_vec
 from twinefold.rootcore import build_root_datum, irreducible_character
 from twinefold.folding import automorphism_by_name, fold
-from twinefold.twining import _alternating_sum, denominator_norm_sq
+from twinefold.twining import _alternating_sum, denominator_norm_sq, twining_character
 from twinefold.fusion import (
     INTEGRALITY_TOL,
     FusionError,
@@ -105,22 +105,18 @@ def test_phi_project_rejects_unfixed_weight():
 
 def test_wall_weights_have_vanishing_characters():
     """Weights folding to a wall give characters that vanish at every s-point."""
-    from twinefold.fusion import _character_poly
-
     ctx = ctx_for("A2")
     ld = level_data(ctx, 1)
     theta = ctx.base.highest_root
     wall = vscale(2, theta)
     assert phi_project(ctx, ld, wall) is None
     for pt in ld.s_points:
-        value = _character_poly(ctx, wall).evaluate(ctx.base.ambient_gram, pt.xi)
+        value = twining_character(ctx, wall).poly.evaluate(ctx.base.ambient_gram, pt.xi)
         assert abs(value) < 1e-9
 
 
 def test_phi_sign_rule_at_s_points():
     """chi_lambda(s) = sign * chi_lambda'(s) whenever lambda folds to lambda'."""
-    from twinefold.fusion import _character_poly
-
     ctx = ctx_for("A2")
     ld = level_data(ctx, 2)
     theta = ctx.base.highest_root
@@ -128,12 +124,12 @@ def test_phi_sign_rule_at_s_points():
         lam = vscale(m, theta)
         out = phi_project(ctx, ld, lam)
         for pt in ld.s_points:
-            lhs = _character_poly(ctx, lam).evaluate(ctx.base.ambient_gram, pt.xi)
+            lhs = twining_character(ctx, lam).poly.evaluate(ctx.base.ambient_gram, pt.xi)
             if out is None:
                 assert abs(lhs) < 1e-9
             else:
                 sign, lam0 = out
-                rhs = _character_poly(ctx, lam0).evaluate(ctx.base.ambient_gram, pt.xi)
+                rhs = twining_character(ctx, lam0).poly.evaluate(ctx.base.ambient_gram, pt.xi)
                 assert abs(lhs - sign * rhs) < 1e-9
 
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinefold.linalg import vec, vscale, vadd
+from twinefold.linalg import vadd, vdot, vec, vscale
 from twinefold import rootcore
+from twinefold.folding import automorphism_by_name, fold
 from twinefold.rootcore import (
     FourierPolynomial,
     Lattice,
@@ -14,6 +15,7 @@ from twinefold.rootcore import (
     classical_weyl_order,
     classify_simple_system,
     decompose_into_irreducibles,
+    freudenthal_multiplicities,
     irreducible_character,
     lattice,
     lattice_quotient,
@@ -294,3 +296,95 @@ def test_make_dominant():
     dom = d.make_dominant(v)
     assert d.is_dominant(dom)
     assert dom == d.weyl_vector
+
+
+def _orbit_datum(label, name):
+    d = build_root_datum(label)
+    return fold(d, automorphism_by_name(d, name)).orbit.datum
+
+
+_WCF_DATA = {label: build_root_datum(label)
+             for label in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "D4")}
+_WCF_DATA["A3 flip"] = _orbit_datum("A3", "flip")
+_WCF_DATA["D4 rot"] = _orbit_datum("D4", "rot")
+
+
+def _alternant(d, v):
+    """J(v) = sum_w det(w) e^{w.v} from the signed orbit of weyl_traverse."""
+    return FourierPolynomial({_ambient(d, u): sign for sign, u in weyl_traverse(d, v)})
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data(), name=st.sampled_from(sorted(_WCF_DATA)))
+def test_weyl_character_formula(data, name):
+    """chi_lam * J(rho) == J(lam + rho) as exact polynomials, labels <= 2.
+
+    On D4 the labels sum to at most 2: chi_{2 rho} has 7009 weights, and the
+    exact product with the 192 terms of J(rho) takes ~40 s.
+    """
+    d = _WCF_DATA[name]
+    labels = data.draw(
+        st.lists(st.integers(0, 2), min_size=d.rank, max_size=d.rank).filter(
+            lambda m: name != "D4" or sum(m) <= 2
+        )
+    )
+    lam = _ambient(d, labels)
+    chi = irreducible_character(d, lam)
+    assert chi * _alternant(d, d.weyl_vector) == _alternant(d, vadd(lam, d.weyl_vector))
+    assert chi.total_mass == weyl_dimension(d, lam)
+
+
+def test_label_frame_matches_the_form():
+    for label in ("A3", "B3", "C3", "G2", "F4", "E6"):
+        d = build_root_datum(label)
+        for i, wi in enumerate(d.fundamental_weights):
+            assert d.labels_of(wi) == tuple(int(i == j) for j in range(d.rank))
+            for j, wj in enumerate(d.fundamental_weights):
+                assert d.inner(wi, wj) == Fraction(d._form[i][j], d._form_den)
+        for alpha, a in zip(d.positive_roots, d._pos_labels):
+            assert d.labels_of(alpha) == a
+            assert d.from_labels(a) == alpha
+
+
+def test_weight_off_the_root_span_raises():
+    # omega1 + omega3 + (alpha1 - alpha3) has the orbit labels of omega1 + omega3,
+    # but alpha1 - alpha3 is orthogonal to the kappa-fixed span
+    d = _orbit_datum("A3", "flip")
+    w1, _, w3 = build_root_datum("A3").fundamental_weights
+    off = vadd(vadd(w1, w3), vec(1, 0, -1))
+    labels = tuple(vdot(off, c) for c in d._coroot_covectors)
+    assert labels == d.labels_of(vadd(w1, w3))
+    with pytest.raises(RootSystemError, match="outside the root span"):
+        irreducible_character(d, off)
+    with pytest.raises(RootSystemError, match="outside the root span"):
+        freudenthal_multiplicities(d, off)
+    with pytest.raises(RootSystemError, match="outside the root span"):
+        decompose_into_irreducibles(d, FourierPolynomial({off: 1}))
+
+
+def test_decompose_key_off_the_weight_lattice_raises():
+    a2 = build_root_datum("A2")
+    w1, w2 = a2.fundamental_weights
+    half = vscale(Fraction(1, 2), w1)
+    poly = irreducible_character(a2, w2) + FourierPolynomial({half: 1})
+    with pytest.raises(RootSystemError, match="not on the weight lattice"):
+        decompose_into_irreducibles(a2, poly)
+
+
+def test_decompose_non_invariant_raises():
+    a2 = build_root_datum("A2")
+    w1, _ = a2.fundamental_weights
+    with pytest.raises(RootSystemError, match="not Weyl-invariant"):
+        decompose_into_irreducibles(a2, FourierPolynomial({rootcore.vneg(w1): 1}))
+    # a dominant highest term over a non-invariant remainder
+    poly = irreducible_character(a2, w1) + FourierPolynomial({rootcore.vneg(w1): 1})
+    with pytest.raises(RootSystemError, match="not Weyl-invariant"):
+        decompose_into_irreducibles(a2, poly)
+
+
+def test_non_reduced_character_raises():
+    bc2 = build_root_datum("BC2")
+    with pytest.raises(RootSystemError, match="non-reduced"):
+        irreducible_character(bc2, bc2.fundamental_weights[0])
+    with pytest.raises(RootSystemError, match="non-reduced"):
+        freudenthal_multiplicities(bc2, bc2.fundamental_weights[0])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from twinefold.linalg import mat_vec, vadd, vneg, vscale, zero_vec
+from twinefold.linalg import vadd, vneg, vscale, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     RootSystemError,
@@ -16,10 +16,13 @@ from twinefold.twining import (
     SingularPointError,
     TorusPoint,
     adjoint_oracle,
+    evaluate_labels,
     inner_product,
     is_regular,
     jantzen_eval,
+    label_phases,
     twining_character,
+    twining_labels,
     weyl_denominator,
 )
 
@@ -67,12 +70,18 @@ def test_denominator_vanishes_at_identity():
         assert abs(value) < 1e-12
 
 
-def test_evaluate_covector_matches_evaluate():
-    ctx = ctx_for("A3")
-    gram = ctx.base.ambient_gram
-    poly = twining_character(ctx, ctx.base.highest_root).poly
-    for pt in random_regular_points(ctx, 3):
-        assert poly.evaluate_covector(mat_vec(gram, pt.xi)) == poly.evaluate(gram, pt.xi)
+def test_evaluate_labels_matches_evaluate():
+    """The label-keyed value equals the ambient polynomial's value exactly."""
+    for label, name in [("A3", "flip"), ("D4", "rot"), ("A4", "flip")]:
+        ctx = ctx_for(label, name)
+        gram = ctx.base.ambient_gram
+        lam = vscale(2, ctx.base.highest_root)
+        poly = twining_character(ctx, lam).poly
+        terms = twining_labels(ctx, lam)
+        assert {ctx.orbit.datum.from_labels(u): c for u, c in terms.items()} == poly.terms
+        for pt in random_regular_points(ctx, 3, seed=5):
+            value = evaluate_labels(terms.items(), label_phases(ctx, pt.xi))
+            assert value == poly.evaluate(gram, pt.xi)
 
 
 def test_twining_character_trivial_weight():
