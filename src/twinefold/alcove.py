@@ -4,9 +4,9 @@ The affine group is the semidirect product of translations by the orbit
 coroot lattice with the orbit Weyl group; its fundamental alcove in the fixed
 subspace parametrizes twisted conjugacy classes.  Point folding, stabilizer
 root data from the extended-diagram deletion rule, and the Jacobian of the
-conjugation map all live here.  Group elements are words of affine
-reflections, never matrices: the sign of the linear part is the parity of
-the word length.
+conjugation map all live here.  Group elements are a translation by the
+orbit coroot lattice followed by a word of affine reflections, never
+matrices: the sign of the linear part is the parity of the word length.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Vec, identity, mat_vec, vdot, vscale, vsub, zero_vec
+from .linalg import Vec, identity, mat_vec, vadd, vdot, vscale, vsub, zero_vec
 from .folding import FoldingContext, fundamental_coweights
 from .rootcore import (
     FiniteAbelianGroup,
@@ -48,17 +48,22 @@ def affine_reflection(datum: RootDatum, alpha: Vec, k: int = 0) -> AffineReflect
 
 @dataclass(frozen=True)
 class AffineElement:
-    """A product of affine reflections, applied in the order of ``word``.
+    """The translation by ``shift``, then the affine reflections of ``word``
+    in order.
 
-    Each reflection has linear part of determinant -1, so ``linear_det`` is
-    the parity of the word length.  ``fold_to_alcove`` builds its words from
-    the alcove walls, so their translations lie in the orbit coroot lattice.
+    Each reflection has linear part of determinant -1 and a translation has
+    determinant 1, so ``linear_det`` is the parity of the word length.
+    ``fold_to_alcove`` shifts by the orbit coroot lattice and builds its words
+    from the alcove walls, so its translations lie in that lattice.
     """
 
     dim: int
     word: tuple[AffineReflection, ...] = ()
+    shift: Vec = ()  # () for no translation
 
     def apply(self, v: Vec) -> Vec:
+        if self.shift:
+            v = vadd(v, self.shift)
         for covector, k, coroot in self.word:
             v = vsub(v, vscale(vdot(covector, v) - k, coroot))
         return v
@@ -83,25 +88,27 @@ class AlcoveDescription:
     """0 <= <alpha, xi> for simple orbit roots, <theta, xi> <= 1.
 
     ``walls`` holds the reflection in each wall: one per simple orbit root,
-    then the ceiling <theta, xi> = 1.
+    then the ceiling <theta, xi> = 1.  Each wall's covector G alpha makes
+    <alpha, xi> one dot product; ``weight_covectors`` does the same for the
+    orbit fundamental weights.
     """
 
     simple_roots: tuple[Vec, ...]
     theta: Vec
     vertices: tuple[Vec, ...]
     walls: tuple[AffineReflection, ...]
-    _base: RootDatum  # the base datum, not the context that caches this alcove
+    weight_covectors: tuple[Vec, ...]
 
     def contains(self, xi: Vec) -> bool:
-        base = self._base
-        return all(base.inner(a, xi) >= 0 for a in self.simple_roots) and base.inner(
-            self.theta, xi
+        *floors, ceiling = self.walls
+        return all(vdot(w.covector, xi) >= 0 for w in floors) and vdot(
+            ceiling.covector, xi
         ) <= 1
 
     def is_interior(self, xi: Vec) -> bool:
-        base = self._base
-        return all(base.inner(a, xi) > 0 for a in self.simple_roots) and base.inner(
-            self.theta, xi
+        *floors, ceiling = self.walls
+        return all(vdot(w.covector, xi) > 0 for w in floors) and vdot(
+            ceiling.covector, xi
         ) < 1
 
 
@@ -122,7 +129,12 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
         vertices.append(vscale(1 / c, cw))
     walls = tuple(affine_reflection(ctx.base, a) for a in orbit.simple_roots)
     walls += (affine_reflection(ctx.base, theta, 1),)
-    alc = AlcoveDescription(orbit.simple_roots, theta, tuple(vertices), walls, ctx.base)
+    weight_covectors = tuple(
+        mat_vec(ctx.base.ambient_gram, w) for w in orbit.fundamental_weights
+    )
+    alc = AlcoveDescription(
+        orbit.simple_roots, theta, tuple(vertices), walls, weight_covectors
+    )
     for v in alc.vertices:
         if not alc.contains(v):
             raise AlcoveError("computed vertex violates the alcove constraints")
@@ -138,20 +150,33 @@ def _check_fixed(ctx: FoldingContext, xi: Vec) -> None:
 def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     """Affine-Weyl representative in the closed alcove, with the group element.
 
-    Alternates the dominant-chamber phase (simple orbit reflections) with the
-    affine reflection in the ceiling wall until all constraints hold.
+    A point outside the alcove first loses sum_j n_j alpha_j^vee, with n_j
+    the integer part of <omega_j, xi> rounded toward zero: an element of the
+    orbit coroot lattice that moves xi into the box -1 < <omega_j, .> < 1 in
+    one step, whatever its distance.  Then the fold alternates the
+    dominant-chamber phase (simple orbit reflections) with the affine
+    reflection in the ceiling wall until all constraints hold.  A point of
+    the closed alcove, and a point of the box, get no translation: on a wall
+    the folding element is not unique, and these keep the one the walk gives.
     """
     _check_fixed(ctx, xi)
-    base = ctx.base
+    dim = ctx.base.ambient_dim
     alc = fundamental_alcove(ctx)
     *floors, ceiling = alc.walls
+    shift = zero_vec(dim)
+    if not alc.contains(xi):
+        for covector, wall in zip(alc.weight_covectors, floors):
+            n = int(vdot(covector, xi))
+            if n:
+                shift = vsub(shift, vscale(n, wall.coroot))
     word = []
-    cur = xi
+    cur = vadd(xi, shift)
     for _ in range(FOLD_ITERATION_CAP):
         moved = False
-        for alpha, wall in zip(alc.simple_roots, floors):
-            if vdot(wall.covector, cur) < 0:
-                cur = base.reflect(cur, alpha)
+        for wall in floors:
+            height = vdot(wall.covector, cur)
+            if height < 0:
+                cur = vsub(cur, vscale(height, wall.coroot))
                 word.append(wall)
                 moved = True
                 break
@@ -163,7 +188,7 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
             cur = vsub(cur, vscale(height - 1, ceiling.coroot))
             word.append(ceiling)
             continue
-        g = AffineElement(base.ambient_dim, tuple(word))
+        g = AffineElement(dim, tuple(word), shift)
         if g.apply(xi) != cur:
             raise AlcoveError("affine bookkeeping drifted from the folded point")
         return cur, g

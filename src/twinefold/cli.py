@@ -248,17 +248,16 @@ def cmd_fusion(args) -> dict:
     table = fusion_table(ctx, args.level)
     level = table.level
 
-    def wname(lam):
-        return format_vector(weight_from_ambient(ctx, lam))
-
-    weights = sorted(level.level_weights, key=lambda l: weight_from_ambient(ctx, l))
+    coords = {lam: weight_from_ambient(ctx, lam) for lam in level.level_weights}
+    weights = sorted(coords, key=coords.get)
+    name = {lam: format_vector(coords[lam]) for lam in weights}
     entries = []
     for lam in weights:
         for mu in weights:
             for nu in weights:
                 n = table.get(lam, mu, nu)
                 if n:
-                    entries.append([wname(lam), wname(mu), wname(nu), n])
+                    entries.append([name[lam], name[mu], name[nu], n])
     return {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
@@ -267,7 +266,7 @@ def cmd_fusion(args) -> dict:
         "dual_coxeter": level.dual_coxeter,
         "t_group_order": level.t_group_order,
         "max_residual": table.max_residual,
-        "level_weights": [wname(l) for l in weights],
+        "level_weights": [name[l] for l in weights],
         "coefficients": entries,
     }
 

@@ -6,28 +6,40 @@ fixes the dual Coxeter number, the finite set of level weights, and the
 regular torus points s_lambda; fusion coefficients come out of the
 Verlinde-type sum over those points and, independently, out of the shifted
 affine folding of ordinary tensor multiplicities.  The two must agree.
+
+The affine route is the Kac-Walton formula (Kac, Infinite-Dimensional Lie
+Algebras, Ex. 13.35; Walton, Nucl. Phys. B 340 (1990) 777) and runs on the
+orbit system's integer Dynkin labels: tensor products by the Racah-Speiser
+rule (``_product_labels``), then the rho-shifted level-k affine folding
+(``_fold_labels``).  Ambient vectors appear only at the API boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
 import math
-from operator import add
 
 from .linalg import Vec, vadd, vneg, vscale, zero_vec
 from .folding import FoldingContext
-from .rootcore import Labels, decompose_labels
+from .rootcore import (
+    Labels,
+    RootDatum,
+    dominant_labels,
+    label_character,
+    label_dimension,
+    regular_dominant_labels,
+)
 from .twining import (
     TorusPoint,
     denominator_norm_sq,
     evaluate_labels,
+    highest_labels,
     is_regular,
     label_phases,
     twining_labels,
 )
-from .alcove import fold_to_alcove, fundamental_alcove
 
 INTEGRALITY_TOL = 1e-6
 
@@ -65,29 +77,62 @@ class RingElement:
         return RingElement.from_dict(out)
 
 
-def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingElement:
-    """Product via character multiplication and exact peel-off decomposition.
+def _product_labels(datum: RootDatum, lam: Labels, mu: Labels) -> dict[Labels, int]:
+    """chi_lam chi_mu as a combination of irreducibles, by Racah-Speiser.
 
-    Characters are multiplied and peeled in the orbit system's Dynkin labels;
-    only the factors' and the result's highest weights are ambient vectors.
+    Brauer-Klimyk: the product is the sum, over the weights sigma of one
+    factor with multiplicity c, of c det(w) chi_{w(other + sigma + rho) - rho},
+    where w makes other + sigma + rho dominant; terms on a wall drop.  The
+    sum runs over the factor with fewer terms.  A product of irreducibles has
+    non-negative multiplicities and dimension dim lam * dim mu; both are
+    checked (Racah 1962, Speiser 1964, Klimyk 1968; Humphreys, Introduction
+    to Lie Algebras and Representation Theory, 24.4).
     """
+    a, b = label_character(datum, lam), label_character(datum, mu)
+    other, small = (lam, b) if len(b) <= len(a) else (mu, a)
+    shifted = [x + 1 for x in other]
+    total: dict[Labels, int] = {}
+    for sigma, c in small.items():
+        folded = regular_dominant_labels(
+            datum, tuple(x + y for x, y in zip(shifted, sigma))
+        )
+        if folded is not None:
+            sign, nu = folded
+            nu = tuple(x - 1 for x in nu)
+            total[nu] = total.get(nu, 0) + sign * c
+    out = {nu: c for nu, c in total.items() if c}
+    if any(c < 0 for c in out.values()):
+        raise FusionError(f"negative multiplicity in the product of {lam} and {mu}")
+    dim = sum(c * label_dimension(datum, nu) for nu, c in out.items())
+    if dim != label_dimension(datum, lam) * label_dimension(datum, mu):
+        raise FusionError(
+            f"the product of {lam} and {mu} has dimension {dim}, not "
+            f"{label_dimension(datum, lam)} * {label_dimension(datum, mu)}"
+        )
+    return out
+
+
+def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingElement:
+    """Product in the representation ring, by the Racah-Speiser rule.
+
+    Each pair of basis elements is multiplied in the orbit system's Dynkin
+    labels (``_product_labels``); only the factors' and the result's highest
+    weights are ambient vectors.
+    """
+    datum = ctx.orbit.datum
     total: dict[Labels, int] = {}
     for lam, m in a.coeffs:
-        pa = twining_labels(ctx, lam)
+        la = highest_labels(ctx, lam)
         for mu, n in b.coeffs:
-            small, big = sorted((pa, twining_labels(ctx, mu)), key=len)
-            for ka, va in small.items():
-                c = m * n * va
-                for kb, vb in big.items():
-                    k = tuple(map(add, ka, kb))
-                    total[k] = total.get(k, 0) + c * vb
-    datum = ctx.orbit.datum
+            for nu, c in _product_labels(datum, la, highest_labels(ctx, mu)).items():
+                total[nu] = total.get(nu, 0) + m * n * c
     out: dict[Vec, int] = {}
-    for labels, c in decompose_labels(datum, total).items():
-        lam = datum.from_labels(labels)
-        if ctx.apply_kappa(lam) != lam:
-            raise FusionError("product decomposition left the kappa-fixed cone")
-        out[lam] = c
+    for labels, c in total.items():
+        if c:
+            lam = datum.from_labels(labels)
+            if ctx.apply_kappa(lam) != lam:
+                raise FusionError("product decomposition left the kappa-fixed cone")
+            out[lam] = c
     return RingElement.from_dict(out)
 
 
@@ -116,12 +161,21 @@ def trace0(ctx: FoldingContext, a: RingElement) -> int:
 
 @dataclass(frozen=True)
 class LevelData:
+    """The level-k weights and s-points, and the affine alcove in labels.
+
+    With m = labels(lam + rho) on the orbit system, the open alcove of the
+    rho-shifted action is m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
+    """
+
     k: int
     rescale: Fraction            # basic form = rescale * ambient form
     dual_coxeter: int
     level_weights: tuple[Vec, ...]
     s_points: tuple[TorusPoint, ...]
     t_group_order: int
+    comarks: tuple[int, ...]     # <omega_i, theta^vee> of the orbit system
+    theta_labels: Labels         # the orbit highest root theta in labels
+    by_labels: dict[Labels, Vec] = field(compare=False, repr=False)
 
 
 def _fixed_weight_generators(ctx: FoldingContext) -> tuple[Vec, ...]:
@@ -212,6 +266,10 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         points.append(pt)
 
     order = _sum_lattice_index(ctx, shift)
+    orbit = ctx.orbit.datum
+    comarks = [ctx.base.pair_coroot(w, theta) for w in orbit.fundamental_weights]
+    if any(a.denominator != 1 for a in comarks):
+        raise FusionError("a comark of the orbit system is not an integer")
     return LevelData(
         k=k,
         rescale=c,
@@ -219,12 +277,47 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         level_weights=tuple(weights),
         s_points=tuple(points),
         t_group_order=order,
+        comarks=tuple(int(a) for a in comarks),
+        theta_labels=orbit.labels_of(theta),
+        by_labels={dominant_labels(orbit, lam): lam for lam in weights},
     )
 
 
 # ---------------------------------------------------------------------------
 # the shifted affine projection
 # ---------------------------------------------------------------------------
+
+
+def _fold_labels(
+    datum: RootDatum, level: LevelData, m: Labels
+) -> tuple[int, Vec] | None:
+    """Fold m = labels(sigma + rho) into the open alcove of ``level``.
+
+    Finite simple reflections make m dominant; the affine wall
+    sum a_i^vee m_i = k + h reflects m -> m - (sum a_i^vee m_i - (k + h)) theta,
+    which is the reflection of ``fundamental_alcove``'s ceiling rescaled by
+    k + h.  Returns (sign, level weight m - rho), the sign the parity of the
+    reflections, or None when m lies on a wall.
+    """
+    height = level.k + level.dual_coxeter
+    sign = 1
+    while True:
+        folded = regular_dominant_labels(datum, m)
+        if folded is None:
+            return None
+        s, m = folded
+        sign *= s
+        excess = sum(a * x for a, x in zip(level.comarks, m)) - height
+        if excess < 0:
+            break
+        if excess == 0:
+            return None
+        m = tuple(x - excess * t for x, t in zip(m, level.theta_labels))
+        sign = -sign
+    lam = level.by_labels.get(tuple(x - 1 for x in m))
+    if lam is None:
+        raise FusionError("affine folding left the level weight set")
+    return sign, lam
 
 
 def phi_project(
@@ -237,18 +330,8 @@ def phi_project(
     """
     if ctx.apply_kappa(lam) != lam or not ctx.base.is_dominant_integral(lam):
         raise FusionError("weight is not kappa-fixed dominant integral")
-    scale = Fraction(1, level.k + level.dual_coxeter) / level.rescale
-    rho = ctx.orbit.half_sum
-    xi = vscale(scale, vadd(lam, rho))
-    folded, g = fold_to_alcove(ctx, xi)
-    alc = fundamental_alcove(ctx)
-    if not alc.is_interior(folded):
-        return None
-    shifted = vscale(1 / scale, folded)
-    out = tuple(a - b for a, b in zip(shifted, rho))
-    if out not in level.level_weights:
-        raise FusionError("affine folding left the level weight set")
-    return g.linear_det, out
+    datum = ctx.orbit.datum
+    return _fold_labels(datum, level, tuple(x + 1 for x in datum.labels_of(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +405,25 @@ def _verlinde(
     return int(nearest), residual
 
 
+def _folded_product(
+    datum: RootDatum, level: LevelData, lam: Labels, mu: Labels
+) -> dict[Vec, int]:
+    """The affine-folded tensor product of two highest weights given by labels."""
+    folded: dict[Vec, int] = {}
+    for sigma, m in _product_labels(datum, lam, mu).items():
+        projected = _fold_labels(datum, level, tuple(x + 1 for x in sigma))
+        if projected is not None:
+            sign, nu = projected
+            folded[nu] = folded.get(nu, 0) + sign * m
+    return folded
+
+
 def algebraic_coefficient(
     ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
 ) -> int:
     """Coefficient of nu in the affine-folded tensor product of lam and mu."""
-    product = ring_product(ctx, RingElement.basis(lam), RingElement.basis(mu))
-    total = 0
-    for sigma, m in product.coeffs:
-        projected = phi_project(ctx, level, sigma)
-        if projected is None:
-            continue
-        sign, sigma0 = projected
-        if sigma0 == nu:
-            total += sign * m
-    return total
+    la, lb = highest_labels(ctx, lam), highest_labels(ctx, mu)
+    return _folded_product(ctx.orbit.datum, level, la, lb).get(nu, 0)
 
 
 @dataclass(frozen=True)
@@ -351,17 +439,12 @@ class FusionTable:
 def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
     """Full table with every entry computed by both routes; they must agree."""
     level = level_data(ctx, k)
+    datum = ctx.orbit.datum
+    labels = {lam: m for m, lam in level.by_labels.items()}
     coeffs: dict[tuple[Vec, Vec, Vec], int] = {}
     max_residual = 0.0
     for lam, mu in itertools.combinations_with_replacement(level.level_weights, 2):
-        product = ring_product(ctx, RingElement.basis(lam), RingElement.basis(mu))
-        folded: dict[Vec, int] = {}
-        for sigma, m in product.coeffs:
-            projected = phi_project(ctx, level, sigma)
-            if projected is None:
-                continue
-            sign, sigma0 = projected
-            folded[sigma0] = folded.get(sigma0, 0) + sign * m
+        folded = _folded_product(datum, level, labels[lam], labels[mu])
         for nu in level.level_weights:
             n_verlinde, residual = _verlinde(ctx, level, lam, mu, nu)
             max_residual = max(max_residual, residual)

@@ -875,6 +875,44 @@ def dominant_labels(datum: RootDatum, lam: Vec) -> Labels:
     return labels
 
 
+def label_dimension(datum: RootDatum, lam: Labels) -> int:
+    """Weyl dimension of the irrep with dominant labels ``lam``, in integers.
+
+    prod (lam+rho, alpha) / (rho, alpha) over the positive roots, each pairing
+    one dot product of lam + rho with D (., alpha) (``_root_covectors``).
+    """
+    shifted = [x + 1 for x in lam]
+    num = den = 1
+    for cov in datum._root_covectors:
+        num *= sum(x * c for x, c in zip(shifted, cov))
+        den *= sum(cov)
+    dim, rest = divmod(num, den)
+    if rest:
+        raise RootSystemError(f"Weyl dimension of {lam} is not an integer")
+    return dim
+
+
+def regular_dominant_labels(
+    datum: RootDatum, labels: Labels
+) -> tuple[int, Labels] | None:
+    """(det w, w.labels) with w.labels dominant, or None on a wall.
+
+    Reflects by s_i where the label m_i < 0; a zero label at any step means
+    the point is fixed by a reflection, and so is every W-conjugate of it.
+    """
+    alpha_labels = datum._alpha_labels
+    cur, sign = labels, 1
+    while 0 not in cur:
+        for m, a in zip(cur, alpha_labels):
+            if m < 0:
+                cur = tuple(x - m * y for x, y in zip(cur, a))
+                sign = -sign
+                break
+        else:
+            return sign, cur
+    return None
+
+
 def _make_dominant_labels(datum: RootDatum, labels: Labels) -> Labels:
     alpha_labels = datum._alpha_labels
     cur = labels

@@ -82,12 +82,16 @@ def twining_character(ctx: FoldingContext, lam: Vec) -> TwiningCharacter:
     return TwiningCharacter(lam, irreducible_character(ctx.orbit.datum, lam))
 
 
+def highest_labels(ctx: FoldingContext, lam: Vec) -> Labels:
+    """Orbit-system Dynkin labels of an admissible highest weight."""
+    _require_admissible(ctx, lam)
+    return dominant_labels(ctx.orbit.datum, lam)
+
+
 def twining_labels(ctx: FoldingContext, lam: Vec) -> dict[Labels, int]:
     """The polynomial of ``twining_character(ctx, lam)`` keyed by the Dynkin
     labels of the orbit system."""
-    _require_admissible(ctx, lam)
-    datum = ctx.orbit.datum
-    return label_character(datum, dominant_labels(datum, lam))
+    return label_character(ctx.orbit.datum, highest_labels(ctx, lam))
 
 
 def is_regular(ctx: FoldingContext, point: TorusPoint) -> bool:

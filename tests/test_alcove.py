@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,27 @@ def test_fold_is_retraction_random():
             assert ctx.orbit.coroot_lattice.contains(g.translation)
             again, h = fold_to_alcove(ctx, folded)
             assert again == folded and h.is_identity
+
+
+@pytest.mark.parametrize("case", [("A3", "flip"), ("D4", "rot")])
+def test_far_fold_reduces_in_one_step(case):
+    """Points at ~10^6 coweight units fold in a few reflections, in well
+    under 0.1 s: the coroot-lattice part is removed in one step."""
+    ctx = ctx_for(*case)
+    alc = fundamental_alcove(ctx)
+    rng = random.Random(6)
+    for _ in range(5):
+        xi = zero_vec(ctx.base.ambient_dim)
+        for cw in fundamental_coweights(ctx.orbit.datum):
+            c = rng.choice((-1, 1)) * 10**6 + Fraction(rng.randint(-97, 97), 23)
+            xi = vadd(xi, vscale(c, cw))
+        start = time.perf_counter()
+        folded, g = fold_to_alcove(ctx, xi)
+        assert time.perf_counter() - start < 0.1
+        assert alc.contains(folded)
+        assert g.apply(xi) == folded
+        assert ctx.orbit.coroot_lattice.contains(g.translation)
+        assert len(g.word) <= 20  # reflections after the translation
 
 
 def test_fundamental_domain_property_a2():

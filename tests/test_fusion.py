@@ -1,11 +1,21 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinefold.linalg import vadd, vscale, zero_vec
-from twinefold.rootcore import build_root_datum, irreducible_character
+from twinefold import checks, fusion
+from twinefold.linalg import vadd, vscale, vsub, zero_vec
+from twinefold.rootcore import (
+    FourierPolynomial,
+    build_root_datum,
+    decompose_into_irreducibles,
+    irreducible_character,
+    weyl_dimension,
+)
 from twinefold.folding import automorphism_by_name, fold
 from twinefold.twining import _alternating_sum, denominator_norm_sq, twining_character
+from twinefold.alcove import fold_to_alcove, fundamental_alcove
 from twinefold.fusion import (
     INTEGRALITY_TOL,
     FusionError,
@@ -267,3 +277,85 @@ def test_fusion_table_skips_weyl_traversal_and_reports_residual():
     table = fusion_table(ctx, 2)
     assert ctx._alt_sum_cache == {}
     assert 0 <= table.max_residual <= INTEGRALITY_TOL
+
+
+# the nine foldings of criterion 01 and A2 flip
+FOLDING_CASES = [(g, a) for g, a, *_ in checks.FOLDINGS] + [("A2", "flip")]
+
+
+@lru_cache(maxsize=None)
+def small_weights(case):
+    """kappa-fixed dominant weights of label sum <= 2 whose orbit irreducible
+    has dimension <= 200, so the Fraction-keyed oracle product stays cheap."""
+    ctx = checks.context(*case)
+    datum = ctx.orbit.datum
+    return [
+        w for w in checks.fixed_dominant_weights(ctx, 2)
+        if weyl_dimension(datum, w) <= 200
+    ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=st.sampled_from(FOLDING_CASES), data=st.data())
+def test_ring_product_matches_character_product(case, data):
+    """Racah-Speiser against the peel-off of the exact character product."""
+    ctx = checks.context(*case)
+    datum = ctx.orbit.datum
+    terms = st.tuples(st.sampled_from(small_weights(case)), st.integers(-2, 2))
+    factors = []
+    for _ in range(2):
+        element, poly = RingElement(()), FourierPolynomial()
+        for lam, c in data.draw(st.lists(terms, min_size=1, max_size=2)):
+            element = element + RingElement.from_dict({lam: c})
+            poly = poly + irreducible_character(datum, lam).scaled(c)
+        factors.append((element, poly))
+    (a, pa), (b, pb) = factors
+    expected = decompose_into_irreducibles(datum, pa * pb)
+    assert ring_product(ctx, a, b).as_dict() == {
+        lam: c for lam, c in expected.items() if c
+    }
+
+
+@lru_cache(maxsize=None)
+def level_for(case, k):
+    return level_data(checks.context(*case), k)
+
+
+@lru_cache(maxsize=None)
+def fixed_weights(case):
+    ctx = checks.context(*case)
+    return checks.fixed_dominant_weights(ctx, 6 if ctx.base.rank <= 4 else 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=st.sampled_from(FOLDING_CASES), k=st.integers(1, 4), data=st.data())
+def test_phi_project_matches_alcove_fold(case, k, data):
+    """The label-level Kac-Walton fold against the geometric one: lam + rho
+    rescaled into the torus, ``fold_to_alcove``, ``is_interior``, back."""
+    ctx = checks.context(*case)
+    level = level_for(case, k)
+    lam = data.draw(st.sampled_from(fixed_weights(case)))
+    scale = Fraction(1, k + level.dual_coxeter) / level.rescale
+    rho = ctx.orbit.half_sum
+    folded, g = fold_to_alcove(ctx, vscale(scale, vadd(lam, rho)))
+    expected = None
+    if fundamental_alcove(ctx).is_interior(folded):
+        expected = (g.linear_det, vsub(vscale(1 / scale, folded), rho))
+    assert phi_project(ctx, level, lam) == expected
+
+
+def test_product_dimension_check_raises(monkeypatch):
+    """A character missing one term fails the dimension check."""
+    ctx = ctx_for("A2")
+    theta = ctx.base.highest_root
+    label_character = fusion.label_character
+
+    def missing_lowest_weight(datum, lam):
+        terms = dict(label_character(datum, lam))
+        del terms[tuple(-m for m in lam)]  # w0 = -1 on the A1 orbit system
+        return terms
+
+    monkeypatch.setattr(fusion, "label_character", missing_lowest_weight)
+    chi = RingElement.basis(theta)
+    with pytest.raises(FusionError, match="dimension"):
+        ring_product(ctx, chi, chi)

@@ -388,3 +388,15 @@ def test_non_reduced_character_raises():
         irreducible_character(bc2, bc2.fundamental_weights[0])
     with pytest.raises(RootSystemError, match="non-reduced"):
         freudenthal_multiplicities(bc2, bc2.fundamental_weights[0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    label=st.sampled_from(["A1", "A3", "B3", "C4", "D4", "G2", "F4", "E6"]),
+    data=st.data(),
+)
+def test_label_dimension_matches_weyl_dimension(label, data):
+    d = build_root_datum(label)
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=d.rank, max_size=d.rank))
+    lam = d.from_labels(tuple(labels))
+    assert rootcore.label_dimension(d, tuple(labels)) == weyl_dimension(d, lam)
