@@ -1,8 +1,9 @@
 """Dynkin diagram automorphisms and folded/orbit root systems.
 
 Everything is realized inside the simple-root coordinate space of the base
-system: the fixed subspace of the node permutation, the averaged projection
-onto it, the folded root system (projection image), the orbit root system
+system, where kappa permutes coordinates: the fixed subspace of the node
+permutation, the projection onto it (each coordinate averaged over its node
+orbit), the folded root system (projection image), the orbit root system
 (coroot-direction rescaling), and the whole family of lattices these carry.
 The finite group T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
 """
@@ -11,26 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import (
-    Matrix,
-    Vec,
-    identity,
-    mat_add,
-    mat_inv,
-    mat_mul,
-    mat_scale,
-    mat_vec,
-    vadd,
-    vscale,
-    zero_vec,
-)
+from .linalg import Vec, mat_inv, vadd, vscale, zero_vec
 from .rootcore import (
     FiniteAbelianGroup,
     Lattice,
     RootDatum,
-    RootSystemError,
     classical_weyl_order,
     is_of_type,
     lattice,
@@ -62,15 +49,9 @@ class DiagramAutomorphism:
     def is_identity(self) -> bool:
         return self.order == 1
 
-    def matrix(self, dim: int) -> Matrix:
-        """Action on simple-root coordinates: e_i -> e_{perm(i)}."""
-        m = [[Fraction(0)] * dim for _ in range(dim)]
-        for i, j in enumerate(self.permutation):
-            m[j][i] = Fraction(1)
-        return tuple(tuple(row) for row in m)
-
     def apply(self, v: Vec) -> Vec:
-        out = [Fraction(0)] * len(v)
+        """Action on simple-root coordinates: e_i -> e_{perm(i)}."""
+        out = list(v)
         for i, j in enumerate(self.permutation):
             out[j] = v[i]
         return tuple(out)
@@ -233,20 +214,9 @@ class FoldingContext:
         self._alt_sum_cache: dict[Vec, list] = {}
         self._alcove = None
         self._level_values: dict[int, object] = {}
-        self.kappa_matrix = kappa.matrix(base.ambient_dim)
         self.node_orbits = kappa.orbits()
         self.fixed_dim = len(self.node_orbits)
         self.moving_dim = base.rank - self.fixed_dim
-
-        # p = (1/|kappa|) (M + M^2 + ... + M^|kappa|)
-        acc = self.kappa_matrix
-        power = self.kappa_matrix
-        for _ in range(kappa.order - 1):
-            power = mat_mul(self.kappa_matrix, power)
-            acc = mat_add(acc, power)
-        self.projection = mat_scale(Fraction(1, kappa.order), acc)
-        if mat_mul(self.projection, self.projection) != self.projection:
-            raise FoldingError("projection is not idempotent")
 
         if kappa.is_identity:
             self._build_trivial()
@@ -261,7 +231,15 @@ class FoldingContext:
     # -- helpers -----------------------------------------------------------
 
     def project(self, v: Vec) -> Vec:
-        return mat_vec(self.projection, v)
+        """The kappa-average (1/|kappa|) sum_t kappa^t v: each simple-root
+        coordinate replaced by its mean over the node orbit."""
+        out = list(v)
+        for orb in self.node_orbits:
+            if len(orb) > 1:
+                mean = sum(v[i] for i in orb) / len(orb)
+                for i in orb:
+                    out[i] = mean
+        return tuple(out)
 
     def apply_kappa(self, v: Vec) -> Vec:
         return self.kappa.apply(v)
@@ -289,6 +267,13 @@ class FoldingContext:
         if not ok:
             raise FoldingError(
                 f"{self.base.type_label} admits no nontrivial diagram automorphism"
+            )
+        dim = self.base.ambient_dim
+        units = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        if self.base.simple_roots != units:
+            raise FoldingError(
+                "a nontrivial automorphism permutes simple-root coordinates, so "
+                "the base needs its simple roots as unit vectors"
             )
         self._family, self._rank = family, rank
         self._is_a_even = family == "A" and rank % 2 == 0
@@ -411,9 +396,7 @@ class FoldingContext:
         if expected_orbit != orbit_set:
             raise FoldingError("orbit root set mismatch")
         for a in all_roots:
-            pa = self.project(a)
-            dual = vscale(2 / base.inner(pa, pa), pa)
-            if dual not in orbit_set:
+            if base.coroot(self.project(a)) not in orbit_set:
                 raise FoldingError("orbit system is not the dual of the folded one")
 
         self._assemble_lattices(folded_datum, orbit_datum, a_even=False)
@@ -508,18 +491,19 @@ class FoldingContext:
         ]
         self.index_two_quotients = {}
         if a_even:
-            checks += [
-                ("Q_Bv in Lambda^k", lattice_index(qfv, fixed_integral) == 2),
-                ("p(Lambda*) in P_B", lattice_index(p_weight, pf) == 2),
-                ("p(P^v) in POv", lattice_index(p_coweight, pov) == 2),
-                ("QO in Q^k", lattice_index(qo, fixed_root) == 2),
+            # (check name, quotient name, sublattice, lattice)
+            quotients = [
+                ("Q_Bv in Lambda^k", "Lambda^k / Q_Bv", qfv, fixed_integral),
+                ("p(Lambda*) in P_B", "P_B / p(Lambda*)", p_weight, pf),
+                ("p(P^v) in POv", "POv / p(P^v)", p_coweight, pov),
+                ("QO in Q^k", "Q^k / QO", qo, fixed_root),
             ]
             self.index_two_quotients = {
-                "Lambda^k / Q_Bv": lattice_index(qfv, fixed_integral),
-                "P_B / p(Lambda*)": lattice_index(p_weight, pf),
-                "POv / p(P^v)": lattice_index(p_coweight, pov),
-                "Q^k / QO": lattice_index(qo, fixed_root),
+                q: lattice_index(sub, sup) for _, q, sub, sup in quotients
             }
+            checks += [
+                (name, self.index_two_quotients[q] == 2) for name, q, _, _ in quotients
+            ]
         else:
             checks += [
                 ("QFv = Lambda^k", lattice_eq(qfv, fixed_integral)),
@@ -587,10 +571,6 @@ class FoldingContext:
 
 def fold(datum: RootDatum, kappa: DiagramAutomorphism) -> FoldingContext:
     return FoldingContext(datum, kappa)
-
-
-def project(ctx: FoldingContext, v: Vec) -> Vec:
-    return ctx.project(v)
 
 
 def special_roots(ctx: FoldingContext) -> tuple[Vec, Vec]:

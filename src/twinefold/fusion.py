@@ -178,17 +178,6 @@ class LevelData:
     by_labels: dict[Labels, Vec] = field(compare=False, repr=False)
 
 
-def _fixed_weight_generators(ctx: FoldingContext) -> tuple[Vec, ...]:
-    """Basis of the kappa-fixed weight lattice: orbit sums of fundamentals."""
-    gens = []
-    for orb in ctx.node_orbits:
-        acc = zero_vec(ctx.base.ambient_dim)
-        for i in orb:
-            acc = vadd(acc, ctx.base.fundamental_weights[i])
-        gens.append(acc)
-    return tuple(gens)
-
-
 def basic_rescale(ctx: FoldingContext) -> Fraction:
     """Factor making the orbit highest root have squared length 2."""
     theta = ctx.orbit.highest_root
@@ -206,11 +195,12 @@ def dual_coxeter_number(ctx: FoldingContext) -> int:
 
 def _sum_lattice_index(ctx: FoldingContext, scale: Fraction) -> int:
     """Order of (scale * fixed-weight lattice + orbit coroot lattice) modulo
-    the orbit coroot lattice, via Smith normal form."""
+    the orbit coroot lattice, via Smith normal form.  The fixed-weight lattice
+    is the weight lattice of the orbit datum."""
     from .linalg import invariant_factors
 
     target = ctx.orbit.coroot_lattice
-    gens = [vscale(scale, g) for g in _fixed_weight_generators(ctx)]
+    gens = [vscale(scale, g) for g in ctx.orbit.datum.fundamental_weights]
     coords = []
     den = 1
     for g in gens:
@@ -240,15 +230,20 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     c = basic_rescale(ctx)
     h = dual_coxeter_number(ctx)
     theta = ctx.orbit.highest_root
-    gens = _fixed_weight_generators(ctx)
-    marks = [ctx.base.inner(g, theta) / c for g in gens]
-    if any(m <= 0 for m in marks):
+    orbit = ctx.orbit.datum
+    # the kappa-fixed weights are the weights of the orbit datum, so a level
+    # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k
+    gens = orbit.fundamental_weights
+    comarks = [ctx.base.pair_coroot(w, theta) for w in gens]
+    if any(a.denominator != 1 for a in comarks):
+        raise FusionError("a comark of the orbit system is not an integer")
+    comarks = [int(a) for a in comarks]
+    if any(a <= 0 for a in comarks):
         raise FusionError("a weight generator pairs non-positively with theta")
 
     weights = []
-    bounds = [int(Fraction(k) / m) for m in marks]
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        if sum(ci * m for ci, m in zip(combo, marks)) > k:
+    for combo in itertools.product(*(range(k // a + 1) for a in comarks)):
+        if sum(ci * a for ci, a in zip(combo, comarks)) > k:
             continue
         lam = zero_vec(ctx.base.ambient_dim)
         for ci, g in zip(combo, gens):
@@ -265,19 +260,14 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
             raise FusionError("level point is not regular")
         points.append(pt)
 
-    order = _sum_lattice_index(ctx, shift)
-    orbit = ctx.orbit.datum
-    comarks = [ctx.base.pair_coroot(w, theta) for w in orbit.fundamental_weights]
-    if any(a.denominator != 1 for a in comarks):
-        raise FusionError("a comark of the orbit system is not an integer")
     return LevelData(
         k=k,
         rescale=c,
         dual_coxeter=h,
         level_weights=tuple(weights),
         s_points=tuple(points),
-        t_group_order=order,
-        comarks=tuple(int(a) for a in comarks),
+        t_group_order=_sum_lattice_index(ctx, shift),
+        comarks=tuple(comarks),
         theta_labels=orbit.labels_of(theta),
         by_labels={dominant_labels(orbit, lam): lam for lam in weights},
     )
@@ -384,15 +374,13 @@ def _verlinde(
     ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
 ) -> tuple[int, float]:
     """Verlinde coefficient and the distance of its sum to that integer."""
-    for w in (lam, mu, nu):
-        if w not in level.level_weights:
-            raise FusionError("weight is not a level weight")
     table = level_values(ctx, level)
     chi = table.characters
-    total = sum(
-        w * a * b * c
-        for w, a, b, c in zip(table.weights, chi[lam], chi[mu], chi[table.dual[nu]])
-    )
+    try:
+        values = chi[lam], chi[mu], chi[table.dual[nu]]
+    except KeyError:
+        raise FusionError("weight is not a level weight") from None
+    total = sum(w * a * b * c for w, a, b, c in zip(table.weights, *values))
     nearest = round(total.real)
     residual = abs(total - nearest)
     if residual > INTEGRALITY_TOL:

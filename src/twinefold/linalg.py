@@ -79,12 +79,6 @@ def mat_scale(c, m: Matrix) -> Matrix:
     return tuple(tuple(c * e for e in row) for row in m)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b, strict=True)
-    )
-
-
 def bilinear(g: Matrix, u: Vec, v: Vec) -> Fraction:
     return vdot(u, mat_vec(g, v))
 

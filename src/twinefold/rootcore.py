@@ -393,15 +393,7 @@ class RootDatum:
         self.ambient_dim = len(ambient_gram)
         self.reduced = reduced
 
-        g = ambient_gram
-        # G @ alpha_i: every pairing with a simple root is one dot product
-        galpha = tuple(mat_vec(g, a) for a in simple_roots)
-        # gram matrix of the simple roots themselves
-        self.gram = tuple(tuple(vdot(a, gb) for gb in galpha) for a in simple_roots)
-        self.cartan = tuple(
-            tuple(_as_int(2 * gij / row[i]) for gij in row)
-            for i, row in enumerate(self.gram)
-        )
+        galpha, self.gram, self.cartan = _simple_root_pairings(simple_roots, ambient_gram)
 
         pos_coords = _positive_roots_by_closure(self.cartan)
         self.positive_roots = tuple(
@@ -443,7 +435,6 @@ class RootDatum:
 
         self._char_cache: dict[Vec, FourierPolynomial] = {}
         self._label_char_cache: dict[Labels, dict[Labels, int]] = {}
-        self._basis_solver = None
 
     def _init_label_frame(self, cinv: Matrix) -> None:
         """Integer data for weights given by their Dynkin labels.
@@ -573,6 +564,23 @@ def _as_int(x: Fraction) -> int:
     if x.denominator != 1:
         raise RootSystemError(f"expected an integer, got {x}")
     return int(x)
+
+
+def _simple_root_pairings(
+    simple_roots, ambient_gram: Matrix
+) -> tuple[tuple[Vec, ...], Matrix, tuple[tuple[int, ...], ...]]:
+    """G alpha_i, the Gram matrix (alpha_i, alpha_j) and the integer Cartan
+    matrix 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) of realized simple roots.
+
+    Every pairing with a simple root is one dot product with G alpha_i.
+    Raises RootSystemError on a non-integral Cartan entry.
+    """
+    galpha = tuple(mat_vec(ambient_gram, a) for a in simple_roots)
+    gram = tuple(tuple(vdot(a, gb) for gb in galpha) for a in simple_roots)
+    cartan = tuple(
+        tuple(_as_int(2 * gij / row[i]) for gij in row) for i, row in enumerate(gram)
+    )
+    return galpha, gram, cartan
 
 
 def _fraction_inverse(int_matrix) -> Matrix:
@@ -709,22 +717,9 @@ def cartan_matrices_match(a, b) -> bool:
     return False
 
 
-def classify_simple_system(simple_roots, ambient_gram: Matrix) -> str:
-    """Type label of a realized simple system, by Cartan-matrix matching.
-
-    B2/C2 are abstractly isomorphic; this returns 'B2' for that shape and
-    callers with more context may relabel (verified by is_of_type).
-    """
-    n = len(simple_roots)
-    cartan = [
-        [
-            _as_int(
-                2 * bilinear(ambient_gram, a, b) / bilinear(ambient_gram, a, a)
-            )
-            for b in simple_roots
-        ]
-        for a in simple_roots
-    ]
+def _classify_cartan(cartan) -> str:
+    """Type label of an irreducible integer Cartan matrix."""
+    n = len(cartan)
     candidates = [("A", n)]
     if n >= 2:
         candidates += [("B", n), ("C", n)]
@@ -742,17 +737,22 @@ def classify_simple_system(simple_roots, ambient_gram: Matrix) -> str:
     raise RootSystemError("simple system does not match any supported type")
 
 
+def classify_simple_system(simple_roots, ambient_gram: Matrix) -> str:
+    """Type label of a realized simple system, by Cartan-matrix matching.
+
+    B2/C2 are abstractly isomorphic; this returns 'B2' for that shape and
+    callers with more context may relabel (verified by is_of_type).
+    """
+    return _classify_cartan(_simple_root_pairings(simple_roots, ambient_gram)[2])
+
+
 def classify_system(simple_roots, ambient_gram: Matrix) -> str:
     """Type label of a realized system, reducible ones as 'X+Y' (sorted)."""
     n = len(simple_roots)
     if n == 0:
         return "0"
-    # connected components of the Coxeter graph
-    adj = [
-        [i != j and bilinear(ambient_gram, simple_roots[i], simple_roots[j]) != 0
-         for j in range(n)]
-        for i in range(n)
-    ]
+    cartan = _simple_root_pairings(simple_roots, ambient_gram)[2]
+    # connected components of the Dynkin diagram: the non-zero Cartan entries
     comps: list[list[int]] = []
     seen: set[int] = set()
     for start in range(n):
@@ -764,14 +764,13 @@ def classify_system(simple_roots, ambient_gram: Matrix) -> str:
         while stack:
             i = stack.pop()
             for j in range(n):
-                if adj[i][j] and j not in seen:
+                if cartan[i][j] and j not in seen:
                     seen.add(j)
                     comp.append(j)
                     stack.append(j)
         comps.append(sorted(comp))
     labels = [
-        classify_simple_system([simple_roots[i] for i in comp], ambient_gram)
-        for comp in comps
+        _classify_cartan([[cartan[i][j] for j in comp] for i in comp]) for comp in comps
     ]
     return "+".join(sorted(labels))
 
@@ -780,13 +779,7 @@ def is_of_type(simple_roots, ambient_gram: Matrix, label: str) -> bool:
     family, rank = parse_type_label(label)
     if len(simple_roots) != rank:
         return False
-    cartan = [
-        [
-            _as_int(2 * bilinear(ambient_gram, a, b) / bilinear(ambient_gram, a, a))
-            for b in simple_roots
-        ]
-        for a in simple_roots
-    ]
+    cartan = _simple_root_pairings(simple_roots, ambient_gram)[2]
     return cartan_matrices_match(cartan, standard_cartan_matrix(family, rank))
 
 

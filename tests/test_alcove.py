@@ -239,3 +239,19 @@ def test_fold_to_alcove_properties(case, coeffs):
     cols = [vsub(g.apply(e), t) for e in identity(dim)]
     linear = tuple(tuple(col[r] for col in cols) for r in range(dim))
     assert mat_det(linear) == g.linear_det
+
+
+@pytest.mark.parametrize(
+    "label,name,pairs",
+    [
+        ("E6", "flip", [("F4", "F4"), ("A1+C3", "A1+B3"), ("B4", "C4"),
+                        ("A2+A2", "A2+A2"), ("A1+A3", "A1+A3")]),
+        ("A5", "flip", [("B3", "C3"), ("B3", "C3"), ("A1+A1+A1", "A1+A1+A1"),
+                        ("A3", "A3")]),
+        ("D4", "rot", [("G2", "G2"), ("A1+A1", "A1+A1"), ("A2", "A2")]),
+    ],
+)
+def test_stabilizer_labels_at_alcove_vertices(label, name, pairs):
+    ctx = ctx_for(label, name)
+    got = [stabilizer_datum(ctx, v) for v in fundamental_alcove(ctx).vertices]
+    assert [(s.subsystem_label, s.dual_label) for s in got] == pairs

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from twinefold.linalg import vadd, vscale, mat_vec
+from twinefold.checks import FOLDINGS
+from twinefold.linalg import mat_mul, mat_vec, vadd, vscale
 from twinefold.rootcore import build_root_datum, weyl_traverse
+from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import (
     FoldingError,
     automorphism_by_name,
@@ -19,6 +21,13 @@ from twinefold.folding import (
 def ctx_for(label, name="flip"):
     d = build_root_datum(label)
     return fold(d, automorphism_by_name(d, name))
+
+
+# the nine foldings, A2 flip and every nontrivial automorphism of D4
+PROJECTION_CASES = list(dict.fromkeys(
+    [(g, n) for g, n, *_ in FOLDINGS] + [("A2", "flip")]
+    + [("D4", n) for n in ("swap13", "swap14", "swap34", "rot", "rot2")]
+))
 
 
 def test_automorphism_counts():
@@ -77,18 +86,38 @@ def test_projection_fixes_middle_node_a5():
 
 
 def test_projection_idempotent_and_selfadjoint():
-    for label, name in [("A4", "flip"), ("D4", "rot"), ("E6", "flip")]:
+    for label, name in PROJECTION_CASES:
         ctx = ctx_for(label, name)
-        p = ctx.projection
-        for v in ctx.base.fundamental_weights:
-            pv = mat_vec(p, v)
-            assert mat_vec(p, pv) == pv
+        base = ctx.base
+        for v in base.simple_roots + base.fundamental_weights + base.positive_roots:
+            pv = ctx.project(v)
+            assert ctx.project(pv) == pv
             assert ctx.apply_kappa(pv) == pv
-        for u in ctx.base.simple_roots:
-            for w in ctx.base.simple_roots:
-                assert ctx.base.inner(mat_vec(p, u), w) == ctx.base.inner(
-                    u, mat_vec(p, w)
-                )
+        for u in base.simple_roots:
+            for w in base.simple_roots:
+                assert base.inner(ctx.project(u), w) == base.inner(u, ctx.project(w))
+
+
+def _reference_projection(ctx):
+    """(1/|kappa|) sum_{t=1}^{|kappa|} M^t with M the matrix e_i -> e_{perm(i)}."""
+    n = ctx.base.ambient_dim
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in enumerate(ctx.kappa.permutation):
+        m[j][i] = Fraction(1)
+    power = acc = tuple(map(tuple, m))
+    for _ in range(ctx.kappa.order - 1):
+        power = mat_mul(m, power)
+        acc = tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(acc, power))
+    return tuple(tuple(x / ctx.kappa.order for x in row) for row in acc)
+
+
+def test_projection_matches_matrix_average():
+    for label, name in PROJECTION_CASES:
+        ctx = ctx_for(label, name)
+        p = _reference_projection(ctx)
+        base = ctx.base
+        for v in base.simple_roots + base.fundamental_weights + base.positive_roots:
+            assert ctx.project(v) == mat_vec(p, v)
 
 
 def test_a2_folded_and_orbit_vectors():
@@ -184,6 +213,19 @@ def test_invalid_fold():
     flip = automorphism_by_name(build_root_datum("A2"), "flip")
     with pytest.raises(FoldingError):
         fold(b2, flip)
+
+
+def test_fold_needs_simple_root_coordinates():
+    # an A3 realized inside the five-dimensional space of A5
+    ctx = ctx_for("A5")
+    sub = stabilizer_datum(ctx, fundamental_alcove(ctx).vertices[3]).subsystem
+    assert sub.type_label == "A3" and sub.ambient_dim == 5
+    with pytest.raises(FoldingError, match="simple roots as unit vectors"):
+        fold(sub, automorphism_by_name(sub, "flip"))
+    trivial = fold(sub, automorphism_by_name(sub, "id"))
+    assert trivial.folded.label == "A3"
+    assert len(trivial.kappa_fixed_roots()) == 2 * len(sub.positive_roots)
+    assert all(trivial.project(a) == a for a in sub.positive_roots)
 
 
 def test_kappa_fixed_roots_counts():

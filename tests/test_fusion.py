@@ -359,3 +359,34 @@ def test_product_dimension_check_raises(monkeypatch):
     chi = RingElement.basis(theta)
     with pytest.raises(FusionError, match="dimension"):
         ring_product(ctx, chi, chi)
+
+
+def test_fixed_weights_are_the_orbit_weights():
+    # four identity foldings, A2 and A7 flip, and the nine foldings
+    cases = [("A1", "id"), ("A2", "id"), ("B2", "id"), ("G2", "id"), ("A2", "flip"),
+             ("A7", "flip")] + [(g, n) for g, n, *_ in checks.FOLDINGS]
+    for label, name in cases:
+        ctx = ctx_for(label, name)
+        base = ctx.base
+        orbit_sums = []
+        for orb in ctx.node_orbits:
+            acc = zero_vec(base.ambient_dim)
+            for i in orb:
+                acc = vadd(acc, base.fundamental_weights[i])
+            orbit_sums.append(acc)
+        assert tuple(orbit_sums) == ctx.orbit.datum.fundamental_weights
+        assert tuple(orbit_sums) == ctx.lattices["fixed_weight"].basis
+        theta = ctx.orbit.highest_root
+        marks = [base.inner(g, theta) / basic_rescale(ctx) for g in orbit_sums]
+        assert tuple(marks) == level_data(ctx, 1).comarks
+
+
+def test_verlinde_rejects_a_weight_off_the_level():
+    ctx = ctx_for("A2")
+    level = level_data(ctx, 1)
+    zero = zero_vec(ctx.base.ambient_dim)
+    beyond = vscale(2, ctx.base.highest_root)
+    assert beyond not in level.level_weights
+    for args in [(beyond, zero, zero), (zero, beyond, zero), (zero, zero, beyond)]:
+        with pytest.raises(FusionError, match="weight is not a level weight"):
+            verlinde_coefficient(ctx, level, *args)

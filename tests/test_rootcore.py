@@ -17,6 +17,7 @@ from twinefold.rootcore import (
     decompose_into_irreducibles,
     freudenthal_multiplicities,
     irreducible_character,
+    is_of_type,
     lattice,
     lattice_quotient,
     weyl_dimension,
@@ -288,6 +289,16 @@ def test_classify():
             assert got in ("B2", "C2")
         else:
             assert got == label
+
+
+def test_is_of_type_on_realized_c3():
+    # C3 in its own coordinates and as the orbit datum of A6 flip
+    a6 = build_root_datum("A6")
+    for c3 in (build_root_datum("C3"), fold(a6, automorphism_by_name(a6, "flip")).orbit.datum):
+        assert c3.type_label == "C3"
+        assert is_of_type(c3.simple_roots, c3.ambient_gram, "C3")
+        assert not is_of_type(c3.simple_roots, c3.ambient_gram, "B3")
+        assert not is_of_type(c3.simple_roots, c3.ambient_gram, "C4")
 
 
 def test_make_dominant():
