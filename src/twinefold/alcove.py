@@ -23,7 +23,7 @@ from .rootcore import (
     invariant_factors,
     root_datum_from_simple_roots,
 )
-from .twining import TorusPoint, weyl_denominator
+from .twining import denominator_norm_sq
 
 FOLD_ITERATION_CAP = 100000
 
@@ -272,9 +272,9 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
 def det_diff_conj(ctx: FoldingContext, xi: Vec) -> float:
     """Jacobian of the twisted conjugation map at exp(xi).
 
-    |T^kappa cap T_kappa| times |Delta(exp xi)|^2; vanishes exactly on the
-    affine walls.
+    |T^kappa cap T_kappa| times |Delta(exp xi)|^2, the latter by the product
+    formula (``twining.denominator_norm_sq``); vanishes exactly on the affine
+    walls.
     """
     _check_fixed(ctx, xi)
-    value = weyl_denominator(ctx).eval(ctx, TorusPoint(xi))
-    return ctx.fixed_intersection.order * abs(value) ** 2
+    return ctx.fixed_intersection.order * denominator_norm_sq(ctx, xi)

@@ -10,7 +10,6 @@ The finite group T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .linalg import Vec, mat_inv, vadd, vscale, zero_vec
@@ -18,6 +17,7 @@ from .rootcore import (
     FiniteAbelianGroup,
     Lattice,
     RootDatum,
+    cartan_isomorphisms,
     classical_weyl_order,
     is_of_type,
     lattice,
@@ -108,14 +108,12 @@ def _automorphism_name(datum: RootDatum, perm: tuple[int, ...], order: int) -> s
 
 def list_automorphisms(datum: RootDatum) -> tuple[DiagramAutomorphism, ...]:
     """All Cartan-preserving node permutations, identity first."""
-    n = datum.rank
     found = []
-    for perm in itertools.permutations(range(n)):
-        if _preserves_cartan(datum.cartan, perm):
-            order = _perm_order(perm)
-            found.append(
-                DiagramAutomorphism(perm, order, _automorphism_name(datum, perm, order))
-            )
+    for perm in cartan_isomorphisms(datum.cartan, datum.cartan):
+        order = _perm_order(perm)
+        found.append(
+            DiagramAutomorphism(perm, order, _automorphism_name(datum, perm, order))
+        )
     found.sort(key=lambda k: (k.order, k.permutation))
     return tuple(found)
 
@@ -288,6 +286,16 @@ class FoldingContext:
             basis.append(acc)
         return lattice(basis, self.base.ambient_dim)
 
+    def _orbit_simple_roots(self) -> tuple[Vec, ...]:
+        """The coroots p(alpha)^vee of the projected simple roots, one per
+        node orbit: the rescaling that defines the orbit root system (Fuchs,
+        Schellekens and Schweigert, Commun. Math. Phys. 180 (1996))."""
+        base = self.base
+        return tuple(
+            base.coroot(self.project(base.simple_roots[orb[0]]))
+            for orb in self.node_orbits
+        )
+
     def _projected_lattice(self, vectors: tuple[Vec, ...]) -> Lattice:
         """Image p(L) for the same kind of lattice: p of one vector per orbit."""
         basis = [self.project(vectors[orb[0]]) for orb in self.node_orbits]
@@ -369,18 +377,12 @@ class FoldingContext:
             raise FoldingError("projected roots do not match the folded closure")
         self.folded = FoldedSystem(folded_label, projected, folded_datum)
 
-        pi_o = []
-        for orb in self.node_orbits:
-            a = base.simple_roots[orb[0]]
-            if len(orb) == 1:
-                pi_o.append(a)
-            else:
-                pi_o.append(vscale(self.kappa.order, self.project(a)))
+        pi_o = self._orbit_simple_roots()
         if not is_of_type(pi_o, base.ambient_gram, orbit_label):
             raise FoldingError(
                 f"orbit simple system of {base.type_label} is not of type {orbit_label}"
             )
-        orbit_datum = RootDatum(orbit_label, tuple(pi_o), base.ambient_gram)
+        orbit_datum = RootDatum(orbit_label, pi_o, base.ambient_gram)
 
         # orbit roots = fixed roots plus |kappa|-scaled projections of the rest;
         # equivalently the coroot-direction rescaling 2p(a)/||p(a)||^2
@@ -433,9 +435,7 @@ class FoldingContext:
             folded_label, projected, None, b_subsystem=b_datum, c_subsystem=c_datum
         )
 
-        pi_o = tuple(
-            vscale(2, v) for v in p_alpha[: n - 1]
-        ) + (vscale(4, p_alpha[n - 1]),)
+        pi_o = self._orbit_simple_roots()
         if not is_of_type(pi_o, base.ambient_gram, orbit_label):
             raise FoldingError("orbit simple system is not of the expected type")
         orbit_datum = RootDatum(orbit_label, pi_o, base.ambient_gram)

@@ -2,8 +2,13 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of row
 tuples.  Everything here is pure and allocation-cheap at the ranks we care
-about (<= 6), so no numpy: exactness matters more than speed, and lattice
-membership tests must never go through floats.
+about (a dozen at most), so no numpy: exactness matters more than speed, and
+lattice membership tests must never go through floats.
+
+One Gauss-Jordan routine, ``_row_reduce``, does every rational elimination:
+``rank_of``, ``solve``, ``mat_inv`` and ``mat_det`` read its reduced rows,
+pivot columns and signed pivot product.  Integer lattices go through the
+Smith normal form instead.
 """
 
 from __future__ import annotations
@@ -83,42 +88,52 @@ def bilinear(g: Matrix, u: Vec, v: Vec) -> Fraction:
     return vdot(u, mat_vec(g, v))
 
 
-def mat_det(m: Matrix) -> Fraction:
-    n = len(m)
-    a = [list(row) for row in m]
+def _row_reduce(
+    rows: Sequence[Sequence[Fraction]], ncols: int
+) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``.
+
+    The pivot of each column is its first non-zero entry at or below the
+    current row; pivot rows are scaled to 1 and the column is cleared above
+    and below.  Returns the reduced rows, the pivot columns and the product
+    of the pivots signed by the row swaps (the determinant of a square
+    nonsingular matrix).  Columns past ``ncols`` (right-hand sides) ride along.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
     det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
         if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
             det = -det
-        det *= a[col][col]
-        inv = ONE / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
+        p = a[r][col]
+        det *= p
+        inv = ONE / p
+        a[r] = [e * inv for e in a[r]]
+        for i, row in enumerate(a):
+            if i != r and row[col]:
+                f = row[col]
+                a[i] = [e - f * q for e, q in zip(row, a[r])]
+        pivots.append(col)
+    return a, pivots, det
+
+
+def mat_det(m: Matrix) -> Fraction:
+    _, pivots, det = _row_reduce(m, len(m))
+    return det if len(pivots) == len(m) else ZERO
 
 
 def mat_inv(m: Matrix) -> Matrix:
     n = len(m)
-    a = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [e * inv for e in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [e - factor * p for e, p in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    eye = identity(n)
+    reduced, pivots, _ = _row_reduce([tuple(row) + eye[i] for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def solve(a: Matrix, b: Vec) -> Vec | None:
@@ -127,34 +142,15 @@ def solve(a: Matrix, b: Vec) -> Vec | None:
     ``a`` is m x n with full column rank (the only case we need: expressing a
     vector in a linearly independent basis).
     """
-    m, n = len(a), len(a[0]) if a else 0
-    aug = [list(row) + [bi] for row, bi in zip(a, b, strict=True)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = ONE / aug[row][col]
-        aug[row] = [e * inv for e in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    # inconsistency: zero row with nonzero rhs
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    if len(pivots) < n:
+    n = len(a[0]) if a else 0
+    aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
+    reduced, pivots, _ = _row_reduce(aug, n)
+    # inconsistency: a zero row with a nonzero right-hand side
+    if len(pivots) < n or any(row[n] != 0 for row in reduced[len(pivots):]):
         return None
     x = [ZERO] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
+    for row, col in zip(reduced, pivots):
+        x[col] = row[n]
     return tuple(x)
 
 
@@ -167,23 +163,7 @@ def coords_in_basis(basis: Sequence[Vec], v: Vec) -> Vec | None:
 
 
 def rank_of(rows: Sequence[Vec]) -> int:
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = ONE / m[rank][col]
-        m[rank] = [e * inv for e in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [e - f * p for e, p in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +264,3 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith normal form of ``a``."""
     _, s, _ = smith_normal_form(a)
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0)
-
-
-def integer_kernel(a: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of the lattice {x in Z^n : a @ x = 0}."""
-    m = len(a)
-    n = len(a[0]) if a else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    _, s, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(m, n)) if s[i][i] != 0)
-    return [tuple(v[i][j] for i in range(n)) for j in range(r, n)]
-

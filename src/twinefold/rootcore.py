@@ -34,6 +34,7 @@ from .linalg import (
     coords_in_basis,
     invariant_factors,
     mat,
+    mat_inv,
     mat_scale,
     mat_vec,
     rank_of,
@@ -51,13 +52,11 @@ DEFAULT_WEYL_CAP = 10**6
 Labels = tuple[int, ...]
 
 
-def resolve_weyl_cap(cap: int | None) -> int:
-    """Explicit cap, else the TWINEFOLD_WEYL_CAP env var, else the default.
+def resolve_weyl_cap() -> int:
+    """The TWINEFOLD_WEYL_CAP env var, else the default.
 
     The cap bounds the size of a Weyl orbit enumerated by ``weyl_traverse``.
     """
-    if cap is not None:
-        return cap
     import os
 
     env = os.environ.get("TWINEFOLD_WEYL_CAP")
@@ -402,7 +401,7 @@ class RootDatum:
         self._pos_coords = pos_coords
 
         # fundamental weights: <w_i, alpha_j^vee> = delta_ij inside the span
-        cinv = _fraction_inverse(self.cartan)
+        cinv = mat_inv(mat(self.cartan))
         self.fundamental_weights = tuple(
             self._from_coords(tuple(cinv[j][i] for j in range(self.rank)))
             for i in range(self.rank)
@@ -533,7 +532,7 @@ class RootDatum:
 
     def make_dominant(self, v: Vec) -> Vec:
         """Dominant Weyl-chamber representative of the weight v."""
-        return self.from_labels(_make_dominant_labels(self, self.labels_of(v)))
+        return self.from_labels(dominant_conjugate(self, self.labels_of(v))[1])
 
     # -- misc ----------------------------------------------------------------
 
@@ -581,12 +580,6 @@ def _simple_root_pairings(
         tuple(_as_int(2 * gij / row[i]) for gij in row) for i, row in enumerate(gram)
     )
     return galpha, gram, cartan
-
-
-def _fraction_inverse(int_matrix) -> Matrix:
-    from .linalg import mat_inv
-
-    return mat_inv(mat(int_matrix))
 
 
 def _positive_roots_by_closure(cartan) -> list[tuple[int, ...]]:
@@ -639,22 +632,19 @@ _ROOT_COUNTS = {
 }
 
 
-def build_root_datum(type_label: str, rank: int | None = None) -> RootDatum:
+def build_root_datum(type_label: str) -> RootDatum:
     """Realize a simple type in its simple-root coefficient space.
 
     Long roots have squared length 2.  'BC' builds the non-reduced system as a
     B_n datum augmented with the doubled short roots; no Weyl machinery runs
     on those extra vectors.
     """
-    if rank is None:
-        family, rank = parse_type_label(type_label)
-    else:
-        family = type_label
+    family, rank = parse_type_label(type_label)
     label = f"{family}{rank}"
     if family == "BC":
         if rank < 1:
             raise RootSystemError("BC_n needs n >= 1")
-        base = build_root_datum("B", rank) if rank >= 2 else build_root_datum("A", 1)
+        base = build_root_datum(f"B{rank}") if rank >= 2 else build_root_datum("A1")
         if rank == 1:
             # BC1 = {±v, ±2v} with v short: rescale the A1 realization
             g = mat_scale(Fraction(1, 4), base.ambient_gram)
@@ -691,30 +681,49 @@ def build_root_datum(type_label: str, rank: int | None = None) -> RootDatum:
     return datum
 
 
-def root_datum_from_simple_roots(
-    simple_roots, ambient_gram: Matrix, label: str | None = None
-) -> RootDatum:
+def root_datum_from_simple_roots(simple_roots, ambient_gram: Matrix) -> RootDatum:
     """Realize the subsystem generated by the given simple roots."""
     simple_roots = tuple(simple_roots)
-    if label is None:
-        label = classify_system(simple_roots, ambient_gram)
-    datum = RootDatum(label, simple_roots, ambient_gram)
-    return datum
+    return RootDatum(
+        classify_system(simple_roots, ambient_gram), simple_roots, ambient_gram
+    )
+
+
+def cartan_isomorphisms(a, b):
+    """Yield every permutation p with a[p[i]][p[j]] == b[i][j], in
+    lexicographic order.
+
+    Backtracking over the nodes of b: node k goes to an unused node c of a
+    only where a[c][c] == b[k][k] and c pairs with the images of nodes
+    0..k-1 as k pairs with those nodes, so only partial isomorphisms are
+    ever extended.
+    """
+    n = len(a)
+    if len(b) != n:
+        return
+    perm: list[int] = []
+    used = [False] * n
+
+    def extend(k: int):
+        if k == n:
+            yield tuple(perm)
+            return
+        for c in range(n):
+            if not used[c] and a[c][c] == b[k][k] and all(
+                a[p][c] == b[j][k] and a[c][p] == b[k][j] for j, p in enumerate(perm)
+            ):
+                used[c] = True
+                perm.append(c)
+                yield from extend(k + 1)
+                perm.pop()
+                used[c] = False
+
+    yield from extend(0)
 
 
 def cartan_matrices_match(a, b) -> bool:
     """Permutation equivalence of two integer Cartan matrices."""
-    n = len(a)
-    if len(b) != n:
-        return False
-    rows_a = sorted(sorted(row) for row in a)
-    rows_b = sorted(sorted(row) for row in b)
-    if rows_a != rows_b:
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(a[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n)):
-            return True
-    return False
+    return next(cartan_isomorphisms(a, b), None) is not None
 
 
 def _classify_cartan(cartan) -> str:
@@ -813,7 +822,7 @@ def _orbit_levels(datum: RootDatum, labels: Labels):
         frontier = list(nxt)
 
 
-def weyl_traverse(datum: RootDatum, v: Vec, cap: int | None = None):
+def weyl_traverse(datum: RootDatum, v: Vec):
     """Yield (det w, w.v) once for every Weyl element w, identity first.
 
     ``v`` must be regular dominant integral, so w -> w.v is a bijection and
@@ -823,10 +832,10 @@ def weyl_traverse(datum: RootDatum, v: Vec, cap: int | None = None):
     by s_i only when its label m_i > 0, which lengthens w by one, so
     det w = (-1)^length(w) is the parity of the breadth-first depth (Humphreys,
     Reflection Groups and Coxeter Groups, 1.6-1.8).  Raises WeylOverflowError
-    when the orbit has more than ``cap`` elements.
+    when the orbit has more elements than ``resolve_weyl_cap()`` allows.
     """
     _require_reduced(datum)
-    cap = resolve_weyl_cap(cap)
+    cap = resolve_weyl_cap()
     labels = tuple(vdot(v, c) for c in datum._coroot_covectors)
     if any(m.denominator != 1 or m <= 0 for m in labels):
         raise RootSystemError("weight must be regular dominant integral")
@@ -885,17 +894,15 @@ def label_dimension(datum: RootDatum, lam: Labels) -> int:
     return dim
 
 
-def regular_dominant_labels(
-    datum: RootDatum, labels: Labels
-) -> tuple[int, Labels] | None:
-    """(det w, w.labels) with w.labels dominant, or None on a wall.
+def dominant_conjugate(datum: RootDatum, labels: Labels) -> tuple[int, Labels]:
+    """(det w, w.labels) with w.labels in the closed dominant chamber.
 
-    Reflects by s_i where the label m_i < 0; a zero label at any step means
-    the point is fixed by a reflection, and so is every W-conjugate of it.
+    Reflects by the first s_i whose label m_i is negative until none is;
+    each step is one more reflection, so det w = (-1)^(number of steps).
     """
     alpha_labels = datum._alpha_labels
     cur, sign = labels, 1
-    while 0 not in cur:
+    while True:
         for m, a in zip(cur, alpha_labels):
             if m < 0:
                 cur = tuple(x - m * y for x, y in zip(cur, a))
@@ -903,19 +910,22 @@ def regular_dominant_labels(
                 break
         else:
             return sign, cur
-    return None
 
 
-def _make_dominant_labels(datum: RootDatum, labels: Labels) -> Labels:
-    alpha_labels = datum._alpha_labels
-    cur = labels
-    while True:
-        for m, a in zip(cur, alpha_labels):
-            if m < 0:
-                cur = tuple(x - m * y for x, y in zip(cur, a))
-                break
-        else:
-            return cur
+def regular_dominant_labels(
+    datum: RootDatum, labels: Labels
+) -> tuple[int, Labels] | None:
+    """(det w, w.labels) with w.labels dominant, or None on a wall.
+
+    A weight lies on a wall exactly when its dominant conjugate has a zero
+    label: the stabilizer of a dominant weight is generated by the simple
+    reflections that fix it.  A zero label of the weight itself already puts
+    it on a wall, which ends most Racah-Speiser terms before any walk.
+    """
+    if 0 in labels:
+        return None
+    sign, dom = dominant_conjugate(datum, labels)
+    return None if 0 in dom else (sign, dom)
 
 
 def _dominant_multiplicities(datum: RootDatum, lam: Labels) -> dict[Labels, int]:
@@ -960,7 +970,7 @@ def _dominant_multiplicities(datum: RootDatum, lam: Labels) -> dict[Labels, int]
             while True:
                 dom = to_dominant.get(nu)
                 if dom is None:
-                    dom = to_dominant[nu] = _make_dominant_labels(datum, nu)
+                    dom = to_dominant[nu] = dominant_conjugate(datum, nu)[1]
                 # alpha-strings are unbroken: the first non-weight ends the string
                 if dom not in dominant:
                     break

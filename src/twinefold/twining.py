@@ -25,9 +25,6 @@ from .rootcore import (
     weyl_traverse,
 )
 
-EVAL_TOL = 1e-9
-
-
 class SingularPointError(ValueError):
     """Raised when a quotient-formula evaluation hits a denominator zero."""
 

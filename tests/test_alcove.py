@@ -18,6 +18,7 @@ from twinefold.alcove import (
     fundamental_alcove,
     stabilizer_datum,
 )
+from twinefold.twining import TorusPoint, is_regular, weyl_denominator
 
 
 def ctx_for(label, name="flip"):
@@ -210,6 +211,26 @@ def test_det_diff_conj_wall_zero():
     alc = fundamental_alcove(ctx)
     # a vertex lies on affine walls, so the Jacobian vanishes there
     assert det_diff_conj(ctx, alc.vertices[1]) < 1e-9
+
+
+@pytest.mark.parametrize("label,name", [("A3", "flip"), ("A4", "flip"), ("D4", "rot")])
+def test_det_diff_conj_matches_denominator_expansion(label, name):
+    # the product formula against |T^k cap T_k| |Delta(exp xi)|^2 with Delta
+    # expanded as a polynomial, at random regular points of the fixed subspace
+    ctx = ctx_for(label, name)
+    order = ctx.fixed_intersection.order
+    delta = weyl_denominator(ctx)
+    rng = random.Random(8)
+    checked = 0
+    while checked < 20:
+        xi = zero_vec(ctx.base.ambient_dim)
+        for w in ctx.orbit.datum.fundamental_weights:
+            xi = vadd(xi, vscale(Fraction(rng.randrange(-2000, 2000), 1009), w))
+        if not is_regular(ctx, TorusPoint(xi)):
+            continue
+        expected = order * abs(delta.eval(ctx, TorusPoint(xi))) ** 2
+        assert math.isclose(det_diff_conj(ctx, xi), expected, rel_tol=1e-9)
+        checked += 1
 
 
 @settings(deadline=None, max_examples=30)

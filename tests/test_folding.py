@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,14 +31,46 @@ PROJECTION_CASES = list(dict.fromkeys(
 ))
 
 
+def _expected_automorphism_count(label):
+    if label == "D4":
+        return 6
+    if label[0] in "ADE" and label != "A1":
+        return 2
+    return 1
+
+
 def test_automorphism_counts():
-    assert len(list_automorphisms(build_root_datum("A2"))) == 2
-    assert len(list_automorphisms(build_root_datum("A5"))) == 2
-    assert len(list_automorphisms(build_root_datum("D4"))) == 6
-    assert len(list_automorphisms(build_root_datum("D5"))) == 2
-    assert len(list_automorphisms(build_root_datum("E6"))) == 2
-    assert len(list_automorphisms(build_root_datum("B2"))) == 1
-    assert len(list_automorphisms(build_root_datum("G2"))) == 1
+    labels = (
+        [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)]
+        + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 11)]
+        + ["E6", "F4", "G2"]
+    )
+    for label in labels:
+        d = build_root_datum(label)
+        autos = list_automorphisms(d)
+        assert len(autos) == _expected_automorphism_count(label), label
+        assert autos[0].permutation == tuple(range(d.rank))
+        assert len({a.permutation for a in autos}) == len(autos)
+        n = d.rank
+        for a in autos:
+            p = a.permutation
+            assert all(
+                d.cartan[p[i]][p[j]] == d.cartan[i][j] for i in range(n) for j in range(n)
+            )
+
+
+def test_automorphisms_of_a10_within_a_second():
+    d = build_root_datum("A10")
+    start = time.perf_counter()
+    autos = list_automorphisms(d)
+    assert time.perf_counter() - start < 1.0
+    assert [a.name for a in autos] == ["id", "flip"]
+
+
+def test_fold_a12_flip():
+    ctx = ctx_for("A12")
+    assert ctx.orbit.datum.type_label == "C6"
+    assert ctx.folded.label == "BC6"
 
 
 def test_automorphism_orders_and_names():

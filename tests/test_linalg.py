@@ -1,18 +1,23 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twinefold.linalg import (
+    ZERO,
     coords_in_basis,
-    integer_kernel,
+    identity,
     invariant_factors,
     mat,
     mat_det,
     mat_inv,
     mat_mul,
+    mat_vec,
     rank_of,
     smith_normal_form,
     solve,
+    transpose,
     vec,
 )
 
@@ -75,9 +80,85 @@ def test_invariant_factors_cartan_a2():
     assert invariant_factors([[2, -1], [-1, 2]]) == (1, 3)
 
 
-def test_integer_kernel():
-    ker = integer_kernel([[1, 1, 1]])
-    assert len(ker) == 2
-    for k in ker:
-        assert sum(k) == 0
-    assert integer_kernel([[1, 0], [0, 1]]) == []
+
+def test_det_sign_of_row_swaps():
+    # every pivot needs a swap: the anti-diagonal permutation matrices
+    assert mat_det(mat([[0, 1], [1, 0]])) == -1
+    assert mat_det(mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
+    assert mat_det(mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+    assert mat_det(mat([[0, 2], [3, 1]])) == -6
+
+
+# random integer matrices with n <= 4 and entries -3..3
+ENTRY = st.integers(-3, 3)
+
+
+@st.composite
+def square_matrices(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    return mat(draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+def _leibniz_det(m):
+    """sum over permutations p of sign(p) prod_i m[i][p(i)]."""
+    n = len(m)
+    total = 0
+    for p in itertools.permutations(range(n)):
+        inversions = sum(1 for i, j in itertools.combinations(range(n), 2) if p[i] > p[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= m[i][p[i]]
+        total += term
+    return total
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_matrices())
+def test_det_matches_leibniz(m):
+    assert mat_det(m) == _leibniz_det(m)
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_matrices(), st.lists(ENTRY, min_size=4, max_size=4))
+def test_inverse_and_solve(m, xs):
+    n = len(m)
+    if _leibniz_det(m) == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            mat_inv(m)
+        return
+    assert mat_mul(m, mat_inv(m)) == identity(n)
+    x = vec(*xs[:n])
+    assert solve(m, mat_vec(m, x)) == x
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_rank_of_transpose(rows, cols, data):
+    m = mat(data.draw(st.lists(
+        st.lists(ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    )))
+    assert rank_of(m) == rank_of(transpose(m))
+    assert rank_of(m) <= min(rows, cols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_matrices(max_n=3), st.integers(1, 2), st.data())
+def test_overdetermined_solve(b, extra, data):
+    # a = b stacked on c.b has full column rank when b does, and a x = (y, z)
+    # is consistent exactly when z = c y; the rows are then shuffled
+    assume(_leibniz_det(b) != 0)
+    n = len(b)
+    c = mat(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                               min_size=extra, max_size=extra)))
+    y = vec(*data.draw(st.lists(ENTRY, min_size=n, max_size=n)))
+    delta = vec(*data.draw(st.lists(ENTRY, min_size=extra, max_size=extra)))
+    order = data.draw(st.permutations(range(n + extra)))
+    a = b + mat_mul(c, b)
+    rhs = y + tuple(z + d for z, d in zip(mat_vec(c, y), delta))
+    a = tuple(a[i] for i in order)
+    rhs = tuple(rhs[i] for i in order)
+    x = solve(a, rhs)
+    if any(d != ZERO for d in delta):
+        assert x is None
+    else:
+        assert x is not None and mat_vec(a, x) == rhs

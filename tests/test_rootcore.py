@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from twinefold.rootcore import (
     RootSystemError,
     WeylOverflowError,
     build_root_datum,
+    cartan_isomorphisms,
+    cartan_matrices_match,
     classical_weyl_order,
     classify_simple_system,
     decompose_into_irreducibles,
@@ -20,6 +23,8 @@ from twinefold.rootcore import (
     is_of_type,
     lattice,
     lattice_quotient,
+    regular_dominant_labels,
+    standard_cartan_matrix,
     weyl_dimension,
     weyl_traverse,
 )
@@ -139,10 +144,11 @@ def test_weyl_traverse_counts():
             assert det == sign(u)
 
 
-def test_weyl_traverse_cap():
+def test_weyl_traverse_cap(monkeypatch):
     d = build_root_datum("A3")
+    monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "5")
     with pytest.raises(WeylOverflowError):
-        list(weyl_traverse(d, d.weyl_vector, cap=5))
+        list(weyl_traverse(d, d.weyl_vector))
 
 
 @settings(deadline=None, max_examples=25)
@@ -411,3 +417,58 @@ def test_label_dimension_matches_weyl_dimension(label, data):
     labels = data.draw(st.lists(st.integers(0, 4), min_size=d.rank, max_size=d.rank))
     lam = d.from_labels(tuple(labels))
     assert rootcore.label_dimension(d, tuple(labels)) == weyl_dimension(d, lam)
+
+
+# every standard Cartan matrix of rank <= 6, by rank
+_STANDARD = {}
+for _family, _ranks in [("A", range(1, 7)), ("B", range(2, 7)), ("C", range(2, 7)),
+                        ("D", range(4, 7)), ("E", [6]), ("F", [4]), ("G", [2])]:
+    for _n in _ranks:
+        _STANDARD.setdefault(_n, []).append(standard_cartan_matrix(_family, _n))
+_STANDARD_PAIRS = [(a, b) for mats in _STANDARD.values() for a in mats for b in mats]
+
+
+def _brute_isomorphisms(a, b):
+    n = len(a)
+    return [
+        p for p in itertools.permutations(range(n))
+        if all(a[p[i]][p[j]] == b[i][j] for i in range(n) for j in range(n))
+    ]
+
+
+def test_isomorphisms_of_standard_matrices():
+    for a, b in _STANDARD_PAIRS:
+        assert list(cartan_isomorphisms(a, b)) == _brute_isomorphisms(a, b)
+    b3, c3 = standard_cartan_matrix("B", 3), standard_cartan_matrix("C", 3)
+    assert not cartan_matrices_match(b3, c3)
+    assert not cartan_matrices_match(b3, standard_cartan_matrix("B", 4))
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), pair=st.sampled_from(_STANDARD_PAIRS))
+def test_isomorphisms_of_relabeled_matrices(data, pair):
+    a, b = pair
+    n = len(a)
+    p = data.draw(st.permutations(range(n)))
+    q = data.draw(st.permutations(range(n)))
+    a = tuple(tuple(a[p[i]][p[j]] for j in range(n)) for i in range(n))
+    b = tuple(tuple(b[q[i]][q[j]] for j in range(n)) for i in range(n))
+    found = list(cartan_isomorphisms(a, b))
+    assert found == _brute_isomorphisms(a, b)
+    assert cartan_matrices_match(a, b) == bool(found)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), label=st.sampled_from(["A3", "B3", "C3", "D4", "F4", "G2"]))
+def test_regular_dominant_labels(data, label):
+    d = build_root_datum(label)
+    m = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=d.rank, max_size=d.rank)))
+    pairings = [sum(x * c for x, c in zip(m, cov)) for cov in d._root_covectors]
+    got = regular_dominant_labels(d, m)
+    if 0 in pairings:
+        assert got is None
+        return
+    sign, dom = got
+    assert all(x > 0 for x in dom)
+    assert d.make_dominant(d.from_labels(m)) == d.from_labels(dom)
+    assert sign == (-1) ** sum(1 for p in pairings if p < 0)
