@@ -258,7 +258,8 @@ CRITERIA = [
     # A2 flip to height 4, so that {0, theta, 2 theta} is covered
     Criterion("08 exact orthogonality", "characters", lambda: _cases(
         _orthogonality, [("A2", "flip", 4), ("A3", "flip", 3), ("A4", "flip", 3),
-                         ("D4", "rot", 3)], "{} {} height <= {}")),
+                         ("D4", "rot", 3), ("A5", "flip", 2), ("A6", "flip", 2),
+                         ("D4", "swap34", 2)], "{} {} height <= {}")),
     Criterion("09 fusion route equivalence", "fusion",
               lambda: _cases(_unit_axiom, _LEVELS, "{} {} level {}")),
     Criterion("10 degenerate recovery", "fusion", lambda: _cases(

@@ -207,7 +207,7 @@ class FoldingContext:
         self.kappa = kappa
         self._is_a_even = False
         # per-context caches, filled on first use: signed Weyl orbits for
-        # twining._alternating_sum, the alcove.fundamental_alcove description,
+        # twining._signed_orbit, the alcove.fundamental_alcove description,
         # and the fusion.level_values table of each level k
         self._alt_sum_cache: dict[Vec, list] = {}
         self._alcove = None

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import cos, factorial, fsum, lcm, pi, sin
@@ -108,6 +109,7 @@ def classical_weyl_order(label: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def standard_cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix A[i][j] = <alpha_j, alpha_i^vee> in Bourbaki numbering."""
     n = rank
@@ -740,10 +742,18 @@ def _classify_cartan(cartan) -> str:
         candidates.append(("F", 4))
     if n == 2:
         candidates.append(("G", 2))
+    # a relabeling permutes the off-diagonal entries, so their sorted list
+    # rejects most wrong candidates before the search
+    entries = _off_diagonal(cartan)
     for family, rank in candidates:
-        if cartan_matrices_match(cartan, standard_cartan_matrix(family, rank)):
+        standard = standard_cartan_matrix(family, rank)
+        if _off_diagonal(standard) == entries and cartan_matrices_match(cartan, standard):
             return f"{family}{rank}"
     raise RootSystemError("simple system does not match any supported type")
+
+
+def _off_diagonal(cartan) -> list[int]:
+    return sorted(x for i, row in enumerate(cartan) for j, x in enumerate(row) if i != j)
 
 
 def classify_simple_system(simple_roots, ambient_gram: Matrix) -> str:

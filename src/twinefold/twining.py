@@ -4,6 +4,12 @@ A twining character is represented by the character polynomial of the orbit
 system's irreducible with the same highest weight, supported on the kappa-fixed
 weight lattice of the base.  Evaluation at torus points is numeric; all
 structural identities (orthogonality, decomposition) are exact.
+
+The signed rho-orbit J(rho) = sum_w det w e^{w rho} = e^rho prod (1 - e^{-alpha})
+of the orbit Weyl group, keyed by integer orbit Dynkin labels, is cached per
+context.  It is the denominator of the quotient formula (``jantzen_eval``) and
+the density of the inner product: since |e^rho| = 1,
+<f, g> = (1/|W_O|) sum_u F_u G_u with F = f J(rho) and G = g J(rho).
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, fsum, lcm, pi, prod, sin
+from operator import add
 
-from .linalg import Vec, vadd, vneg
+from .linalg import Vec, mat_vec, vadd, vdot, vneg
 from .folding import FoldingContext
 from .rootcore import (
     FourierPolynomial,
@@ -93,9 +100,9 @@ def twining_labels(ctx: FoldingContext, lam: Vec) -> dict[Labels, int]:
 
 def is_regular(ctx: FoldingContext, point: TorusPoint) -> bool:
     """Exact test: no positive orbit root pairs integrally with xi."""
+    gx = mat_vec(ctx.base.ambient_gram, point.xi)
     return all(
-        ctx.base.inner(alpha, point.xi).denominator != 1
-        for alpha in ctx.orbit.datum.positive_roots
+        vdot(alpha, gx).denominator != 1 for alpha in ctx.orbit.datum.positive_roots
     )
 
 
@@ -110,8 +117,9 @@ def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
     J(rho) = e^rho prod (1 - e^{-alpha}) over positive orbit roots, and
     |1 - e^{2 pi i t}|^2 = 4 sin^2(pi t); no Weyl-group traversal is needed.
     """
+    gx = mat_vec(ctx.base.ambient_gram, xi)
     return prod(
-        4 * sin(_phase_angle(ctx.base.inner(alpha, xi)) / 2) ** 2
+        4 * sin(_phase_angle(vdot(alpha, gx)) / 2) ** 2
         for alpha in ctx.orbit.datum.positive_roots
     )
 
@@ -124,7 +132,8 @@ def label_phases(ctx: FoldingContext, xi: Vec) -> tuple[tuple[int, ...], int]:
     sum_j m_j nums_j / den, so each phase is reduced mod 1 exactly in integer
     arithmetic.
     """
-    pairings = [ctx.base.inner(w, xi) for w in ctx.orbit.datum.fundamental_weights]
+    gx = mat_vec(ctx.base.ambient_gram, xi)
+    pairings = [vdot(w, gx) for w in ctx.orbit.datum.fundamental_weights]
     den = lcm(*(p.denominator for p in pairings))
     return tuple(int(p * den) for p in pairings), den
 
@@ -147,17 +156,20 @@ def evaluate_labels(
     return complex(fsum(res), fsum(ims))
 
 
-def _alternating_sum(ctx: FoldingContext, shifted: Vec, xi: Vec) -> complex:
-    """J(shifted)(exp xi) = sum over the orbit Weyl group of det w e^{w.shifted}.
-
-    The signed orbit is cached per context as (labels, det w) pairs.
-    """
+def _signed_orbit(ctx: FoldingContext, shifted: Vec) -> list[tuple[Labels, int]]:
+    """J(shifted) = sum over the orbit Weyl group of det w e^{w.shifted}, as
+    (orbit Dynkin labels of w.shifted, det w) pairs, cached per context."""
     orbit = ctx._alt_sum_cache.get(shifted)
     if orbit is None:
         orbit = ctx._alt_sum_cache[shifted] = [
             (u, sign) for sign, u in weyl_traverse(ctx.orbit.datum, shifted)
         ]
-    return evaluate_labels(orbit, label_phases(ctx, xi))
+    return orbit
+
+
+def _alternating_sum(ctx: FoldingContext, shifted: Vec, xi: Vec) -> complex:
+    """J(shifted)(exp xi)."""
+    return evaluate_labels(_signed_orbit(ctx, shifted), label_phases(ctx, xi))
 
 
 def jantzen_eval(ctx: FoldingContext, lam: Vec, point: TorusPoint) -> complex:
@@ -183,6 +195,7 @@ def adjoint_oracle(ctx: FoldingContext, point: TorusPoint) -> complex:
     """
     a_even = ctx._is_a_even
     fixed_nodes = sum(1 for i, j in enumerate(ctx.kappa.permutation) if i == j)
+    gx = mat_vec(ctx.base.ambient_gram, point.xi)
     total: complex = complex(fixed_nodes)
     for alpha in ctx.kappa_fixed_roots():
         if a_even:
@@ -190,10 +203,29 @@ def adjoint_oracle(ctx: FoldingContext, point: TorusPoint) -> complex:
             sign = (-1) ** (int(height) + 1)
         else:
             sign = 1
-        angle = _phase_angle(ctx.base.inner(alpha, point.xi))
+        angle = _phase_angle(vdot(alpha, gx))
         total += sign * complex(cos(angle), sin(angle))
     eps = -1 if a_even else 1
     return eps * total
+
+
+def _times_signed_rho_orbit(
+    ctx: FoldingContext, f: FourierPolynomial
+) -> dict[Labels, int]:
+    """f J(rho) keyed by orbit Dynkin labels."""
+    datum = ctx.orbit.datum
+    try:
+        labels = [(datum.labels_of(mu), c) for mu, c in f.terms.items()]
+    except RootSystemError as exc:
+        raise RootSystemError(
+            "polynomial support lies outside the fixed weight lattice"
+        ) from exc
+    out: dict[Labels, int] = {}
+    for u, sign in _signed_orbit(ctx, ctx.orbit.half_sum):
+        for mu, c in labels:
+            key = tuple(map(add, mu, u))
+            out[key] = out.get(key, 0) + sign * c
+    return out
 
 
 def inner_product(
@@ -201,17 +233,13 @@ def inner_product(
 ) -> Fraction:
     """Exact L2 inner product of class functions restricted to the fixed torus.
 
-    (1/|W^kappa|) times the constant term of conj(f) * g * |Delta|^2, with
-    conj negating all weights.
+    (1/|W_O|) CT(conj(f) g Delta conj(Delta)) over the orbit Weyl group W_O,
+    with conj negating all weights.  As e^rho Delta = J(rho) and
+    |e^rho| = 1, this is (1/|W_O|) sum_u F_u G_u for F = f J(rho) and
+    G = g J(rho), both keyed by integer orbit Dynkin labels.  Raises
+    RootSystemError when f or g has a weight off the orbit weight lattice PO.
     """
-    lattice = ctx.lattices["PO"]
-    for poly in (f, g):
-        for mu in poly.terms:
-            if not lattice.contains(mu):
-                raise RootSystemError(
-                    "polynomial support lies outside the fixed weight lattice"
-                )
-    delta = weyl_denominator(ctx).poly
-    product = f.conj() * g * delta * delta.conj()
-    ct = product.constant_term(ctx.base.ambient_dim)
+    ff = _times_signed_rho_orbit(ctx, f)
+    gg = _times_signed_rho_orbit(ctx, g)
+    ct = sum(c * gg.get(u, 0) for u, c in ff.items())
     return Fraction(ct, ctx.orbit_weyl_order)

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twinefold.linalg import vadd, vneg, vscale, zero_vec
+from twinefold import checks
+from twinefold.linalg import vadd, vneg, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     RootSystemError,
@@ -15,6 +17,7 @@ from twinefold.folding import automorphism_by_name, fold, fundamental_coweights
 from twinefold.twining import (
     SingularPointError,
     TorusPoint,
+    _signed_orbit,
     adjoint_oracle,
     evaluate_labels,
     inner_product,
@@ -195,3 +198,69 @@ def test_multiplicativity():
     # 5 (x) 5 = 1 + 10 + 14 for the B2 vector representation
     assert sum(dec.values()) == 3
     assert dec.get(vscale(2, lam)) == 1
+
+
+def reference_inner_product(ctx, f, g):
+    """(1/|W_O|) CT(conj(f) g Delta conj(Delta)) by ambient convolution."""
+    delta = weyl_denominator(ctx).poly
+    product = f.conj() * g * delta * delta.conj()
+    return Fraction(product.constant_term(ctx.base.ambient_dim), ctx.orbit_weyl_order)
+
+
+def test_signed_rho_orbit_is_shifted_denominator():
+    """J(rho) = e^rho Delta, both in orbit Dynkin labels."""
+    for group, name, _, _ in checks.FOLDINGS:
+        ctx = checks.context(group, name)
+        datum = ctx.orbit.datum
+        rho = datum.labels_of(ctx.orbit.half_sum)
+        shifted = {
+            tuple(a + b for a, b in zip(datum.labels_of(mu), rho)): c
+            for mu, c in weyl_denominator(ctx).poly.terms.items()
+        }
+        orbit = dict(_signed_orbit(ctx, ctx.orbit.half_sum))
+        assert len(orbit) == ctx.orbit_weyl_order
+        assert orbit == shifted, (group, name)
+
+
+def _monomial_sums(datum):
+    """Small integer combinations of e^mu with mu on the orbit weight lattice."""
+    labels = st.tuples(*[st.integers(-2, 2)] * datum.rank)
+    return st.dictionaries(labels, st.integers(-3, 3), min_size=1, max_size=4).map(
+        lambda terms: FourierPolynomial(
+            {datum.from_labels(m): c for m, c in terms.items()}
+        )
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    case=st.sampled_from([("A2", "flip"), ("A3", "flip"), ("A4", "flip"), ("D4", "rot")]),
+    data=st.data(),
+)
+def test_inner_product_matches_convolution(case, data):
+    """The J(rho) dot product equals the constant term of conj(f) g |Delta|^2
+    on polynomials that need not be Weyl-invariant, and is symmetric."""
+    ctx = checks.context(*case)
+    f = data.draw(_monomial_sums(ctx.orbit.datum))
+    g = data.draw(_monomial_sums(ctx.orbit.datum))
+    value = inner_product(ctx, f, g)
+    assert value == reference_inner_product(ctx, f, g)
+    assert value == inner_product(ctx, g, f)
+
+
+def test_inner_product_rejects_weights_off_the_fixed_lattice():
+    ctx = ctx_for("A3")
+    one = FourierPolynomial.constant(3)
+    w1, _, w3 = ctx.base.fundamental_weights
+    off_lattice = vscale(Fraction(1, 2), ctx.orbit.datum.fundamental_weights[0])
+    # w1 - w3 pairs to zero with every kappa-fixed coroot but is not zero
+    off_span = vsub(w1, w3)
+    for mu, cause in ((off_lattice, "not on the weight lattice"),
+                      (off_span, "outside the root span")):
+        bad = FourierPolynomial({mu: 1})
+        for f, g in ((bad, one), (one, bad)):
+            with pytest.raises(
+                RootSystemError, match="polynomial support lies outside the fixed weight lattice"
+            ) as excinfo:
+                inner_product(ctx, f, g)
+            assert cause in str(excinfo.value.__cause__)
