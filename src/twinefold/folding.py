@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Vec, mat_inv, vadd, vscale, zero_vec
+from .linalg import Vec, vadd, vscale, zero_vec
 from .rootcore import (
     FiniteAbelianGroup,
     Lattice,
@@ -150,11 +150,10 @@ def coroot_lattice(datum: RootDatum) -> Lattice:
 
 
 def fundamental_coweights(datum: RootDatum) -> tuple[Vec, ...]:
-    """Dual basis to the simple roots under the invariant form."""
-    ginv = mat_inv(datum.gram)
+    """Dual basis to the simple roots under the invariant form: as
+    <omega_i, alpha_j^vee> = delta_ij, it is (2 / (alpha_i, alpha_i)) omega_i."""
     return tuple(
-        datum._from_coords(tuple(ginv[i][j] for j in range(datum.rank)))
-        for i in range(datum.rank)
+        vscale(2 / datum.gram[i][i], w) for i, w in enumerate(datum.fundamental_weights)
     )
 
 

@@ -5,11 +5,15 @@ system's irreducible with the same highest weight, supported on the kappa-fixed
 weight lattice of the base.  Evaluation at torus points is numeric; all
 structural identities (orthogonality, decomposition) are exact.
 
+A torus point exp(xi) meets the orbit datum only in ``label_phases`` (integer
+numerators over one denominator): characters, J(rho), regularity and |J(rho)|^2
+there read that frame; ``adjoint_oracle`` alone keeps an ambient pairing.
+
 The signed rho-orbit J(rho) = sum_w det w e^{w rho} = e^rho prod (1 - e^{-alpha})
 of the orbit Weyl group, keyed by integer orbit Dynkin labels, is cached per
-context.  It is the denominator of the quotient formula (``jantzen_eval``) and
-the density of the inner product: since |e^rho| = 1,
-<f, g> = (1/|W_O|) sum_u F_u G_u with F = f J(rho) and G = g J(rho).
+context.  It is e^rho times the Weyl denominator, the denominator of the
+quotient formula (``jantzen_eval``) and the density of the inner product:
+since |e^rho| = 1, <f, g> = (1/|W_O|) sum_u F_u G_u, F = f J(rho), G = g J(rho).
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, fsum, lcm, pi, prod, sin
-from operator import add
+from operator import add, mul
 
-from .linalg import Vec, mat_vec, vadd, vdot, vneg
+from .linalg import Vec, mat_vec, vadd, vdot
 from .folding import FoldingContext
 from .rootcore import (
     FourierPolynomial,
@@ -48,7 +52,7 @@ class Denominator:
     poly: FourierPolynomial
 
     def eval(self, ctx: FoldingContext, point: TorusPoint) -> complex:
-        return self.poly.evaluate(ctx.base.ambient_gram, point.xi)
+        return evaluate_labels(_denominator_labels(ctx), label_phases(ctx, point.xi))
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,9 @@ class TwiningCharacter:
     poly: FourierPolynomial
 
     def eval(self, ctx: FoldingContext, point: TorusPoint) -> complex:
-        return self.poly.evaluate(ctx.base.ambient_gram, point.xi)
+        datum = ctx.orbit.datum
+        terms = label_character(datum, dominant_labels(datum, self.highest_weight))
+        return evaluate_labels(terms.items(), label_phases(ctx, point.xi))
 
     @property
     def dimension_at_identity(self) -> int:
@@ -65,13 +71,11 @@ class TwiningCharacter:
 
 
 def weyl_denominator(ctx: FoldingContext) -> Denominator:
-    """prod over positive orbit roots of (1 - e^{-alpha})."""
-    dim = ctx.base.ambient_dim
-    poly = FourierPolynomial.constant(dim)
-    for alpha in ctx.orbit.datum.positive_roots:
-        factor = FourierPolynomial.constant(dim) - FourierPolynomial({vneg(alpha): 1})
-        poly = poly * factor
-    return Denominator(poly)
+    """prod over positive orbit roots of (1 - e^{-alpha}), read off the signed
+    rho-orbit as e^{-rho} J(rho), with its keys taken to ambient vectors."""
+    datum = ctx.orbit.datum
+    terms = {datum.from_labels(u): c for u, c in _denominator_labels(ctx)}
+    return Denominator(FourierPolynomial(terms))
 
 
 def _require_admissible(ctx: FoldingContext, lam: Vec) -> None:
@@ -98,32 +102,6 @@ def twining_labels(ctx: FoldingContext, lam: Vec) -> dict[Labels, int]:
     return label_character(ctx.orbit.datum, highest_labels(ctx, lam))
 
 
-def is_regular(ctx: FoldingContext, point: TorusPoint) -> bool:
-    """Exact test: no positive orbit root pairs integrally with xi."""
-    gx = mat_vec(ctx.base.ambient_gram, point.xi)
-    return all(
-        vdot(alpha, gx).denominator != 1 for alpha in ctx.orbit.datum.positive_roots
-    )
-
-
-def _phase_angle(phase: Fraction) -> float:
-    # reduce mod 1 exactly so large phases cost no precision
-    return 2 * pi * float(phase - (phase.numerator // phase.denominator))
-
-
-def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
-    """|J(rho)(exp xi)|^2 by the Weyl denominator product formula.
-
-    J(rho) = e^rho prod (1 - e^{-alpha}) over positive orbit roots, and
-    |1 - e^{2 pi i t}|^2 = 4 sin^2(pi t); no Weyl-group traversal is needed.
-    """
-    gx = mat_vec(ctx.base.ambient_gram, xi)
-    return prod(
-        4 * sin(_phase_angle(vdot(alpha, gx)) / 2) ** 2
-        for alpha in ctx.orbit.datum.positive_roots
-    )
-
-
 def label_phases(ctx: FoldingContext, xi: Vec) -> tuple[tuple[int, ...], int]:
     """The pairings <omega_j, xi> with the orbit fundamental weights, as
     integer numerators over their common denominator.
@@ -136,6 +114,28 @@ def label_phases(ctx: FoldingContext, xi: Vec) -> tuple[tuple[int, ...], int]:
     pairings = [vdot(w, gx) for w in ctx.orbit.datum.fundamental_weights]
     den = lcm(*(p.denominator for p in pairings))
     return tuple(int(p * den) for p in pairings), den
+
+
+def _root_residues(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> list[int]:
+    """den <alpha, xi> mod den for the positive orbit roots alpha, in
+    ``positive_roots`` order: alpha with labels a pairs to a . nums / den."""
+    nums, den = phases
+    return [sum(map(mul, a, nums)) % den for a in ctx.orbit.datum._pos_labels]
+
+
+def is_regular(ctx: FoldingContext, point: TorusPoint) -> bool:
+    """Exact test: no positive orbit root pairs integrally with xi."""
+    return 0 not in _root_residues(ctx, label_phases(ctx, point.xi))
+
+
+def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
+    """|J(rho)(exp xi)|^2 by the Weyl denominator product formula.
+
+    J(rho) = e^rho prod (1 - e^{-alpha}) over positive orbit roots, and
+    |1 - e^{2 pi i t}|^2 = 4 sin^2(pi t); no Weyl-group traversal is needed.
+    """
+    phases = label_phases(ctx, xi)
+    return prod(4 * sin(pi * (r / phases[1])) ** 2 for r in _root_residues(ctx, phases))
 
 
 def evaluate_labels(
@@ -167,21 +167,25 @@ def _signed_orbit(ctx: FoldingContext, shifted: Vec) -> list[tuple[Labels, int]]
     return orbit
 
 
-def _alternating_sum(ctx: FoldingContext, shifted: Vec, xi: Vec) -> complex:
-    """J(shifted)(exp xi)."""
-    return evaluate_labels(_signed_orbit(ctx, shifted), label_phases(ctx, xi))
+def _denominator_labels(ctx: FoldingContext) -> list[tuple[Labels, int]]:
+    """e^{-rho} J(rho): the signed rho-orbit with each label lowered by one."""
+    return [
+        (tuple(m - 1 for m in u), sign)
+        for u, sign in _signed_orbit(ctx, ctx.orbit.half_sum)
+    ]
 
 
 def jantzen_eval(ctx: FoldingContext, lam: Vec, point: TorusPoint) -> complex:
     """Quotient-formula value of the twining character at a regular point."""
     _require_admissible(ctx, lam)
-    if not is_regular(ctx, point):
+    phases = label_phases(ctx, point.xi)
+    if 0 in _root_residues(ctx, phases):
         raise SingularPointError(
             "point pairs integrally with an orbit root; use the polynomial instead"
         )
     rho = ctx.orbit.half_sum
-    num = _alternating_sum(ctx, vadd(lam, rho), point.xi)
-    den = _alternating_sum(ctx, rho, point.xi)
+    num = evaluate_labels(_signed_orbit(ctx, vadd(lam, rho)), phases)
+    den = evaluate_labels(_signed_orbit(ctx, rho), phases)
     return num / den
 
 
@@ -198,12 +202,9 @@ def adjoint_oracle(ctx: FoldingContext, point: TorusPoint) -> complex:
     gx = mat_vec(ctx.base.ambient_gram, point.xi)
     total: complex = complex(fixed_nodes)
     for alpha in ctx.kappa_fixed_roots():
-        if a_even:
-            height = sum(ctx.base.coords_of(alpha))
-            sign = (-1) ** (int(height) + 1)
-        else:
-            sign = 1
-        angle = _phase_angle(vdot(alpha, gx))
+        # _check_supported requires unit simple roots, so alpha is its own coordinates
+        sign = (-1) ** (int(sum(alpha)) + 1) if a_even else 1
+        angle = 2 * pi * float(vdot(alpha, gx) % 1)
         total += sign * complex(cos(angle), sin(angle))
     eps = -1 if a_even else 1
     return eps * total

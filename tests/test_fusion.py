@@ -14,7 +14,13 @@ from twinefold.rootcore import (
     weyl_dimension,
 )
 from twinefold.folding import automorphism_by_name, fold
-from twinefold.twining import _alternating_sum, denominator_norm_sq, twining_character
+from twinefold.twining import (
+    _signed_orbit,
+    denominator_norm_sq,
+    evaluate_labels,
+    label_phases,
+    twining_character,
+)
 from twinefold.alcove import fold_to_alcove, fundamental_alcove
 from twinefold.fusion import (
     INTEGRALITY_TOL,
@@ -248,7 +254,8 @@ def test_denominator_product_formula_matches_alternating_sum():
         rho = ctx.orbit.half_sum
         for pt in level_data(ctx, k).s_points:
             product = denominator_norm_sq(ctx, pt.xi)
-            reference = abs(_alternating_sum(ctx, rho, pt.xi)) ** 2
+            alternating = evaluate_labels(_signed_orbit(ctx, rho), label_phases(ctx, pt.xi))
+            reference = abs(alternating) ** 2
             assert abs(product - reference) <= 1e-9 * reference
 
 

@@ -1,11 +1,15 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold import checks
-from twinefold.linalg import vadd, vneg, vscale, vsub, zero_vec
+from twinefold.alcove import fundamental_alcove
+from twinefold.linalg import mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     RootSystemError,
@@ -19,6 +23,7 @@ from twinefold.twining import (
     TorusPoint,
     _signed_orbit,
     adjoint_oracle,
+    denominator_norm_sq,
     evaluate_labels,
     inner_product,
     is_regular,
@@ -37,19 +42,21 @@ def ctx_for(label, name="flip"):
     return fold(d, automorphism_by_name(d, name))
 
 
-def random_regular_points(ctx, count, seed=0):
+def seeded_points(ctx, seed):
+    """Endless random combinations of the orbit fundamental coweights."""
     rng = random.Random(seed)
     cws = fundamental_coweights(ctx.orbit.datum)
-    points = []
-    while len(points) < count:
+    while True:
         xi = zero_vec(ctx.base.ambient_dim)
         for cw in cws:
             c = Fraction(rng.randint(1, 400), rng.randint(401, 997))
             xi = vadd(xi, vscale(c, cw))
-        pt = TorusPoint(xi)
-        if is_regular(ctx, pt):
-            points.append(pt)
-    return points
+        yield TorusPoint(xi)
+
+
+def random_regular_points(ctx, count, seed=0):
+    regular = (pt for pt in seeded_points(ctx, seed) if is_regular(ctx, pt))
+    return list(islice(regular, count))
 
 
 def test_denominator_a2():
@@ -85,6 +92,33 @@ def test_evaluate_labels_matches_evaluate():
         for pt in random_regular_points(ctx, 3, seed=5):
             value = evaluate_labels(terms.items(), label_phases(ctx, pt.xi))
             assert value == poly.evaluate(gram, pt.xi)
+
+
+@pytest.mark.parametrize(
+    "group,name", [(g, n) for g, n, _, _ in checks.FOLDINGS] + [("A2", "flip")]
+)
+def test_torus_values_match_ambient_references(group, name):
+    """Every value at a torus point, read from the integer label phases,
+    equals its ambient Fraction reference bit for bit, at regular points and
+    at the alcove vertices, which lie on walls."""
+    ctx = checks.context(group, name)
+    gram = ctx.base.ambient_gram
+    chi = twining_character(ctx, ctx.base.highest_root)
+    delta = weyl_denominator(ctx)
+    vertices = [TorusPoint(v) for v in fundamental_alcove(ctx).vertices]
+    points = list(islice(seeded_points(ctx, seed=13), 3))
+    for pt in points + vertices:
+        gx = mat_vec(gram, pt.xi)
+        phases = [vdot(alpha, gx) for alpha in ctx.orbit.datum.positive_roots]
+        regular = all(p.denominator != 1 for p in phases)
+        angles = [2 * math.pi * float(p % 1) for p in phases]
+        norm_sq = math.prod(4 * math.sin(a / 2) ** 2 for a in angles)
+        assert is_regular(ctx, pt) == regular
+        assert denominator_norm_sq(ctx, pt.xi) == norm_sq
+        assert chi.eval(ctx, pt) == chi.poly.evaluate(gram, pt.xi)
+        assert delta.eval(ctx, pt) == delta.poly.evaluate(gram, pt.xi)
+    assert all(is_regular(ctx, pt) for pt in points)
+    assert not any(is_regular(ctx, pt) for pt in vertices)
 
 
 def test_twining_character_trivial_weight():
@@ -200,26 +234,40 @@ def test_multiplicativity():
     assert dec.get(vscale(2, lam)) == 1
 
 
+@lru_cache(maxsize=None)
+def reference_denominator(ctx):
+    """Delta = prod over positive orbit roots of (1 - e^{-alpha}), multiplied
+    out by ambient convolution."""
+    dim = ctx.base.ambient_dim
+    poly = FourierPolynomial.constant(dim)
+    for alpha in ctx.orbit.datum.positive_roots:
+        poly = poly * FourierPolynomial({zero_vec(dim): 1, vneg(alpha): -1})
+    return poly
+
+
 def reference_inner_product(ctx, f, g):
     """(1/|W_O|) CT(conj(f) g Delta conj(Delta)) by ambient convolution."""
-    delta = weyl_denominator(ctx).poly
+    delta = reference_denominator(ctx)
     product = f.conj() * g * delta * delta.conj()
     return Fraction(product.constant_term(ctx.base.ambient_dim), ctx.orbit_weyl_order)
 
 
 def test_signed_rho_orbit_is_shifted_denominator():
-    """J(rho) = e^rho Delta, both in orbit Dynkin labels."""
+    """J(rho) = e^rho Delta in orbit Dynkin labels, and weyl_denominator is
+    Delta, against the product multiplied out."""
     for group, name, _, _ in checks.FOLDINGS:
         ctx = checks.context(group, name)
         datum = ctx.orbit.datum
+        delta = reference_denominator(ctx)
         rho = datum.labels_of(ctx.orbit.half_sum)
         shifted = {
             tuple(a + b for a, b in zip(datum.labels_of(mu), rho)): c
-            for mu, c in weyl_denominator(ctx).poly.terms.items()
+            for mu, c in delta.terms.items()
         }
         orbit = dict(_signed_orbit(ctx, ctx.orbit.half_sum))
         assert len(orbit) == ctx.orbit_weyl_order
         assert orbit == shifted, (group, name)
+        assert weyl_denominator(ctx).poly == delta, (group, name)
 
 
 def _monomial_sums(datum):
