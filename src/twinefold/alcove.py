@@ -2,10 +2,11 @@
 
 The affine group is the semidirect product of translations by the orbit
 coroot lattice with the orbit Weyl group; its fundamental alcove in the fixed
-subspace parametrizes twisted conjugacy classes.  Point folding, stabilizer
-root data from the extended-diagram deletion rule, and the Jacobian of the
-conjugation map all live here.  Group elements are a translation by the
-orbit coroot lattice followed by a word of affine reflections, never
+subspace parametrizes twisted conjugacy classes.  Point folding and
+stabilizer root data from the extended-diagram deletion rule live here; the
+Jacobian of the twisted conjugation map at exp(xi) is |T^kappa cap T_kappa|
+times ``twining.denominator_norm_sq``.  Group elements are a translation by
+the orbit coroot lattice followed by a word of affine reflections, never
 matrices: the sign of the linear part is the parity of the word length.
 """
 
@@ -23,7 +24,6 @@ from .rootcore import (
     invariant_factors,
     root_datum_from_simple_roots,
 )
-from .twining import denominator_norm_sq
 
 FOLD_ITERATION_CAP = 100000
 
@@ -142,11 +142,6 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
     return alc
 
 
-def _check_fixed(ctx: FoldingContext, xi: Vec) -> None:
-    if ctx.apply_kappa(xi) != xi:
-        raise AlcoveError("point does not lie in the fixed subspace")
-
-
 def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     """Affine-Weyl representative in the closed alcove, with the group element.
 
@@ -159,7 +154,8 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     the closed alcove, and a point of the box, get no translation: on a wall
     the folding element is not unique, and these keep the one the walk gives.
     """
-    _check_fixed(ctx, xi)
+    if ctx.apply_kappa(xi) != xi:
+        raise AlcoveError("point does not lie in the fixed subspace")
     dim = ctx.base.ambient_dim
     alc = fundamental_alcove(ctx)
     *floors, ceiling = alc.walls
@@ -268,13 +264,3 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
         pi1_free_rank=fixed_integral.rank - len(rows),
     )
 
-
-def det_diff_conj(ctx: FoldingContext, xi: Vec) -> float:
-    """Jacobian of the twisted conjugation map at exp(xi).
-
-    |T^kappa cap T_kappa| times |Delta(exp xi)|^2, the latter by the product
-    formula (``twining.denominator_norm_sq``); vanishes exactly on the affine
-    walls.
-    """
-    _check_fixed(ctx, xi)
-    return ctx.fixed_intersection.order * denominator_norm_sq(ctx, xi)

@@ -218,9 +218,7 @@ def _unit_axiom(group, name, k) -> Outcome:
 
 
 def _indexed_table(table) -> list[list[int]]:
-    index = {w: i for i, w in enumerate(table.level.level_weights)}
-    return sorted([index[l], index[m], index[n], v]
-                  for (l, m, n), v in table.coefficients.items())
+    return sorted([l, m, n, v] for (l, m, n), v in table.coefficients.items())
 
 
 def _rank_one_table(k) -> Outcome:

@@ -248,14 +248,14 @@ def cmd_fusion(args) -> dict:
     table = fusion_table(ctx, args.level)
     level = table.level
 
-    coords = {lam: weight_from_ambient(ctx, lam) for lam in level.level_weights}
-    weights = sorted(coords, key=coords.get)
-    name = {lam: format_vector(coords[lam]) for lam in weights}
+    coords = [weight_from_ambient(ctx, lam) for lam in level.level_weights]
+    weights = sorted(range(len(coords)), key=coords.__getitem__)
+    name = [format_vector(c) for c in coords]
     entries = []
     for lam in weights:
         for mu in weights:
             for nu in weights:
-                n = table.get(lam, mu, nu)
+                n = table.coefficients[lam, mu, nu]
                 if n:
                     entries.append([name[lam], name[mu], name[nu], n])
     return {

@@ -198,6 +198,8 @@ class FoldingContext:
     """Everything derived from a base root datum and a diagram automorphism."""
 
     def __init__(self, base: RootDatum, kappa: DiagramAutomorphism):
+        if not base.reduced:
+            raise FoldingError(f"{base.type_label} is not a reduced root system")
         if len(kappa.permutation) != base.rank:
             raise FoldingError("automorphism rank mismatch")
         if not _preserves_cartan(base.cartan, kappa.permutation):

@@ -1,9 +1,9 @@
 """Level-k fusion of twining characters by two independent routes.
 
-The ring of kappa-fixed highest weights multiplies through orbit-system
-character polynomials.  At level k the basic rescaling of the invariant form
-fixes the dual Coxeter number, the finite set of level weights, and the
-regular torus points s_lambda; fusion coefficients come out of the
+The ring of kappa-fixed highest weights multiplies by the Racah-Speiser rule
+in the orbit system's Dynkin labels.  At level k the basic rescaling of the
+invariant form fixes the dual Coxeter number, the finite set of level weights,
+and the regular torus points s_lambda; fusion coefficients come out of the
 Verlinde-type sum over those points and, independently, out of the shifted
 affine folding of ordinary tensor multiplicities.  The two must agree.
 
@@ -11,7 +11,8 @@ The affine route is the Kac-Walton formula (Kac, Infinite-Dimensional Lie
 Algebras, Ex. 13.35; Walton, Nucl. Phys. B 340 (1990) 777) and runs on the
 orbit system's integer Dynkin labels: tensor products by the Racah-Speiser
 rule (``_product_labels``), then the rho-shifted level-k affine folding
-(``_fold_labels``).  Ambient vectors appear only at the API boundary.
+(``_fold_labels``).  Inside a level, a weight is its index in
+``LevelData.level_weights``; ambient vectors appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -26,19 +27,18 @@ from .folding import FoldingContext
 from .rootcore import (
     Labels,
     RootDatum,
-    dominant_labels,
+    dominant_conjugate,
     label_character,
     label_dimension,
     regular_dominant_labels,
 )
 from .twining import (
     TorusPoint,
-    denominator_norm_sq,
+    _norm_sq_at,
+    _root_residues,
     evaluate_labels,
-    highest_labels,
-    is_regular,
     label_phases,
-    twining_labels,
+    twining_character,
 )
 
 INTEGRALITY_TOL = 1e-6
@@ -122,9 +122,10 @@ def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingEle
     datum = ctx.orbit.datum
     total: dict[Labels, int] = {}
     for lam, m in a.coeffs:
-        la = highest_labels(ctx, lam)
+        la = twining_character(ctx, lam).labels
         for mu, n in b.coeffs:
-            for nu, c in _product_labels(datum, la, highest_labels(ctx, mu)).items():
+            lb = twining_character(ctx, mu).labels
+            for nu, c in _product_labels(datum, la, lb).items():
                 total[nu] = total.get(nu, 0) + m * n * c
     out: dict[Vec, int] = {}
     for labels, c in total.items():
@@ -163,19 +164,24 @@ def trace0(ctx: FoldingContext, a: RingElement) -> int:
 class LevelData:
     """The level-k weights and s-points, and the affine alcove in labels.
 
-    With m = labels(lam + rho) on the orbit system, the open alcove of the
-    rho-shifted action is m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
+    Level weight i has orbit Dynkin labels ``labels[i]`` and s-point
+    ``s_points[i]`` with ``label_phases`` frame ``phases[i]``.  With
+    m = labels(lam + rho), the open alcove of the rho-shifted action is
+    m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
     """
 
     k: int
     rescale: Fraction            # basic form = rescale * ambient form
     dual_coxeter: int
     level_weights: tuple[Vec, ...]
+    labels: tuple[Labels, ...]
     s_points: tuple[TorusPoint, ...]
+    phases: tuple[tuple[tuple[int, ...], int], ...]
     t_group_order: int
     comarks: tuple[int, ...]     # <omega_i, theta^vee> of the orbit system
     theta_labels: Labels         # the orbit highest root theta in labels
-    by_labels: dict[Labels, Vec] = field(compare=False, repr=False)
+    label_index: dict[Labels, int] = field(compare=False, repr=False)
+    weight_index: dict[Vec, int] = field(compare=False, repr=False)  # public getters
 
 
 def basic_rescale(ctx: FoldingContext) -> Fraction:
@@ -241,6 +247,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     if any(a <= 0 for a in comarks):
         raise FusionError("a weight generator pairs non-positively with theta")
 
+    # (weight, its orbit Dynkin labels, which are combo)
     weights = []
     for combo in itertools.product(*(range(k // a + 1) for a in comarks)):
         if sum(ci * a for ci, a in zip(combo, comarks)) > k:
@@ -248,28 +255,34 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         lam = zero_vec(ctx.base.ambient_dim)
         for ci, g in zip(combo, gens):
             lam = vadd(lam, vscale(ci, g))
-        weights.append(lam)
+        weights.append((lam, combo))
     weights.sort()
 
     shift = Fraction(1, (k + h)) / c
     rho = ctx.orbit.half_sum
-    points = []
-    for lam in weights:
+    points, phases = [], []
+    for lam, _ in weights:
         pt = TorusPoint(vscale(shift, vadd(lam, rho)))
-        if not is_regular(ctx, pt):
+        frame = label_phases(ctx, pt.xi)
+        if 0 in _root_residues(ctx, frame):
             raise FusionError("level point is not regular")
         points.append(pt)
+        phases.append(frame)
 
+    level_weights, labels = zip(*weights)
     return LevelData(
         k=k,
         rescale=c,
         dual_coxeter=h,
-        level_weights=tuple(weights),
+        level_weights=level_weights,
+        labels=labels,
         s_points=tuple(points),
+        phases=tuple(phases),
         t_group_order=_sum_lattice_index(ctx, shift),
         comarks=tuple(comarks),
         theta_labels=orbit.labels_of(theta),
-        by_labels={dominant_labels(orbit, lam): lam for lam in weights},
+        label_index={m: i for i, m in enumerate(labels)},
+        weight_index={lam: i for i, lam in enumerate(level_weights)},
     )
 
 
@@ -280,14 +293,14 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
 
 def _fold_labels(
     datum: RootDatum, level: LevelData, m: Labels
-) -> tuple[int, Vec] | None:
+) -> tuple[int, int] | None:
     """Fold m = labels(sigma + rho) into the open alcove of ``level``.
 
     Finite simple reflections make m dominant; the affine wall
     sum a_i^vee m_i = k + h reflects m -> m - (sum a_i^vee m_i - (k + h)) theta,
     which is the reflection of ``fundamental_alcove``'s ceiling rescaled by
-    k + h.  Returns (sign, level weight m - rho), the sign the parity of the
-    reflections, or None when m lies on a wall.
+    k + h.  Returns (sign, index of the level weight m - rho), the sign the
+    parity of the reflections, or None when m lies on a wall.
     """
     height = level.k + level.dual_coxeter
     sign = 1
@@ -304,10 +317,10 @@ def _fold_labels(
             return None
         m = tuple(x - excess * t for x, t in zip(m, level.theta_labels))
         sign = -sign
-    lam = level.by_labels.get(tuple(x - 1 for x in m))
-    if lam is None:
+    i = level.label_index.get(tuple(x - 1 for x in m))
+    if i is None:
         raise FusionError("affine folding left the level weight set")
-    return sign, lam
+    return sign, i
 
 
 def phi_project(
@@ -321,7 +334,8 @@ def phi_project(
     if ctx.apply_kappa(lam) != lam or not ctx.base.is_dominant_integral(lam):
         raise FusionError("weight is not kappa-fixed dominant integral")
     datum = ctx.orbit.datum
-    return _fold_labels(datum, level, tuple(x + 1 for x in datum.labels_of(lam)))
+    folded = _fold_labels(datum, level, tuple(x + 1 for x in datum.labels_of(lam)))
+    return None if folded is None else (folded[0], level.level_weights[folded[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -333,53 +347,61 @@ def phi_project(
 class LevelValues:
     """Everything the Verlinde sum at one level reads, each value computed once.
 
-    ``characters[lam][i]`` is chi_lam(s_i) for every level weight lam;
-    ``weights[i]`` is |J(rho)(s_i)|^2 / |T|; ``dual`` maps nu to nu*.
+    ``characters[i][p]`` is chi_i(s_p) for level weights i and p;
+    ``weights[p]`` is |J(rho)(s_p)|^2 / |T|; ``dual[i]`` is the index of i*.
     """
 
-    characters: dict[Vec, tuple[complex, ...]]
+    characters: tuple[tuple[complex, ...], ...]
     weights: tuple[float, ...]
-    dual: dict[Vec, Vec]
+    dual: tuple[int, ...]
 
 
 def level_values(ctx: FoldingContext, level: LevelData) -> LevelValues:
-    """The value table of ``level``, built on first use and kept on the context."""
+    """The value table of ``level``, built on first use and kept on the context;
+    it reads the phase frames of ``level_data``."""
     table = ctx._level_values.get(level.k)
     if table is not None:
         return table
-    phases = [label_phases(ctx, pt.xi) for pt in level.s_points]
-    characters = {}
-    for lam in level.level_weights:
-        terms = twining_labels(ctx, lam).items()
-        characters[lam] = tuple(evaluate_labels(terms, ph) for ph in phases)
-    weights = tuple(
-        denominator_norm_sq(ctx, pt.xi) / level.t_group_order for pt in level.s_points
+    datum = ctx.orbit.datum
+    characters = tuple(
+        tuple(evaluate_labels(terms, ph) for ph in level.phases)
+        for terms in (label_character(datum, m).items() for m in level.labels)
     )
-    dual = {nu: dual_weight(ctx, nu) for nu in level.level_weights}
-    for nu, nu_star in dual.items():
-        if nu_star not in characters:
-            raise FusionError(f"the dual of level weight {nu} is not a level weight")
-    table = ctx._level_values[level.k] = LevelValues(characters, weights, dual)
+    weights = tuple(_norm_sq_at(ctx, ph) / level.t_group_order for ph in level.phases)
+    dual = []
+    for lam, m in zip(level.level_weights, level.labels):
+        # -w0(lam): the dominant conjugate of -lam
+        i = level.label_index.get(dominant_conjugate(datum, tuple(-x for x in m))[1])
+        if i is None:
+            raise FusionError(f"the dual of level weight {lam} is not a level weight")
+        dual.append(i)
+    table = ctx._level_values[level.k] = LevelValues(characters, weights, tuple(dual))
     return table
+
+
+def _indices(level: LevelData, lam: Vec, mu: Vec, nu: Vec) -> tuple[int, int, int]:
+    index = level.weight_index
+    try:
+        return index[lam], index[mu], index[nu]
+    except KeyError:
+        raise FusionError("weight is not a level weight") from None
 
 
 def verlinde_coefficient(
     ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
 ) -> int:
     """N_{lam mu}^nu by the Verlinde sum over the s-points of ``level``."""
-    return _verlinde(ctx, level, lam, mu, nu)[0]
+    return _verlinde(ctx, level, *_indices(level, lam, mu, nu))[0]
 
 
 def _verlinde(
-    ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
+    ctx: FoldingContext, level: LevelData, lam: int, mu: int, nu: int
 ) -> tuple[int, float]:
-    """Verlinde coefficient and the distance of its sum to that integer."""
+    """Verlinde coefficient of level-weight indices and the distance of its
+    sum to that integer."""
     table = level_values(ctx, level)
     chi = table.characters
-    try:
-        values = chi[lam], chi[mu], chi[table.dual[nu]]
-    except KeyError:
-        raise FusionError("weight is not a level weight") from None
+    values = chi[lam], chi[mu], chi[table.dual[nu]]
     total = sum(w * a * b * c for w, a, b, c in zip(table.weights, *values))
     nearest = round(total.real)
     residual = abs(total - nearest)
@@ -395,9 +417,10 @@ def _verlinde(
 
 def _folded_product(
     datum: RootDatum, level: LevelData, lam: Labels, mu: Labels
-) -> dict[Vec, int]:
-    """The affine-folded tensor product of two highest weights given by labels."""
-    folded: dict[Vec, int] = {}
+) -> dict[int, int]:
+    """The affine-folded tensor product of two highest weights given by
+    labels, keyed by level-weight index."""
+    folded: dict[int, int] = {}
     for sigma, m in _product_labels(datum, lam, mu).items():
         projected = _fold_labels(datum, level, tuple(x + 1 for x in sigma))
         if projected is not None:
@@ -406,42 +429,35 @@ def _folded_product(
     return folded
 
 
-def algebraic_coefficient(
-    ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
-) -> int:
-    """Coefficient of nu in the affine-folded tensor product of lam and mu."""
-    la, lb = highest_labels(ctx, lam), highest_labels(ctx, mu)
-    return _folded_product(ctx.orbit.datum, level, la, lb).get(nu, 0)
-
-
 @dataclass(frozen=True)
 class FusionTable:
     level: LevelData
-    coefficients: dict[tuple[Vec, Vec, Vec], int]
+    coefficients: dict[tuple[int, int, int], int]  # by level-weight indices
     max_residual: float  # largest |Verlinde sum - nearest integer| over entries
 
     def get(self, lam: Vec, mu: Vec, nu: Vec) -> int:
-        return self.coefficients[(lam, mu, nu)]
+        return self.coefficients[_indices(self.level, lam, mu, nu)]
 
 
 def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
     """Full table with every entry computed by both routes; they must agree."""
     level = level_data(ctx, k)
     datum = ctx.orbit.datum
-    labels = {lam: m for m, lam in level.by_labels.items()}
-    coeffs: dict[tuple[Vec, Vec, Vec], int] = {}
+    labels = level.labels
+    n = len(labels)
+    coeffs: dict[tuple[int, int, int], int] = {}
     max_residual = 0.0
-    for lam, mu in itertools.combinations_with_replacement(level.level_weights, 2):
+    for lam, mu in itertools.combinations_with_replacement(range(n), 2):
         folded = _folded_product(datum, level, labels[lam], labels[mu])
-        for nu in level.level_weights:
+        for nu in range(n):
             n_verlinde, residual = _verlinde(ctx, level, lam, mu, nu)
             max_residual = max(max_residual, residual)
             n_phi = folded.get(nu, 0)
             if n_verlinde != n_phi:
+                a, b, c = (level.level_weights[i] for i in (lam, mu, nu))
                 raise FusionError(
                     "route disagreement at "
-                    f"({lam}, {mu}, {nu}): Verlinde {n_verlinde}, folded {n_phi}"
+                    f"({a}, {b}, {c}): Verlinde {n_verlinde}, folded {n_phi}"
                 )
-            coeffs[(lam, mu, nu)] = n_verlinde
-            coeffs[(mu, lam, nu)] = n_verlinde
+            coeffs[lam, mu, nu] = coeffs[mu, lam, nu] = n_verlinde
     return FusionTable(level, coeffs, max_residual)

@@ -1,9 +1,11 @@
 """Twining characters, the twisted Weyl denominator, and exact orthogonality.
 
-A twining character is represented by the character polynomial of the orbit
-system's irreducible with the same highest weight, supported on the kappa-fixed
-weight lattice of the base.  Evaluation at torus points is numeric; all
-structural identities (orthogonality, decomposition) are exact.
+A twining character is the character of the orbit system's irreducible with
+the same highest weight, supported on the kappa-fixed weight lattice of the
+base.  It keeps its highest weight's orbit Dynkin labels and is evaluated from
+the label-keyed character; ``.poly`` is that character in ambient vectors.
+Evaluation at torus points is numeric; all structural identities
+(orthogonality, decomposition) are exact.
 
 A torus point exp(xi) meets the orbit datum only in ``label_phases`` (integer
 numerators over one denominator): characters, J(rho), regularity and |J(rho)|^2
@@ -58,11 +60,11 @@ class Denominator:
 @dataclass(frozen=True)
 class TwiningCharacter:
     highest_weight: Vec
+    labels: Labels  # orbit Dynkin labels of the highest weight
     poly: FourierPolynomial
 
     def eval(self, ctx: FoldingContext, point: TorusPoint) -> complex:
-        datum = ctx.orbit.datum
-        terms = label_character(datum, dominant_labels(datum, self.highest_weight))
+        terms = label_character(ctx.orbit.datum, self.labels)
         return evaluate_labels(terms.items(), label_phases(ctx, point.xi))
 
     @property
@@ -87,19 +89,9 @@ def _require_admissible(ctx: FoldingContext, lam: Vec) -> None:
 
 def twining_character(ctx: FoldingContext, lam: Vec) -> TwiningCharacter:
     _require_admissible(ctx, lam)
-    return TwiningCharacter(lam, irreducible_character(ctx.orbit.datum, lam))
-
-
-def highest_labels(ctx: FoldingContext, lam: Vec) -> Labels:
-    """Orbit-system Dynkin labels of an admissible highest weight."""
-    _require_admissible(ctx, lam)
-    return dominant_labels(ctx.orbit.datum, lam)
-
-
-def twining_labels(ctx: FoldingContext, lam: Vec) -> dict[Labels, int]:
-    """The polynomial of ``twining_character(ctx, lam)`` keyed by the Dynkin
-    labels of the orbit system."""
-    return label_character(ctx.orbit.datum, highest_labels(ctx, lam))
+    datum = ctx.orbit.datum
+    labels = dominant_labels(datum, lam)
+    return TwiningCharacter(lam, labels, irreducible_character(datum, lam))
 
 
 def label_phases(ctx: FoldingContext, xi: Vec) -> tuple[tuple[int, ...], int]:
@@ -134,7 +126,11 @@ def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
     J(rho) = e^rho prod (1 - e^{-alpha}) over positive orbit roots, and
     |1 - e^{2 pi i t}|^2 = 4 sin^2(pi t); no Weyl-group traversal is needed.
     """
-    phases = label_phases(ctx, xi)
+    return _norm_sq_at(ctx, label_phases(ctx, xi))
+
+
+def _norm_sq_at(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> float:
+    """``denominator_norm_sq`` at the point whose ``label_phases`` are ``phases``."""
     return prod(4 * sin(pi * (r / phases[1])) ** 2 for r in _root_residues(ctx, phases))
 
 

@@ -118,6 +118,13 @@ def test_compute_errors_exit_one():
     assert "error" in doc
 
 
+def test_non_reduced_base_is_a_compute_error():
+    for command in ("fold", "alcove"):
+        code, doc = run_json([command, "BC2", "id"])
+        assert code == EXIT_COMPUTE
+        assert doc["error"]["type"] == "FoldingError"
+
+
 def test_verify_suites():
     for suite in ["tables", "lattices"]:
         code, doc = run_json(["verify", "--suite", suite])

@@ -248,6 +248,13 @@ def test_invalid_fold():
         fold(b2, flip)
 
 
+def test_fold_rejects_a_non_reduced_base():
+    for label in ("BC1", "BC2"):
+        bc = build_root_datum(label)
+        with pytest.raises(FoldingError, match="not a reduced root system"):
+            fold(bc, automorphism_by_name(bc, "id"))
+
+
 def test_fold_needs_simple_root_coordinates():
     # an A3 realized inside the five-dimensional space of A5
     ctx = ctx_for("A5")

@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinefold import checks, fusion
+from twinefold import checks, fusion, twining
 from twinefold.linalg import vadd, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
@@ -26,13 +26,13 @@ from twinefold.fusion import (
     INTEGRALITY_TOL,
     FusionError,
     RingElement,
-    algebraic_coefficient,
     basic_rescale,
     dual_coxeter_number,
     dual_weight,
     fusion_table,
     involution,
     level_data,
+    level_values,
     phi_project,
     ring_product,
     trace0,
@@ -180,7 +180,7 @@ def test_symmetric_in_first_two_slots():
     ctx = ctx_for("A3")
     table = fusion_table(ctx, 2)
     for (lam, mu, nu), n in table.coefficients.items():
-        assert table.get(mu, lam, nu) == n
+        assert table.coefficients[mu, lam, nu] == n
 
 
 def test_associativity_a2_level_two():
@@ -229,21 +229,8 @@ def test_a2_folding_matches_standalone_a1():
     for k in (1, 2, 3, 4):
         ta = fusion_table(ctx, k)
         tb = fusion_table(triv, k)
-        wa, wb = ta.level.level_weights, tb.level.level_weights
-        assert len(wa) == len(wb) == k + 1
-        ia = {w: i for i, w in enumerate(wa)}
-        ib = {w: i for i, w in enumerate(wb)}
-        fa = {(ia[l], ia[m], ia[n]): v for (l, m, n), v in ta.coefficients.items()}
-        fb = {(ib[l], ib[m], ib[n]): v for (l, m, n), v in tb.coefficients.items()}
-        assert fa == fb
-
-
-def test_algebraic_coefficient_matches_table():
-    ctx = ctx_for("A2")
-    table = fusion_table(ctx, 3)
-    ld = table.level
-    for (lam, mu, nu), n in table.coefficients.items():
-        assert algebraic_coefficient(ctx, ld, lam, mu, nu) == n
+        assert len(ta.level.level_weights) == len(tb.level.level_weights) == k + 1
+        assert ta.coefficients == tb.coefficients
 
 
 def test_denominator_product_formula_matches_alternating_sum():
@@ -277,6 +264,20 @@ def test_dual_weight_permutes_level_weights():
         ctx = ctx_for(label, name)
         ws = level_data(ctx, k).level_weights
         assert sorted(dual_weight(ctx, nu) for nu in ws) == sorted(ws)
+
+
+def test_fusion_table_builds_one_phase_frame_per_s_point(monkeypatch):
+    calls = []
+    label_phases = twining.label_phases
+
+    def counted(ctx, xi):
+        calls.append(xi)
+        return label_phases(ctx, xi)
+
+    for module in (twining, fusion):
+        monkeypatch.setattr(module, "label_phases", counted)
+    table = fusion_table(ctx_for("A3"), 2)
+    assert calls == [pt.xi for pt in table.level.s_points]
 
 
 def test_fusion_table_skips_weyl_traversal_and_reports_residual():
@@ -321,6 +322,40 @@ def test_ring_product_matches_character_product(case, data):
     assert ring_product(ctx, a, b).as_dict() == {
         lam: c for lam, c in expected.items() if c
     }
+
+
+# each (folding, level) whose table takes at most ~0.1 s: k = 1 on every case,
+# k = 2 on all but D5 and D6 flip
+RING_LAW_TABLES = [(case, 1) for case in FOLDING_CASES] + [
+    (case, 2) for case in FOLDING_CASES if case not in {("D5", "flip"), ("D6", "flip")}
+]
+
+
+@lru_cache(maxsize=None)
+def table_for(case, k):
+    return fusion_table(checks.context(*case), k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case_k=st.sampled_from(RING_LAW_TABLES), data=st.data())
+def test_fusion_ring_laws(case_k, data):
+    """Commutativity, the unit, N_{lam mu}^nu = N_{lam nu*}^{mu*} and
+    associativity at a random triple of level-weight indices."""
+    case, k = case_k
+    table = table_for(case, k)
+    n = table.coefficients
+    level = table.level
+    size = len(level.labels)
+    lam, mu, nu = data.draw(st.tuples(*[st.integers(0, size - 1)] * 3))
+    unit = level.labels.index((0,) * len(level.labels[0]))
+    dual = level_values(checks.context(*case), level).dual
+    assert n[lam, mu, nu] == n[mu, lam, nu]
+    assert n[unit, mu, nu] == int(mu == nu)
+    assert n[lam, mu, nu] == n[lam, dual[nu], dual[mu]]
+    for rho in range(size):
+        left = sum(n[lam, mu, x] * n[x, nu, rho] for x in range(size))
+        right = sum(n[mu, nu, x] * n[lam, x, rho] for x in range(size))
+        assert left == right
 
 
 @lru_cache(maxsize=None)

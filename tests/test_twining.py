@@ -16,6 +16,7 @@ from twinefold.rootcore import (
     build_root_datum,
     decompose_into_irreducibles,
     irreducible_character,
+    label_character,
 )
 from twinefold.folding import automorphism_by_name, fold, fundamental_coweights
 from twinefold.twining import (
@@ -30,7 +31,6 @@ from twinefold.twining import (
     jantzen_eval,
     label_phases,
     twining_character,
-    twining_labels,
     weyl_denominator,
 )
 
@@ -85,9 +85,9 @@ def test_evaluate_labels_matches_evaluate():
     for label, name in [("A3", "flip"), ("D4", "rot"), ("A4", "flip")]:
         ctx = ctx_for(label, name)
         gram = ctx.base.ambient_gram
-        lam = vscale(2, ctx.base.highest_root)
-        poly = twining_character(ctx, lam).poly
-        terms = twining_labels(ctx, lam)
+        chi = twining_character(ctx, vscale(2, ctx.base.highest_root))
+        poly = chi.poly
+        terms = label_character(ctx.orbit.datum, chi.labels)
         assert {ctx.orbit.datum.from_labels(u): c for u, c in terms.items()} == poly.terms
         for pt in random_regular_points(ctx, 3, seed=5):
             value = evaluate_labels(terms.items(), label_phases(ctx, pt.xi))
