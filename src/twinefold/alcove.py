@@ -248,10 +248,10 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     coroots = tuple(dual_sub.coroot(a) for a in dual_sub.simple_roots)
     rows = []
     for c in coroots:
-        coords = fixed_integral.coords_of(c)
-        if coords is None or any(e.denominator != 1 for e in coords):
+        coords = fixed_integral.integral_coords(c)
+        if coords is None:
             raise AlcoveError("stabilizer coroot lattice escapes the integral lattice")
-        rows.append([int(e) for e in coords])
+        rows.append(coords)
     torsion = tuple(d for d in invariant_factors(rows) if d != 1)
     return StabilizerDatum(
         surviving=tuple(surviving),

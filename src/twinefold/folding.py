@@ -11,8 +11,11 @@ The finite group T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .linalg import Vec, vadd, vscale, zero_vec
+from .linalg import Vec, vadd, vneg, vscale, zero_vec
 from .rootcore import (
     FiniteAbelianGroup,
     Lattice,
@@ -398,8 +401,23 @@ class FoldingContext:
         }
         if expected_orbit != orbit_set:
             raise FoldingError("orbit root set mismatch")
-        for a in all_roots:
-            if base.coroot(self.project(a)) not in orbit_set:
+        # ||p(a)||^2 = (a, p(a)) = (1/|kappa|) sum_t (a, kappa^t a).  With unit
+        # simple roots a is its own simple-root coordinates, and
+        # (a, b) = sum_i <a, alpha_i^vee> (alpha_i, alpha_i)/2 b_i is an integer
+        # dot product over the common denominator of the half lengths
+        halves = [row[i] / 2 for i, row in enumerate(base.gram)]
+        den = lcm(*(x.denominator for x in halves))
+        weights = [x.numerator * (den // x.denominator) for x in halves]
+        order = self.kappa.order
+        for a, labels in zip(base.positive_roots, base._pos_labels):
+            covector = list(map(mul, weights, labels))  # den (a, alpha_i)
+            pairing, image = 0, tuple(int(x) for x in a)
+            for _ in range(order):
+                pairing += sum(map(mul, covector, image))
+                image = self.apply_kappa(image)
+            # the coroot 2 p(a) / ||p(a)||^2 of p(a) and that of p(-a)
+            dual = vscale(Fraction(2 * den * order, pairing), self.project(a))
+            if dual not in orbit_set or vneg(dual) not in orbit_set:
                 raise FoldingError("orbit system is not the dual of the folded one")
 
         self._assemble_lattices(folded_datum, orbit_datum, a_even=False)

@@ -7,8 +7,11 @@ lattice membership tests must never go through floats.
 
 One Gauss-Jordan routine, ``_row_reduce``, does every rational elimination:
 ``rank_of``, ``solve``, ``mat_inv`` and ``mat_det`` read its reduced rows,
-pivot columns and signed pivot product.  Integer lattices go through the
-Smith normal form instead.
+pivot columns and signed pivot product.  Lattice membership never goes
+through it: ``integer_echelon`` row-reduces an integer basis over Z with gcd
+row operations (once per ``rootcore.Lattice``), and ``echelon_coords`` reads a
+vector's integer coordinates off that echelon.  Quotients of lattices go
+through the Smith normal form.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def vscale(c, u: Vec) -> Vec:
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    # simple roots are unit vectors and Gram rows are sparse: skip zero factors
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
 
 
 def is_zero_vec(u: Vec) -> bool:
@@ -85,7 +89,8 @@ def mat_scale(c, m: Matrix) -> Matrix:
 
 
 def bilinear(g: Matrix, u: Vec, v: Vec) -> Fraction:
-    return vdot(u, mat_vec(g, v))
+    # u^T g v, reading only the rows of g where u is non-zero
+    return sum((a * vdot(row, v) for a, row in zip(u, g, strict=True) if a), ZERO)
 
 
 def _row_reduce(
@@ -117,7 +122,7 @@ def _row_reduce(
         for i, row in enumerate(a):
             if i != r and row[col]:
                 f = row[col]
-                a[i] = [e - f * q for e, q in zip(row, a[r])]
+                a[i] = [e - f * q if q else e for e, q in zip(row, a[r])]
         pivots.append(col)
     return a, pivots, det
 
@@ -258,6 +263,63 @@ def smith_normal_form(
             u[t] = [-x for x in u[t]]
         t += 1
     return u, s, v
+
+
+def integer_echelon(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Row echelon form of an integer matrix over Z.
+
+    Returns (pivot column, row, combination) triples with increasing pivot
+    columns, where each row is the integer combination
+    ``combination`` of the input rows.  Each column is cleared below its pivot
+    by the Euclidean algorithm on the rows (subtract integer multiples of the
+    row with the smallest entry there), so every step is unimodular and the
+    rows span the same Z-module as the input.  Zero rows are dropped: the
+    number of triples is the rank.  See Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.
+    """
+    n = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    # each row carries its combination of the input rows in columns ncols...
+    rest = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    echelon = []
+    for col in range(ncols):
+        live = [row for row in rest if row[col]]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[col]))
+            for row in live:
+                if row is not p:
+                    q = row[col] // p[col]
+                    row[col:] = [x - q * y for x, y in zip(row[col:], p[col:])]
+            live = [row for row in live if row[col]]
+        if live:
+            p = live[0]
+            rest = [row for row in rest if row is not p]
+            echelon.append((col, tuple(p[:ncols]), tuple(p[ncols:])))
+    return tuple(echelon)
+
+
+def echelon_coords(
+    echelon: Sequence[tuple[int, Sequence[int], Sequence[int]]], w: Sequence[int]
+) -> list[int] | None:
+    """Integer coordinates of ``w`` in the input rows of ``integer_echelon``,
+    or None when ``w`` is not in their Z-span.
+
+    ``w`` is reduced to zero against the echelon rows; the multiples taken
+    are its coordinates in those rows, and their combinations turn them into
+    coordinates in the input rows.
+    """
+    w = list(w)
+    coords = [0] * len(echelon[0][2]) if echelon else []
+    for col, row, combination in echelon:
+        q, r = divmod(w[col], row[col])
+        if r:
+            return None
+        if q:
+            w[col:] = [x - q * y for x, y in zip(w[col:], row[col:], strict=True)]
+            coords = [c + q * y for c, y in zip(coords, combination)]
+    return None if any(w) else coords
 
 
 def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import cos, factorial, fsum, lcm, pi, sin
+from operator import mul
 
 from .linalg import (
     Matrix,
@@ -33,12 +34,13 @@ from .linalg import (
     ONE,
     bilinear,
     coords_in_basis,
+    echelon_coords,
+    integer_echelon,
     invariant_factors,
     mat,
     mat_inv,
     mat_scale,
     mat_vec,
-    rank_of,
     vadd,
     vdot,
     vneg,
@@ -217,14 +219,29 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Z-span of linearly independent rational vectors."""
+    """Z-span of linearly independent rational vectors.
+
+    The basis is also kept as an integer echelon: scaled by the lcm ``den`` of
+    its denominators and row-reduced once over Z (``linalg.integer_echelon``).
+    That reduction is the independence check, and v lies in the lattice
+    exactly when den v is an integer vector that reduces to zero against the
+    echelon, so membership never solves a rational system.
+    """
 
     basis: tuple[Vec, ...]
     ambient_dim: int
+    _den: int = field(init=False, repr=False, compare=False)
+    _echelon: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.basis and rank_of(self.basis) != len(self.basis):
+        den = lcm(*(x.denominator for b in self.basis for x in b))
+        echelon = integer_echelon(
+            [[x.numerator * (den // x.denominator) for x in b] for b in self.basis]
+        )
+        if len(echelon) != len(self.basis):
             raise ValueError("lattice basis must be linearly independent")
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_echelon", echelon)
 
     @property
     def rank(self) -> int:
@@ -233,9 +250,20 @@ class Lattice:
     def coords_of(self, v: Vec) -> Vec | None:
         return coords_in_basis(self.basis, v)
 
+    def integral_coords(self, v: Vec) -> list[int] | None:
+        """Integer coordinates of v in the basis, or None when v is off the
+        lattice: ``coords_of`` for lattice vectors, without solving."""
+        den = self._den
+        w = []
+        for x in v:
+            q, r = divmod(den, x.denominator)
+            if r:
+                return None
+            w.append(x.numerator * q)
+        return echelon_coords(self._echelon, w)
+
     def contains(self, v: Vec) -> bool:
-        c = self.coords_of(v)
-        return c is not None and all(e.denominator == 1 for e in c)
+        return self.integral_coords(v) is not None
 
 
 def lattice(basis, ambient_dim: int) -> Lattice:
@@ -256,10 +284,10 @@ def lattice_quotient(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
         raise ValueError("lattice ranks differ; quotient is infinite")
     rows = []
     for b in sub.basis:
-        c = sup.coords_of(b)
-        if c is None or any(e.denominator != 1 for e in c):
+        c = sup.integral_coords(b)
+        if c is None:
             raise ValueError("first lattice is not contained in the second")
-        rows.append([int(e) for e in c])
+        rows.append(c)
     factors = invariant_factors(rows) if rows else ()
     if len(factors) != sub.rank:
         raise ValueError("degenerate quotient")
@@ -395,35 +423,45 @@ class RootDatum:
         self.reduced = reduced
 
         galpha, self.gram, self.cartan = _simple_root_pairings(simple_roots, ambient_gram)
-
-        pos_coords = _positive_roots_by_closure(self.cartan)
-        self.positive_roots = tuple(
-            self._from_coords(c) for c in pos_coords
-        ) + tuple(extra_positive_roots)
-        self._pos_coords = pos_coords
-
-        # fundamental weights: <w_i, alpha_j^vee> = delta_ij inside the span
-        cinv = mat_inv(mat(self.cartan))
-        self.fundamental_weights = tuple(
-            self._from_coords(tuple(cinv[j][i] for j in range(self.rank)))
-            for i in range(self.rank)
-        )
-        half = Fraction(1, 2)
-        self.weyl_vector = _vsum(
-            (vscale(half, a) for a in self.positive_roots), self.ambient_dim
-        )
-        rho_alt = _vsum(self.fundamental_weights, self.ambient_dim)
-        if self.reduced and self.weyl_vector != rho_alt:
-            raise RootSystemError(
-                "half-sum of positive roots disagrees with the sum of "
-                "fundamental weights"
-            )
-
         # G @ alpha_i^vee: each pairing <v, alpha_i^vee> is then one dot product
         self._coroot_covectors = tuple(
             vscale(2 / self.gram[i][i], ga) for i, ga in enumerate(galpha)
         )
-        self._init_label_frame(cinv)
+
+        # integer numerators over one denominator: ambient coordinate k of
+        # sum_j c_j alpha_j is (c . alpha_num[k]) / alpha_den
+        alpha_den = lcm(*(x.denominator for a in simple_roots for x in a))
+        alpha_num = [
+            [a[k].numerator * (alpha_den // a[k].denominator) for a in simple_roots]
+            for k in range(self.ambient_dim)
+        ]
+        pos_coords = _positive_roots_by_closure(self.cartan)
+        self.positive_roots = tuple(
+            tuple(Fraction(sum(map(mul, c, row)), alpha_den) for row in alpha_num)
+            for c in pos_coords
+        ) + tuple(extra_positive_roots)
+        # twice rho in simple-root coordinates, then the extra roots' half
+        rho2 = [sum(col) for col in zip(*pos_coords)]
+        rho = tuple(
+            Fraction(sum(map(mul, rho2, row)), 2 * alpha_den) for row in alpha_num
+        )
+        for beta in extra_positive_roots:
+            rho = vadd(rho, vscale(Fraction(1, 2), beta))
+        self.weyl_vector = rho
+
+        # fundamental weights: <w_i, alpha_j^vee> = delta_ij inside the span,
+        # i.e. the columns of A^-1 in simple-root coordinates
+        cinv = mat_inv(mat(self.cartan))
+        self._init_label_frame(cinv, pos_coords, alpha_num, alpha_den)
+        self.fundamental_weights = tuple(
+            self.from_labels(tuple(int(i == j) for j in range(self.rank)))
+            for i in range(self.rank)
+        )
+        if self.reduced and self.weyl_vector != self.from_labels((1,) * self.rank):
+            raise RootSystemError(
+                "half-sum of positive roots disagrees with the sum of "
+                "fundamental weights"
+            )
 
         # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels, and
         # the extra roots of a non-reduced datum through the ambient form
@@ -436,8 +474,9 @@ class RootDatum:
 
         self._char_cache: dict[Vec, FourierPolynomial] = {}
         self._label_char_cache: dict[Labels, dict[Labels, int]] = {}
+        self._label_dim_cache: dict[Labels, int] = {}
 
-    def _init_label_frame(self, cinv: Matrix) -> None:
+    def _init_label_frame(self, cinv: Matrix, pos_coords, alpha_num, alpha_den) -> None:
         """Integer data for weights given by their Dynkin labels.
 
         A weight mu = sum_i m_i omega_i is the integer tuple m with
@@ -450,7 +489,7 @@ class RootDatum:
         self._alpha_labels = tuple(zip(*self.cartan))
         self._pos_labels = tuple(
             tuple(sum(a * c for a, c in zip(row, coords)) for row in self.cartan)
-            for coords in self._pos_coords
+            for coords in pos_coords
         )
         form = [[cinv[i][j] * self.gram[i][i] / 2 for j in range(r)] for i in range(r)]
         den = lcm(*(x.denominator for row in form for x in row))
@@ -463,13 +502,15 @@ class RootDatum:
         )
         # D (nu, rho) = nu . (F rho), with rho = (1, ..., 1) in labels
         self._rho_covector = tuple(sum(row) for row in self._form)
-        # ambient coordinate k of sum_i m_i omega_i is (m . omega_num[k]) / omega_den
-        omega_den = lcm(*(x.denominator for w in self.fundamental_weights for x in w))
+        # ambient coordinate k of sum_i m_i omega_i is (m . omega_num[k]) / omega_den:
+        # omega_i has simple-root coordinates column i of A^-1 = cinv_num / cinv_den
+        cinv_den = lcm(*(x.denominator for row in cinv for x in row))
+        cinv_num = [[x.numerator * (cinv_den // x.denominator) for x in row] for row in cinv]
         self._omega_num = tuple(
-            tuple(int(w[k] * omega_den) for w in self.fundamental_weights)
-            for k in range(self.ambient_dim)
+            tuple(sum(map(mul, row, col)) for col in zip(*cinv_num))
+            for row in alpha_num
         )
-        self._omega_den = omega_den
+        self._omega_den = alpha_den * cinv_den
 
     # -- basic geometry ----------------------------------------------------
 
@@ -514,13 +555,6 @@ class RootDatum:
             for row in self._omega_num
         )
 
-    def _from_coords(self, coords) -> Vec:
-        out = zero_vec(self.ambient_dim)
-        for c, a in zip(coords, self.simple_roots, strict=True):
-            if c:
-                out = vadd(out, vscale(c, a))
-        return out
-
     # -- dominance and integrality ----------------------------------------
 
     def is_dominant(self, v: Vec) -> bool:
@@ -540,9 +574,15 @@ class RootDatum:
 
     def _dominant_root(self, norms: list[Fraction], target: Fraction) -> Vec | None:
         """Dominant positive root of squared length ``target``; None for
-        reducible systems (``norms`` lists the positive roots' lengths)."""
-        for beta, n in zip(self.positive_roots, norms):
-            if n == target and all(vdot(beta, c) >= 0 for c in self._coroot_covectors):
+        reducible systems (``norms`` lists the positive roots' lengths).
+        Dominance is read off the integer labels of the closure roots and,
+        for the extra roots of a non-reduced datum, through the covectors."""
+        extra = self.positive_roots[len(self._pos_labels):]
+        labels = self._pos_labels + tuple(
+            tuple(vdot(beta, c) for c in self._coroot_covectors) for beta in extra
+        )
+        for beta, n, m in zip(self.positive_roots, norms, labels):
+            if n == target and all(x >= 0 for x in m):
                 return beta
         return None
 
@@ -552,13 +592,6 @@ class RootDatum:
 
 def _unit(n: int, j: int) -> Vec:
     return tuple(ONE if i == j else ZERO for i in range(n))
-
-
-def _vsum(vectors, dim: int) -> Vec:
-    out = zero_vec(dim)
-    for v in vectors:
-        out = vadd(out, v)
-    return out
 
 
 def _as_int(x: Fraction) -> int:
@@ -892,15 +925,19 @@ def label_dimension(datum: RootDatum, lam: Labels) -> int:
 
     prod (lam+rho, alpha) / (rho, alpha) over the positive roots, each pairing
     one dot product of lam + rho with D (., alpha) (``_root_covectors``).
+    Memoized on the datum.
     """
-    shifted = [x + 1 for x in lam]
-    num = den = 1
-    for cov in datum._root_covectors:
-        num *= sum(x * c for x, c in zip(shifted, cov))
-        den *= sum(cov)
-    dim, rest = divmod(num, den)
-    if rest:
-        raise RootSystemError(f"Weyl dimension of {lam} is not an integer")
+    dim = datum._label_dim_cache.get(lam)
+    if dim is None:
+        shifted = [x + 1 for x in lam]
+        num = den = 1
+        for cov in datum._root_covectors:
+            num *= sum(x * c for x, c in zip(shifted, cov))
+            den *= sum(cov)
+        dim, rest = divmod(num, den)
+        if rest:
+            raise RootSystemError(f"Weyl dimension of {lam} is not an integer")
+        datum._label_dim_cache[lam] = dim
     return dim
 
 

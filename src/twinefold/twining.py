@@ -3,7 +3,8 @@
 A twining character is the character of the orbit system's irreducible with
 the same highest weight, supported on the kappa-fixed weight lattice of the
 base.  It keeps its highest weight's orbit Dynkin labels and is evaluated from
-the label-keyed character; ``.poly`` is that character in ambient vectors.
+the label-keyed character; ``.poly``, built on first access, is that
+character in ambient vectors.
 Evaluation at torus points is numeric; all structural identities
 (orthogonality, decomposition) are exact.
 
@@ -21,7 +22,7 @@ since |e^rho| = 1, <f, g> = (1/|W_O|) sum_u F_u G_u, F = f J(rho), G = g J(rho).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import cos, fsum, lcm, pi, prod, sin
 from operator import add, mul
@@ -31,10 +32,12 @@ from .folding import FoldingContext
 from .rootcore import (
     FourierPolynomial,
     Labels,
+    RootDatum,
     RootSystemError,
     dominant_labels,
     irreducible_character,
     label_character,
+    label_dimension,
     weyl_traverse,
 )
 
@@ -61,7 +64,13 @@ class Denominator:
 class TwiningCharacter:
     highest_weight: Vec
     labels: Labels  # orbit Dynkin labels of the highest weight
-    poly: FourierPolynomial
+    datum: RootDatum = field(repr=False, compare=False)  # the orbit datum
+
+    @property
+    def poly(self) -> FourierPolynomial:
+        """The character in ambient vectors, built on first access and
+        memoized per datum by ``irreducible_character``."""
+        return irreducible_character(self.datum, self.highest_weight)
 
     def eval(self, ctx: FoldingContext, point: TorusPoint) -> complex:
         terms = label_character(ctx.orbit.datum, self.labels)
@@ -69,7 +78,7 @@ class TwiningCharacter:
 
     @property
     def dimension_at_identity(self) -> int:
-        return self.poly.total_mass
+        return label_dimension(self.datum, self.labels)
 
 
 def weyl_denominator(ctx: FoldingContext) -> Denominator:
@@ -90,8 +99,7 @@ def _require_admissible(ctx: FoldingContext, lam: Vec) -> None:
 def twining_character(ctx: FoldingContext, lam: Vec) -> TwiningCharacter:
     _require_admissible(ctx, lam)
     datum = ctx.orbit.datum
-    labels = dominant_labels(datum, lam)
-    return TwiningCharacter(lam, labels, irreducible_character(datum, lam))
+    return TwiningCharacter(lam, dominant_labels(datum, lam), datum)
 
 
 def label_phases(ctx: FoldingContext, xi: Vec) -> tuple[tuple[int, ...], int]:

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twinefold.linalg import vadd, vdot, vec, vscale
+from twinefold.checks import FOLDINGS
+from twinefold.linalg import (
+    bilinear, coords_in_basis, mat, mat_inv, rank_of, vadd, vdot, vec, vscale,
+)
 from twinefold import rootcore
 from twinefold.folding import automorphism_by_name, fold
 from twinefold.rootcore import (
@@ -21,7 +24,9 @@ from twinefold.rootcore import (
     freudenthal_multiplicities,
     irreducible_character,
     is_of_type,
+    is_sublattice,
     lattice,
+    lattice_eq,
     lattice_quotient,
     regular_dominant_labels,
     standard_cartan_matrix,
@@ -285,6 +290,144 @@ def test_lattice_quotient_not_contained():
     half = lattice([vec(Fraction(1, 2), 0), vec(0, 1)], 2)
     with pytest.raises(ValueError):
         lattice_quotient(half, z2)
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _reference_contains(basis, v):
+    """Fraction membership: rational coordinates in the basis, all integral."""
+    c = coords_in_basis(basis, v)
+    return c is not None and all(x.denominator == 1 for x in c)
+
+
+def _unimodular_change(data, basis):
+    """The basis under random row swaps, sign flips and integer row additions."""
+    rows = [list(b) for b in basis]
+    for _ in range(data.draw(st.integers(0, 8))):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        op = data.draw(st.sampled_from(["swap", "negate", "add"]))
+        if op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-x for x in rows[i]]
+        elif i != j:
+            q = data.draw(st.integers(-3, 3))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return [tuple(r) for r in rows]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_lattice_membership_matches_fraction_reference(data):
+    dim = data.draw(st.integers(1, 6))
+    rank = data.draw(st.integers(1, dim))
+    basis = [
+        tuple(data.draw(st.lists(_RATIONAL, min_size=dim, max_size=dim)))
+        for _ in range(rank)
+    ]
+    if rank_of(basis) < rank:
+        with pytest.raises(ValueError, match="linearly independent"):
+            Lattice(tuple(basis), dim)
+        return
+    lat = Lattice(tuple(basis), dim)
+    ints = st.integers(-4, 4)
+    vectors = [
+        # in the span: integer and non-integral combinations of the basis
+        data.draw(st.lists(ints, min_size=rank, max_size=rank)),
+        [Fraction(c, data.draw(st.integers(1, 3)))
+         for c in data.draw(st.lists(ints, min_size=rank, max_size=rank))],
+    ]
+    vs = [
+        tuple(sum((c * b[k] for c, b in zip(cs, basis)), Fraction(0)) for k in range(dim))
+        for cs in vectors
+    ]
+    # and an arbitrary vector, mostly outside the span when rank < dim
+    vs.append(tuple(data.draw(st.lists(_RATIONAL, min_size=dim, max_size=dim))))
+    for v in vs:
+        assert lat.contains(v) == _reference_contains(basis, v), (basis, v)
+        coords = lat.integral_coords(v)
+        if coords is not None:
+            assert tuple(coords) == coords_in_basis(basis, v)
+    assert lat.contains(vs[0])
+
+    # the same lattice under a unimodular change of basis
+    other = Lattice(tuple(_unimodular_change(data, basis)), dim)
+    assert lattice_eq(lat, other)
+    # an index-2 sublattice is contained but not equal
+    doubled = Lattice((vscale(2, basis[0]),) + tuple(basis[1:]), dim)
+    assert is_sublattice(doubled, lat) and not lattice_eq(doubled, lat)
+    assert lattice_quotient(doubled, lat).invariant_factors == (2,)
+
+    # a dependent basis: an extra rational combination of the rows
+    extra = tuple(
+        sum((c * b[k] for c, b in zip(vectors[1], basis)), Fraction(0)) for k in range(dim)
+    )
+    with pytest.raises(ValueError, match="linearly independent"):
+        Lattice(tuple(basis) + (extra,), dim)
+
+
+def _reference_datum(d):
+    """positive_roots, weyl_vector, fundamental_weights, highest_root and
+    highest_short_root of d, each a sum c_i alpha_i in Fraction vectors."""
+    def combo(coords):
+        out = tuple(Fraction(0) for _ in range(d.ambient_dim))
+        for c, a in zip(coords, d.simple_roots):
+            out = vadd(out, vscale(c, a))
+        return out
+
+    closure = rootcore._positive_roots_by_closure(d.cartan)
+    extra = d.positive_roots[len(closure):]
+    positive = tuple(combo(c) for c in closure) + extra
+    rho = tuple(Fraction(0) for _ in range(d.ambient_dim))
+    for beta in positive:
+        rho = vadd(rho, vscale(Fraction(1, 2), beta))
+    cinv = mat_inv(mat(d.cartan))
+    weights = tuple(combo([cinv[j][i] for j in range(d.rank)]) for i in range(d.rank))
+
+    def norm(v):
+        return bilinear(d.ambient_gram, v, v)
+
+    def dominant_of_norm(target):
+        return next(
+            (b for b in positive if norm(b) == target
+             and all(bilinear(d.ambient_gram, b, a) >= 0 for a in d.simple_roots)),
+            None,
+        )
+
+    norms = [norm(b) for b in positive]
+    return positive, rho, weights, dominant_of_norm(max(norms)), dominant_of_norm(min(norms))
+
+
+_PINNED_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
+                 + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(4, 9)]
+                 + ["E6", "F4", "G2", "BC1", "BC3"])
+_PINNED_FOLDINGS = [(g, a) for g, a, _, _ in FOLDINGS] + [("A2", "flip")]
+
+
+def _assert_matches_reference(datum):
+    positive, rho, weights, theta, theta_s = _reference_datum(datum)
+    assert datum.positive_roots == positive
+    assert datum.weyl_vector == rho
+    assert datum.fundamental_weights == weights
+    assert datum.highest_root == theta
+    assert datum.highest_short_root == theta_s
+
+
+@pytest.mark.parametrize("label", _PINNED_TYPES)
+def test_root_datum_matches_fraction_reference(label):
+    _assert_matches_reference(build_root_datum(label))
+
+
+@pytest.mark.parametrize("group,name", _PINNED_FOLDINGS)
+def test_folded_and_orbit_data_match_fraction_reference(group, name):
+    base = build_root_datum(group)
+    ctx = fold(base, automorphism_by_name(base, name))
+    folded = ctx.folded
+    parts = ([folded.datum] if folded.datum is not None
+             else [folded.b_subsystem, folded.c_subsystem])
+    for datum in parts + [ctx.orbit.datum]:
+        _assert_matches_reference(datum)
 
 
 def test_classify():
