@@ -17,11 +17,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .linalg import Vec, identity, mat_vec, vadd, vdot, vscale, vsub, zero_vec
-from .folding import FoldingContext, fundamental_coweights
+from .folding import FoldingContext, coroot_lattice, fundamental_coweights
 from .rootcore import (
     FiniteAbelianGroup,
     RootDatum,
-    invariant_factors,
+    is_sublattice,
+    lattice_quotient,
     root_datum_from_simple_roots,
 )
 
@@ -245,14 +246,9 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     dual_sub = root_datum_from_simple_roots(stab_simple, base.ambient_gram)
 
     # coroot lattice of the stabilizer system, inside Lambda^kappa
-    coroots = tuple(dual_sub.coroot(a) for a in dual_sub.simple_roots)
-    rows = []
-    for c in coroots:
-        coords = fixed_integral.integral_coords(c)
-        if coords is None:
-            raise AlcoveError("stabilizer coroot lattice escapes the integral lattice")
-        rows.append(coords)
-    torsion = tuple(d for d in invariant_factors(rows) if d != 1)
+    coroots = coroot_lattice(dual_sub)
+    if not is_sublattice(coroots, fixed_integral):
+        raise AlcoveError("stabilizer coroot lattice escapes the integral lattice")
     return StabilizerDatum(
         surviving=tuple(surviving),
         includes_affine_node=includes_affine,
@@ -260,7 +256,7 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
         subsystem_label=sub.type_label,
         dual_subsystem=dual_sub,
         dual_label=dual_sub.type_label,
-        pi1=FiniteAbelianGroup(torsion),
-        pi1_free_rank=fixed_integral.rank - len(rows),
+        pi1=lattice_quotient(coroots, fixed_integral),
+        pi1_free_rank=fixed_integral.rank - coroots.rank,
     )
 

@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .linalg import Vec, coords_in_basis, vadd, vscale, zero_vec
+from .linalg import Vec, vadd, vscale, zero_vec
 from .rootcore import (
     RootSystemError,
     WeylOverflowError,
@@ -104,11 +104,8 @@ def point_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
 
 
 def point_from_ambient(ctx: FoldingContext, xi: Vec) -> Vec:
-    basis = [ctx.base.coroot(a) for a in ctx.base.simple_roots]
-    coords = coords_in_basis(basis, xi)
-    if coords is None:
-        raise ParseError("point lies outside the coroot span")
-    return coords
+    # the coefficient of alpha_i^vee is (omega_i, xi): <omega_i, alpha_j^vee> = delta_ij
+    return tuple(ctx.base.inner(w, xi) for w in ctx.base.fundamental_weights)
 
 
 def orbit_weight_coords(ctx: FoldingContext, lam: Vec) -> Vec:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
-import math
 
 from .linalg import Vec, vadd, vneg, vscale, zero_vec
 from .folding import FoldingContext
@@ -30,6 +29,8 @@ from .rootcore import (
     dominant_conjugate,
     label_character,
     label_dimension,
+    lattice_index,
+    lattice_span,
     regular_dominant_labels,
 )
 from .twining import (
@@ -200,34 +201,14 @@ def dual_coxeter_number(ctx: FoldingContext) -> int:
 
 
 def _sum_lattice_index(ctx: FoldingContext, scale: Fraction) -> int:
-    """Order of (scale * fixed-weight lattice + orbit coroot lattice) modulo
-    the orbit coroot lattice, via Smith normal form.  The fixed-weight lattice
-    is the weight lattice of the orbit datum."""
-    from .linalg import invariant_factors
-
+    """Index of the orbit coroot lattice in its sum with scale times the
+    fixed-weight lattice, which is the weight lattice of the orbit datum."""
     target = ctx.orbit.coroot_lattice
     gens = [vscale(scale, g) for g in ctx.orbit.datum.fundamental_weights]
-    coords = []
-    den = 1
-    for g in gens:
-        c = target.coords_of(g)
-        if c is None:
-            raise FusionError("rescaled weight lattice escapes the fixed subspace")
-        coords.append(c)
-        for e in c:
-            den = math.lcm(den, e.denominator)
-    r = target.rank
-    rows = [[int(e * den) for e in c] for c in coords]
-    rows += [[den * int(i == j) for j in range(r)] for i in range(r)]
-    factors = invariant_factors(rows)
-    if len(factors) != r:
-        raise FusionError("degenerate lattice sum")
-    order = den**r
-    for d in factors:
-        if order % d != 0:
-            raise FusionError("non-integral lattice index")
-        order //= d
-    return order
+    total = lattice_span(gens + list(target.basis), target.ambient_dim)
+    if total.rank != target.rank:
+        raise FusionError("rescaled weight lattice escapes the fixed subspace")
+    return lattice_index(target, total)
 
 
 def level_data(ctx: FoldingContext, k: int) -> LevelData:

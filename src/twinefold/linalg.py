@@ -10,12 +10,15 @@ One Gauss-Jordan routine, ``_row_reduce``, does every rational elimination:
 pivot columns and signed pivot product.  Lattice membership never goes
 through it: ``integer_echelon`` row-reduces an integer basis over Z with gcd
 row operations (once per ``rootcore.Lattice``), and ``echelon_coords`` reads a
-vector's integer coordinates off that echelon.  Quotients of lattices go
-through the Smith normal form.
+vector's integer coordinates off that echelon.  The Smith normal form of a
+quotient of lattices comes from the same routine, run alternately over rows
+and columns; it returns the diagonal only, with no transforms.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -172,97 +175,8 @@ def rank_of(rows: Sequence[Vec]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: Smith normal form with transforms
+# integer matrices: echelon form over Z and the Smith normal form
 # ---------------------------------------------------------------------------
-
-
-def _int_rows(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [[int(e) for e in row] for row in a]
-
-
-def smith_normal_form(
-    a: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (U, S, V) with S = U @ a @ V, U and V unimodular, S in SNF."""
-    s = _int_rows(a)
-    m = len(s)
-    n = len(s[0]) if s else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # find a nonzero pivot in the remaining block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if s[i][t] % s[t][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    add_row(i, t, -q)
-                    swap_rows(t, i)
-                    done = False
-                elif s[i][t] != 0:
-                    add_row(i, t, -(s[i][t] // s[t][t]))
-            for j in range(t + 1, n):
-                if s[t][j] % s[t][t] != 0:
-                    q = s[t][j] // s[t][t]
-                    add_col(j, t, -q)
-                    swap_cols(t, j)
-                    done = False
-                elif s[t][j] != 0:
-                    add_col(j, t, -(s[t][j] // s[t][t]))
-            if done:
-                break
-        # divisibility fix-up: pivot must divide the rest of the block
-        entry = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t] != 0:
-                    entry = i
-                    break
-            if entry is not None:
-                break
-        if entry is not None:
-            add_row(t, entry, 1)
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, s, v
 
 
 def integer_echelon(
@@ -322,7 +236,31 @@ def echelon_coords(
     return None if any(w) else coords
 
 
+def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Diagonal d_1 | d_2 | ... of the Smith normal form of ``a``, zeros last,
+    with min(rows, columns) entries.
+
+    ``integer_echelon`` passes alternate over the rows and the columns (each
+    pass transposes its result) until every row has one non-zero entry; each
+    pass can only keep or shrink the corner entry, and keeps it only once its
+    row and column are clear (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4).  The matrix is then diagonal up to a permutation,
+    and replacing pairs of entries by their gcd and lcm turns the entries
+    into a divisor chain.
+    """
+    rows = [[int(e) for e in row] for row in a]
+    size = min(len(rows), len(rows[0])) if rows else 0
+    while True:
+        rows = [row for _, row, _ in integer_echelon(rows)]
+        if all(sum(1 for x in row if x) == 1 for row in rows):
+            break
+        rows = transpose(rows)
+    diag = [abs(next(x for x in row if x)) for row in rows]
+    for i, j in itertools.combinations(range(len(diag)), 2):
+        diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
+    return tuple(diag) + (0,) * (size - len(diag))
+
+
 def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith normal form of ``a``."""
-    _, s, _ = smith_normal_form(a)
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0)
+    return tuple(d for d in smith_normal_form(a) if d)

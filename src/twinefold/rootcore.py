@@ -94,9 +94,13 @@ class RootSystemError(ValueError):
 
 def parse_type_label(label: str) -> tuple[str, int]:
     """Split e.g. 'C3' into ('C', 3)."""
-    family = "".join(ch for ch in label if ch.isalpha())
-    rank = int(label[len(family):])
-    return family, rank
+    family = label.rstrip("0123456789")
+    rank = label[len(family):]
+    if not family.isalpha() or not rank:
+        raise RootSystemError(
+            f"bad type label {label!r}: expected a family and a rank, e.g. A5"
+        )
+    return family, int(rank)
 
 
 def classical_weyl_order(label: str) -> int:
@@ -234,10 +238,8 @@ class Lattice:
     _echelon: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den = lcm(*(x.denominator for b in self.basis for x in b))
-        echelon = integer_echelon(
-            [[x.numerator * (den // x.denominator) for x in b] for b in self.basis]
-        )
+        den, rows = _scaled_rows(self.basis)
+        echelon = integer_echelon(rows)
         if len(echelon) != len(self.basis):
             raise ValueError("lattice basis must be linearly independent")
         object.__setattr__(self, "_den", den)
@@ -247,12 +249,9 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def coords_of(self, v: Vec) -> Vec | None:
-        return coords_in_basis(self.basis, v)
-
     def integral_coords(self, v: Vec) -> list[int] | None:
         """Integer coordinates of v in the basis, or None when v is off the
-        lattice: ``coords_of`` for lattice vectors, without solving."""
+        lattice."""
         den = self._den
         w = []
         for x in v:
@@ -266,8 +265,26 @@ class Lattice:
         return self.integral_coords(v) is not None
 
 
+def _scaled_rows(vectors) -> tuple[int, list[list[int]]]:
+    """The lcm ``den`` of the denominators of ``vectors``, and den times each
+    vector as an integer row."""
+    den = lcm(*(x.denominator for b in vectors for x in b))
+    return den, [[x.numerator * (den // x.denominator) for x in b] for b in vectors]
+
+
 def lattice(basis, ambient_dim: int) -> Lattice:
     return Lattice(tuple(basis), ambient_dim)
+
+
+def lattice_span(vectors, ambient_dim: int) -> Lattice:
+    """The lattice generated by ``vectors``, which need not be independent:
+    its basis is their integer echelon, scaled back by the common
+    denominator."""
+    den, rows = _scaled_rows(vectors)
+    return lattice(
+        (tuple(Fraction(x, den) for x in row) for _, row, _ in integer_echelon(rows)),
+        ambient_dim,
+    )
 
 
 def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
@@ -279,22 +296,21 @@ def lattice_eq(a: Lattice, b: Lattice) -> bool:
 
 
 def lattice_quotient(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
-    """Invariant factors of sup/sub for full-rank sublattices."""
-    if sub.rank != sup.rank:
-        raise ValueError("lattice ranks differ; quotient is infinite")
+    """Torsion of sup/sub for a sublattice of any rank: the invariant factors
+    above 1 of sub's basis in sup's coordinates.  At equal ranks this is the
+    whole quotient."""
     rows = []
     for b in sub.basis:
         c = sup.integral_coords(b)
         if c is None:
             raise ValueError("first lattice is not contained in the second")
         rows.append(c)
-    factors = invariant_factors(rows) if rows else ()
-    if len(factors) != sub.rank:
-        raise ValueError("degenerate quotient")
-    return FiniteAbelianGroup(tuple(d for d in factors if d != 1))
+    return FiniteAbelianGroup(tuple(d for d in invariant_factors(rows) if d != 1))
 
 
 def lattice_index(sub: Lattice, sup: Lattice) -> int:
+    if sub.rank != sup.rank:
+        raise ValueError("lattice ranks differ; quotient is infinite")
     return lattice_quotient(sub, sup).order
 
 

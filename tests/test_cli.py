@@ -111,6 +111,13 @@ def test_parse_errors_exit_two():
     assert run(["verify", "--suite", "nosuch"])[0] == EXIT_PARSE
 
 
+def test_type_label_without_rank_or_family_is_named(capsys):
+    for label in ("A", "3"):
+        assert run(["fold", label, "id"])[0] == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"bad type label {label!r}" in err and "e.g. A5" in err
+
+
 def test_compute_errors_exit_one():
     # a non-kappa-fixed weight is a domain error, reported structurally
     code, doc = run_json(["char", "A3", "flip", "--weight", "1,0,0"])

@@ -97,6 +97,21 @@ def test_level_data_a2():
     assert ld.t_group_order == 6
 
 
+# |T| at levels 1 and 2
+T_GROUP_ORDERS = {
+    ("A3", "flip"): (64, 100), ("A4", "flip"): (64, 100), ("A5", "flip"): (864, 1372),
+    ("A6", "flip"): (1000, 1728), ("D5", "flip"): (20736, 38416),
+    ("D6", "flip"): (537824, 1048576), ("D4", "swap34"): (1000, 1728),
+    ("D4", "rot"): (75, 108), ("E6", "flip"): (40000, 58564), ("A2", "flip"): (6, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(T_GROUP_ORDERS))
+def test_t_group_order_pinned(case):
+    ctx = ctx_for(*case)
+    assert tuple(level_data(ctx, k).t_group_order for k in (1, 2)) == T_GROUP_ORDERS[case]
+
+
 def test_level_data_rejects_bad_level():
     with pytest.raises(FusionError):
         level_data(ctx_for("A2"), 0)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,24 +61,48 @@ def test_rank():
     assert rank_of([vec(1, 0), vec(0, 1)]) == 2
 
 
-def test_snf_transforms():
-    a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    u, s, v = smith_normal_form(a)
-    # S = U @ A @ V exactly
-    ua = mat_mul(mat(u), mat(a))
-    uav = mat_mul(ua, mat(v))
-    assert uav == mat(s)
-    assert abs(mat_det(mat(u))) == 1
-    assert abs(mat_det(mat(v))) == 1
-    diag = [s[i][i] for i in range(3)]
-    for d, e in zip(diag, diag[1:]):
-        if e:
-            assert e % d == 0
-
-
 def test_invariant_factors_cartan_a2():
     # index of the A2 root lattice in the weight lattice
     assert invariant_factors([[2, -1], [-1, 2]]) == (1, 3)
+
+
+def test_snf_of_unimodular_matrix_with_large_entries():
+    # determinant 1; an elimination that lets entries grow never finishes here
+    a = [
+        [0, -15, -6384, 85278417, 31765664],
+        [-3, -212, -90288, 1206080469, 449257248],
+        [-2, -132, -56211, 750874871, 279696079],
+        [1, 0, 0, 0, 0],
+        [-6, -429, -182716, 2440747333, 909162745],
+    ]
+    assert smith_normal_form(a) == (1, 1, 1, 1, 1)
+
+
+def _minor_gcd(a, k):
+    """gcd of all k x k minors of a."""
+    g = 0
+    for rows in itertools.combinations(range(len(a)), k):
+        for cols in itertools.combinations(range(len(a[0])), k):
+            g = math.gcd(g, int(mat_det(mat([[a[i][j] for j in cols] for i in rows]))))
+    return g
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_invariant_factors_are_ratios_of_minor_gcds(rows, cols, data):
+    a = data.draw(st.lists(
+        st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ))
+    factors = invariant_factors(a)
+    # d_k / d_(k-1) with d_0 = 1, up to the rank, where d_k is the kth minor gcd
+    d = [1] + [_minor_gcd(a, k) for k in range(1, min(rows, cols) + 1)]
+    rank = sum(1 for g in d[1:] if g)
+    assert factors == tuple(d[k] // d[k - 1] for k in range(1, rank + 1))
+    for f, g in zip(factors, factors[1:]):
+        assert g % f == 0
+    snf = smith_normal_form(a)
+    assert len(snf) == min(rows, cols)
+    assert snf == factors + (0,) * (len(snf) - len(factors))
 
 
 

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
 from twinefold.linalg import (
@@ -27,7 +27,9 @@ from twinefold.rootcore import (
     is_sublattice,
     lattice,
     lattice_eq,
+    lattice_index,
     lattice_quotient,
+    lattice_span,
     regular_dominant_labels,
     standard_cartan_matrix,
     weyl_dimension,
@@ -317,15 +319,22 @@ def _unimodular_change(data, basis):
     return [tuple(r) for r in rows]
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.data())
-def test_lattice_membership_matches_fraction_reference(data):
+def _draw_basis(data):
+    """A dimension <= 6 and up to that many random rational vectors, which
+    are independent unless a draw happens to make them dependent."""
     dim = data.draw(st.integers(1, 6))
     rank = data.draw(st.integers(1, dim))
-    basis = [
+    return dim, [
         tuple(data.draw(st.lists(_RATIONAL, min_size=dim, max_size=dim)))
         for _ in range(rank)
     ]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_lattice_membership_matches_fraction_reference(data):
+    dim, basis = _draw_basis(data)
+    rank = len(basis)
     if rank_of(basis) < rank:
         with pytest.raises(ValueError, match="linearly independent"):
             Lattice(tuple(basis), dim)
@@ -365,6 +374,35 @@ def test_lattice_membership_matches_fraction_reference(data):
     )
     with pytest.raises(ValueError, match="linearly independent"):
         Lattice(tuple(basis) + (extra,), dim)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_lattice_span_of_dependent_generators(data):
+    dim, basis = _draw_basis(data)
+    assume(rank_of(basis) == len(basis))
+    combos = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)), max_size=4
+    ))
+    extra = [
+        tuple(sum((c * b[k] for c, b in zip(cs, basis)), Fraction(0)) for k in range(dim))
+        for cs in combos
+    ]
+    order = data.draw(st.permutations(range(len(basis) + len(extra))))
+    gens = [(basis + extra)[i] for i in order]
+    assert lattice_eq(lattice_span(gens, dim), lattice(basis, dim))
+
+
+def test_lattice_span_and_lower_rank_quotients():
+    # 2 and 3 generate Z
+    assert lattice_eq(lattice_span([vec(2), vec(3)], 1), lattice([vec(1)], 1))
+    # <(2, 2)> in Z^2: the quotient is Z/2 + Z, and only its torsion is reported
+    z2 = lattice([vec(1, 0), vec(0, 1)], 2)
+    diagonal = lattice([vec(2, 2)], 2)
+    assert lattice_quotient(diagonal, z2).invariant_factors == (2,)
+    assert lattice_quotient(lattice([vec(1, 1)], 2), z2).is_trivial
+    with pytest.raises(ValueError, match="ranks differ"):
+        lattice_index(diagonal, z2)
 
 
 def _reference_datum(d):
