@@ -23,7 +23,6 @@ from .rootcore import (
     RootDatum,
     is_sublattice,
     lattice_quotient,
-    root_datum_from_simple_roots,
 )
 
 FOLD_ITERATION_CAP = 100000
@@ -235,15 +234,15 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
             pi1_free_rank=fixed_integral.rank,
         )
 
-    sub = root_datum_from_simple_roots(tuple(surviving), base.ambient_gram)
-    duals = tuple(base.coroot(a) for a in surviving)
+    sub = RootDatum(None, surviving, base.ambient_gram)
     if ctx.is_trivial:
         # untwisted case: the stabilizer's roots are the surviving roots
-        # themselves, so the "dual" realization coincides with the subsystem
-        stab_simple = tuple(surviving)
+        # themselves, so the "dual" realization is the subsystem
+        dual_sub = sub
     else:
-        stab_simple = duals
-    dual_sub = root_datum_from_simple_roots(stab_simple, base.ambient_gram)
+        dual_sub = RootDatum(
+            None, [base.coroot(a) for a in surviving], base.ambient_gram
+        )
 
     # coroot lattice of the stabilizer system, inside Lambda^kappa
     coroots = coroot_lattice(dual_sub)

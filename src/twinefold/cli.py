@@ -70,7 +70,10 @@ def format_vector(v: Vec) -> list[str]:
 
 
 def parse_vector(text: str, expected_len: int) -> Vec:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    for i, p in enumerate(parts, 1):
+        if not p.strip():
+            raise ParseError(f"coordinate {i} of {text!r} is empty")
     if len(parts) != expected_len:
         raise ParseError(f"expected {expected_len} coordinates, got {len(parts)}")
     return tuple(parse_rational(p) for p in parts)

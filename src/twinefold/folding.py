@@ -11,18 +11,15 @@ The finite group T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from operator import mul
 
 from .linalg import Vec, vadd, vneg, vscale, zero_vec
 from .rootcore import (
     FiniteAbelianGroup,
     Lattice,
     RootDatum,
+    RootSystemError,
     cartan_isomorphisms,
     classical_weyl_order,
-    is_of_type,
     lattice,
     lattice_eq,
     lattice_index,
@@ -224,10 +221,7 @@ class FoldingContext:
             self._build_trivial()
         else:
             self._check_supported()
-            if self._is_a_even:
-                self._build_a_even()
-            else:
-                self._build_generic()
+            self._build_twisted()
         self._finish()
 
     # -- helpers -----------------------------------------------------------
@@ -313,14 +307,7 @@ class FoldingContext:
         p_lat = weight_lattice(base)
         pv = coweight_lattice(base)
         q = root_lattice(base)
-        self.folded = FoldedSystem(
-            label=base.type_label,
-            roots=frozenset(
-                list(base.positive_roots)
-                + [tuple(-e for e in b) for b in base.positive_roots]
-            ),
-            datum=base,
-        )
+        self.folded = FoldedSystem(base.type_label, _roots(base), base)
         self.orbit = OrbitDatum(
             datum=base,
             coroot_lattice=qv,
@@ -343,13 +330,11 @@ class FoldingContext:
         """(folded, orbit) type labels from the base type and |kappa|."""
         fam, r = self._family, self._rank
         if fam == "A":
-            if r == 2:
-                return "A1+A1", "A1"
             if r % 2 == 0:
                 n = r // 2
-                return f"BC{n}", f"C{n}"
+                return f"BC{n}", _rank_one_as_a1("C", n)
             n = (r + 1) // 2
-            return (f"C{n}" if n >= 2 else "A1"), (f"B{n}" if n >= 2 else "A1")
+            return f"C{n}", f"B{n}"
         if fam == "D":
             if self.kappa.order == 3:
                 return "G2", "G2"
@@ -357,124 +342,80 @@ class FoldingContext:
             return f"B{n}", f"C{n}"
         return "F4", "F4"
 
-    def _build_generic(self):
+    def _realize(self, label: str, simple_roots) -> RootDatum:
+        """The datum of ``simple_roots`` in the base's ambient space, which
+        must be of type ``label``."""
+        try:
+            return RootDatum(label, tuple(simple_roots), self.base.ambient_gram)
+        except RootSystemError as exc:
+            raise FoldingError(
+                f"a simple system realized from {self.base.type_label} is not "
+                f"of type {label}"
+            ) from exc
+
+    def _build_twisted(self):
+        """Realize the folded and orbit systems from simple roots and compare
+        them with the root sets they must have: the projected base roots, and
+        the orbit roots built from the base roots.
+
+        Only the folded datum and the expected orbit roots depend on the case.
+        For a base of type A_{2n} the projected set is BC_n, realized as its B
+        and C subsystems, and the orbit roots are doubled fixed roots plus
+        doubled projections of the roots orthogonal to their kappa-image.
+        Otherwise the orbit roots are the fixed roots plus |kappa|-scaled
+        projections of the rest, and the orbit system is the dual of the
+        folded one.
+        """
         base = self.base
         folded_label, orbit_label = self._expected_labels()
-        perm = self.kappa.permutation
-
-        pi_f = [self.project(base.simple_roots[orb[0]]) for orb in self.node_orbits]
-        if not is_of_type(pi_f, base.ambient_gram, folded_label):
-            raise FoldingError(
-                f"folded simple system of {base.type_label} is not of type {folded_label}"
+        roots = _roots(base)
+        if self._is_a_even:
+            # orbits of the reversal are (alpha_i, alpha_{2n+1-i}); project
+            # the first n of them
+            n = self._rank // 2
+            p_alpha = [self.project(base.simple_roots[i]) for i in range(n)]
+            b_datum = self._realize(_rank_one_as_a1("B", n), p_alpha)
+            c_datum = self._realize(
+                _rank_one_as_a1("C", n), p_alpha[:-1] + [vscale(2, p_alpha[-1])]
             )
-        folded_datum = RootDatum(folded_label, tuple(pi_f), base.ambient_gram)
-
-        all_roots = list(base.positive_roots) + [
-            tuple(-e for e in b) for b in base.positive_roots
-        ]
-        projected = frozenset(self.project(a) for a in all_roots)
-        folded_set = frozenset(
-            list(folded_datum.positive_roots)
-            + [tuple(-e for e in b) for b in folded_datum.positive_roots]
-        )
-        if projected != folded_set:
-            raise FoldingError("projected roots do not match the folded closure")
-        self.folded = FoldedSystem(folded_label, projected, folded_datum)
-
-        pi_o = self._orbit_simple_roots()
-        if not is_of_type(pi_o, base.ambient_gram, orbit_label):
-            raise FoldingError(
-                f"orbit simple system of {base.type_label} is not of type {orbit_label}"
+            folded = FoldedSystem(
+                folded_label, _roots(b_datum) | _roots(c_datum), None, b_datum, c_datum
             )
-        orbit_datum = RootDatum(orbit_label, pi_o, base.ambient_gram)
+            expected_orbit = set()
+            for a in roots:
+                ka = self.apply_kappa(a)
+                if ka == a:
+                    expected_orbit.add(vscale(2, a))
+                elif base.inner(ka, a) == 0:
+                    expected_orbit.add(vscale(2, self.project(a)))
+            # the B subsystem carries the folded lattices QF, QFv, PF and PFv
+            folded_datum = b_datum
+        else:
+            folded_datum = self._realize(
+                folded_label,
+                (self.project(base.simple_roots[orb[0]]) for orb in self.node_orbits),
+            )
+            folded = FoldedSystem(folded_label, _roots(folded_datum), folded_datum)
+            order = self.kappa.order
+            expected_orbit = {
+                a if self.apply_kappa(a) == a else vscale(order, self.project(a))
+                for a in roots
+            }
+            # the coroot 2 b / (b, b) of each folded root is an orbit root; the
+            # negative roots follow, as both sets are closed under negation
+            for b, norm in zip(folded_datum.positive_roots, folded_datum.positive_norms):
+                if vscale(2 / norm, b) not in expected_orbit:
+                    raise FoldingError("orbit system is not the dual of the folded one")
 
-        # orbit roots = fixed roots plus |kappa|-scaled projections of the rest;
-        # equivalently the coroot-direction rescaling 2p(a)/||p(a)||^2
-        expected_orbit = set()
-        for a in all_roots:
-            if self.apply_kappa(a) == a:
-                expected_orbit.add(a)
-            else:
-                expected_orbit.add(vscale(self.kappa.order, self.project(a)))
-        orbit_set = set(orbit_datum.positive_roots) | {
-            tuple(-e for e in b) for b in orbit_datum.positive_roots
-        }
-        if expected_orbit != orbit_set:
+        if frozenset(self.project(a) for a in roots) != folded.roots:
+            raise FoldingError(f"projected roots do not form the {folded_label} system")
+        self.folded = folded
+
+        orbit_datum = self._realize(orbit_label, self._orbit_simple_roots())
+        if _roots(orbit_datum) != expected_orbit:
             raise FoldingError("orbit root set mismatch")
-        # ||p(a)||^2 = (a, p(a)) = (1/|kappa|) sum_t (a, kappa^t a).  With unit
-        # simple roots a is its own simple-root coordinates, and
-        # (a, b) = sum_i <a, alpha_i^vee> (alpha_i, alpha_i)/2 b_i is an integer
-        # dot product over the common denominator of the half lengths
-        halves = [row[i] / 2 for i, row in enumerate(base.gram)]
-        den = lcm(*(x.denominator for x in halves))
-        weights = [x.numerator * (den // x.denominator) for x in halves]
-        order = self.kappa.order
-        for a, labels in zip(base.positive_roots, base._pos_labels):
-            covector = list(map(mul, weights, labels))  # den (a, alpha_i)
-            pairing, image = 0, tuple(int(x) for x in a)
-            for _ in range(order):
-                pairing += sum(map(mul, covector, image))
-                image = self.apply_kappa(image)
-            # the coroot 2 p(a) / ||p(a)||^2 of p(a) and that of p(-a)
-            dual = vscale(Fraction(2 * den * order, pairing), self.project(a))
-            if dual not in orbit_set or vneg(dual) not in orbit_set:
-                raise FoldingError("orbit system is not the dual of the folded one")
 
-        self._assemble_lattices(folded_datum, orbit_datum, a_even=False)
-        self._make_orbit(orbit_datum)
-
-    def _build_a_even(self):
-        base = self.base
-        n = self._rank // 2
-        folded_label, orbit_label = self._expected_labels()
-        b_label = f"B{n}" if n >= 2 else "A1"
-        c_label = f"C{n}" if n >= 2 else "A1"
-
-        # orbits of the reversal are (alpha_i, alpha_{2n+1-i}); project the
-        # first n of them
-        p_alpha = [self.project(base.simple_roots[i]) for i in range(n)]
-        pi_b = tuple(p_alpha)
-        pi_c = tuple(p_alpha[: n - 1] + [vscale(2, p_alpha[n - 1])])
-        if not is_of_type(pi_b, base.ambient_gram, b_label):
-            raise FoldingError("B subsystem of the folded BC system not found")
-        if not is_of_type(pi_c, base.ambient_gram, c_label):
-            raise FoldingError("C subsystem of the folded BC system not found")
-        b_datum = RootDatum(b_label, pi_b, base.ambient_gram)
-        c_datum = RootDatum(c_label, pi_c, base.ambient_gram)
-
-        all_roots = list(base.positive_roots) + [
-            tuple(-e for e in b) for b in base.positive_roots
-        ]
-        projected = frozenset(self.project(a) for a in all_roots)
-        union = set(b_datum.positive_roots) | set(c_datum.positive_roots)
-        union |= {tuple(-e for e in b) for b in union}
-        if projected != union:
-            raise FoldingError("projected roots do not form the expected BC set")
-        self.folded = FoldedSystem(
-            folded_label, projected, None, b_subsystem=b_datum, c_subsystem=c_datum
-        )
-
-        pi_o = self._orbit_simple_roots()
-        if not is_of_type(pi_o, base.ambient_gram, orbit_label):
-            raise FoldingError("orbit simple system is not of the expected type")
-        orbit_datum = RootDatum(orbit_label, pi_o, base.ambient_gram)
-
-        # orbit roots: doubled fixed roots plus doubled projections of the
-        # orthogonal-orbit roots
-        expected_orbit = set()
-        for a in all_roots:
-            ka = self.apply_kappa(a)
-            if ka == a:
-                expected_orbit.add(vscale(2, a))
-            elif base.inner(ka, a) == 0:
-                expected_orbit.add(vscale(2, self.project(a)))
-        orbit_set = set(orbit_datum.positive_roots) | {
-            tuple(-e for e in b) for b in orbit_datum.positive_roots
-        }
-        if expected_orbit != orbit_set:
-            raise FoldingError("orbit root set mismatch for the A_even case")
-
-        self._assemble_lattices(b_datum, orbit_datum, a_even=True)
+        self._assemble_lattices(folded_datum, orbit_datum, a_even=self._is_a_even)
         self._make_orbit(orbit_datum)
 
     def _assemble_lattices(self, folded_datum: RootDatum, orbit_datum: RootDatum, a_even: bool):
@@ -588,17 +529,18 @@ class FoldingContext:
         self.outer_weyl_order = self.fixed_intersection.order * self.orbit_weyl_order
 
 
+def _roots(datum: RootDatum) -> frozenset[Vec]:
+    """All roots of a datum, positive and negative."""
+    return frozenset(datum.positive_roots).union(map(vneg, datum.positive_roots))
+
+
+def _rank_one_as_a1(family: str, n: int) -> str:
+    """The label B_n or C_n, which at n = 1 is A_1."""
+    return f"{family}{n}" if n >= 2 else "A1"
+
+
 def fold(datum: RootDatum, kappa: DiagramAutomorphism) -> FoldingContext:
     return FoldingContext(datum, kappa)
-
-
-def special_roots(ctx: FoldingContext) -> tuple[Vec, Vec]:
-    """Highest and highest-short root of the orbit system."""
-    return ctx.orbit.highest_root, ctx.orbit.highest_short_root
-
-
-def fixed_intersection_group(ctx: FoldingContext) -> FiniteAbelianGroup:
-    return ctx.fixed_intersection
 
 
 def fixed_subgroup_data(ctx: FoldingContext) -> tuple[str, FiniteAbelianGroup]:

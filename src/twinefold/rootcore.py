@@ -10,6 +10,10 @@ No Weyl-group element is built as a matrix: ``weyl_traverse`` walks the orbit
 of a regular dominant weight in integer Dynkin labels, which is in bijection
 with the group, and reads det w = (-1)^length(w) off the search depth.
 
+A ``RootDatum`` knows its own type: it classifies its Cartan matrix, or
+checks the type it is given against it, so every realized system (base,
+folded, orbit, stabilizer) computes its Cartan pairings once.
+
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
 decomposition run on integer tuples, with the form as one integer matrix over
@@ -419,19 +423,22 @@ class WeylOverflowError(RuntimeError):
 class RootDatum:
     """A realized root system with the exact form of its ambient space.
 
-    Immutable after construction; all derived quantities are precomputed or
-    cached, and every operation is a pure function of the inputs.
+    The Cartan matrix is computed once, from the simple roots.  A given
+    ``type_label`` is checked against it (RootSystemError "... not of type
+    ..." on a mismatch); ``None`` classifies the system instead, reducible
+    ones as 'X+Y' (sorted).  Immutable after construction; all derived
+    quantities are precomputed or cached, and every operation is a pure
+    function of the inputs.
     """
 
     def __init__(
         self,
-        type_label: str,
+        type_label: str | None,
         simple_roots: tuple[Vec, ...],
         ambient_gram: Matrix,
         reduced: bool = True,
         extra_positive_roots: tuple[Vec, ...] = (),
     ):
-        self.type_label = type_label
         self.simple_roots = tuple(simple_roots)
         self.ambient_gram = ambient_gram
         self.rank = len(simple_roots)
@@ -439,6 +446,12 @@ class RootDatum:
         self.reduced = reduced
 
         galpha, self.gram, self.cartan = _simple_root_pairings(simple_roots, ambient_gram)
+        # a non-reduced datum is checked through the reduced datum it extends
+        if type_label is None:
+            type_label = _classify_system(self.cartan)
+        elif reduced:
+            _check_type(self.cartan, type_label)
+        self.type_label = type_label
         # G @ alpha_i^vee: each pairing <v, alpha_i^vee> is then one dot product
         self._coroot_covectors = tuple(
             vscale(2 / self.gram[i][i], ga) for i, ga in enumerate(galpha)
@@ -480,11 +493,12 @@ class RootDatum:
             )
 
         # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels, and
-        # the extra roots of a non-reduced datum through the ambient form
-        norms = [
+        # the extra roots of a non-reduced datum through the ambient form;
+        # positive_norms[i] is the squared length of positive_roots[i]
+        norms = self.positive_norms = tuple(
             Fraction(sum(x * y for x, y in zip(a, cov)), self._form_den)
             for a, cov in zip(self._pos_labels, self._root_covectors)
-        ] + [self.norm_sq(beta) for beta in extra_positive_roots]
+        ) + tuple(self.norm_sq(beta) for beta in extra_positive_roots)
         self.highest_root = self._dominant_root(norms, max(norms))
         self.highest_short_root = self._dominant_root(norms, min(norms))
 
@@ -588,7 +602,7 @@ class RootDatum:
 
     # -- misc ----------------------------------------------------------------
 
-    def _dominant_root(self, norms: list[Fraction], target: Fraction) -> Vec | None:
+    def _dominant_root(self, norms, target: Fraction) -> Vec | None:
         """Dominant positive root of squared length ``target``; None for
         reducible systems (``norms`` lists the positive roots' lengths).
         Dominance is read off the integer labels of the closure roots and,
@@ -706,8 +720,8 @@ def build_root_datum(type_label: str) -> RootDatum:
             )
         doubled = tuple(
             vscale(2, beta)
-            for beta in base.positive_roots
-            if base.norm_sq(beta) == 1
+            for beta, n in zip(base.positive_roots, base.positive_norms)
+            if n == 1
         )
         return RootDatum(
             label, base.simple_roots, base.ambient_gram,
@@ -730,14 +744,6 @@ def build_root_datum(type_label: str) -> RootDatum:
             f"expected {expected}"
         )
     return datum
-
-
-def root_datum_from_simple_roots(simple_roots, ambient_gram: Matrix) -> RootDatum:
-    """Realize the subsystem generated by the given simple roots."""
-    simple_roots = tuple(simple_roots)
-    return RootDatum(
-        classify_system(simple_roots, ambient_gram), simple_roots, ambient_gram
-    )
 
 
 def cartan_isomorphisms(a, b):
@@ -777,8 +783,18 @@ def cartan_matrices_match(a, b) -> bool:
     return next(cartan_isomorphisms(a, b), None) is not None
 
 
+def _check_type(cartan, label: str) -> None:
+    """Raise RootSystemError unless the Cartan matrix is of type ``label``."""
+    family, rank = parse_type_label(label)
+    if not cartan_matrices_match(cartan, standard_cartan_matrix(family, rank)):
+        raise RootSystemError(f"simple system is not of type {label}")
+
+
 def _classify_cartan(cartan) -> str:
-    """Type label of an irreducible integer Cartan matrix."""
+    """Type label of an irreducible integer Cartan matrix.
+
+    B2/C2 are abstractly isomorphic; this returns 'B2' for that shape.
+    """
     n = len(cartan)
     candidates = [("A", n)]
     if n >= 2:
@@ -805,21 +821,10 @@ def _off_diagonal(cartan) -> list[int]:
     return sorted(x for i, row in enumerate(cartan) for j, x in enumerate(row) if i != j)
 
 
-def classify_simple_system(simple_roots, ambient_gram: Matrix) -> str:
-    """Type label of a realized simple system, by Cartan-matrix matching.
-
-    B2/C2 are abstractly isomorphic; this returns 'B2' for that shape and
-    callers with more context may relabel (verified by is_of_type).
-    """
-    return _classify_cartan(_simple_root_pairings(simple_roots, ambient_gram)[2])
-
-
-def classify_system(simple_roots, ambient_gram: Matrix) -> str:
-    """Type label of a realized system, reducible ones as 'X+Y' (sorted)."""
-    n = len(simple_roots)
-    if n == 0:
-        return "0"
-    cartan = _simple_root_pairings(simple_roots, ambient_gram)[2]
+def _classify_system(cartan) -> str:
+    """Type label of an integer Cartan matrix, reducible ones as 'X+Y'
+    (sorted): one label per connected component of the Dynkin diagram."""
+    n = len(cartan)
     # connected components of the Dynkin diagram: the non-zero Cartan entries
     comps: list[list[int]] = []
     seen: set[int] = set()
@@ -841,14 +846,6 @@ def classify_system(simple_roots, ambient_gram: Matrix) -> str:
         _classify_cartan([[cartan[i][j] for j in comp] for i in comp]) for comp in comps
     ]
     return "+".join(sorted(labels))
-
-
-def is_of_type(simple_roots, ambient_gram: Matrix, label: str) -> bool:
-    family, rank = parse_type_label(label)
-    if len(simple_roots) != rank:
-        return False
-    cartan = _simple_root_pairings(simple_roots, ambient_gram)[2]
-    return cartan_matrices_match(cartan, standard_cartan_matrix(family, rank))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,12 @@ def test_parse_errors_exit_two():
     assert run(["verify", "--suite", "nosuch"])[0] == EXIT_PARSE
 
 
+def test_empty_coordinate_is_named(capsys):
+    for point, index in (("1/8,,1/8", 2), ("1/8,1/8,", 3)):
+        assert run(["stabilizer", "A2", "flip", "--point", point])[0] == EXIT_PARSE
+        assert f"coordinate {index} of {point!r} is empty" in capsys.readouterr().err
+
+
 def test_type_label_without_rank_or_family_is_named(capsys):
     for label in ("A", "3"):
         assert run(["fold", label, "id"])[0] == EXIT_PARSE

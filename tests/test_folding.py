@@ -11,11 +11,9 @@ from twinefold.folding import (
     FoldingError,
     automorphism_by_name,
     coroot_lattice,
-    fixed_intersection_group,
     fixed_subgroup_data,
     fold,
     list_automorphisms,
-    special_roots,
 )
 
 
@@ -97,7 +95,7 @@ def test_automorphism_orders_and_names():
         ("D4", "swap34", "B3", "C3"),
         ("D4", "rot", "G2", "G2"),
         ("E6", "flip", "F4", "F4"),
-        ("A2", "flip", "A1+A1", "A1"),
+        ("A2", "flip", "BC1", "A1"),
     ],
 )
 def test_table_of_foldings(label, name, folded, orbit):
@@ -160,19 +158,19 @@ def test_a2_folded_and_orbit_vectors():
     assert ctx.folded.roots == frozenset(
         [half, tuple(-e for e in half), theta, tuple(-e for e in theta)]
     )
-    tl, ts = special_roots(ctx)
+    tl, ts = ctx.orbit.highest_root, ctx.orbit.highest_short_root
     assert tl == vscale(2, theta)
     assert ts == tl  # rank-1 orbit system
 
 
 def test_special_roots_cases():
     ctx5 = ctx_for("A5")
-    tl, ts = special_roots(ctx5)
+    tl, ts = ctx5.orbit.highest_root, ctx5.orbit.highest_short_root
     assert ts == ctx5.base.highest_root
     assert tl == vscale(2, ctx5.folded.datum.highest_short_root)
 
     ctx4 = ctx_for("A4")
-    tl, ts = special_roots(ctx4)
+    tl, ts = ctx4.orbit.highest_root, ctx4.orbit.highest_short_root
     assert tl == vscale(2, ctx4.base.highest_root)
     # theta itself is not an orbit root here; the short dominant root is
     # beta1+beta2 of the realized C2 system
@@ -180,7 +178,7 @@ def test_special_roots_cases():
     assert ctx4.orbit.datum.norm_sq(ts) == 4
 
     ctxd = ctx_for("D4", "rot")
-    tl, ts = special_roots(ctxd)
+    tl, ts = ctxd.orbit.highest_root, ctxd.orbit.highest_short_root
     assert ts == ctxd.base.highest_root
     assert tl == vscale(3, ctxd.folded.datum.highest_short_root)
 
@@ -196,10 +194,10 @@ def test_rho_equality_everywhere():
 
 
 def test_fixed_intersection_groups():
-    assert fixed_intersection_group(ctx_for("A3")).invariant_factors == (2,)
-    assert fixed_intersection_group(ctx_for("A5")).invariant_factors == (2, 2)
-    assert fixed_intersection_group(ctx_for("D4", "rot")).invariant_factors == (3,)
-    assert fixed_intersection_group(ctx_for("E6")).invariant_factors == (2, 2)
+    assert ctx_for("A3").fixed_intersection.invariant_factors == (2,)
+    assert ctx_for("A5").fixed_intersection.invariant_factors == (2, 2)
+    assert ctx_for("D4", "rot").fixed_intersection.invariant_factors == (3,)
+    assert ctx_for("E6").fixed_intersection.invariant_factors == (2, 2)
 
 
 def test_outer_weyl_order():
@@ -237,8 +235,7 @@ def test_trivial_kappa_context():
     assert ctx.orbit.datum is d
     assert ctx.fixed_intersection.is_trivial
     assert ctx.outer_weyl_order == 2
-    tl, ts = special_roots(ctx)
-    assert tl == d.highest_root
+    assert ctx.orbit.highest_root == d.highest_root
 
 
 def test_invalid_fold():

@@ -13,23 +13,23 @@ from twinefold.folding import automorphism_by_name, fold
 from twinefold.rootcore import (
     FourierPolynomial,
     Lattice,
+    RootDatum,
     RootSystemError,
     WeylOverflowError,
     build_root_datum,
     cartan_isomorphisms,
     cartan_matrices_match,
     classical_weyl_order,
-    classify_simple_system,
     decompose_into_irreducibles,
     freudenthal_multiplicities,
     irreducible_character,
-    is_of_type,
     is_sublattice,
     lattice,
     lattice_eq,
     lattice_index,
     lattice_quotient,
     lattice_span,
+    parse_type_label,
     regular_dominant_labels,
     standard_cartan_matrix,
     weyl_dimension,
@@ -471,11 +471,7 @@ def test_folded_and_orbit_data_match_fraction_reference(group, name):
 def test_classify():
     for label in ("A2", "B3", "C3", "D4", "G2", "F4", "E6"):
         d = build_root_datum(label)
-        got = classify_simple_system(d.simple_roots, d.ambient_gram)
-        if label == "C2":
-            assert got in ("B2", "C2")
-        else:
-            assert got == label
+        assert RootDatum(None, d.simple_roots, d.ambient_gram).type_label == label
 
 
 def test_is_of_type_on_realized_c3():
@@ -483,9 +479,28 @@ def test_is_of_type_on_realized_c3():
     a6 = build_root_datum("A6")
     for c3 in (build_root_datum("C3"), fold(a6, automorphism_by_name(a6, "flip")).orbit.datum):
         assert c3.type_label == "C3"
-        assert is_of_type(c3.simple_roots, c3.ambient_gram, "C3")
-        assert not is_of_type(c3.simple_roots, c3.ambient_gram, "B3")
-        assert not is_of_type(c3.simple_roots, c3.ambient_gram, "C4")
+        assert RootDatum("C3", c3.simple_roots, c3.ambient_gram).type_label == "C3"
+        for wrong in ("B3", "C4"):
+            with pytest.raises(RootSystemError, match=f"not of type {wrong}"):
+                RootDatum(wrong, c3.simple_roots, c3.ambient_gram)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_classified_subsystems_match_root_counts(data):
+    # any set of simple roots spans a subsystem whose components' ranks add
+    # up to its size and whose roots are those of the named components
+    d = build_root_datum(
+        data.draw(st.sampled_from(("A5", "B4", "C4", "D5", "E6", "F4", "G2")))
+    )
+    subset = data.draw(st.sets(st.integers(0, d.rank - 1), min_size=1))
+    order = data.draw(st.permutations(sorted(subset)))
+    sub = RootDatum(None, [d.simple_roots[i] for i in order], d.ambient_gram)
+    parts = [parse_type_label(c) for c in sub.type_label.split("+")]
+    assert sum(rank for _, rank in parts) == len(subset)
+    assert 2 * len(sub.positive_roots) == sum(
+        rootcore._ROOT_COUNTS[family](rank) for family, rank in parts
+    )
 
 
 def test_make_dominant():
