@@ -3,10 +3,11 @@
 The affine group is the semidirect product of translations by the orbit
 coroot lattice with the orbit Weyl group; its fundamental alcove in the fixed
 subspace parametrizes twisted conjugacy classes.  Point folding and
-stabilizer root data from the extended-diagram deletion rule live here; the
-Jacobian of the twisted conjugation map at exp(xi) is |T^kappa cap T_kappa|
-times ``twining.denominator_norm_sq``.  Group elements are a translation by
-the orbit coroot lattice followed by a word of affine reflections, never
+stabilizer root data from the extended-diagram deletion rule live here, one
+realized system of surviving nodes per stabilizer; the Jacobian of the
+twisted conjugation map at exp(xi) is |T^kappa cap T_kappa| times
+``twining.denominator_norm_sq``.  Group elements are a translation by the
+orbit coroot lattice followed by a word of affine reflections, never
 matrices: the sign of the linear part is the parity of the word length.
 """
 
@@ -21,7 +22,9 @@ from .folding import FoldingContext, coroot_lattice, fundamental_coweights
 from .rootcore import (
     FiniteAbelianGroup,
     RootDatum,
+    _classify_system,
     is_sublattice,
+    lattice,
     lattice_quotient,
 )
 
@@ -120,7 +123,7 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
     if ctx._alcove is not None:
         return ctx._alcove
     orbit = ctx.orbit.datum
-    theta = ctx.orbit.highest_root
+    theta = orbit.highest_root
     vertices = [zero_vec(ctx.base.ambient_dim)]
     for cw in fundamental_coweights(orbit):
         c = ctx.base.inner(theta, cw)
@@ -196,15 +199,14 @@ class StabilizerDatum:
     """Root data of the stabilizer of exp(xi) under the twisted action.
 
     ``subsystem`` collects the surviving extended-diagram nodes inside the
-    orbit system; ``dual_subsystem`` carries their coroot directions, which
-    are the actual infinitesimal roots of the stabilizer on the fixed torus.
+    orbit system.  ``dual_label`` is the type of the stabilizer's roots on the
+    fixed torus: the coroots of those nodes, or untwisted the nodes themselves.
     """
 
     surviving: tuple[Vec, ...]
     includes_affine_node: bool
     subsystem: RootDatum | None
     subsystem_label: str
-    dual_subsystem: RootDatum | None
     dual_label: str
     pi1: FiniteAbelianGroup
     pi1_free_rank: int
@@ -228,24 +230,21 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
             includes_affine_node=False,
             subsystem=None,
             subsystem_label="0",
-            dual_subsystem=None,
             dual_label="maximal torus",
             pi1=FiniteAbelianGroup(()),
             pi1_free_rank=fixed_integral.rank,
         )
 
     sub = RootDatum(None, surviving, base.ambient_gram)
+    # the stabilizer's coroot lattice, inside Lambda^kappa
     if ctx.is_trivial:
         # untwisted case: the stabilizer's roots are the surviving roots
-        # themselves, so the "dual" realization is the subsystem
-        dual_sub = sub
+        dual_label, coroots = sub.type_label, coroot_lattice(sub)
     else:
-        dual_sub = RootDatum(
-            None, [base.coroot(a) for a in surviving], base.ambient_gram
-        )
-
-    # coroot lattice of the stabilizer system, inside Lambda^kappa
-    coroots = coroot_lattice(dual_sub)
+        # its roots are the coroots a^v, with the transposed Cartan matrix,
+        # and their coroots are the surviving roots again: (a^v)^v = a
+        dual_label = _classify_system(tuple(zip(*sub.cartan)))
+        coroots = lattice(surviving, base.ambient_dim)
     if not is_sublattice(coroots, fixed_integral):
         raise AlcoveError("stabilizer coroot lattice escapes the integral lattice")
     return StabilizerDatum(
@@ -253,9 +252,7 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
         includes_affine_node=includes_affine,
         subsystem=sub,
         subsystem_label=sub.type_label,
-        dual_subsystem=dual_sub,
-        dual_label=dual_sub.type_label,
+        dual_label=dual_label,
         pi1=lattice_quotient(coroots, fixed_integral),
         pi1_free_rank=fixed_integral.rank - coroots.rank,
     )
-

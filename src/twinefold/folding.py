@@ -6,6 +6,7 @@ permutation, the projection onto it (each coordinate averaged over its node
 orbit), the folded root system (projection image), the orbit root system
 (coroot-direction rescaling), and the whole family of lattices these carry.
 The finite group T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
+kappa = id takes the same path, with the base as folded and orbit system.
 """
 
 from __future__ import annotations
@@ -184,14 +185,10 @@ class FoldedSystem:
 
 @dataclass(frozen=True)
 class OrbitDatum:
-    """The orbit root system with the lattices making its group simply connected."""
+    """The orbit root system with the lattice making its group simply connected."""
 
     datum: RootDatum
     coroot_lattice: Lattice
-    weight_lattice: Lattice
-    highest_root: Vec
-    highest_short_root: Vec
-    half_sum: Vec
 
 
 class FoldingContext:
@@ -218,10 +215,15 @@ class FoldingContext:
         self.moving_dim = base.rank - self.fixed_dim
 
         if kappa.is_identity:
-            self._build_trivial()
+            folded_datum = orbit_datum = base
+            self.folded = FoldedSystem(base.type_label, _roots(base), base)
         else:
             self._check_supported()
-            self._build_twisted()
+            folded_datum, orbit_datum = self._build_twisted()
+        self._assemble_lattices(folded_datum, orbit_datum)
+        if orbit_datum.weyl_vector != base.weyl_vector:
+            raise FoldingError("orbit half-sum of positive roots differs from base rho")
+        self.orbit = OrbitDatum(orbit_datum, self.lattices["QOv"])
         self._finish()
 
     # -- helpers -----------------------------------------------------------
@@ -301,31 +303,6 @@ class FoldingContext:
 
     # -- construction branches --------------------------------------------
 
-    def _build_trivial(self):
-        base = self.base
-        qv = coroot_lattice(base)
-        p_lat = weight_lattice(base)
-        pv = coweight_lattice(base)
-        q = root_lattice(base)
-        self.folded = FoldedSystem(base.type_label, _roots(base), base)
-        self.orbit = OrbitDatum(
-            datum=base,
-            coroot_lattice=qv,
-            weight_lattice=p_lat,
-            highest_root=base.highest_root,
-            highest_short_root=base.highest_short_root,
-            half_sum=base.weyl_vector,
-        )
-        self.lattices = {
-            "QF": q, "QFv": qv, "PF": p_lat, "PFv": pv,
-            "QO": q, "QOv": qv, "PO": p_lat, "POv": pv,
-            "fixed_integral": qv, "p_integral": qv,
-            "p_weight": p_lat, "fixed_weight": p_lat,
-            "fixed_root": q, "p_coweight": pv, "fixed_coweight": pv,
-        }
-        self.index_two_quotients = {}
-        self.fixed_intersection = FiniteAbelianGroup(())
-
     def _expected_labels(self) -> tuple[str, str]:
         """(folded, orbit) type labels from the base type and |kappa|."""
         fam, r = self._family, self._rank
@@ -364,7 +341,8 @@ class FoldingContext:
         doubled projections of the roots orthogonal to their kappa-image.
         Otherwise the orbit roots are the fixed roots plus |kappa|-scaled
         projections of the rest, and the orbit system is the dual of the
-        folded one.
+        folded one.  Returns the folded datum (the B subsystem for A_{2n})
+        and the orbit datum, after their highest-root identities.
         """
         base = self.base
         folded_label, orbit_label = self._expected_labels()
@@ -415,10 +393,20 @@ class FoldingContext:
         if _roots(orbit_datum) != expected_orbit:
             raise FoldingError("orbit root set mismatch")
 
-        self._assemble_lattices(folded_datum, orbit_datum, a_even=self._is_a_even)
-        self._make_orbit(orbit_datum)
+        theta_l = orbit_datum.highest_root
+        if self._is_a_even:
+            # the orbit highest root is 2*theta; the orbit system contains no
+            # copy of theta itself, so no short-root identity is imposed here
+            if theta_l != vscale(2, base.highest_root):
+                raise FoldingError("orbit highest root is not 2*theta")
+        else:
+            if theta_l != vscale(self.kappa.order, folded_datum.highest_short_root):
+                raise FoldingError("orbit highest root mismatch with the folded system")
+            if orbit_datum.highest_short_root != base.highest_root:
+                raise FoldingError("orbit highest short root is not theta")
+        return folded_datum, orbit_datum
 
-    def _assemble_lattices(self, folded_datum: RootDatum, orbit_datum: RootDatum, a_even: bool):
+    def _assemble_lattices(self, folded_datum: RootDatum, orbit_datum: RootDatum):
         base = self.base
         simple = base.simple_roots
         coroots = tuple(base.coroot(a) for a in simple)
@@ -450,7 +438,7 @@ class FoldingContext:
             ("PO = (Lambda*)^k", lattice_eq(po, fixed_weight)),
         ]
         self.index_two_quotients = {}
-        if a_even:
+        if self._is_a_even:
             # (check name, quotient name, sublattice, lattice)
             quotients = [
                 ("Q_Bv in Lambda^k", "Lambda^k / Q_Bv", qfv, fixed_integral),
@@ -493,32 +481,6 @@ class FoldingContext:
                 f"{self.fixed_intersection.invariant_factors}"
             )
 
-    def _make_orbit(self, orbit_datum: RootDatum):
-        base = self.base
-        if orbit_datum.weyl_vector != base.weyl_vector:
-            raise FoldingError("orbit half-sum of positive roots differs from base rho")
-        theta_l = orbit_datum.highest_root
-        theta_s = orbit_datum.highest_short_root
-        if self._is_a_even:
-            # the orbit highest root is 2*theta; the orbit system contains no
-            # copy of theta itself, so no short-root identity is imposed here
-            if theta_l != vscale(2, base.highest_root):
-                raise FoldingError("orbit highest root is not 2*theta")
-        else:
-            folded = self.folded.datum
-            if theta_l != vscale(self.kappa.order, folded.highest_short_root):
-                raise FoldingError("orbit highest root mismatch with the folded system")
-            if theta_s != base.highest_root:
-                raise FoldingError("orbit highest short root is not theta")
-        self.orbit = OrbitDatum(
-            datum=orbit_datum,
-            coroot_lattice=self.lattices["QOv"],
-            weight_lattice=self.lattices["PO"],
-            highest_root=theta_l,
-            highest_short_root=theta_s,
-            half_sum=orbit_datum.weyl_vector,
-        )
-
     def _finish(self):
         # the orbit group is simply connected: Lambda_(k)/Q_O^v trivial
         if not lattice_quotient(
@@ -545,11 +507,6 @@ def fold(datum: RootDatum, kappa: DiagramAutomorphism) -> FoldingContext:
 
 def fixed_subgroup_data(ctx: FoldingContext) -> tuple[str, FiniteAbelianGroup]:
     """Root system type of the kappa-fixed subgroup and its fundamental group."""
-    if ctx.is_trivial:
-        return ctx.base.type_label, FiniteAbelianGroup(())
-    if ctx.folded.datum is not None:
-        sub = ctx.folded.datum
-    else:
-        sub = ctx.folded.b_subsystem
+    sub = ctx.folded.datum if ctx.folded.datum is not None else ctx.folded.b_subsystem
     pi1 = lattice_quotient(coroot_lattice(sub), ctx.lattices["fixed_integral"])
     return sub.type_label, pi1

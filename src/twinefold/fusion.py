@@ -187,14 +187,14 @@ class LevelData:
 
 def basic_rescale(ctx: FoldingContext) -> Fraction:
     """Factor making the orbit highest root have squared length 2."""
-    theta = ctx.orbit.highest_root
+    theta = ctx.orbit.datum.highest_root
     return ctx.base.norm_sq(theta) / 2
 
 
 def dual_coxeter_number(ctx: FoldingContext) -> int:
     c = basic_rescale(ctx)
-    rho = ctx.orbit.half_sum
-    value = 1 + ctx.base.inner(rho, ctx.orbit.highest_root) / c
+    orbit = ctx.orbit.datum
+    value = 1 + ctx.base.inner(orbit.weyl_vector, orbit.highest_root) / c
     if value.denominator != 1:
         raise FusionError("dual Coxeter number came out non-integral")
     return int(value)
@@ -216,8 +216,8 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         raise FusionError("level must be a positive integer")
     c = basic_rescale(ctx)
     h = dual_coxeter_number(ctx)
-    theta = ctx.orbit.highest_root
     orbit = ctx.orbit.datum
+    theta = orbit.highest_root
     # the kappa-fixed weights are the weights of the orbit datum, so a level
     # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k
     gens = orbit.fundamental_weights
@@ -240,7 +240,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     weights.sort()
 
     shift = Fraction(1, (k + h)) / c
-    rho = ctx.orbit.half_sum
+    rho = orbit.weyl_vector
     points, phases = [], []
     for lam, _ in weights:
         pt = TorusPoint(vscale(shift, vadd(lam, rho)))

@@ -175,7 +175,7 @@ def _denominator_labels(ctx: FoldingContext) -> list[tuple[Labels, int]]:
     """e^{-rho} J(rho): the signed rho-orbit with each label lowered by one."""
     return [
         (tuple(m - 1 for m in u), sign)
-        for u, sign in _signed_orbit(ctx, ctx.orbit.half_sum)
+        for u, sign in _signed_orbit(ctx, ctx.orbit.datum.weyl_vector)
     ]
 
 
@@ -187,7 +187,7 @@ def jantzen_eval(ctx: FoldingContext, lam: Vec, point: TorusPoint) -> complex:
         raise SingularPointError(
             "point pairs integrally with an orbit root; use the polynomial instead"
         )
-    rho = ctx.orbit.half_sum
+    rho = ctx.orbit.datum.weyl_vector
     num = evaluate_labels(_signed_orbit(ctx, vadd(lam, rho)), phases)
     den = evaluate_labels(_signed_orbit(ctx, rho), phases)
     return num / den
@@ -226,7 +226,7 @@ def _times_signed_rho_orbit(
             "polynomial support lies outside the fixed weight lattice"
         ) from exc
     out: dict[Labels, int] = {}
-    for u, sign in _signed_orbit(ctx, ctx.orbit.half_sum):
+    for u, sign in _signed_orbit(ctx, ctx.orbit.datum.weyl_vector):
         for mu, c in labels:
             key = tuple(map(add, mu, u))
             out[key] = out.get(key, 0) + sign * c

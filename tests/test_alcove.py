@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twinefold.checks import FOLDINGS
 from twinefold.linalg import identity, mat_det, vadd, vneg, vscale, vsub, zero_vec
-from twinefold.rootcore import build_root_datum
-from twinefold.folding import automorphism_by_name, fold, fundamental_coweights
+from twinefold.rootcore import RootDatum, build_root_datum, lattice_quotient
+from twinefold.folding import (
+    automorphism_by_name,
+    coroot_lattice,
+    fold,
+    fundamental_coweights,
+)
 from twinefold.alcove import (
     AffineElement,
     AlcoveError,
@@ -281,3 +287,49 @@ def test_stabilizer_labels_at_alcove_vertices(label, name, pairs):
     ctx = ctx_for(label, name)
     got = [stabilizer_datum(ctx, v) for v in fundamental_alcove(ctx).vertices]
     assert [(s.subsystem_label, s.dual_label) for s in got] == pairs
+
+
+# the nine foldings plus the flips of A2, A7 and D7
+COROOT_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [
+    ("A2", "flip"), ("A7", "flip"), ("D7", "flip")
+]
+
+
+def assert_stabilizer_is_coroot_datum(ctx, xi):
+    """Reference: realize the coroots of the surviving roots as a datum of
+    their own and read its type and pi1 = (coroot lattice) in Lambda^kappa."""
+    stab = stabilizer_datum(ctx, xi)
+    if not stab.surviving:
+        assert stab.dual_label == "maximal torus" and stab.pi1.is_trivial
+        return
+    base = ctx.base
+    dual = RootDatum(None, [base.coroot(a) for a in stab.surviving], base.ambient_gram)
+    coroots = coroot_lattice(dual)
+    fixed_integral = ctx.lattices["fixed_integral"]
+    assert stab.dual_label == dual.type_label
+    assert stab.pi1 == lattice_quotient(coroots, fixed_integral)
+    assert stab.pi1_free_rank == fixed_integral.rank - coroots.rank
+
+
+@pytest.mark.parametrize("case", COROOT_CASES, ids="-".join)
+def test_stabilizer_matches_coroot_datum_at_vertices(case):
+    ctx = ctx_for(*case)
+    for v in fundamental_alcove(ctx).vertices:
+        assert_stabilizer_is_coroot_datum(ctx, v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    case=st.sampled_from(COROOT_CASES),
+    coeffs=st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=6, max_size=6
+    ),
+)
+def test_stabilizer_matches_coroot_datum_at_folded_points(case, coeffs):
+    # small denominators put most folded points on walls of the alcove
+    ctx = ctx_for(*case)
+    xi = zero_vec(ctx.base.ambient_dim)
+    for c, cw in zip(coeffs, fundamental_coweights(ctx.orbit.datum)):
+        xi = vadd(xi, vscale(c, cw))
+    folded, _ = fold_to_alcove(ctx, xi)
+    assert_stabilizer_is_coroot_datum(ctx, folded)

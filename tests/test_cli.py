@@ -75,6 +75,15 @@ def test_eval_cross_check():
     assert doc["cross_check_residual"] < 1e-9
 
 
+def test_negative_point_is_written_with_equals():
+    # "--point -1/9,-1/9" would read as an option; "--point=" keeps the sign
+    code, doc = run_json(["eval", "A2", "flip", "--weight", "1,1", "--point=-1/9,-1/9"])
+    assert code == EXIT_OK
+    # -1/9 and 8/9 differ by a coroot, so exp(xi) is the same torus element
+    _, shifted = run_json(["eval", "A2", "flip", "--weight", "1,1", "--point", "8/9,8/9"])
+    assert doc["value"] == shifted["value"]
+
+
 def test_fusion_su2_level_one():
     code, doc = run_json(["fusion", "A2", "flip", "--level", "1"])
     assert code == EXIT_OK

@@ -5,15 +5,18 @@ import pytest
 
 from twinefold.checks import FOLDINGS
 from twinefold.linalg import mat_mul, mat_vec, vadd, vscale
-from twinefold.rootcore import build_root_datum, weyl_traverse
+from twinefold.rootcore import build_root_datum, lattice_eq, weyl_traverse
 from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import (
     FoldingError,
     automorphism_by_name,
     coroot_lattice,
+    coweight_lattice,
     fixed_subgroup_data,
     fold,
     list_automorphisms,
+    root_lattice,
+    weight_lattice,
 )
 
 
@@ -158,19 +161,19 @@ def test_a2_folded_and_orbit_vectors():
     assert ctx.folded.roots == frozenset(
         [half, tuple(-e for e in half), theta, tuple(-e for e in theta)]
     )
-    tl, ts = ctx.orbit.highest_root, ctx.orbit.highest_short_root
+    tl, ts = ctx.orbit.datum.highest_root, ctx.orbit.datum.highest_short_root
     assert tl == vscale(2, theta)
     assert ts == tl  # rank-1 orbit system
 
 
 def test_special_roots_cases():
     ctx5 = ctx_for("A5")
-    tl, ts = ctx5.orbit.highest_root, ctx5.orbit.highest_short_root
+    tl, ts = ctx5.orbit.datum.highest_root, ctx5.orbit.datum.highest_short_root
     assert ts == ctx5.base.highest_root
     assert tl == vscale(2, ctx5.folded.datum.highest_short_root)
 
     ctx4 = ctx_for("A4")
-    tl, ts = ctx4.orbit.highest_root, ctx4.orbit.highest_short_root
+    tl, ts = ctx4.orbit.datum.highest_root, ctx4.orbit.datum.highest_short_root
     assert tl == vscale(2, ctx4.base.highest_root)
     # theta itself is not an orbit root here; the short dominant root is
     # beta1+beta2 of the realized C2 system
@@ -178,7 +181,7 @@ def test_special_roots_cases():
     assert ctx4.orbit.datum.norm_sq(ts) == 4
 
     ctxd = ctx_for("D4", "rot")
-    tl, ts = ctxd.orbit.highest_root, ctxd.orbit.highest_short_root
+    tl, ts = ctxd.orbit.datum.highest_root, ctxd.orbit.datum.highest_short_root
     assert ts == ctxd.base.highest_root
     assert tl == vscale(3, ctxd.folded.datum.highest_short_root)
 
@@ -190,7 +193,7 @@ def test_rho_equality_everywhere():
         ("E6", "flip"), ("A2", "flip"),
     ]:
         ctx = ctx_for(label, name)
-        assert ctx.orbit.half_sum == ctx.base.weyl_vector
+        assert ctx.orbit.datum.weyl_vector == ctx.base.weyl_vector
 
 
 def test_fixed_intersection_groups():
@@ -235,7 +238,37 @@ def test_trivial_kappa_context():
     assert ctx.orbit.datum is d
     assert ctx.fixed_intersection.is_trivial
     assert ctx.outer_weyl_order == 2
-    assert ctx.orbit.highest_root == d.highest_root
+    assert ctx.orbit.datum.highest_root == d.highest_root
+
+
+def a3_inside_a5():
+    """An A3 realized inside the five-dimensional space of A5."""
+    ctx = ctx_for("A5")
+    return stabilizer_datum(ctx, fundamental_alcove(ctx).vertices[3]).subsystem
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B3", "C4", "G2", "F4", "E6", "A3-in-A5"])
+def test_identity_fold_lattices_are_the_base_lattices(label):
+    base = a3_inside_a5() if label == "A3-in-A5" else build_root_datum(label)
+    ctx = fold(base, automorphism_by_name(base, "id"))
+    q, qv = root_lattice(base), coroot_lattice(base)
+    p, pv = weight_lattice(base), coweight_lattice(base)
+    # reference: every lattice of an identity fold is one of the four base lattices
+    expected = {
+        "QF": q, "QFv": qv, "PF": p, "PFv": pv,
+        "QO": q, "QOv": qv, "PO": p, "POv": pv,
+        "fixed_integral": qv, "p_integral": qv,
+        "p_weight": p, "fixed_weight": p,
+        "fixed_root": q, "p_coweight": pv, "fixed_coweight": pv,
+    }
+    assert ctx.lattices.keys() == expected.keys()
+    for key, lat in expected.items():
+        assert lattice_eq(ctx.lattices[key], lat), key
+    assert ctx.index_two_quotients == {}
+    assert ctx.fixed_intersection.is_trivial
+    assert ctx.orbit.datum is base and ctx.folded.datum is base
+    label, pi1 = fixed_subgroup_data(ctx)
+    assert label == base.type_label and pi1.is_trivial
 
 
 def test_invalid_fold():
@@ -253,9 +286,7 @@ def test_fold_rejects_a_non_reduced_base():
 
 
 def test_fold_needs_simple_root_coordinates():
-    # an A3 realized inside the five-dimensional space of A5
-    ctx = ctx_for("A5")
-    sub = stabilizer_datum(ctx, fundamental_alcove(ctx).vertices[3]).subsystem
+    sub = a3_inside_a5()
     assert sub.type_label == "A3" and sub.ambient_dim == 5
     with pytest.raises(FoldingError, match="simple roots as unit vectors"):
         fold(sub, automorphism_by_name(sub, "flip"))

@@ -259,12 +259,12 @@ def test_signed_rho_orbit_is_shifted_denominator():
         ctx = checks.context(group, name)
         datum = ctx.orbit.datum
         delta = reference_denominator(ctx)
-        rho = datum.labels_of(ctx.orbit.half_sum)
+        rho = datum.labels_of(ctx.orbit.datum.weyl_vector)
         shifted = {
             tuple(a + b for a, b in zip(datum.labels_of(mu), rho)): c
             for mu, c in delta.terms.items()
         }
-        orbit = dict(_signed_orbit(ctx, ctx.orbit.half_sum))
+        orbit = dict(_signed_orbit(ctx, ctx.orbit.datum.weyl_vector))
         assert len(orbit) == ctx.orbit_weyl_order
         assert orbit == shifted, (group, name)
         assert weyl_denominator(ctx).poly == delta, (group, name)
