@@ -12,6 +12,7 @@ kappa = id takes the same path, with the base as folded and orbit system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .linalg import Vec, vadd, vneg, vscale, zero_vec
 from .rootcore import (
@@ -296,6 +297,16 @@ class FoldingContext:
             for orb in self.node_orbits
         )
 
+    def _scaled_projection(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """L p(a) for an integer vector a, L = |kappa|: each coordinate
+        replaced by L / |orbit| times its node orbit's sum, an integer."""
+        out = list(a)
+        for orb in self.node_orbits:
+            total = self.kappa.order // len(orb) * sum(a[i] for i in orb)
+            for i in orb:
+                out[i] = total
+        return tuple(out)
+
     def _projected_lattice(self, vectors: tuple[Vec, ...]) -> Lattice:
         """Image p(L) for the same kind of lattice: p of one vector per orbit."""
         basis = [self.project(vectors[orb[0]]) for orb in self.node_orbits]
@@ -343,10 +354,16 @@ class FoldingContext:
         projections of the rest, and the orbit system is the dual of the
         folded one.  Returns the folded datum (the B subsystem for A_{2n})
         and the orbit datum, after their highest-root identities.
+
+        The root sets are compared as integer tuples in units of 1/L, L =
+        |kappa|: the base roots are integral, and a projection's denominator,
+        a node-orbit length, divides L.
         """
         base = self.base
+        scale = self.kappa.order
         folded_label, orbit_label = self._expected_labels()
-        roots = _roots(base)
+        # L p(a) for each positive base root a (its integer coordinates)
+        projected = [self._scaled_projection(a) for a in base._pos_num]
         if self._is_a_even:
             # orbits of the reversal are (alpha_i, alpha_{2n+1-i}); project
             # the first n of them
@@ -359,13 +376,15 @@ class FoldingContext:
             folded = FoldedSystem(
                 folded_label, _roots(b_datum) | _roots(c_datum), None, b_datum, c_datum
             )
-            expected_orbit = set()
-            for a in roots:
-                ka = self.apply_kappa(a)
-                if ka == a:
-                    expected_orbit.add(vscale(2, a))
-                elif base.inner(ka, a) == 0:
-                    expected_orbit.add(vscale(2, self.project(a)))
+            folded_roots = _scaled_roots(b_datum, scale) | _scaled_roots(c_datum, scale)
+            # 2a for a fixed root a (where 2a = 2 p(a)), 2 p(a) for a root
+            # orthogonal to kappa a; A_2n is simply laced, so (kappa a, a) is
+            # a positive multiple of kappa a paired with a's Dynkin labels
+            expected_orbit = _with_negatives(
+                tuple(2 * x for x in pa)
+                for a, pa, labels in zip(base._pos_num, projected, base._pos_labels)
+                if (ka := self.apply_kappa(a)) == a or sum(map(mul, ka, labels)) == 0
+            )
             # the B subsystem carries the folded lattices QF, QFv, PF and PFv
             folded_datum = b_datum
         else:
@@ -374,23 +393,28 @@ class FoldingContext:
                 (self.project(base.simple_roots[orb[0]]) for orb in self.node_orbits),
             )
             folded = FoldedSystem(folded_label, _roots(folded_datum), folded_datum)
-            order = self.kappa.order
-            expected_orbit = {
-                a if self.apply_kappa(a) == a else vscale(order, self.project(a))
-                for a in roots
-            }
+            folded_roots = _scaled_roots(folded_datum, scale)
+            # a fixed root a (where L a = L p(a)), |kappa| p(a) for the rest
+            expected_orbit = _with_negatives(
+                pa if self.apply_kappa(a) == a else tuple(scale * x for x in pa)
+                for a, pa in zip(base._pos_num, projected)
+            )
             # the coroot 2 b / (b, b) of each folded root is an orbit root; the
             # negative roots follow, as both sets are closed under negation
-            for b, norm in zip(folded_datum.positive_roots, folded_datum.positive_norms):
-                if vscale(2 / norm, b) not in expected_orbit:
+            den = folded_datum._alpha_den
+            for b, norm in zip(folded_datum._pos_num, folded_datum.positive_norms):
+                coroot = _exact_tuple(
+                    [2 * scale * norm.denominator * x for x in b], den * norm.numerator
+                )
+                if coroot not in expected_orbit:
                     raise FoldingError("orbit system is not the dual of the folded one")
 
-        if frozenset(self.project(a) for a in roots) != folded.roots:
+        if _with_negatives(projected) != folded_roots:
             raise FoldingError(f"projected roots do not form the {folded_label} system")
         self.folded = folded
 
         orbit_datum = self._realize(orbit_label, self._orbit_simple_roots())
-        if _roots(orbit_datum) != expected_orbit:
+        if _scaled_roots(orbit_datum, scale) != expected_orbit:
             raise FoldingError("orbit root set mismatch")
 
         theta_l = orbit_datum.highest_root
@@ -494,6 +518,37 @@ class FoldingContext:
 def _roots(datum: RootDatum) -> frozenset[Vec]:
     """All roots of a datum, positive and negative."""
     return frozenset(datum.positive_roots).union(map(vneg, datum.positive_roots))
+
+
+def _with_negatives(roots) -> set[tuple[int, ...]]:
+    """Integer tuples and their negatives."""
+    out = set()
+    for r in roots:
+        out.add(r)
+        out.add(tuple(-x for x in r))
+    return out
+
+
+def _exact_tuple(nums, den: int) -> tuple[int, ...] | None:
+    """The integer tuple nums / den, or None when den does not divide every
+    entry."""
+    if any(x % den for x in nums):
+        return None
+    return tuple(x // den for x in nums)
+
+
+def _scaled_roots(datum: RootDatum, scale: int) -> set:
+    """All roots of a reduced datum times ``scale``, as integer tuples.  A
+    root that is not integral there enters as None, so the set then equals
+    no set of integer roots."""
+    den = datum._alpha_den
+    out = set()
+    for num in datum._pos_num:
+        b = _exact_tuple([scale * x for x in num], den)
+        out.add(b)
+        if b is not None:
+            out.add(tuple(-x for x in b))
+    return out
 
 
 def _rank_one_as_a1(family: str, n: int) -> str:

@@ -6,13 +6,17 @@ about (a dozen at most), so no numpy: exactness matters more than speed, and
 lattice membership tests must never go through floats.
 
 One Gauss-Jordan routine, ``_row_reduce``, does every rational elimination:
-``rank_of``, ``solve``, ``mat_inv`` and ``mat_det`` read its reduced rows,
-pivot columns and signed pivot product.  Lattice membership never goes
-through it: ``integer_echelon`` row-reduces an integer basis over Z with gcd
-row operations (once per ``rootcore.Lattice``), and ``echelon_coords`` reads a
-vector's integer coordinates off that echelon.  The Smith normal form of a
-quotient of lattices comes from the same routine, run alternately over rows
-and columns; it returns the diagonal only, with no transforms.
+``rank_of``, ``solve`` and ``mat_inv`` read its reduced rows and pivot
+columns.  Exact determinants and the inverses of integer matrices come from
+one fraction-free elimination, ``_bareiss``: ``mat_det`` scales a rational
+matrix to integers first, and ``integer_inverse`` returns an integer matrix
+over one denominator (a Cartan matrix's inverse, say).  Lattice membership
+never goes through either: ``integer_echelon`` row-reduces an integer basis
+over Z with gcd row operations (once per ``rootcore.Lattice``), and
+``echelon_coords`` reads a vector's integer coordinates off that echelon.  The
+Smith normal form of a quotient of lattices comes from the same routine, run
+alternately over rows and columns; it returns the diagonal only, with no
+transforms.
 """
 
 from __future__ import annotations
@@ -98,18 +102,16 @@ def bilinear(g: Matrix, u: Vec, v: Vec) -> Fraction:
 
 def _row_reduce(
     rows: Sequence[Sequence[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int], Fraction]:
+) -> tuple[list[list[Fraction]], list[int]]:
     """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``.
 
     The pivot of each column is its first non-zero entry at or below the
     current row; pivot rows are scaled to 1 and the column is cleared above
-    and below.  Returns the reduced rows, the pivot columns and the product
-    of the pivots signed by the row swaps (the determinant of a square
-    nonsingular matrix).  Columns past ``ncols`` (right-hand sides) ride along.
+    and below.  Returns the reduced rows and the pivot columns.  Columns past
+    ``ncols`` (right-hand sides) ride along.
     """
     a = [list(row) for row in rows]
     pivots: list[int] = []
-    det = ONE
     for col in range(ncols):
         r = len(pivots)
         pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
@@ -117,28 +119,84 @@ def _row_reduce(
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
-            det = -det
-        p = a[r][col]
-        det *= p
-        inv = ONE / p
+        inv = ONE / a[r][col]
         a[r] = [e * inv for e in a[r]]
         for i, row in enumerate(a):
             if i != r and row[col]:
                 f = row[col]
                 a[i] = [e - f * q if q else e for e, q in zip(row, a[r])]
         pivots.append(col)
-    return a, pivots, det
+    return a, pivots
+
+
+def scaled_rows(vectors) -> tuple[int, list[list[int]]]:
+    """The lcm ``den`` of the denominators of ``vectors``, and den times each
+    vector as an integer row."""
+    den = math.lcm(*(x.denominator for b in vectors for x in b))
+    return den, [[x.numerator * (den // x.denominator) for x in b] for b in vectors]
+
+
+def _bareiss(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the n x n integer matrix in
+    the first n columns of ``rows`` (Bareiss, Math. Comp. 22 (1968)).
+
+    At each column the pivot row q (pivot p, after a row swap if needed)
+    turns every other row r into (p r - r[col] q) / p', with p' the previous
+    pivot; the division is exact, as every entry is then a minor of the
+    row-swapped input.  Returns the rows, the last pivot d and the sign of
+    the row swaps: det = sign * d, and on [A | I] the columns past n end as
+    d A^-1.  d is 0 (and the rows unfinished) when the matrix is singular.
+    Only columns from the current one on are updated.
+    """
+    a = [list(row) for row in rows]
+    prev, sign = 1, 1
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col]), None)
+        if pivot is None:
+            return a, 0, sign
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        q = a[col][col:]
+        p = q[0]
+        for i, row in enumerate(a):
+            if i != col:
+                f = row[col]
+                row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], q)]
+        prev = p
+    return a, prev, sign
 
 
 def mat_det(m: Matrix) -> Fraction:
-    _, pivots, det = _row_reduce(m, len(m))
-    return det if len(pivots) == len(m) else ZERO
+    """Exact determinant: ``m`` scaled to integers by the lcm L of its
+    denominators, eliminated by ``_bareiss``, and divided by L^n."""
+    n = len(m)
+    den, rows = scaled_rows(m)
+    _, d, sign = _bareiss(rows, n)
+    return Fraction(sign * d, den**n)
+
+
+def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, d) with m^-1 = N / d for an invertible integer matrix, d > 0 the
+    least common denominator of m^-1 (no common factor of d and N).
+
+    ``_bareiss`` on [m | I]; raises ValueError on a singular matrix.
+    """
+    n = len(m)
+    rows, d, _ = _bareiss(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)], n
+    )
+    if not d:
+        raise ValueError("matrix is singular")
+    g = math.gcd(d, *(x for row in rows for x in row[n:]))
+    g = g if d > 0 else -g
+    return tuple(tuple(x // g for x in row[n:]) for row in rows), d // g
 
 
 def mat_inv(m: Matrix) -> Matrix:
     n = len(m)
     eye = identity(n)
-    reduced, pivots, _ = _row_reduce([tuple(row) + eye[i] for i, row in enumerate(m)], n)
+    reduced, pivots = _row_reduce([tuple(row) + eye[i] for i, row in enumerate(m)], n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
@@ -152,7 +210,7 @@ def solve(a: Matrix, b: Vec) -> Vec | None:
     """
     n = len(a[0]) if a else 0
     aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
-    reduced, pivots, _ = _row_reduce(aug, n)
+    reduced, pivots = _row_reduce(aug, n)
     # inconsistency: a zero row with a nonzero right-hand side
     if len(pivots) < n or any(row[n] != 0 for row in reduced[len(pivots):]):
         return None

@@ -12,7 +12,13 @@ with the group, and reads det w = (-1)^length(w) off the search depth.
 
 A ``RootDatum`` knows its own type: it classifies its Cartan matrix, or
 checks the type it is given against it, so every realized system (base,
-folded, orbit, stabilizer) computes its Cartan pairings once.
+folded, orbit, stabilizer) computes its Cartan pairings once.  It is built
+from integer numerators: the simple roots over their common denominator and
+the ambient form over its own give the Gram and Cartan matrices, A^-1 comes
+from fraction-free elimination (``linalg.integer_inverse``), and the positive
+roots are reached by a reflection closure on integer simple-root
+coordinates.  Its public vectors (roots, rho, fundamental weights, the Gram
+matrix) are ``Fraction`` tuples built once from those integers.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import cos, factorial, fsum, lcm, pi, sin
+from math import cos, factorial, fsum, gcd, pi, sin
 from operator import mul
 
 from .linalg import (
@@ -40,11 +46,11 @@ from .linalg import (
     coords_in_basis,
     echelon_coords,
     integer_echelon,
+    integer_inverse,
     invariant_factors,
-    mat,
-    mat_inv,
     mat_scale,
     mat_vec,
+    scaled_rows,
     vadd,
     vdot,
     vneg,
@@ -242,7 +248,7 @@ class Lattice:
     _echelon: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den, rows = _scaled_rows(self.basis)
+        den, rows = scaled_rows(self.basis)
         echelon = integer_echelon(rows)
         if len(echelon) != len(self.basis):
             raise ValueError("lattice basis must be linearly independent")
@@ -269,13 +275,6 @@ class Lattice:
         return self.integral_coords(v) is not None
 
 
-def _scaled_rows(vectors) -> tuple[int, list[list[int]]]:
-    """The lcm ``den`` of the denominators of ``vectors``, and den times each
-    vector as an integer row."""
-    den = lcm(*(x.denominator for b in vectors for x in b))
-    return den, [[x.numerator * (den // x.denominator) for x in b] for b in vectors]
-
-
 def lattice(basis, ambient_dim: int) -> Lattice:
     return Lattice(tuple(basis), ambient_dim)
 
@@ -284,7 +283,7 @@ def lattice_span(vectors, ambient_dim: int) -> Lattice:
     """The lattice generated by ``vectors``, which need not be independent:
     its basis is their integer echelon, scaled back by the common
     denominator."""
-    den, rows = _scaled_rows(vectors)
+    den, rows = scaled_rows(vectors)
     return lattice(
         (tuple(Fraction(x, den) for x in row) for _, row, _ in integer_echelon(rows)),
         ambient_dim,
@@ -445,52 +444,79 @@ class RootDatum:
         self.ambient_dim = len(ambient_gram)
         self.reduced = reduced
 
-        galpha, self.gram, self.cartan = _simple_root_pairings(simple_roots, ambient_gram)
+        # integer numerators: alpha_i = a[i] / alpha_den and G = g / g_den, so
+        # G alpha_i = ga[i] / (g_den alpha_den) and (alpha_i, alpha_j) =
+        # gram[i][j] / (g_den alpha_den^2)
+        alpha_den, a = scaled_rows(self.simple_roots)
+        g_den, g = scaled_rows(ambient_gram)
+        ga = [[sum(map(mul, row, ai)) for row in g] for ai in a]
+        gram = [[sum(map(mul, ai, gb)) for gb in ga] for ai in a]
+        self.cartan = tuple(
+            tuple(_as_int(2 * gij, row[i]) for gij in row) for i, row in enumerate(gram)
+        )
         # a non-reduced datum is checked through the reduced datum it extends
         if type_label is None:
             type_label = _classify_system(self.cartan)
         elif reduced:
             _check_type(self.cartan, type_label)
         self.type_label = type_label
-        # G @ alpha_i^vee: each pairing <v, alpha_i^vee> is then one dot product
-        self._coroot_covectors = tuple(
-            vscale(2 / self.gram[i][i], ga) for i, ga in enumerate(galpha)
-        )
 
-        # integer numerators over one denominator: ambient coordinate k of
-        # sum_j c_j alpha_j is (c . alpha_num[k]) / alpha_den
-        alpha_den = lcm(*(x.denominator for a in simple_roots for x in a))
-        alpha_num = [
-            [a[k].numerator * (alpha_den // a[k].denominator) for a in simple_roots]
-            for k in range(self.ambient_dim)
-        ]
         pos_coords = _positive_roots_by_closure(self.cartan)
+        if reduced:
+            expected = sum(
+                _ROOT_COUNTS[family](rank)
+                for family, rank in map(parse_type_label, type_label.split("+"))
+            )
+            if 2 * len(pos_coords) != expected:
+                raise RootSystemError(
+                    f"{type_label}: closure produced {2 * len(pos_coords)} roots, "
+                    f"expected {expected}"
+                )
+        # ambient coordinate k of sum_j c_j alpha_j is (c . alpha_num[k]) / alpha_den
+        alpha_num = tuple(zip(*a))
+        self._alpha_den = alpha_den
+        # the positive roots' numerators over alpha_den, in _pos_labels order
+        self._pos_num = tuple(
+            tuple(sum(map(mul, c, row)) for row in alpha_num) for c in pos_coords
+        )
         self.positive_roots = tuple(
-            tuple(Fraction(sum(map(mul, c, row)), alpha_den) for row in alpha_num)
-            for c in pos_coords
+            tuple(Fraction(x, alpha_den) if x else ZERO for x in num)
+            for num in self._pos_num
         ) + tuple(extra_positive_roots)
         # twice rho in simple-root coordinates, then the extra roots' half
         rho2 = [sum(col) for col in zip(*pos_coords)]
-        rho = tuple(
-            Fraction(sum(map(mul, rho2, row)), 2 * alpha_den) for row in alpha_num
-        )
+        rho2_num = [sum(map(mul, rho2, row)) for row in alpha_num]
+        rho = tuple(Fraction(x, 2 * alpha_den) for x in rho2_num)
         for beta in extra_positive_roots:
             rho = vadd(rho, vscale(Fraction(1, 2), beta))
         self.weyl_vector = rho
 
         # fundamental weights: <w_i, alpha_j^vee> = delta_ij inside the span,
         # i.e. the columns of A^-1 in simple-root coordinates
-        cinv = mat_inv(mat(self.cartan))
-        self._init_label_frame(cinv, pos_coords, alpha_num, alpha_den)
-        self.fundamental_weights = tuple(
-            self.from_labels(tuple(int(i == j) for j in range(self.rank)))
-            for i in range(self.rank)
-        )
-        if self.reduced and self.weyl_vector != self.from_labels((1,) * self.rank):
+        cinv_num, cinv_den = integer_inverse(self.cartan)
+        gram_den = g_den * alpha_den * alpha_den
+        self._init_label_frame(cinv_num, cinv_den, gram, gram_den, pos_coords, alpha_num)
+        # rho = sum_i omega_i, cross-multiplied over alpha_den cinv_den
+        if reduced and any(
+            cinv_den * x != 2 * sum(row) for x, row in zip(rho2_num, self._omega_num)
+        ):
             raise RootSystemError(
                 "half-sum of positive roots disagrees with the sum of "
                 "fundamental weights"
             )
+        self.fundamental_weights = tuple(
+            self.from_labels(tuple(int(i == j) for j in range(self.rank)))
+            for i in range(self.rank)
+        )
+
+        # the Fraction forms of the pairings, once: the Gram matrix, and
+        # G alpha_i^vee = 2 alpha_den ga[i] / gram[i][i], so each pairing
+        # <v, alpha_i^vee> is one dot product
+        self.gram = tuple(tuple(Fraction(x, gram_den) for x in row) for row in gram)
+        self._coroot_covectors = tuple(
+            tuple(Fraction(2 * alpha_den * x, gram[i][i]) if x else ZERO for x in gai)
+            for i, gai in enumerate(ga)
+        )
 
         # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels, and
         # the extra roots of a non-reduced datum through the ambient form;
@@ -506,41 +532,42 @@ class RootDatum:
         self._label_char_cache: dict[Labels, dict[Labels, int]] = {}
         self._label_dim_cache: dict[Labels, int] = {}
 
-    def _init_label_frame(self, cinv: Matrix, pos_coords, alpha_num, alpha_den) -> None:
+    def _init_label_frame(
+        self, cinv_num, cinv_den: int, gram, gram_den: int, pos_coords, alpha_num
+    ) -> None:
         """Integer data for weights given by their Dynkin labels.
 
         A weight mu = sum_i m_i omega_i is the integer tuple m with
         m_i = <mu, alpha_i^vee>.  Column j of the Cartan matrix holds the
         labels of alpha_j, so s_j is m -> m - m_j * column j.  The form is
         (mu, nu) = m^T F n / D with the integer matrix F = D (omega_i, omega_j),
-        where (omega_i, omega_j) = (A^-1)_ij (alpha_i, alpha_i) / 2.
+        where (omega_i, omega_j) = (A^-1)_ij (alpha_i, alpha_i) / 2; A^-1 is
+        ``cinv_num / cinv_den`` and (alpha_i, alpha_i) is
+        ``gram[i][i] / gram_den``.
         """
-        r = self.rank
         self._alpha_labels = tuple(zip(*self.cartan))
         self._pos_labels = tuple(
-            tuple(sum(a * c for a, c in zip(row, coords)) for row in self.cartan)
+            tuple(sum(map(mul, row, coords)) for row in self.cartan)
             for coords in pos_coords
         )
-        form = [[cinv[i][j] * self.gram[i][i] / 2 for j in range(r)] for i in range(r)]
-        den = lcm(*(x.denominator for row in form for x in row))
-        self._form = tuple(tuple(int(x * den) for x in row) for row in form)
-        self._form_den = den
+        # D is the least common denominator: F and D share no factor
+        form = [[x * gram[i][i] for x in row] for i, row in enumerate(cinv_num)]
+        den = 2 * cinv_den * gram_den
+        g = gcd(den, *(x for row in form for x in row))
+        self._form = tuple(tuple(x // g for x in row) for row in form)
+        self._form_den = den // g
         # D (nu, alpha) = nu . (F a) for each positive root alpha, in _pos_labels order
         self._root_covectors = tuple(
-            tuple(sum(f * x for f, x in zip(row, a)) for row in self._form)
-            for a in self._pos_labels
+            tuple(sum(map(mul, row, a)) for row in self._form) for a in self._pos_labels
         )
         # D (nu, rho) = nu . (F rho), with rho = (1, ..., 1) in labels
         self._rho_covector = tuple(sum(row) for row in self._form)
         # ambient coordinate k of sum_i m_i omega_i is (m . omega_num[k]) / omega_den:
         # omega_i has simple-root coordinates column i of A^-1 = cinv_num / cinv_den
-        cinv_den = lcm(*(x.denominator for row in cinv for x in row))
-        cinv_num = [[x.numerator * (cinv_den // x.denominator) for x in row] for row in cinv]
         self._omega_num = tuple(
-            tuple(sum(map(mul, row, col)) for col in zip(*cinv_num))
-            for row in alpha_num
+            tuple(sum(map(mul, row, col)) for col in zip(*cinv_num)) for row in alpha_num
         )
-        self._omega_den = alpha_den * cinv_den
+        self._omega_den = self._alpha_den * cinv_den
 
     # -- basic geometry ----------------------------------------------------
 
@@ -624,62 +651,42 @@ def _unit(n: int, j: int) -> Vec:
     return tuple(ONE if i == j else ZERO for i in range(n))
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise RootSystemError(f"expected an integer, got {x}")
-    return int(x)
-
-
-def _simple_root_pairings(
-    simple_roots, ambient_gram: Matrix
-) -> tuple[tuple[Vec, ...], Matrix, tuple[tuple[int, ...], ...]]:
-    """G alpha_i, the Gram matrix (alpha_i, alpha_j) and the integer Cartan
-    matrix 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) of realized simple roots.
-
-    Every pairing with a simple root is one dot product with G alpha_i.
-    Raises RootSystemError on a non-integral Cartan entry.
-    """
-    galpha = tuple(mat_vec(ambient_gram, a) for a in simple_roots)
-    gram = tuple(tuple(vdot(a, gb) for gb in galpha) for a in simple_roots)
-    cartan = tuple(
-        tuple(_as_int(2 * gij / row[i]) for gij in row) for i, row in enumerate(gram)
-    )
-    return galpha, gram, cartan
+def _as_int(n: int, d: int) -> int:
+    """n / d as an int; RootSystemError when d does not divide n."""
+    q, r = divmod(n, d)
+    if r:
+        raise RootSystemError(f"expected an integer, got {Fraction(n, d)}")
+    return q
 
 
 def _positive_roots_by_closure(cartan) -> list[tuple[int, ...]]:
-    """Positive roots as integer simple-root coordinate tuples.
+    """Positive roots as integer simple-root coordinate tuples, by height and
+    then coordinates.
 
-    Reflection closure starting from the simple roots: reflect everything by
-    every simple reflection until the set stabilizes, then keep the vectors
-    with nonnegative coordinates.
+    Reflection closure upward from the simple roots.  For a positive root
+    beta other than alpha_i, s_i beta = beta - <beta, alpha_i^vee> alpha_i is
+    positive; it is higher when the pairing is negative.  A positive root
+    that is not simple pairs positively with some alpha_i (its squared length
+    is positive), and s_i lowers it, so every positive root is reached from a
+    simple root by raising steps alone (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2).
     """
     rank = len(cartan)
-    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-
-    def reflect(coords, i):
-        # <beta, alpha_i^vee> = sum_j c_j A[i][j]
-        pairing = sum(c * cartan[i][j] for j, c in enumerate(coords))
-        out = list(coords)
-        out[i] -= pairing
-        return tuple(out)
-
-    roots = set(simple) | {tuple(-c for c in s) for s in simple}
-    frontier = set(roots)
+    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(frontier)
     while frontier:
-        nxt = set()
+        nxt = []
         for beta in frontier:
-            for i in range(rank):
-                gamma = reflect(beta, i)
-                if gamma not in roots:
-                    roots.add(gamma)
-                    nxt.add(gamma)
+            for i, row in enumerate(cartan):
+                # <beta, alpha_i^vee> = sum_j c_j A[i][j]
+                pairing = sum(map(mul, row, beta))
+                if pairing < 0:
+                    gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+                    if gamma not in roots:
+                        roots.add(gamma)
+                        nxt.append(gamma)
         frontier = nxt
-    positive = [r for r in roots if all(c >= 0 for c in r)]
-    positive.sort(key=lambda r: (sum(r), r))
-    if 2 * len(positive) != len(roots):
-        raise RootSystemError("closure did not split into positive/negative halves")
-    return positive
+    return sorted(roots, key=lambda r: (sum(r), r))
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +743,7 @@ def build_root_datum(type_label: str) -> RootDatum:
     if gram != tuple(zip(*gram)):
         raise RootSystemError("inconsistent length assignment")
     simple = tuple(_unit(rank, i) for i in range(rank))
-    datum = RootDatum(label, simple, gram)
-    expected = _ROOT_COUNTS[family](rank)
-    if 2 * len(datum.positive_roots) != expected:
-        raise RootSystemError(
-            f"{label}: closure produced {2 * len(datum.positive_roots)} roots, "
-            f"expected {expected}"
-        )
-    return datum
+    return RootDatum(label, simple, gram)
 
 
 def cartan_isomorphisms(a, b):
@@ -921,7 +921,8 @@ def weyl_dimension(datum: RootDatum, lam: Vec) -> int:
     for a in datum.positive_roots:
         num *= datum.inner(shifted, a)
         den *= datum.inner(rho, a)
-    return _as_int(num / den)
+    q = num / den
+    return _as_int(q.numerator, q.denominator)
 
 
 def dominant_labels(datum: RootDatum, lam: Vec) -> Labels:

@@ -310,3 +310,39 @@ def test_orbit_coroot_lattice_is_projected_integral():
         qov = ctx.orbit.coroot_lattice
         for b in coroot_lattice(ctx.base).basis:
             assert qov.contains(ctx.project(b))
+
+
+def _corrupted(label, name, monkeypatch, method):
+    """A built context whose ``method`` now returns doubled vectors, so the
+    systems realized from it keep their type but not their roots."""
+    ctx = ctx_for(label, name)
+    real = getattr(ctx, method)
+    if method == "project":
+        monkeypatch.setattr(ctx, method, lambda v: vscale(2, real(v)))
+    else:
+        monkeypatch.setattr(ctx, method, lambda: tuple(vscale(2, a) for a in real()))
+    return ctx
+
+
+@pytest.mark.parametrize("label", ["A4", "A6"])
+def test_projected_root_identity_raises(label, monkeypatch):
+    # doubled projections of the simple roots give B and C subsystems twice
+    # the size of the projected base roots
+    ctx = _corrupted(label, "flip", monkeypatch, "project")
+    with pytest.raises(FoldingError, match="^projected roots do not form the BC.* system$"):
+        ctx._build_twisted()
+
+
+@pytest.mark.parametrize("label,name", [("A3", "flip"), ("D4", "rot"), ("E6", "flip")])
+def test_dual_identity_raises(label, name, monkeypatch):
+    # a doubled folded system has halved coroots, which are no orbit roots
+    ctx = _corrupted(label, name, monkeypatch, "project")
+    with pytest.raises(FoldingError, match="^orbit system is not the dual of the folded one$"):
+        ctx._build_twisted()
+
+
+@pytest.mark.parametrize("label,name", [("A3", "flip"), ("A4", "flip"), ("D4", "rot")])
+def test_orbit_root_set_identity_raises(label, name, monkeypatch):
+    ctx = _corrupted(label, name, monkeypatch, "_orbit_simple_roots")
+    with pytest.raises(FoldingError, match="^orbit root set mismatch$"):
+        ctx._build_twisted()

@@ -9,6 +9,7 @@ from twinefold.linalg import (
     ZERO,
     coords_in_basis,
     identity,
+    integer_inverse,
     invariant_factors,
     mat,
     mat_det,
@@ -21,6 +22,7 @@ from twinefold.linalg import (
     transpose,
     vec,
 )
+from twinefold.rootcore import standard_cartan_matrix
 
 
 def test_solve_exact():
@@ -147,11 +149,17 @@ def test_det_matches_leibniz(m):
 @given(square_matrices(), st.lists(ENTRY, min_size=4, max_size=4))
 def test_inverse_and_solve(m, xs):
     n = len(m)
+    ints = [[int(x) for x in row] for row in m]
     if _leibniz_det(m) == 0:
         with pytest.raises(ValueError, match="matrix is singular"):
             mat_inv(m)
+        with pytest.raises(ValueError, match="matrix is singular"):
+            integer_inverse(ints)
         return
     assert mat_mul(m, mat_inv(m)) == identity(n)
+    num, den = integer_inverse(ints)
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in num) == mat_inv(m)
+    assert den > 0 and math.gcd(den, *(x for row in num for x in row)) == 1
     x = vec(*xs[:n])
     assert solve(m, mat_vec(m, x)) == x
 
@@ -187,3 +195,28 @@ def test_overdetermined_solve(b, extra, data):
         assert x is None
     else:
         assert x is not None and mat_vec(a, x) == rhs
+
+
+# every type standard_cartan_matrix supports, up to rank 8
+_CARTAN_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("F", 4), ("G", 2)]
+)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_integer_inverse_of_relabeled_cartan_matrices(data):
+    for family, rank in _CARTAN_TYPES:
+        a = standard_cartan_matrix(family, rank)
+        p = data.draw(st.permutations(range(rank)))
+        a = [[a[p[i]][p[j]] for j in range(rank)] for i in range(rank)]
+        num, den = integer_inverse(a)
+        # A (N / d) = I, with d the least common denominator
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*num)] for row in a] == [
+            [den * (i == j) for j in range(rank)] for i in range(rank)
+        ]
+        assert den > 0 and math.gcd(den, *(x for row in num for x in row)) == 1
+        inverse = tuple(tuple(Fraction(x, den) for x in row) for row in num)
+        assert inverse == mat_inv(mat(a))

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from twinefold.linalg import (
     bilinear, coords_in_basis, mat, mat_inv, rank_of, vadd, vdot, vec, vscale,
 )
 from twinefold import rootcore
+from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import automorphism_by_name, fold
 from twinefold.rootcore import (
     FourierPolynomial,
@@ -405,23 +407,63 @@ def test_lattice_span_and_lower_rank_quotients():
         lattice_index(diagonal, z2)
 
 
+def _reference_closure(cartan):
+    """Positive roots in simple-root coordinates by a full reflection closure
+    (positive and negative roots) split by sign, sorted by height."""
+    rank = len(cartan)
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(simple) | {tuple(-c for c in s) for s in simple}
+    frontier = set(roots)
+    while frontier:
+        nxt = set()
+        for beta in frontier:
+            for i in range(rank):
+                pairing = sum(c * cartan[i][j] for j, c in enumerate(beta))
+                gamma = tuple(c - pairing * (j == i) for j, c in enumerate(beta))
+                if gamma not in roots:
+                    roots.add(gamma)
+                    nxt.add(gamma)
+        frontier = nxt
+    positive = sorted((r for r in roots if all(c >= 0 for c in r)), key=lambda r: (sum(r), r))
+    assert 2 * len(positive) == len(roots)
+    return positive
+
+
 def _reference_datum(d):
-    """positive_roots, weyl_vector, fundamental_weights, highest_root and
-    highest_short_root of d, each a sum c_i alpha_i in Fraction vectors."""
+    """Every field of d that construction computes, by Fraction formulas: G
+    alpha_i, the Gram and Cartan matrices as Fraction dot products, the full
+    reflection closure, A^-1 by Fraction elimination (``mat_inv``), roots,
+    rho and fundamental weights as sums c_i alpha_i, and the label frame from
+    those.  The type label is left out (the classification tests pin it)."""
+    n, dim = d.rank, d.ambient_dim
+    galpha = [tuple(vdot(row, a) for row in d.ambient_gram) for a in d.simple_roots]
+    gram = tuple(tuple(vdot(a, gb) for gb in galpha) for a in d.simple_roots)
+    cartan = tuple(tuple(2 * gij / row[i] for gij in row) for i, row in enumerate(gram))
+    assert all(x.denominator == 1 for row in cartan for x in row)
+    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+
     def combo(coords):
-        out = tuple(Fraction(0) for _ in range(d.ambient_dim))
+        out = tuple(Fraction(0) for _ in range(dim))
         for c, a in zip(coords, d.simple_roots):
             out = vadd(out, vscale(c, a))
         return out
 
-    closure = rootcore._positive_roots_by_closure(d.cartan)
+    closure = _reference_closure(cartan)
     extra = d.positive_roots[len(closure):]
     positive = tuple(combo(c) for c in closure) + extra
-    rho = tuple(Fraction(0) for _ in range(d.ambient_dim))
+    rho = tuple(Fraction(0) for _ in range(dim))
     for beta in positive:
         rho = vadd(rho, vscale(Fraction(1, 2), beta))
-    cinv = mat_inv(mat(d.cartan))
-    weights = tuple(combo([cinv[j][i] for j in range(d.rank)]) for i in range(d.rank))
+    cinv = mat_inv(mat(cartan))
+    weights = tuple(combo([cinv[j][i] for j in range(n)]) for i in range(n))
+    labels = tuple(
+        tuple(sum(a * c for a, c in zip(row, coords)) for row in cartan) for coords in closure
+    )
+    form = [[cinv[i][j] * gram[i][i] / 2 for j in range(n)] for i in range(n)]
+    form_den = math.lcm(*(x.denominator for row in form for x in row))
+    form = tuple(tuple(int(x * form_den) for x in row) for row in form)
+    cinv_den = math.lcm(*(x.denominator for row in cinv for x in row))
+    alpha_den = math.lcm(*(x.denominator for a in d.simple_roots for x in a))
 
     def norm(v):
         return bilinear(d.ambient_gram, v, v)
@@ -433,8 +475,32 @@ def _reference_datum(d):
             None,
         )
 
-    norms = [norm(b) for b in positive]
-    return positive, rho, weights, dominant_of_norm(max(norms)), dominant_of_norm(min(norms))
+    norms = tuple(norm(b) for b in positive)
+    return {
+        "cartan": cartan,
+        "gram": gram,
+        "_coroot_covectors": tuple(vscale(2 / gram[i][i], ga) for i, ga in enumerate(galpha)),
+        "positive_roots": positive,
+        "positive_norms": norms,
+        "weyl_vector": rho,
+        "fundamental_weights": weights,
+        "highest_root": dominant_of_norm(max(norms)),
+        "highest_short_root": dominant_of_norm(min(norms)),
+        "_alpha_labels": tuple(zip(*cartan)),
+        "_pos_labels": labels,
+        "_form": form,
+        "_form_den": form_den,
+        "_root_covectors": tuple(
+            tuple(sum(f * x for f, x in zip(row, a)) for row in form) for a in labels
+        ),
+        "_rho_covector": tuple(sum(row) for row in form),
+        "_omega_num": tuple(
+            tuple(int(w[k] * alpha_den * cinv_den) for w in weights) for k in range(dim)
+        ),
+        "_omega_den": alpha_den * cinv_den,
+        "_alpha_den": alpha_den,
+        "_pos_num": tuple(tuple(int(x * alpha_den) for x in b) for b in positive[:len(closure)]),
+    }
 
 
 _PINNED_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
@@ -444,12 +510,8 @@ _PINNED_FOLDINGS = [(g, a) for g, a, _, _ in FOLDINGS] + [("A2", "flip")]
 
 
 def _assert_matches_reference(datum):
-    positive, rho, weights, theta, theta_s = _reference_datum(datum)
-    assert datum.positive_roots == positive
-    assert datum.weyl_vector == rho
-    assert datum.fundamental_weights == weights
-    assert datum.highest_root == theta
-    assert datum.highest_short_root == theta_s
+    for name, value in _reference_datum(datum).items():
+        assert getattr(datum, name) == value, name
 
 
 @pytest.mark.parametrize("label", _PINNED_TYPES)
@@ -466,6 +528,34 @@ def test_folded_and_orbit_data_match_fraction_reference(group, name):
              else [folded.b_subsystem, folded.c_subsystem])
     for datum in parts + [ctx.orbit.datum]:
         _assert_matches_reference(datum)
+
+
+@pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
+def test_stabilizer_data_match_fraction_reference(group, name):
+    base = build_root_datum(group)
+    ctx = fold(base, automorphism_by_name(base, name))
+    for vertex in fundamental_alcove(ctx).vertices:
+        _assert_matches_reference(stabilizer_datum(ctx, vertex).subsystem)
+
+
+def test_every_component_root_count_is_checked(monkeypatch):
+    # a closure that loses a root is caught for a reducible datum as for a simple one
+    d4 = build_root_datum("D4")
+    closure = rootcore._positive_roots_by_closure
+    monkeypatch.setattr(rootcore, "_positive_roots_by_closure", lambda c: closure(c)[:-1])
+    with pytest.raises(RootSystemError, match=r"^A1\+A1\+A1: closure produced 4 roots, expected 6$"):
+        RootDatum(None, [d4.simple_roots[i] for i in (0, 2, 3)], d4.ambient_gram)
+    with pytest.raises(RootSystemError, match="^A2: closure produced 4 roots, expected 6$"):
+        build_root_datum("A2")
+
+
+def test_half_sum_is_checked_against_the_fundamental_weights(monkeypatch):
+    # a wrong A^-1 (halved) moves the fundamental weights but not rho
+    inverse = rootcore.integer_inverse
+    monkeypatch.setattr(rootcore, "integer_inverse", lambda a: (inverse(a)[0], 2 * inverse(a)[1]))
+    for label in ("A2", "G2"):
+        with pytest.raises(RootSystemError, match="^half-sum of positive roots disagrees"):
+            build_root_datum(label)
 
 
 def test_classify():
