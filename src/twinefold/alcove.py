@@ -218,8 +218,12 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     if not alc.contains(xi):
         raise AlcoveError("point lies outside the fundamental alcove")
     base = ctx.base
-    surviving = [a for a in alc.simple_roots if base.inner(a, xi) == 0]
-    includes_affine = base.inner(alc.theta, xi) == 1
+    # each wall's covector G a pairs with xi as (a, xi), G being symmetric
+    *floors, ceiling = alc.walls
+    surviving = [
+        a for a, w in zip(alc.simple_roots, floors) if vdot(w.covector, xi) == 0
+    ]
+    includes_affine = vdot(ceiling.covector, xi) == 1
     if includes_affine:
         surviving.append(tuple(-e for e in alc.theta))
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .linalg import Vec, mat_vec, transpose, vadd, vscale, zero_vec
+from .linalg import Vec, vadd, vscale, zero_vec
 from .rootcore import build_root_datum, is_sublattice, lattice_eq
 from .folding import FoldingContext, automorphism_by_name, fold, fundamental_coweights
 from .twining import (TorusPoint, adjoint_oracle, inner_product, is_regular, jantzen_eval,
@@ -189,9 +189,8 @@ def quotient_formula_rows(rng: random.Random | None = None) -> Rows:
 def fixed_dominant_weights(ctx: FoldingContext, height: int) -> list[Vec]:
     """The kappa-fixed dominant weights whose Dynkin labels sum to <= height."""
     perm = ctx.kappa.permutation
-    basis = transpose(ctx.base.fundamental_weights)
     return sorted(
-        mat_vec(basis, labels)
+        ctx.base.from_labels(labels)
         for labels in itertools.product(range(height + 1), repeat=ctx.base.rank)
         if sum(labels) <= height and all(labels[j] == c for j, c in zip(perm, labels))
     )

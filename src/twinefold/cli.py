@@ -89,10 +89,7 @@ def format_complex(z: complex) -> list[float]:
 
 
 def weight_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
-    lam = zero_vec(ctx.base.ambient_dim)
-    for c, w in zip(coords, ctx.base.fundamental_weights):
-        lam = vadd(lam, vscale(c, w))
-    return lam
+    return ctx.base.from_labels(coords)
 
 
 def weight_from_ambient(ctx: FoldingContext, lam: Vec) -> Vec:

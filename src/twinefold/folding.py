@@ -196,8 +196,6 @@ class FoldingContext:
     """Everything derived from a base root datum and a diagram automorphism."""
 
     def __init__(self, base: RootDatum, kappa: DiagramAutomorphism):
-        if not base.reduced:
-            raise FoldingError(f"{base.type_label} is not a reduced root system")
         if len(kappa.permutation) != base.rank:
             raise FoldingError("automorphism rank mismatch")
         if not _preserves_cartan(base.cartan, kappa.permutation):
@@ -225,7 +223,8 @@ class FoldingContext:
         if orbit_datum.weyl_vector != base.weyl_vector:
             raise FoldingError("orbit half-sum of positive roots differs from base rho")
         self.orbit = OrbitDatum(orbit_datum, self.lattices["QOv"])
-        self._finish()
+        self.orbit_weyl_order = classical_weyl_order(orbit_datum.type_label)
+        self.outer_weyl_order = self.fixed_intersection.order * self.orbit_weyl_order
 
     # -- helpers -----------------------------------------------------------
 
@@ -504,15 +503,6 @@ class FoldingContext:
                 "T^k cap T_k has unexpected invariant factors "
                 f"{self.fixed_intersection.invariant_factors}"
             )
-
-    def _finish(self):
-        # the orbit group is simply connected: Lambda_(k)/Q_O^v trivial
-        if not lattice_quotient(
-            self.orbit.coroot_lattice, self.lattices["p_integral"]
-        ).is_trivial:
-            raise FoldingError("orbit group is not simply connected")
-        self.orbit_weyl_order = classical_weyl_order(self.orbit.datum.type_label)
-        self.outer_weyl_order = self.fixed_intersection.order * self.orbit_weyl_order
 
 
 def _roots(datum: RootDatum) -> frozenset[Vec]:

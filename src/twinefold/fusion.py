@@ -220,8 +220,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     theta = orbit.highest_root
     # the kappa-fixed weights are the weights of the orbit datum, so a level
     # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k
-    gens = orbit.fundamental_weights
-    comarks = [ctx.base.pair_coroot(w, theta) for w in gens]
+    comarks = [ctx.base.pair_coroot(w, theta) for w in orbit.fundamental_weights]
     if any(a.denominator != 1 for a in comarks):
         raise FusionError("a comark of the orbit system is not an integer")
     comarks = [int(a) for a in comarks]
@@ -229,15 +228,11 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         raise FusionError("a weight generator pairs non-positively with theta")
 
     # (weight, its orbit Dynkin labels, which are combo)
-    weights = []
-    for combo in itertools.product(*(range(k // a + 1) for a in comarks)):
-        if sum(ci * a for ci, a in zip(combo, comarks)) > k:
-            continue
-        lam = zero_vec(ctx.base.ambient_dim)
-        for ci, g in zip(combo, gens):
-            lam = vadd(lam, vscale(ci, g))
-        weights.append((lam, combo))
-    weights.sort()
+    weights = sorted(
+        (orbit.from_labels(combo), combo)
+        for combo in itertools.product(*(range(k // a + 1) for a in comarks))
+        if sum(ci * a for ci, a in zip(combo, comarks)) <= k
+    )
 
     shift = Fraction(1, (k + h)) / c
     rho = orbit.weyl_vector

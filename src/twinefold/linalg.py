@@ -90,11 +90,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
-def mat_scale(c, m: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * e for e in row) for row in m)
-
-
 def bilinear(g: Matrix, u: Vec, v: Vec) -> Fraction:
     # u^T g v, reading only the rows of g where u is non-zero
     return sum((a * vdot(row, v) for a, row in zip(u, g, strict=True) if a), ZERO)

@@ -10,15 +10,18 @@ No Weyl-group element is built as a matrix: ``weyl_traverse`` walks the orbit
 of a regular dominant weight in integer Dynkin labels, which is in bijection
 with the group, and reads det w = (-1)^length(w) off the search depth.
 
-A ``RootDatum`` knows its own type: it classifies its Cartan matrix, or
-checks the type it is given against it, so every realized system (base,
-folded, orbit, stabilizer) computes its Cartan pairings once.  It is built
-from integer numerators: the simple roots over their common denominator and
-the ambient form over its own give the Gram and Cartan matrices, A^-1 comes
-from fraction-free elimination (``linalg.integer_inverse``), and the positive
-roots are reached by a reflection closure on integer simple-root
-coordinates.  Its public vectors (roots, rho, fundamental weights, the Gram
-matrix) are ``Fraction`` tuples built once from those integers.
+Every ``RootDatum`` is a reduced root system, the reflection closure of its
+simple roots; the one non-reduced system of a folding, BC_n, lives in
+``folding.FoldedSystem``.  A ``RootDatum`` knows its own type: it classifies
+its Cartan matrix, or checks the type it is given against it, so every
+realized system (base, folded, orbit, stabilizer) computes its Cartan pairings
+once.  It is built from integer numerators: the simple roots over their common
+denominator and the ambient form over its own give the Gram and Cartan
+matrices, A^-1 comes from fraction-free elimination
+(``linalg.integer_inverse``), and the positive roots are reached by a
+reflection closure on integer simple-root coordinates.  Its public vectors
+(roots, rho, fundamental weights, the Gram matrix) are ``Fraction`` tuples
+built once from those integers.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -48,7 +51,6 @@ from .linalg import (
     integer_echelon,
     integer_inverse,
     invariant_factors,
-    mat_scale,
     mat_vec,
     scaled_rows,
     vadd,
@@ -422,12 +424,13 @@ class WeylOverflowError(RuntimeError):
 class RootDatum:
     """A realized root system with the exact form of its ambient space.
 
-    The Cartan matrix is computed once, from the simple roots.  A given
-    ``type_label`` is checked against it (RootSystemError "... not of type
-    ..." on a mismatch); ``None`` classifies the system instead, reducible
-    ones as 'X+Y' (sorted).  Immutable after construction; all derived
-    quantities are precomputed or cached, and every operation is a pure
-    function of the inputs.
+    The system is reduced: its roots are the reflection closure of the
+    simple roots.  The Cartan matrix is computed once, from the simple roots.
+    A given ``type_label`` is checked against it (RootSystemError "... not of
+    type ..." on a mismatch); ``None`` classifies the system instead,
+    reducible ones as 'X+Y' (sorted).  Immutable after construction; all
+    derived quantities are precomputed or cached, and every operation is a
+    pure function of the inputs.
     """
 
     def __init__(
@@ -435,14 +438,11 @@ class RootDatum:
         type_label: str | None,
         simple_roots: tuple[Vec, ...],
         ambient_gram: Matrix,
-        reduced: bool = True,
-        extra_positive_roots: tuple[Vec, ...] = (),
     ):
         self.simple_roots = tuple(simple_roots)
         self.ambient_gram = ambient_gram
         self.rank = len(simple_roots)
         self.ambient_dim = len(ambient_gram)
-        self.reduced = reduced
 
         # integer numerators: alpha_i = a[i] / alpha_den and G = g / g_den, so
         # G alpha_i = ga[i] / (g_den alpha_den) and (alpha_i, alpha_j) =
@@ -454,24 +454,22 @@ class RootDatum:
         self.cartan = tuple(
             tuple(_as_int(2 * gij, row[i]) for gij in row) for i, row in enumerate(gram)
         )
-        # a non-reduced datum is checked through the reduced datum it extends
         if type_label is None:
             type_label = _classify_system(self.cartan)
-        elif reduced:
+        else:
             _check_type(self.cartan, type_label)
         self.type_label = type_label
 
         pos_coords = _positive_roots_by_closure(self.cartan)
-        if reduced:
-            expected = sum(
-                _ROOT_COUNTS[family](rank)
-                for family, rank in map(parse_type_label, type_label.split("+"))
+        expected = sum(
+            _ROOT_COUNTS[family](rank)
+            for family, rank in map(parse_type_label, type_label.split("+"))
+        )
+        if 2 * len(pos_coords) != expected:
+            raise RootSystemError(
+                f"{type_label}: closure produced {2 * len(pos_coords)} roots, "
+                f"expected {expected}"
             )
-            if 2 * len(pos_coords) != expected:
-                raise RootSystemError(
-                    f"{type_label}: closure produced {2 * len(pos_coords)} roots, "
-                    f"expected {expected}"
-                )
         # ambient coordinate k of sum_j c_j alpha_j is (c . alpha_num[k]) / alpha_den
         alpha_num = tuple(zip(*a))
         self._alpha_den = alpha_den
@@ -482,14 +480,11 @@ class RootDatum:
         self.positive_roots = tuple(
             tuple(Fraction(x, alpha_den) if x else ZERO for x in num)
             for num in self._pos_num
-        ) + tuple(extra_positive_roots)
-        # twice rho in simple-root coordinates, then the extra roots' half
+        )
+        # twice rho in simple-root coordinates
         rho2 = [sum(col) for col in zip(*pos_coords)]
         rho2_num = [sum(map(mul, rho2, row)) for row in alpha_num]
-        rho = tuple(Fraction(x, 2 * alpha_den) for x in rho2_num)
-        for beta in extra_positive_roots:
-            rho = vadd(rho, vscale(Fraction(1, 2), beta))
-        self.weyl_vector = rho
+        self.weyl_vector = tuple(Fraction(x, 2 * alpha_den) for x in rho2_num)
 
         # fundamental weights: <w_i, alpha_j^vee> = delta_ij inside the span,
         # i.e. the columns of A^-1 in simple-root coordinates
@@ -497,7 +492,7 @@ class RootDatum:
         gram_den = g_den * alpha_den * alpha_den
         self._init_label_frame(cinv_num, cinv_den, gram, gram_den, pos_coords, alpha_num)
         # rho = sum_i omega_i, cross-multiplied over alpha_den cinv_den
-        if reduced and any(
+        if any(
             cinv_den * x != 2 * sum(row) for x, row in zip(rho2_num, self._omega_num)
         ):
             raise RootSystemError(
@@ -518,13 +513,12 @@ class RootDatum:
             for i, gai in enumerate(ga)
         )
 
-        # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels, and
-        # the extra roots of a non-reduced datum through the ambient form;
+        # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels;
         # positive_norms[i] is the squared length of positive_roots[i]
         norms = self.positive_norms = tuple(
             Fraction(sum(x * y for x, y in zip(a, cov)), self._form_den)
             for a, cov in zip(self._pos_labels, self._root_covectors)
-        ) + tuple(self.norm_sq(beta) for beta in extra_positive_roots)
+        )
         self.highest_root = self._dominant_root(norms, max(norms))
         self.highest_short_root = self._dominant_root(norms, min(norms))
 
@@ -632,13 +626,8 @@ class RootDatum:
     def _dominant_root(self, norms, target: Fraction) -> Vec | None:
         """Dominant positive root of squared length ``target``; None for
         reducible systems (``norms`` lists the positive roots' lengths).
-        Dominance is read off the integer labels of the closure roots and,
-        for the extra roots of a non-reduced datum, through the covectors."""
-        extra = self.positive_roots[len(self._pos_labels):]
-        labels = self._pos_labels + tuple(
-            tuple(vdot(beta, c) for c in self._coroot_covectors) for beta in extra
-        )
-        for beta, n, m in zip(self.positive_roots, norms, labels):
+        Dominance is read off the integer labels of the roots."""
+        for beta, n, m in zip(self.positive_roots, norms, self._pos_labels):
             if n == target and all(x >= 0 for x in m):
                 return beta
         return None
@@ -707,33 +696,12 @@ _ROOT_COUNTS = {
 def build_root_datum(type_label: str) -> RootDatum:
     """Realize a simple type in its simple-root coefficient space.
 
-    Long roots have squared length 2.  'BC' builds the non-reduced system as a
-    B_n datum augmented with the doubled short roots; no Weyl machinery runs
-    on those extra vectors.
+    Long roots have squared length 2.  Every family is reduced: the
+    non-reduced BC_n, the folded system of A_2n, exists only inside a folding
+    (``folding.FoldedSystem``), and 'BC' is an unknown family here.
     """
     family, rank = parse_type_label(type_label)
     label = f"{family}{rank}"
-    if family == "BC":
-        if rank < 1:
-            raise RootSystemError("BC_n needs n >= 1")
-        base = build_root_datum(f"B{rank}") if rank >= 2 else build_root_datum("A1")
-        if rank == 1:
-            # BC1 = {±v, ±2v} with v short: rescale the A1 realization
-            g = mat_scale(Fraction(1, 4), base.ambient_gram)
-            short = base.simple_roots[0]
-            return RootDatum(
-                "BC1", (short,), g, reduced=False,
-                extra_positive_roots=(vscale(2, short),),
-            )
-        doubled = tuple(
-            vscale(2, beta)
-            for beta, n in zip(base.positive_roots, base.positive_norms)
-            if n == 1
-        )
-        return RootDatum(
-            label, base.simple_roots, base.ambient_gram,
-            reduced=False, extra_positive_roots=doubled,
-        )
     cartan = standard_cartan_matrix(family, rank)
     d = _root_half_lengths(family, rank)
     gram = tuple(
@@ -853,11 +821,6 @@ def _classify_system(cartan) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _require_reduced(datum: RootDatum) -> None:
-    if not datum.reduced:
-        raise RootSystemError("no Weyl machinery on non-reduced systems")
-
-
 def _orbit_levels(datum: RootDatum, labels: Labels):
     """Yield the Weyl orbit of dominant ``labels`` one length at a time.
 
@@ -890,7 +853,6 @@ def weyl_traverse(datum: RootDatum, v: Vec):
     Reflection Groups and Coxeter Groups, 1.6-1.8).  Raises WeylOverflowError
     when the orbit has more elements than ``resolve_weyl_cap()`` allows.
     """
-    _require_reduced(datum)
     cap = resolve_weyl_cap()
     labels = tuple(vdot(v, c) for c in datum._coroot_covectors)
     if any(m.denominator != 1 or m <= 0 for m in labels):
@@ -926,8 +888,7 @@ def weyl_dimension(datum: RootDatum, lam: Vec) -> int:
 
 
 def dominant_labels(datum: RootDatum, lam: Vec) -> Labels:
-    """Dynkin labels of a dominant integral highest weight of a reduced datum."""
-    _require_reduced(datum)
+    """Dynkin labels of a dominant integral highest weight."""
     labels = datum.labels_of(lam)
     if any(m < 0 for m in labels):
         raise RootSystemError("weight must be dominant and integral")
@@ -1098,7 +1059,6 @@ def decompose_labels(datum: RootDatum, terms: dict[Labels, int]) -> dict[Labels,
     W-invariant polynomial is then used up; a remainder means the input was
     not W-invariant, and raises.
     """
-    _require_reduced(datum)
     rho_cov = datum._rho_covector
 
     def height(mu: Labels) -> int:

@@ -2,6 +2,8 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
+
 from twinefold.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -11,6 +13,7 @@ from twinefold.cli import (
     parse_rational,
     parse_vector,
 )
+from twinefold.rootcore import RootSystemError, build_root_datum
 
 
 def run(argv):
@@ -140,11 +143,16 @@ def test_compute_errors_exit_one():
     assert "error" in doc
 
 
-def test_non_reduced_base_is_a_compute_error():
-    for command in ("fold", "alcove"):
-        code, doc = run_json([command, "BC2", "id"])
-        assert code == EXIT_COMPUTE
-        assert doc["error"]["type"] == "FoldingError"
+def test_bc_is_not_a_root_datum_type(capsys):
+    # BC_n exists only as the folded system of A_2n, never as a base
+    for label in ("BC1", "BC2"):
+        with pytest.raises(RootSystemError, match="unknown family 'BC'"):
+            build_root_datum(label)
+    code, text = run(["fold", "BC2", "id"])
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert text == "" and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 def test_verify_suites():

@@ -278,13 +278,6 @@ def test_invalid_fold():
         fold(b2, flip)
 
 
-def test_fold_rejects_a_non_reduced_base():
-    for label in ("BC1", "BC2"):
-        bc = build_root_datum(label)
-        with pytest.raises(FoldingError, match="not a reduced root system"):
-            fold(bc, automorphism_by_name(bc, "id"))
-
-
 def test_fold_needs_simple_root_coordinates():
     sub = a3_inside_a5()
     assert sub.type_label == "A3" and sub.ambient_dim == 5

@@ -87,23 +87,6 @@ def test_invalid_type():
         build_root_datum("B1")
 
 
-def test_bc_system():
-    bc2 = build_root_datum("BC2")
-    assert not bc2.reduced
-    # 2n^2 + 2n roots for BC_n
-    assert len(bc2.positive_roots) == 6
-    lengths = sorted(set(bc2.norm_sq(a) for a in bc2.positive_roots))
-    assert lengths == [1, 2, 4]
-
-    bc1 = build_root_datum("BC1")
-    assert not bc1.reduced
-    v = bc1.simple_roots[0]
-    assert bc1.positive_roots == (v, vscale(2, v))
-    assert bc1.norm_sq(vscale(2, v)) == 2
-    with pytest.raises(RootSystemError):
-        list(weyl_traverse(bc1, bc1.weyl_vector))
-
-
 def test_rho_identities():
     for label in ("A3", "B2", "G2", "D4"):
         d = build_root_datum(label)
@@ -449,8 +432,7 @@ def _reference_datum(d):
         return out
 
     closure = _reference_closure(cartan)
-    extra = d.positive_roots[len(closure):]
-    positive = tuple(combo(c) for c in closure) + extra
+    positive = tuple(combo(c) for c in closure)
     rho = tuple(Fraction(0) for _ in range(dim))
     for beta in positive:
         rho = vadd(rho, vscale(Fraction(1, 2), beta))
@@ -499,13 +481,13 @@ def _reference_datum(d):
         ),
         "_omega_den": alpha_den * cinv_den,
         "_alpha_den": alpha_den,
-        "_pos_num": tuple(tuple(int(x * alpha_den) for x in b) for b in positive[:len(closure)]),
+        "_pos_num": tuple(tuple(int(x * alpha_den) for x in b) for b in positive),
     }
 
 
 _PINNED_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
                  + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(4, 9)]
-                 + ["E6", "F4", "G2", "BC1", "BC3"])
+                 + ["E6", "F4", "G2"])
 _PINNED_FOLDINGS = [(g, a) for g, a, _, _ in FOLDINGS] + [("A2", "flip")]
 
 
@@ -683,14 +665,6 @@ def test_decompose_non_invariant_raises():
     poly = irreducible_character(a2, w1) + FourierPolynomial({rootcore.vneg(w1): 1})
     with pytest.raises(RootSystemError, match="not Weyl-invariant"):
         decompose_into_irreducibles(a2, poly)
-
-
-def test_non_reduced_character_raises():
-    bc2 = build_root_datum("BC2")
-    with pytest.raises(RootSystemError, match="non-reduced"):
-        irreducible_character(bc2, bc2.fundamental_weights[0])
-    with pytest.raises(RootSystemError, match="non-reduced"):
-        freudenthal_multiplicities(bc2, bc2.fundamental_weights[0])
 
 
 @settings(deadline=None, max_examples=40)
