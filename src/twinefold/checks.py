@@ -111,16 +111,19 @@ def _half_sum(group, name, *_) -> Outcome:
 # lattices: 03-04
 
 _INCLUSIONS = [("QF", "PF"), ("QFv", "PFv"), ("QO", "PO"), ("QOv", "POv")]
-# equalities that hold for every folding but A_2n (which has index-2 quotients)
-_EQUALITIES = [("QFv", "fixed_integral"), ("PFv", "fixed_coweight"), ("PF", "p_weight"),
-               ("QO", "fixed_root"), ("PO", "fixed_weight"), ("POv", "p_coweight")]
+# equalities that hold for every folding
+_IDENTITIES = [("QF", "p_root"), ("PFv", "fixed_coweight"), ("QOv", "p_integral"),
+               ("PO", "fixed_weight")]
+# and those that hold for every folding but A_2n (which has index-2 quotients)
+_EQUALITIES = [("QFv", "fixed_integral"), ("PF", "p_weight"), ("QO", "fixed_root"),
+               ("POv", "p_coweight")]
 
 
 def _lattices(group, name, *_) -> Outcome:
     ctx = context(group, name)
     lat = ctx.lattices
     observed = {f"{a} <= {b}": is_sublattice(lat[a], lat[b]) for a, b in _INCLUSIONS}
-    equalities = [("QOv", "p_integral")] + ([] if ctx._is_a_even else _EQUALITIES)
+    equalities = _IDENTITIES + ([] if ctx._is_a_even else _EQUALITIES)
     observed |= {f"{a} == {b}": lattice_eq(lat[a], lat[b]) for a, b in equalities}
     expected = dict.fromkeys(observed, True)
     if ctx._is_a_even:
@@ -228,8 +231,9 @@ def _rank_one_table(k) -> Outcome:
 
 
 def _dual_coxeter(group, name, h) -> Outcome:
-    # the rank-2 orbit of the A3 folding has dual Coxeter number 3, matching
-    # the independent orbit-datum evaluation (both B2 and C2 give 3)
+    # dual_coxeter_number sums the comarks <omega_i, theta^vee>; the
+    # independent side pairs rho, the half-sum of the positive roots, with
+    # theta^vee.  The rank-2 orbit of the A3 folding gives 3 (B2 and C2 both do)
     ctx = context(group, name)
     orbit = ctx.orbit.datum
     alt = 1 + ctx.base.inner(orbit.weyl_vector, orbit.coroot(orbit.highest_root))

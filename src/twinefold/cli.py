@@ -88,14 +88,6 @@ def format_complex(z: complex) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def weight_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
-    return ctx.base.from_labels(coords)
-
-
-def weight_from_ambient(ctx: FoldingContext, lam: Vec) -> Vec:
-    return tuple(ctx.base.pair_coroot(lam, a) for a in ctx.base.simple_roots)
-
-
 def point_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
     xi = zero_vec(ctx.base.ambient_dim)
     for c, a in zip(coords, ctx.base.simple_roots):
@@ -106,11 +98,6 @@ def point_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
 def point_from_ambient(ctx: FoldingContext, xi: Vec) -> Vec:
     # the coefficient of alpha_i^vee is (omega_i, xi): <omega_i, alpha_j^vee> = delta_ij
     return tuple(ctx.base.inner(w, xi) for w in ctx.base.fundamental_weights)
-
-
-def orbit_weight_coords(ctx: FoldingContext, lam: Vec) -> Vec:
-    orbit = ctx.orbit.datum
-    return tuple(ctx.base.pair_coroot(lam, a) for a in orbit.simple_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +159,8 @@ def cmd_alcove(args) -> dict:
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
         "orbit_type": ctx.orbit.datum.type_label,
-        "simple_roots": [
-            format_vector(weight_from_ambient(ctx, a)) for a in alc.simple_roots
-        ],
-        "highest_root": format_vector(weight_from_ambient(ctx, alc.theta)),
+        "simple_roots": [format_vector(ctx.base.pairings(a)) for a in alc.simple_roots],
+        "highest_root": format_vector(ctx.base.pairings(alc.theta)),
         "vertices": [
             format_vector(point_from_ambient(ctx, v)) for v in alc.vertices
         ],
@@ -201,16 +186,14 @@ def cmd_stabilizer(args) -> dict:
 
 def cmd_char(args) -> dict:
     ctx = build_context(args.group, args.automorphism)
-    lam = weight_to_ambient(ctx, parse_vector(args.weight, ctx.base.rank))
+    lam = ctx.base.from_labels(parse_vector(args.weight, ctx.base.rank))
     chi = twining_character(ctx, lam)
-    terms = sorted(
-        (weight_from_ambient(ctx, mu), c) for mu, c in chi.poly.terms.items()
-    )
+    terms = sorted((ctx.base.pairings(mu), c) for mu, c in chi.poly.terms.items())
     return {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
-        "highest_weight": format_vector(weight_from_ambient(ctx, lam)),
-        "orbit_weight": format_vector(orbit_weight_coords(ctx, lam)),
+        "highest_weight": format_vector(ctx.base.pairings(lam)),
+        "orbit_weight": format_vector(ctx.orbit.datum.pairings(lam)),
         "dimension_at_identity": chi.dimension_at_identity,
         "terms": [[format_vector(mu), c] for mu, c in terms],
     }
@@ -218,7 +201,7 @@ def cmd_char(args) -> dict:
 
 def cmd_eval(args) -> dict:
     ctx = build_context(args.group, args.automorphism)
-    lam = weight_to_ambient(ctx, parse_vector(args.weight, ctx.base.rank))
+    lam = ctx.base.from_labels(parse_vector(args.weight, ctx.base.rank))
     xi = point_to_ambient(ctx, parse_vector(args.point, ctx.base.rank))
     chi = twining_character(ctx, lam)
     point = TorusPoint(xi)
@@ -226,7 +209,7 @@ def cmd_eval(args) -> dict:
     doc = {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
-        "highest_weight": format_vector(weight_from_ambient(ctx, lam)),
+        "highest_weight": format_vector(ctx.base.pairings(lam)),
         "point": format_vector(point_from_ambient(ctx, xi)),
         "regular": is_regular(ctx, point),
         "value": format_complex(value),
@@ -245,7 +228,7 @@ def cmd_fusion(args) -> dict:
     table = fusion_table(ctx, args.level)
     level = table.level
 
-    coords = [weight_from_ambient(ctx, lam) for lam in level.level_weights]
+    coords = [ctx.base.pairings(lam) for lam in level.level_weights]
     weights = sorted(range(len(coords)), key=coords.__getitem__)
     name = [format_vector(c) for c in coords]
     entries = []

@@ -491,7 +491,7 @@ class FoldingContext:
             "QO": qo, "QOv": qov, "PO": po, "POv": pov,
             "fixed_integral": fixed_integral, "fixed_root": fixed_root,
             "fixed_weight": fixed_weight, "fixed_coweight": fixed_coweight,
-            "p_integral": p_integral, "p_weight": p_weight,
+            "p_integral": p_integral, "p_root": p_root, "p_weight": p_weight,
             "p_coweight": p_coweight,
         }
 

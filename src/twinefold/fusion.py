@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
 
-from .linalg import Vec, vadd, vneg, vscale, zero_vec
+from .linalg import Vec, vadd, vscale, zero_vec
 from .folding import FoldingContext
 from .rootcore import (
     Labels,
@@ -138,9 +138,15 @@ def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingEle
     return RingElement.from_dict(out)
 
 
+def _dual_labels(datum: RootDatum, m: Labels) -> Labels:
+    """-w0 on labels: the dominant conjugate of -m."""
+    return dominant_conjugate(datum, tuple(-x for x in m))[1]
+
+
 def dual_weight(ctx: FoldingContext, lam: Vec) -> Vec:
     """-w0(lam) on the orbit system."""
-    return ctx.orbit.datum.make_dominant(vneg(lam))
+    datum = ctx.orbit.datum
+    return datum.from_labels(_dual_labels(datum, datum.labels_of(lam)))
 
 
 def involution(ctx: FoldingContext, a: RingElement) -> RingElement:
@@ -191,13 +197,22 @@ def basic_rescale(ctx: FoldingContext) -> Fraction:
     return ctx.base.norm_sq(theta) / 2
 
 
-def dual_coxeter_number(ctx: FoldingContext) -> int:
-    c = basic_rescale(ctx)
+def comarks(ctx: FoldingContext) -> tuple[int, ...]:
+    """The comarks <omega_i, theta^vee> of the orbit system: the coefficients
+    of theta^vee in the simple coroots, positive integers."""
     orbit = ctx.orbit.datum
-    value = 1 + ctx.base.inner(orbit.weyl_vector, orbit.highest_root) / c
-    if value.denominator != 1:
-        raise FusionError("dual Coxeter number came out non-integral")
-    return int(value)
+    theta_vee = ctx.base.coroot(orbit.highest_root)
+    marks = [ctx.base.inner(w, theta_vee) for w in orbit.fundamental_weights]
+    if any(a.denominator != 1 for a in marks):
+        raise FusionError("a comark of the orbit system is not an integer")
+    if any(a <= 0 for a in marks):
+        raise FusionError("a weight generator pairs non-positively with theta")
+    return tuple(int(a) for a in marks)
+
+
+def dual_coxeter_number(ctx: FoldingContext) -> int:
+    """h^vee = 1 + sum_i a_i^vee (Kac, Infinite-Dimensional Lie Algebras, 6.1)."""
+    return 1 + sum(comarks(ctx))
 
 
 def _sum_lattice_index(ctx: FoldingContext, scale: Fraction) -> int:
@@ -217,21 +232,15 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     c = basic_rescale(ctx)
     h = dual_coxeter_number(ctx)
     orbit = ctx.orbit.datum
-    theta = orbit.highest_root
     # the kappa-fixed weights are the weights of the orbit datum, so a level
     # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k
-    comarks = [ctx.base.pair_coroot(w, theta) for w in orbit.fundamental_weights]
-    if any(a.denominator != 1 for a in comarks):
-        raise FusionError("a comark of the orbit system is not an integer")
-    comarks = [int(a) for a in comarks]
-    if any(a <= 0 for a in comarks):
-        raise FusionError("a weight generator pairs non-positively with theta")
+    marks = comarks(ctx)
 
     # (weight, its orbit Dynkin labels, which are combo)
     weights = sorted(
         (orbit.from_labels(combo), combo)
-        for combo in itertools.product(*(range(k // a + 1) for a in comarks))
-        if sum(ci * a for ci, a in zip(combo, comarks)) <= k
+        for combo in itertools.product(*(range(k // a + 1) for a in marks))
+        if sum(ci * a for ci, a in zip(combo, marks)) <= k
     )
 
     shift = Fraction(1, (k + h)) / c
@@ -255,8 +264,8 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         s_points=tuple(points),
         phases=tuple(phases),
         t_group_order=_sum_lattice_index(ctx, shift),
-        comarks=tuple(comarks),
-        theta_labels=orbit.labels_of(theta),
+        comarks=marks,
+        theta_labels=orbit.labels_of(orbit.highest_root),
         label_index={m: i for i, m in enumerate(labels)},
         weight_index={lam: i for i, lam in enumerate(level_weights)},
     )
@@ -346,8 +355,7 @@ def level_values(ctx: FoldingContext, level: LevelData) -> LevelValues:
     weights = tuple(_norm_sq_at(ctx, ph) / level.t_group_order for ph in level.phases)
     dual = []
     for lam, m in zip(level.level_weights, level.labels):
-        # -w0(lam): the dominant conjugate of -lam
-        i = level.label_index.get(dominant_conjugate(datum, tuple(-x for x in m))[1])
+        i = level.label_index.get(_dual_labels(datum, m))
         if i is None:
             raise FusionError(f"the dual of level weight {lam} is not a level weight")
         dual.append(i)

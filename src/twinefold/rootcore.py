@@ -27,7 +27,7 @@ Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
 decomposition run on integer tuples, with the form as one integer matrix over
 a common denominator.  Ambient vectors appear only at the API boundary
-(``RootDatum.labels_of`` / ``RootDatum.from_labels``).
+(``RootDatum.labels_of``, ``from_labels`` and ``pairings``).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .linalg import (
     ZERO,
     ONE,
     bilinear,
-    coords_in_basis,
     echelon_coords,
     integer_echelon,
     integer_inverse,
@@ -57,7 +56,6 @@ from .linalg import (
     vdot,
     vneg,
     vscale,
-    vsub,
     zero_vec,
 )
 
@@ -574,15 +572,9 @@ class RootDatum:
     def coroot(self, alpha: Vec) -> Vec:
         return vscale(2 / self.norm_sq(alpha), alpha)
 
-    def pair_coroot(self, v: Vec, alpha: Vec) -> Fraction:
-        return 2 * self.inner(v, alpha) / self.norm_sq(alpha)
-
-    def reflect(self, v: Vec, alpha: Vec) -> Vec:
-        return vsub(v, vscale(self.pair_coroot(v, alpha), alpha))
-
-    def coords_of(self, v: Vec) -> Vec | None:
-        """Coordinates of v in the simple-root basis (None if outside span)."""
-        return coords_in_basis(self.simple_roots, v)
+    def pairings(self, v: Vec) -> tuple[Fraction, ...]:
+        """The pairings <v, alpha_i^vee> with the simple coroots, one dot each."""
+        return tuple(vdot(v, c) for c in self._coroot_covectors)
 
     def labels_of(self, v: Vec) -> Labels:
         """Dynkin labels of the weight v of this datum.
@@ -590,7 +582,7 @@ class RootDatum:
         Raises RootSystemError when v is off the weight lattice or outside the
         root span (the labels alone would drop the orthogonal part).
         """
-        labels = tuple(vdot(v, c) for c in self._coroot_covectors)
+        labels = self.pairings(v)
         if any(m.denominator != 1 for m in labels):
             raise RootSystemError(f"{v} is not on the weight lattice")
         labels = tuple(int(m) for m in labels)
@@ -608,18 +600,8 @@ class RootDatum:
 
     # -- dominance and integrality ----------------------------------------
 
-    def is_dominant(self, v: Vec) -> bool:
-        return all(self.inner(v, a) >= 0 for a in self.simple_roots)
-
     def is_dominant_integral(self, v: Vec) -> bool:
-        return all(
-            (p := vdot(v, c)) >= 0 and p.denominator == 1
-            for c in self._coroot_covectors
-        )
-
-    def make_dominant(self, v: Vec) -> Vec:
-        """Dominant Weyl-chamber representative of the weight v."""
-        return self.from_labels(dominant_conjugate(self, self.labels_of(v))[1])
+        return all(p >= 0 and p.denominator == 1 for p in self.pairings(v))
 
     # -- misc ----------------------------------------------------------------
 
@@ -854,7 +836,7 @@ def weyl_traverse(datum: RootDatum, v: Vec):
     when the orbit has more elements than ``resolve_weyl_cap()`` allows.
     """
     cap = resolve_weyl_cap()
-    labels = tuple(vdot(v, c) for c in datum._coroot_covectors)
+    labels = datum.pairings(v)
     if any(m.denominator != 1 or m <= 0 for m in labels):
         raise RootSystemError("weight must be regular dominant integral")
     sign, count = 1, 0

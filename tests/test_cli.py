@@ -57,6 +57,20 @@ def test_alcove_round_trip():
     ]
 
 
+def labels(vectors):
+    return [[parse_rational(c) for c in v] for v in vectors]
+
+
+def test_alcove_roots_in_base_labels():
+    # the orbit B3's alcove walls and theta, paired with the A5 simple coroots
+    code, doc = run_json(["alcove", "A5", "flip"])
+    assert code == EXIT_OK
+    assert labels(doc["simple_roots"]) == [
+        [2, -1, 0, -1, 2], [-1, 2, -2, 2, -1], [0, -1, 2, -1, 0]
+    ]
+    assert labels([doc["highest_root"]]) == [[0, 1, 0, 1, 0]]
+
+
 def test_stabilizer_interior_point():
     code, doc = run_json(["stabilizer", "A2", "flip", "--point", "1/8,1/8"])
     assert code == EXIT_OK
@@ -68,6 +82,8 @@ def test_char_dimension():
     code, doc = run_json(["char", "A3", "flip", "--weight", "1,0,1"])
     assert code == EXIT_OK
     assert doc["dimension_at_identity"] == 5
+    # base labels, and the labels of the same weight in the orbit B2
+    assert labels([doc["highest_weight"], doc["orbit_weight"]]) == [[1, 0, 1], [1, 0]]
     assert sum(c for _, c in doc["terms"]) == 5
 
 

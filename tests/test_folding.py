@@ -177,7 +177,7 @@ def test_special_roots_cases():
     assert tl == vscale(2, ctx4.base.highest_root)
     # theta itself is not an orbit root here; the short dominant root is
     # beta1+beta2 of the realized C2 system
-    assert ctx4.orbit.datum.is_dominant(ts)
+    assert ctx4.orbit.datum.is_dominant_integral(ts)
     assert ctx4.orbit.datum.norm_sq(ts) == 4
 
     ctxd = ctx_for("D4", "rot")
@@ -257,7 +257,7 @@ def test_identity_fold_lattices_are_the_base_lattices(label):
     expected = {
         "QF": q, "QFv": qv, "PF": p, "PFv": pv,
         "QO": q, "QOv": qv, "PO": p, "POv": pv,
-        "fixed_integral": qv, "p_integral": qv,
+        "fixed_integral": qv, "p_integral": qv, "p_root": q,
         "p_weight": p, "fixed_weight": p,
         "fixed_root": q, "p_coweight": pv, "fixed_coweight": pv,
     }
