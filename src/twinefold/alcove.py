@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
-from .linalg import Vec, identity, mat_vec, vadd, vdot, vscale, vsub, zero_vec
-from .folding import FoldingContext, coroot_lattice, fundamental_coweights
+from .linalg import Vec, identity, mat_vec, scaled_rows, vadd, vdot, vscale, vsub, zero_vec
+from .folding import FoldingContext, coroot_lattice
 from .rootcore import (
     FiniteAbelianGroup,
     RootDatum,
@@ -116,25 +117,54 @@ class AlcoveDescription:
 
 
 def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
-    """Vertices are 0 and the rescaled fundamental coweights of the orbit system.
+    """Vertices are 0 and the fundamental coweights cw_i of the orbit system,
+    each divided by (theta, cw_i), the coefficient of alpha_i in theta.
 
-    Built once per context.
+    Built once per context, from the integer rows of the orbit datum's
+    simple roots, coroots, weights and coweights: with the ambient form
+    G = g / g_den, each covector G v is one integer product g v, and a
+    ``Fraction`` is made once per entry.
     """
     if ctx._alcove is not None:
         return ctx._alcove
     orbit = ctx.orbit.datum
     theta = orbit.highest_root
+    g_den, g = scaled_rows(ctx.base.ambient_gram)
+
+    def g_times(row):
+        return [sum(map(mul, gr, row)) for gr in g]
+
+    def covector(row, den: int) -> Vec:
+        # G (row / den) for an integer row
+        return tuple(Fraction(x, g_den * den) for x in g_times(row))
+
+    t_den, (t,) = scaled_rows([theta])
+    gt = g_times(t)
+    cw_den, coweights = orbit.coweight_rows()
     vertices = [zero_vec(ctx.base.ambient_dim)]
-    for cw in fundamental_coweights(orbit):
-        c = ctx.base.inner(theta, cw)
+    for cw in coweights:
+        c = Fraction(sum(map(mul, gt, cw)), g_den * t_den * cw_den)
         if c <= 0:
             raise AlcoveError("highest root pairs non-positively with a coweight")
-        vertices.append(vscale(1 / c, cw))
-    walls = tuple(affine_reflection(ctx.base, a) for a in orbit.simple_roots)
-    walls += (affine_reflection(ctx.base, theta, 1),)
-    weight_covectors = tuple(
-        mat_vec(ctx.base.ambient_gram, w) for w in orbit.fundamental_weights
+        vertices.append(
+            tuple(Fraction(x * c.denominator, cw_den * c.numerator) for x in cw)
+        )
+    (a_den, roots), (v_den, coroots) = orbit.root_rows(), orbit.coroot_rows()
+    walls = tuple(
+        AffineReflection(covector(a, a_den), Fraction(0), tuple(Fraction(x, v_den) for x in v))
+        for a, v in zip(roots, coroots)
     )
+    # theta^vee = 2 theta / (theta, theta) = 2 g_den t_den t / (t . g t)
+    t_norm = sum(map(mul, gt, t))
+    walls += (
+        AffineReflection(
+            covector(t, t_den),
+            Fraction(1),
+            tuple(Fraction(2 * g_den * t_den * x, t_norm) for x in t),
+        ),
+    )
+    w_den, weights = orbit.weight_rows()
+    weight_covectors = tuple(covector(w, w_den) for w in weights)
     alc = AlcoveDescription(
         orbit.simple_roots, theta, tuple(vertices), walls, weight_covectors
     )

@@ -14,8 +14,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
-from .linalg import Vec, vadd, vscale, zero_vec
+from .linalg import Vec, scaled_rows
 from .rootcore import (
     RootSystemError,
     WeylOverflowError,
@@ -89,15 +91,21 @@ def format_complex(z: complex) -> list[float]:
 
 
 def point_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
-    xi = zero_vec(ctx.base.ambient_dim)
-    for c, a in zip(coords, ctx.base.simple_roots):
-        xi = vadd(xi, vscale(c, ctx.base.coroot(a)))
-    return xi
+    # sum_i c_i alpha_i^vee over the integer coroot rows
+    den, rows = ctx.base.coroot_rows()
+    cden, (c,) = scaled_rows([coords])
+    return tuple(Fraction(sum(map(mul, c, col)), den * cden) for col in zip(*rows))
 
 
 def point_from_ambient(ctx: FoldingContext, xi: Vec) -> Vec:
-    # the coefficient of alpha_i^vee is (omega_i, xi): <omega_i, alpha_j^vee> = delta_ij
-    return tuple(ctx.base.inner(w, xi) for w in ctx.base.fundamental_weights)
+    # the coefficient of alpha_i^vee is (omega_i, xi): <omega_i, alpha_j^vee> =
+    # delta_ij; each is one dot of a weight row with the integer covector g x
+    base = ctx.base
+    g_den, g = scaled_rows(base.ambient_gram)
+    den, weights = base.weight_rows()
+    xden, (x,) = scaled_rows([xi])
+    gx = [sum(map(mul, row, x)) for row in g]
+    return tuple(Fraction(sum(map(mul, w, gx)), g_den * den * xden) for w in weights)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves no state in
+    the parser, and building it costs about a millisecond per call."""
+    return build_parser()
+
+
 _HANDLERS = {
     "fold": cmd_fold,
     "alcove": cmd_alcove,
@@ -364,9 +379,8 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:

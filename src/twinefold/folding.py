@@ -5,16 +5,21 @@ system, where kappa permutes coordinates: the fixed subspace of the node
 permutation, the projection onto it (each coordinate averaged over its node
 orbit), the folded root system (projection image), the orbit root system
 (coroot-direction rescaling), and the whole family of lattices these carry.
-The finite group T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
+The lattices are built from integer rows: each datum's simple roots,
+coroots, fundamental weights and coweights over one denominator
+(``RootDatum.root_rows`` and its siblings), summed over node orbits or
+projected in units of 1/|kappa|.  The finite group T^kappa ∩ T_kappa is
+obtained as an exact lattice quotient.
 kappa = id takes the same path, with the base as folded and orbit system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
-from .linalg import Vec, vadd, vneg, vscale, zero_vec
+from .linalg import Vec, vneg, vscale
 from .rootcore import (
     FiniteAbelianGroup,
     Lattice,
@@ -22,7 +27,6 @@ from .rootcore import (
     RootSystemError,
     cartan_isomorphisms,
     classical_weyl_order,
-    lattice,
     lattice_eq,
     lattice_index,
     lattice_quotient,
@@ -138,29 +142,26 @@ def automorphism_by_name(datum: RootDatum, name: str) -> DiagramAutomorphism:
 
 
 def root_lattice(datum: RootDatum) -> Lattice:
-    return lattice(datum.simple_roots, datum.ambient_dim)
+    return Lattice.from_rows(*datum.root_rows(), datum.ambient_dim)
 
 
 def weight_lattice(datum: RootDatum) -> Lattice:
-    return lattice(datum.fundamental_weights, datum.ambient_dim)
+    return Lattice.from_rows(*datum.weight_rows(), datum.ambient_dim)
 
 
 def coroot_lattice(datum: RootDatum) -> Lattice:
-    return lattice(
-        tuple(datum.coroot(a) for a in datum.simple_roots), datum.ambient_dim
-    )
+    return Lattice.from_rows(*datum.coroot_rows(), datum.ambient_dim)
 
 
 def fundamental_coweights(datum: RootDatum) -> tuple[Vec, ...]:
     """Dual basis to the simple roots under the invariant form: as
     <omega_i, alpha_j^vee> = delta_ij, it is (2 / (alpha_i, alpha_i)) omega_i."""
-    return tuple(
-        vscale(2 / datum.gram[i][i], w) for i, w in enumerate(datum.fundamental_weights)
-    )
+    den, rows = datum.coweight_rows()
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def coweight_lattice(datum: RootDatum) -> Lattice:
-    return lattice(fundamental_coweights(datum), datum.ambient_dim)
+    return Lattice.from_rows(*datum.coweight_rows(), datum.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +277,12 @@ class FoldingContext:
         self._family, self._rank = family, rank
         self._is_a_even = family == "A" and rank % 2 == 0
 
-    def _fixed_sublattice(self, vectors: tuple[Vec, ...]) -> Lattice:
-        """Fixed sublattice of a lattice whose basis kappa permutes: orbit sums."""
-        basis = []
-        for orb in self.node_orbits:
-            acc = zero_vec(self.base.ambient_dim)
-            for i in orb:
-                acc = vadd(acc, vectors[i])
-            basis.append(acc)
-        return lattice(basis, self.base.ambient_dim)
+    def _fixed_sublattice(self, family) -> Lattice:
+        """Fixed sublattice of a lattice whose basis kappa permutes, given as
+        integer rows over one denominator: the orbit sums of the rows."""
+        den, rows = family
+        sums = [tuple(map(sum, zip(*(rows[i] for i in orb)))) for orb in self.node_orbits]
+        return Lattice.from_rows(den, sums, self.base.ambient_dim)
 
     def _orbit_simple_roots(self) -> tuple[Vec, ...]:
         """The coroots p(alpha)^vee of the projected simple roots, one per
@@ -306,10 +304,12 @@ class FoldingContext:
                 out[i] = total
         return tuple(out)
 
-    def _projected_lattice(self, vectors: tuple[Vec, ...]) -> Lattice:
-        """Image p(L) for the same kind of lattice: p of one vector per orbit."""
-        basis = [self.project(vectors[orb[0]]) for orb in self.node_orbits]
-        return lattice(basis, self.base.ambient_dim)
+    def _projected_lattice(self, family) -> Lattice:
+        """Image p(L) for the same kind of lattice: p of one row per orbit,
+        as L p(row) over den L."""
+        den, rows = family
+        basis = [self._scaled_projection(rows[orb[0]]) for orb in self.node_orbits]
+        return Lattice.from_rows(den * self.kappa.order, basis, self.base.ambient_dim)
 
     # -- construction branches --------------------------------------------
 
@@ -431,10 +431,8 @@ class FoldingContext:
 
     def _assemble_lattices(self, folded_datum: RootDatum, orbit_datum: RootDatum):
         base = self.base
-        simple = base.simple_roots
-        coroots = tuple(base.coroot(a) for a in simple)
-        weights = base.fundamental_weights
-        coweights = fundamental_coweights(base)
+        simple, coroots = base.root_rows(), base.coroot_rows()
+        weights, coweights = base.weight_rows(), base.coweight_rows()
 
         fixed_integral = self._fixed_sublattice(coroots)          # Lambda^k
         fixed_root = self._fixed_sublattice(simple)               # Q^k

@@ -21,7 +21,8 @@ matrices, A^-1 comes from fraction-free elimination
 (``linalg.integer_inverse``), and the positive roots are reached by a
 reflection closure on integer simple-root coordinates.  Its public vectors
 (roots, rho, fundamental weights, the Gram matrix) are ``Fraction`` tuples
-built once from those integers.
+built once from those integers; the lattice generators (``root_rows`` and its
+siblings) stay integer rows over one denominator.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -33,11 +34,11 @@ a common denominator.  Ambient vectors appear only at the API boundary
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import cos, factorial, fsum, gcd, pi, sin
+from math import cos, factorial, fsum, gcd, lcm, pi, sin
 from operator import mul
 
 from .linalg import (
@@ -231,45 +232,72 @@ class FiniteAbelianGroup:
         return not self.invariant_factors
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Z-span of linearly independent rational vectors.
 
-    The basis is also kept as an integer echelon: scaled by the lcm ``den`` of
-    its denominators and row-reduced once over Z (``linalg.integer_echelon``).
+    The basis is kept as integer rows over one denominator ``den`` (the
+    vectors row / den), row-reduced once over Z (``linalg.integer_echelon``).
     That reduction is the independence check, and v lies in the lattice
     exactly when den v is an integer vector that reduces to zero against the
-    echelon, so membership never solves a rational system.
+    echelon, so membership never solves a rational system.  ``from_rows``
+    takes the rows directly and builds the ``Fraction`` basis only when
+    something reads it; sublattice tests and quotients read the rows.
     """
 
-    basis: tuple[Vec, ...]
-    ambient_dim: int
-    _den: int = field(init=False, repr=False, compare=False)
-    _echelon: tuple = field(init=False, repr=False, compare=False)
+    def __init__(self, basis, ambient_dim: int):
+        self._basis = tuple(basis)
+        self._set_rows(*scaled_rows(self._basis), ambient_dim)
 
-    def __post_init__(self):
-        den, rows = scaled_rows(self.basis)
-        echelon = integer_echelon(rows)
-        if len(echelon) != len(self.basis):
+    @classmethod
+    def from_rows(cls, den: int, rows, ambient_dim: int) -> "Lattice":
+        lat = cls.__new__(cls)
+        lat._basis = None
+        lat._set_rows(den, rows, ambient_dim)
+        return lat
+
+    def _set_rows(self, den: int, rows, ambient_dim: int) -> None:
+        self._den, self._rows, self.ambient_dim = den, rows, ambient_dim
+        self._echelon = integer_echelon(rows)
+        if len(self._echelon) != len(rows):
             raise ValueError("lattice basis must be linearly independent")
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_echelon", echelon)
+
+    @property
+    def basis(self) -> tuple[Vec, ...]:
+        if self._basis is None:
+            den = self._den
+            self._basis = tuple(tuple(Fraction(x, den) for x in r) for r in self._rows)
+        return self._basis
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Lattice) and (self.basis, self.ambient_dim) == (
+            other.basis, other.ambient_dim
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.ambient_dim))
+
+    def __repr__(self) -> str:
+        return f"Lattice(basis={self.basis!r}, ambient_dim={self.ambient_dim!r})"
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
+
+    def _row_coords(self, row, den: int) -> list[int] | None:
+        """Integer coordinates of the vector row / den, for an integer row."""
+        w = []
+        for x in row:
+            q, r = divmod(x * self._den, den)
+            if r:
+                return None
+            w.append(q)
+        return echelon_coords(self._echelon, w)
 
     def integral_coords(self, v: Vec) -> list[int] | None:
         """Integer coordinates of v in the basis, or None when v is off the
         lattice."""
-        den = self._den
-        w = []
-        for x in v:
-            q, r = divmod(den, x.denominator)
-            if r:
-                return None
-            w.append(x.numerator * q)
-        return echelon_coords(self._echelon, w)
+        den, (row,) = scaled_rows([v])
+        return self._row_coords(row, den)
 
     def contains(self, v: Vec) -> bool:
         return self.integral_coords(v) is not None
@@ -284,14 +312,13 @@ def lattice_span(vectors, ambient_dim: int) -> Lattice:
     its basis is their integer echelon, scaled back by the common
     denominator."""
     den, rows = scaled_rows(vectors)
-    return lattice(
-        (tuple(Fraction(x, den) for x in row) for _, row, _ in integer_echelon(rows)),
-        ambient_dim,
+    return Lattice.from_rows(
+        den, [row for _, row, _ in integer_echelon(rows)], ambient_dim
     )
 
 
 def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
-    return all(sup.contains(b) for b in sub.basis)
+    return all(sup._row_coords(r, sub._den) is not None for r in sub._rows)
 
 
 def lattice_eq(a: Lattice, b: Lattice) -> bool:
@@ -303,8 +330,8 @@ def lattice_quotient(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
     above 1 of sub's basis in sup's coordinates.  At equal ranks this is the
     whole quotient."""
     rows = []
-    for b in sub.basis:
-        c = sup.integral_coords(b)
+    for r in sub._rows:
+        c = sup._row_coords(r, sub._den)
         if c is None:
             raise ValueError("first lattice is not contained in the second")
         rows.append(c)
@@ -471,6 +498,13 @@ class RootDatum:
         # ambient coordinate k of sum_j c_j alpha_j is (c . alpha_num[k]) / alpha_den
         alpha_num = tuple(zip(*a))
         self._alpha_den = alpha_den
+        self._simple_num = tuple(map(tuple, a))
+        # 2 / (alpha_i, alpha_i) = 2 g_den alpha_den^2 / gram[i][i], written
+        # as scale[i] alpha_den / norm_den over one denominator
+        norm_den = lcm(*(row[i] for i, row in enumerate(gram)))
+        self._coroot_scale = norm_den, tuple(
+            2 * g_den * alpha_den * (norm_den // row[i]) for i, row in enumerate(gram)
+        )
         # the positive roots' numerators over alpha_den, in _pos_labels order
         self._pos_num = tuple(
             tuple(sum(map(mul, c, row)) for row in alpha_num) for c in pos_coords
@@ -596,6 +630,29 @@ class RootDatum:
         return tuple(
             Fraction(sum(m * w for m, w in zip(labels, row)), den)
             for row in self._omega_num
+        )
+
+    # -- lattice generators: (den, rows), the vectors row / den, one per node
+
+    def root_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The simple roots."""
+        return self._alpha_den, self._simple_num
+
+    def coroot_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The simple coroots 2 alpha_i / (alpha_i, alpha_i)."""
+        den, scale = self._coroot_scale
+        return den, tuple(tuple(s * x for x in a) for s, a in zip(scale, self._simple_num))
+
+    def weight_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The fundamental weights."""
+        return self._omega_den, tuple(zip(*self._omega_num))
+
+    def coweight_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The fundamental coweights (2 / (alpha_i, alpha_i)) omega_i, the
+        basis dual to the simple roots."""
+        (den, scale), ad = self._coroot_scale, self._alpha_den
+        return den * self._omega_den, tuple(
+            tuple(s * ad * x for x in w) for s, w in zip(scale, zip(*self._omega_num))
         )
 
     # -- dominance and integrality ----------------------------------------

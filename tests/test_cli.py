@@ -71,6 +71,49 @@ def test_alcove_roots_in_base_labels():
     assert labels([doc["highest_root"]]) == [[0, 1, 0, 1, 0]]
 
 
+def test_alcove_vertices_with_unequal_root_lengths():
+    # the coordinates read (omega_i, xi) through the ambient form, so the root
+    # lengths d_i != 1 of B3 and G2 enter them
+    code, doc = run_json(["alcove", "B3", "id"])
+    assert code == EXIT_OK
+    assert doc["vertices"] == [
+        ["0/1", "0/1", "0/1"], ["1/1", "1/1", "1/2"], ["1/2", "1/1", "1/2"],
+        ["1/2", "1/1", "3/4"],
+    ]
+    code, doc = run_json(["alcove", "G2", "id"])
+    assert code == EXIT_OK
+    assert doc["vertices"] == [["0/1", "0/1"], ["1/1", "1/2"], ["1/1", "2/3"]]
+
+
+def test_stabilizer_round_trip_c4():
+    # simple-coroot coordinates -> ambient point -> coordinates, where the
+    # short roots of C4 have d_i = 1/2
+    code, doc = run_json(["stabilizer", "C4", "id", "--point", "1/2,1,5/4,5/4"])
+    assert code == EXIT_OK
+    assert doc["point"] == ["1/2", "1/1", "5/4", "5/4"]
+    assert (doc["surviving_nodes"], doc["includes_affine_node"]) == (3, True)
+    assert doc["stabilizer_type"] == "A1+B2"
+    assert (doc["pi1_invariant_factors"], doc["pi1_free_rank"]) == ([], 1)
+    _, alcove = run_json(["alcove", "C4", "id"])
+    for vertex in alcove["vertices"]:
+        code, doc = run_json(["stabilizer", "C4", "id", "--point", ",".join(vertex)])
+        assert code == EXIT_OK
+        assert doc["point"] == vertex
+
+
+def test_parser_keeps_no_state_between_calls():
+    # one parser serves every call in a process
+    assert run(["stabilizer", "A2", "flip"])[0] == EXIT_PARSE
+    code, doc = run_json(["fold", "A3", "flip"])
+    assert code == EXIT_OK and doc["orbit_type"] == "B2"
+    assert run(["fold", "A3"])[0] == EXIT_PARSE
+    code, text = run(["--format", "csv", "stabilizer", "A2", "flip", "--point", "1/8,1/8"])
+    assert code == EXIT_OK and "point,1/8,1/8" in text.splitlines()
+    # the default format is back to JSON
+    code, doc = run_json(["stabilizer", "A2", "flip", "--point", "1/8,1/8"])
+    assert code == EXIT_OK and doc["point"] == ["1/8", "1/8"]
+
+
 def test_stabilizer_interior_point():
     code, doc = run_json(["stabilizer", "A2", "flip", "--point", "1/8,1/8"])
     assert code == EXIT_OK

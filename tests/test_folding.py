@@ -1,10 +1,13 @@
+import math
 import time
 from fractions import Fraction
 
 import pytest
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import mat_mul, mat_vec, vadd, vscale
+from twinefold.linalg import (
+    coords_in_basis, invariant_factors, mat_mul, mat_vec, vadd, vscale,
+)
 from twinefold.rootcore import build_root_datum, lattice_eq, weyl_traverse
 from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import (
@@ -339,3 +342,145 @@ def test_orbit_root_set_identity_raises(label, name, monkeypatch):
     ctx = _corrupted(label, name, monkeypatch, "_orbit_simple_roots")
     with pytest.raises(FoldingError, match="^orbit root set mismatch$"):
         ctx._build_twisted()
+
+
+# the nine foldings, A2, A12 and D10 flip, two more D4 automorphisms and
+# identity folds with roots of several lengths
+REFERENCE_CASES = list(dict.fromkeys(
+    [(g, n) for g, n, *_ in FOLDINGS]
+    + [("A2", "flip"), ("A12", "flip"), ("D10", "flip"), ("D4", "rot2"), ("D4", "swap13")]
+    + [(g, "id") for g in ("B3", "C4", "F4", "G2", "E6")]
+))
+
+
+def _fraction_families(datum):
+    """Simple roots, coroots 2 a / (a, a), fundamental weights and coweights
+    (2 / (a_i, a_i)) omega_i of a datum, by the bilinear form in Fractions."""
+    weights = datum.fundamental_weights
+    return (
+        datum.simple_roots,
+        tuple(datum.coroot(a) for a in datum.simple_roots),
+        weights,
+        tuple(vscale(2 / datum.gram[i][i], w) for i, w in enumerate(weights)),
+    )
+
+
+def _reference_bases(ctx):
+    """Every lattice basis of a context by the Fraction formulas: orbit sums
+    and projections of the base families, and the families of the folded
+    (for A_2n its B subsystem) and orbit data."""
+    def orbit_sums(vectors):
+        out = []
+        for orb in ctx.node_orbits:
+            acc = vectors[orb[0]]
+            for i in orb[1:]:
+                acc = vadd(acc, vectors[i])
+            out.append(acc)
+        return tuple(out)
+
+    def projections(vectors):
+        return tuple(ctx.project(vectors[orb[0]]) for orb in ctx.node_orbits)
+
+    folded = ctx.folded.datum if ctx.folded.datum is not None else ctx.folded.b_subsystem
+    roots, coroots, weights, coweights = _fraction_families(ctx.base)
+    out = {
+        "fixed_integral": orbit_sums(coroots), "fixed_root": orbit_sums(roots),
+        "fixed_weight": orbit_sums(weights), "fixed_coweight": orbit_sums(coweights),
+        "p_integral": projections(coroots), "p_root": projections(roots),
+        "p_weight": projections(weights), "p_coweight": projections(coweights),
+    }
+    for tag, datum in (("F", folded), ("O", ctx.orbit.datum)):
+        q, qv, p, pv = _fraction_families(datum)
+        out |= {f"Q{tag}": q, f"Q{tag}v": qv, f"P{tag}": p, f"P{tag}v": pv}
+    return out
+
+
+def _reference_quotient(sub, sup):
+    """Invariant factors above 1 of span(sup) / span(sub), from the rational
+    coordinates of sub's vectors in sup's."""
+    rows = [coords_in_basis(sup, b) for b in sub]
+    assert all(x.denominator == 1 for c in rows for x in c)
+    return tuple(d for d in invariant_factors([[int(x) for x in c] for c in rows]) if d != 1)
+
+
+@pytest.mark.parametrize("label,name", REFERENCE_CASES)
+def test_lattices_match_fraction_reference(label, name):
+    ctx = ctx_for(label, name)
+    ref = _reference_bases(ctx)
+    assert ctx.lattices.keys() == ref.keys()
+    for key, basis in ref.items():
+        assert ctx.lattices[key].basis == basis, key
+        assert ctx.lattices[key].ambient_dim == ctx.base.ambient_dim
+    assert ctx.fixed_intersection.invariant_factors == _reference_quotient(
+        ref["fixed_integral"], ref["p_integral"]
+    )
+    quotients = {}
+    if ctx._is_a_even:
+        pairs = {
+            "Lambda^k / Q_Bv": ("QFv", "fixed_integral"),
+            "P_B / p(Lambda*)": ("p_weight", "PF"),
+            "POv / p(P^v)": ("p_coweight", "POv"),
+            "Q^k / QO": ("QO", "fixed_root"),
+        }
+        quotients = {
+            q: math.prod(_reference_quotient(ref[a], ref[b])) for q, (a, b) in pairs.items()
+        }
+    assert ctx.index_two_quotients == quotients
+
+
+def _fold_with(monkeypatch, label, name, family, rows_of):
+    """Fold a base whose integer ``family`` (den, rows) is replaced by
+    (den', rows') = rows_of(den, rows)."""
+    base = build_root_datum(label)
+    perturbed = rows_of(*getattr(base, family)())
+    monkeypatch.setattr(base, family, lambda: perturbed)
+    return fold(base, automorphism_by_name(base, name))
+
+
+@pytest.mark.parametrize("label,name", [("A3", "flip"), ("D4", "rot"), ("E6", "flip")])
+def test_lattice_identity_check_is_live(label, name, monkeypatch):
+    # a doubled coweight row changes the orbit sum (P^v)^k, but not the
+    # folded system's coweights PFv
+    def double_first(den, rows):
+        return den, (tuple(2 * x for x in rows[0]),) + rows[1:]
+
+    with pytest.raises(FoldingError, match=r"^lattice identity failed: PFv = \(P\^v\)\^k$"):
+        _fold_with(monkeypatch, label, name, "coweight_rows", double_first)
+
+
+@pytest.mark.parametrize("label", ["A4", "A6"])
+def test_index_two_quotient_check_is_live(label, monkeypatch):
+    # node 0 and the last node form an orbit of the reversal; doubling row 0
+    # and taking row 0 off the last row keeps every orbit sum, so (P^v)^k
+    # holds, but doubles p of row 0: p(P^v) then has index 4 in POv
+    def shift_within_orbit(den, rows):
+        first, last = rows[0], rows[-1]
+        return den, (
+            (tuple(2 * x for x in first),)
+            + rows[1:-1]
+            + (tuple(y - x for x, y in zip(first, last)),)
+        )
+
+    with pytest.raises(FoldingError, match=r"^lattice identity failed: p\(P\^v\) in POv$"):
+        _fold_with(monkeypatch, label, "flip", "coweight_rows", shift_within_orbit)
+
+
+def test_fixed_intersection_check_is_live(monkeypatch):
+    # A4 flip, coroots c_0..c_3, node orbits (0, 3) and (1, 2).  Keeping rows 0
+    # and 1 (so p(Lambda) = QOv still holds) but moving the orbit sums to
+    # (c_0 + c_3) / 2 and 2 (c_1 + c_2) gives a Lambda^k that still contains
+    # Q_Bv = <c_0 + c_3, 2 (c_1 + c_2)> with index 2, and p(Lambda) / Lambda^k
+    # becomes Z/4 instead of (Z/2)^2
+    def move_orbit_sums(den, rows):
+        r0, r1, r2, r3 = rows
+        return 2 * den, (
+            tuple(2 * x for x in r0),
+            tuple(2 * x for x in r1),
+            tuple(2 * x + 4 * y for x, y in zip(r1, r2)),
+            tuple(y - x for x, y in zip(r0, r3)),
+        )
+
+    with pytest.raises(
+        FoldingError, match=r"^T\^k cap T_k has unexpected invariant factors \(4,\)$"
+    ):
+        _fold_with(monkeypatch, "A4", "flip", "coroot_rows", move_orbit_sums)

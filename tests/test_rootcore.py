@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
 from twinefold.linalg import (
-    bilinear, coords_in_basis, mat, mat_inv, rank_of, vadd, vdot, vec, vscale, vsub,
+    bilinear, coords_in_basis, mat, mat_inv, rank_of, scaled_rows, vadd, vdot, vec,
+    vscale, vsub,
 )
 from twinefold import rootcore
 from twinefold.alcove import fundamental_alcove, stabilizer_datum
@@ -323,11 +324,23 @@ def _draw_basis(data):
 def test_lattice_membership_matches_fraction_reference(data):
     dim, basis = _draw_basis(data)
     rank = len(basis)
+    # each lattice is also built from integer rows over a common denominator,
+    # which a drawn factor m keeps from being the least one
+    m = data.draw(st.integers(1, 3))
+
+    def constructions(vectors):
+        den, rows = scaled_rows(vectors)
+        return (
+            lambda: Lattice(tuple(vectors), dim),
+            lambda: Lattice.from_rows(m * den, [[m * x for x in r] for r in rows], dim),
+        )
+
     if rank_of(basis) < rank:
-        with pytest.raises(ValueError, match="linearly independent"):
-            Lattice(tuple(basis), dim)
+        for make in constructions(basis):
+            with pytest.raises(ValueError, match="linearly independent"):
+                make()
         return
-    lat = Lattice(tuple(basis), dim)
+    lats = [make() for make in constructions(basis)]
     ints = st.integers(-4, 4)
     vectors = [
         # in the span: integer and non-integral combinations of the basis
@@ -341,27 +354,33 @@ def test_lattice_membership_matches_fraction_reference(data):
     ]
     # and an arbitrary vector, mostly outside the span when rank < dim
     vs.append(tuple(data.draw(st.lists(_RATIONAL, min_size=dim, max_size=dim))))
-    for v in vs:
-        assert lat.contains(v) == _reference_contains(basis, v), (basis, v)
-        coords = lat.integral_coords(v)
-        if coords is not None:
-            assert tuple(coords) == coords_in_basis(basis, v)
-    assert lat.contains(vs[0])
-
-    # the same lattice under a unimodular change of basis
     other = Lattice(tuple(_unimodular_change(data, basis)), dim)
-    assert lattice_eq(lat, other)
-    # an index-2 sublattice is contained but not equal
-    doubled = Lattice((vscale(2, basis[0]),) + tuple(basis[1:]), dim)
-    assert is_sublattice(doubled, lat) and not lattice_eq(doubled, lat)
-    assert lattice_quotient(doubled, lat).invariant_factors == (2,)
+    # an index-2 sublattice, both ways
+    doubled = [make() for make in constructions([vscale(2, basis[0])] + basis[1:])]
+    for lat in lats:
+        assert lat == lats[0] and lat.basis == tuple(basis)
+        assert (lat.rank, lat.ambient_dim) == (rank, dim)
+        for v in vs:
+            assert lat.contains(v) == _reference_contains(basis, v), (basis, v)
+            coords = lat.integral_coords(v)
+            if coords is not None:
+                assert tuple(coords) == coords_in_basis(basis, v)
+        assert lat.contains(vs[0])
+
+        # the same lattice under a unimodular change of basis
+        assert lattice_eq(lat, other) and lattice_eq(other, lat)
+        # an index-2 sublattice is contained but not equal
+        for sub in doubled:
+            assert is_sublattice(sub, lat) and not lattice_eq(sub, lat)
+            assert lattice_quotient(sub, lat).invariant_factors == (2,)
 
     # a dependent basis: an extra rational combination of the rows
     extra = tuple(
         sum((c * b[k] for c, b in zip(vectors[1], basis)), Fraction(0)) for k in range(dim)
     )
-    with pytest.raises(ValueError, match="linearly independent"):
-        Lattice(tuple(basis) + (extra,), dim)
+    for make in constructions(basis + [extra]):
+        with pytest.raises(ValueError, match="linearly independent"):
+            make()
 
 
 @settings(deadline=None, max_examples=100)
