@@ -3,12 +3,13 @@
 The affine group is the semidirect product of translations by the orbit
 coroot lattice with the orbit Weyl group; its fundamental alcove in the fixed
 subspace parametrizes twisted conjugacy classes.  Point folding and
-stabilizer root data from the extended-diagram deletion rule live here, one
-realized system of surviving nodes per stabilizer; the Jacobian of the
-twisted conjugation map at exp(xi) is |T^kappa cap T_kappa| times
-``twining.denominator_norm_sq``.  Group elements are a translation by the
-orbit coroot lattice followed by a word of affine reflections, never
-matrices: the sign of the linear part is the parity of the word length.
+stabilizers by the extended-diagram deletion rule live here.  A stabilizer is
+read off the alcove walls through its point, with no root system realized
+for it.  The Jacobian of the twisted conjugation map at exp(xi) is
+|T^kappa cap T_kappa| times ``twining.denominator_norm_sq``.  Group elements
+are a translation by the orbit coroot lattice followed by a word of affine
+reflections, never matrices: the sign of the linear part is the parity of the
+word length.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import Vec, identity, mat_vec, scaled_rows, vadd, vdot, vscale, vsub, zero_vec
-from .folding import FoldingContext, coroot_lattice
+from .linalg import Vec, identity, scaled_rows, vadd, vdot, vneg, vscale, vsub, zero_vec
+from .folding import FoldingContext
 from .rootcore import (
     FiniteAbelianGroup,
-    RootDatum,
     _classify_system,
     is_sublattice,
     lattice,
@@ -42,12 +42,6 @@ class AffineReflection(NamedTuple):
     covector: Vec  # G alpha, so <alpha, x> is one dot product
     k: Fraction
     coroot: Vec
-
-
-def affine_reflection(datum: RootDatum, alpha: Vec, k: int = 0) -> AffineReflection:
-    return AffineReflection(
-        mat_vec(datum.ambient_gram, alpha), Fraction(k), datum.coroot(alpha)
-    )
 
 
 @dataclass(frozen=True)
@@ -226,16 +220,17 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
 
 @dataclass(frozen=True)
 class StabilizerDatum:
-    """Root data of the stabilizer of exp(xi) under the twisted action.
+    """The stabilizer of exp(xi) under the twisted action.
 
-    ``subsystem`` collects the surviving extended-diagram nodes inside the
-    orbit system.  ``dual_label`` is the type of the stabilizer's roots on the
-    fixed torus: the coroots of those nodes, or untwisted the nodes themselves.
+    ``surviving`` holds the extended-diagram nodes whose walls contain xi:
+    simple orbit roots, then -theta when ``includes_affine_node``.
+    ``subsystem_label`` is the type of their Cartan matrix.  ``dual_label``
+    is the type of the stabilizer's roots on the fixed torus: the coroots of
+    those nodes, or untwisted the nodes themselves.
     """
 
     surviving: tuple[Vec, ...]
     includes_affine_node: bool
-    subsystem: RootDatum | None
     subsystem_label: str
     dual_label: str
     pi1: FiniteAbelianGroup
@@ -243,49 +238,62 @@ class StabilizerDatum:
 
 
 def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
-    """Extended-diagram deletion rule at a point of the closed alcove."""
+    """Extended-diagram deletion rule at a point of the closed alcove.
+
+    Everything is read off the alcove walls that contain xi: their Cartan
+    matrix c_ij = <a_j, a_i^vee> gives the types, and their roots or
+    coroots span the stabilizer's coroot lattice inside Lambda^kappa.
+    """
     alc = fundamental_alcove(ctx)
     if not alc.contains(xi):
         raise AlcoveError("point lies outside the fundamental alcove")
-    base = ctx.base
     # each wall's covector G a pairs with xi as (a, xi), G being symmetric
     *floors, ceiling = alc.walls
-    surviving = [
-        a for a, w in zip(alc.simple_roots, floors) if vdot(w.covector, xi) == 0
+    nodes = [
+        (a, w) for a, w in zip(alc.simple_roots, floors) if vdot(w.covector, xi) == 0
     ]
     includes_affine = vdot(ceiling.covector, xi) == 1
     if includes_affine:
-        surviving.append(tuple(-e for e in alc.theta))
+        nodes.append((vneg(alc.theta), ceiling))
 
     fixed_integral = ctx.lattices["fixed_integral"]
-    if not surviving:
+    if not nodes:
         return StabilizerDatum(
             surviving=(),
             includes_affine_node=False,
-            subsystem=None,
             subsystem_label="0",
             dual_label="maximal torus",
             pi1=FiniteAbelianGroup(()),
             pi1_free_rank=fixed_integral.rank,
         )
 
-    sub = RootDatum(None, surviving, base.ambient_gram)
+    surviving, walls = zip(*nodes)
+    # c_ij = <a_j, a_i^vee>, exact: integers on a valid alcove, and a
+    # non-integer entry matches no type.  The ceiling wall is <theta, .> = 1
+    # and its node is -theta, so a pairing of the affine node with another
+    # node changes sign.
+    signs = [-1 if w is ceiling else 1 for w in walls]
+    cartan = tuple(
+        tuple(si * sj * vdot(wj.covector, wi.coroot) for sj, wj in zip(signs, walls))
+        for si, wi in zip(signs, walls)
+    )
+    label = _classify_system(cartan)
+    dim = ctx.base.ambient_dim
     # the stabilizer's coroot lattice, inside Lambda^kappa
     if ctx.is_trivial:
         # untwisted case: the stabilizer's roots are the surviving roots
-        dual_label, coroots = sub.type_label, coroot_lattice(sub)
+        dual_label, coroots = label, lattice([w.coroot for w in walls], dim)
     else:
         # its roots are the coroots a^v, with the transposed Cartan matrix,
         # and their coroots are the surviving roots again: (a^v)^v = a
-        dual_label = _classify_system(tuple(zip(*sub.cartan)))
-        coroots = lattice(surviving, base.ambient_dim)
+        dual_label = _classify_system(tuple(zip(*cartan)))
+        coroots = lattice(surviving, dim)
     if not is_sublattice(coroots, fixed_integral):
         raise AlcoveError("stabilizer coroot lattice escapes the integral lattice")
     return StabilizerDatum(
-        surviving=tuple(surviving),
+        surviving=surviving,
         includes_affine_node=includes_affine,
-        subsystem=sub,
-        subsystem_label=sub.type_label,
+        subsystem_label=label,
         dual_label=dual_label,
         pi1=lattice_quotient(coroots, fixed_integral),
         pi1_free_rank=fixed_integral.rank - coroots.rank,

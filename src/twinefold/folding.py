@@ -21,7 +21,6 @@ from operator import mul
 
 from .linalg import Vec, vneg, vscale
 from .rootcore import (
-    FiniteAbelianGroup,
     Lattice,
     RootDatum,
     RootSystemError,
@@ -546,10 +545,3 @@ def _rank_one_as_a1(family: str, n: int) -> str:
 
 def fold(datum: RootDatum, kappa: DiagramAutomorphism) -> FoldingContext:
     return FoldingContext(datum, kappa)
-
-
-def fixed_subgroup_data(ctx: FoldingContext) -> tuple[str, FiniteAbelianGroup]:
-    """Root system type of the kappa-fixed subgroup and its fundamental group."""
-    sub = ctx.folded.datum if ctx.folded.datum is not None else ctx.folded.b_subsystem
-    pi1 = lattice_quotient(coroot_lattice(sub), ctx.lattices["fixed_integral"])
-    return sub.type_label, pi1

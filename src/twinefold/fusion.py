@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
 
-from .linalg import Vec, vadd, vscale, zero_vec
+from .linalg import Vec, vadd, vscale
 from .folding import FoldingContext
 from .rootcore import (
     Labels,
@@ -147,19 +147,6 @@ def dual_weight(ctx: FoldingContext, lam: Vec) -> Vec:
     """-w0(lam) on the orbit system."""
     datum = ctx.orbit.datum
     return datum.from_labels(_dual_labels(datum, datum.labels_of(lam)))
-
-
-def involution(ctx: FoldingContext, a: RingElement) -> RingElement:
-    out: dict[Vec, int] = {}
-    for lam, m in a.coeffs:
-        d = dual_weight(ctx, lam)
-        out[d] = out.get(d, 0) + m
-    return RingElement.from_dict(out)
-
-
-def trace0(ctx: FoldingContext, a: RingElement) -> int:
-    dim = ctx.base.ambient_dim
-    return a.as_dict().get(zero_vec(dim), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 All vectors live in a single rational ambient space: the coefficient space of
 the simple roots of some base system, with the invariant form given by a Gram
 matrix normalized so long roots of the base have squared length 2.  Subsystems
-(folded and orbit systems, stabilizer subsystems) are realized in the same
-ambient space and reuse the same form.
+(folded and orbit systems) are realized in the same ambient space and reuse
+the same form.
 
 No Weyl-group element is built as a matrix: ``weyl_traverse`` walks the orbit
 of a regular dominant weight in integer Dynkin labels, which is in bijection
@@ -14,8 +14,8 @@ Every ``RootDatum`` is a reduced root system, the reflection closure of its
 simple roots; the one non-reduced system of a folding, BC_n, lives in
 ``folding.FoldedSystem``.  A ``RootDatum`` knows its own type: it classifies
 its Cartan matrix, or checks the type it is given against it, so every
-realized system (base, folded, orbit, stabilizer) computes its Cartan pairings
-once.  It is built from integer numerators: the simple roots over their common
+realized system (base, folded, orbit) computes its Cartan pairings once.
+It is built from integer numerators: the simple roots over their common
 denominator and the ambient form over its own give the Gram and Cartan
 matrices, A^-1 comes from fraction-free elimination
 (``linalg.integer_inverse``), and the positive roots are reached by a

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import identity, mat_det, vadd, vneg, vscale, vsub, zero_vec
+from twinefold.linalg import identity, mat_det, mat_vec, vadd, vneg, vscale, vsub, zero_vec
 from twinefold.rootcore import RootDatum, build_root_datum, lattice_quotient
 from twinefold.folding import (
     automorphism_by_name,
@@ -17,8 +17,8 @@ from twinefold.folding import (
 )
 from twinefold.alcove import (
     AffineElement,
+    AffineReflection,
     AlcoveError,
-    affine_reflection,
     fold_to_alcove,
     fundamental_alcove,
     stabilizer_datum,
@@ -139,13 +139,16 @@ def test_fundamental_domain_property_a2():
     gen = ctx.orbit.coroot_lattice.basis[0]
     assert gen == base.coroot(alpha)
     elements = []
+
+    def affine_reflection(k):
+        # the reflection in <alpha, x> = k
+        return AffineReflection(mat_vec(base.ambient_gram, alpha), Fraction(k), base.coroot(alpha))
+
     for k in range(-4, 5):
         shift = vscale(k, gen)
         # x -> x + shift and x -> s_alpha(x) + shift, as reflection words
-        translate = AffineElement(
-            2, (affine_reflection(base, alpha), affine_reflection(base, alpha, k))
-        )
-        reflect = AffineElement(2, (affine_reflection(base, alpha, k),))
+        translate = AffineElement(2, (affine_reflection(0), affine_reflection(k)))
+        reflect = AffineElement(2, (affine_reflection(k),))
         for g, det in ((translate, 1), (reflect, -1)):
             assert g.translation == shift and g.linear_det == det
             elements.append(g)
@@ -289,21 +292,26 @@ def test_stabilizer_labels_at_alcove_vertices(label, name, pairs):
     assert [(s.subsystem_label, s.dual_label) for s in got] == pairs
 
 
-# the nine foldings plus the flips of A2, A7 and D7
+# the nine foldings plus the flips of A2, A7 and D7, and three non-simply-laced
+# identity folds, where the surviving roots and their coroots span different
+# lattices, the affine node included
 COROOT_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [
-    ("A2", "flip"), ("A7", "flip"), ("D7", "flip")
+    ("A2", "flip"), ("A7", "flip"), ("D7", "flip"), ("B3", "id"), ("C4", "id"), ("G2", "id")
 ]
 
 
 def assert_stabilizer_is_coroot_datum(ctx, xi):
-    """Reference: realize the coroots of the surviving roots as a datum of
-    their own and read its type and pi1 = (coroot lattice) in Lambda^kappa."""
+    """Reference: realize the stabilizer's roots on the fixed torus as a datum
+    of their own (the coroots of the surviving roots, or untwisted the
+    surviving roots themselves) and read its type and pi1 = (coroot lattice)
+    in Lambda^kappa."""
     stab = stabilizer_datum(ctx, xi)
     if not stab.surviving:
         assert stab.dual_label == "maximal torus" and stab.pi1.is_trivial
         return
     base = ctx.base
-    dual = RootDatum(None, [base.coroot(a) for a in stab.surviving], base.ambient_gram)
+    roots = stab.surviving if ctx.is_trivial else [base.coroot(a) for a in stab.surviving]
+    dual = RootDatum(None, roots, base.ambient_gram)
     coroots = coroot_lattice(dual)
     fixed_integral = ctx.lattices["fixed_integral"]
     assert stab.dual_label == dual.type_label

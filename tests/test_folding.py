@@ -6,16 +6,15 @@ import pytest
 
 from twinefold.checks import FOLDINGS
 from twinefold.linalg import (
-    coords_in_basis, invariant_factors, mat_mul, mat_vec, vadd, vscale,
+    coords_in_basis, invariant_factors, mat_mul, mat_vec, vadd, vscale, zero_vec,
 )
-from twinefold.rootcore import build_root_datum, lattice_eq, weyl_traverse
+from twinefold.rootcore import RootDatum, build_root_datum, lattice_eq, weyl_traverse
 from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import (
     FoldingError,
     automorphism_by_name,
     coroot_lattice,
     coweight_lattice,
-    fixed_subgroup_data,
     fold,
     list_automorphisms,
     root_lattice,
@@ -221,16 +220,22 @@ def test_index_two_quotients_a_even():
         assert len(ctx.index_two_quotients) == 4
 
 
-def test_fixed_subgroup_data():
-    t, pi1 = fixed_subgroup_data(ctx_for("A4"))
-    assert t == "B2"
-    assert pi1.invariant_factors == (2,)
-    t, pi1 = fixed_subgroup_data(ctx_for("E6"))
-    assert t == "F4"
-    assert pi1.is_trivial
-    t, pi1 = fixed_subgroup_data(ctx_for("A3"))
-    assert t == "C2"
-    assert pi1.is_trivial
+def origin_stabilizer(ctx):
+    """The fixed subgroup G^kappa: the twisted stabilizer of the origin."""
+    return stabilizer_datum(ctx, zero_vec(ctx.base.ambient_dim))
+
+
+def test_fixed_subgroup_is_the_origin_stabilizer():
+    stab = origin_stabilizer(ctx_for("A4"))
+    assert stab.dual_label == "B2"
+    assert stab.pi1.invariant_factors == (2,)
+    stab = origin_stabilizer(ctx_for("E6"))
+    assert stab.dual_label == "F4"
+    assert stab.pi1.is_trivial
+    # B2 = C2: the classification names this shape B2
+    stab = origin_stabilizer(ctx_for("A3"))
+    assert stab.dual_label == "B2"
+    assert stab.pi1.is_trivial
 
 
 def test_trivial_kappa_context():
@@ -247,7 +252,8 @@ def test_trivial_kappa_context():
 def a3_inside_a5():
     """An A3 realized inside the five-dimensional space of A5."""
     ctx = ctx_for("A5")
-    return stabilizer_datum(ctx, fundamental_alcove(ctx).vertices[3]).subsystem
+    stab = stabilizer_datum(ctx, fundamental_alcove(ctx).vertices[3])
+    return RootDatum(None, stab.surviving, ctx.base.ambient_gram)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B3", "C4", "G2", "F4", "E6", "A3-in-A5"])
@@ -270,8 +276,8 @@ def test_identity_fold_lattices_are_the_base_lattices(label):
     assert ctx.index_two_quotients == {}
     assert ctx.fixed_intersection.is_trivial
     assert ctx.orbit.datum is base and ctx.folded.datum is base
-    label, pi1 = fixed_subgroup_data(ctx)
-    assert label == base.type_label and pi1.is_trivial
+    stab = origin_stabilizer(ctx)
+    assert stab.dual_label == base.type_label and stab.pi1.is_trivial
 
 
 def test_invalid_fold():
