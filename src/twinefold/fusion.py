@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 import itertools
+from math import gcd, prod
+from operator import mul
 
-from .linalg import Vec, vadd, vscale
+from .linalg import Vec, smith_normal_form
 from .folding import FoldingContext
 from .rootcore import (
     Labels,
@@ -29,8 +31,6 @@ from .rootcore import (
     dominant_conjugate,
     label_character,
     label_dimension,
-    lattice_index,
-    lattice_span,
     regular_dominant_labels,
 )
 from .twining import (
@@ -38,7 +38,6 @@ from .twining import (
     _norm_sq_at,
     _root_residues,
     evaluate_labels,
-    label_phases,
     twining_character,
 )
 
@@ -143,12 +142,6 @@ def _dual_labels(datum: RootDatum, m: Labels) -> Labels:
     return dominant_conjugate(datum, tuple(-x for x in m))[1]
 
 
-def dual_weight(ctx: FoldingContext, lam: Vec) -> Vec:
-    """-w0(lam) on the orbit system."""
-    datum = ctx.orbit.datum
-    return datum.from_labels(_dual_labels(datum, datum.labels_of(lam)))
-
-
 # ---------------------------------------------------------------------------
 # level structure
 # ---------------------------------------------------------------------------
@@ -162,6 +155,15 @@ class LevelData:
     ``s_points[i]`` with ``label_phases`` frame ``phases[i]``.  With
     m = labels(lam + rho), the open alcove of the rho-shifted action is
     m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
+
+    ``level_data`` reads all of it off the orbit datum's integer form
+    F = D (omega_i, omega_j) and the labels t of theta: the frame of s_lam
+    is 2 F m over (k + h) tFt, reduced by their gcd, which is ``label_phases``
+    of s_lam without a Fraction pairing.
+
+    ``weight_index`` resolves any vector equal to a level weight; the stored
+    vectors of ``level_weights`` themselves resolve by identity (``by_id``),
+    with no hashing.
     """
 
     k: int
@@ -176,25 +178,49 @@ class LevelData:
     theta_labels: Labels         # the orbit highest root theta in labels
     label_index: dict[Labels, int] = field(compare=False, repr=False)
     weight_index: dict[Vec, int] = field(compare=False, repr=False)  # public getters
+    by_id: dict[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        ids = {id(lam): i for i, lam in enumerate(self.level_weights)}
+        object.__setattr__(self, "by_id", ids)
+
+    def __setstate__(self, state):
+        # object ids do not survive a pickle or a copy: index the new vectors
+        self.__dict__.update(state)
+        self.__post_init__()
+
+
+def _theta_form(orbit: RootDatum) -> tuple[Labels, tuple[int, ...], int]:
+    """The labels t of theta, F t and tFt for the orbit datum's integer form
+    F = D (omega_i, omega_j) over D = ``_form_den``: (omega_i, theta) is
+    (F t)_i / D and (theta, theta) is tFt / D."""
+    t = orbit.labels_of(orbit.highest_root)
+    ft = tuple(sum(map(mul, row, t)) for row in orbit._form)
+    return t, ft, sum(map(mul, t, ft))
+
+
+def _comarks(ft: tuple[int, ...], tft: int) -> tuple[int, ...]:
+    """a_i^vee = <omega_i, theta^vee> = 2 (F t)_i / tFt."""
+    marks = [divmod(2 * x, tft) for x in ft]
+    if any(r for _, r in marks):
+        raise FusionError("a comark of the orbit system is not an integer")
+    if any(a <= 0 for a, _ in marks):
+        raise FusionError("a weight generator pairs non-positively with theta")
+    return tuple(a for a, _ in marks)
 
 
 def basic_rescale(ctx: FoldingContext) -> Fraction:
-    """Factor making the orbit highest root have squared length 2."""
-    theta = ctx.orbit.datum.highest_root
-    return ctx.base.norm_sq(theta) / 2
+    """Factor making the orbit highest root have squared length 2:
+    (theta, theta) / 2 = tFt / 2D."""
+    orbit = ctx.orbit.datum
+    return Fraction(_theta_form(orbit)[2], 2 * orbit._form_den)
 
 
 def comarks(ctx: FoldingContext) -> tuple[int, ...]:
     """The comarks <omega_i, theta^vee> of the orbit system: the coefficients
     of theta^vee in the simple coroots, positive integers."""
-    orbit = ctx.orbit.datum
-    theta_vee = ctx.base.coroot(orbit.highest_root)
-    marks = [ctx.base.inner(w, theta_vee) for w in orbit.fundamental_weights]
-    if any(a.denominator != 1 for a in marks):
-        raise FusionError("a comark of the orbit system is not an integer")
-    if any(a <= 0 for a in marks):
-        raise FusionError("a weight generator pairs non-positively with theta")
-    return tuple(int(a) for a in marks)
+    _, ft, tft = _theta_form(ctx.orbit.datum)
+    return _comarks(ft, tft)
 
 
 def dual_coxeter_number(ctx: FoldingContext) -> int:
@@ -202,57 +228,66 @@ def dual_coxeter_number(ctx: FoldingContext) -> int:
     return 1 + sum(comarks(ctx))
 
 
-def _sum_lattice_index(ctx: FoldingContext, scale: Fraction) -> int:
-    """Index of the orbit coroot lattice in its sum with scale times the
-    fixed-weight lattice, which is the weight lattice of the orbit datum."""
-    target = ctx.orbit.coroot_lattice
-    gens = [vscale(scale, g) for g in ctx.orbit.datum.fundamental_weights]
-    total = lattice_span(gens + list(target.basis), target.ambient_dim)
-    if total.rank != target.rank:
-        raise FusionError("rescaled weight lattice escapes the fixed subspace")
-    return lattice_index(target, total)
-
-
 def level_data(ctx: FoldingContext, k: int) -> LevelData:
+    """The level-k data of the orbit datum, from its integer form F over D.
+
+    With c = tFt / 2D the basic rescaling and E = (k + h) tFt, the s-point of
+    lam is xi = (lam + rho) / ((k + h) c), so over m = labels(lam + rho),
+    <omega_j, xi> = 2 (F m)_j / E.  |T| is the index of the orbit coroot
+    lattice in its sum with (1 / ((k + h) c)) times the weight lattice; paired
+    with D omega_j that is the index of Z^r in Z^r + (2F / E) Z^r, which is
+    prod_i E / gcd(E, d_i) over the invariant factors d_i of 2F.
+    """
     if k < 1:
         raise FusionError("level must be a positive integer")
-    c = basic_rescale(ctx)
-    h = dual_coxeter_number(ctx)
     orbit = ctx.orbit.datum
+    form = orbit._form
+    theta, ft, tft = _theta_form(orbit)
+    marks = _comarks(ft, tft)
+    h = 1 + sum(marks)
+    height = (k + h) * tft
+
     # the kappa-fixed weights are the weights of the orbit datum, so a level
-    # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k
-    marks = comarks(ctx)
+    # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k; they
+    # are sorted as ambient vectors, which share the denominator of
+    # ``from_labels``, so by their integer numerators
+    def numerators(m: Labels) -> tuple[int, ...]:
+        return tuple(sum(map(mul, m, row)) for row in orbit._omega_num)
 
-    # (weight, its orbit Dynkin labels, which are combo)
-    weights = sorted(
-        (orbit.from_labels(combo), combo)
-        for combo in itertools.product(*(range(k // a + 1) for a in marks))
-        if sum(ci * a for ci, a in zip(combo, marks)) <= k
-    )
+    labels = tuple(sorted(
+        (
+            combo
+            for combo in itertools.product(*(range(k // a + 1) for a in marks))
+            if sum(map(mul, combo, marks)) <= k
+        ),
+        key=numerators,
+    ))
 
-    shift = Fraction(1, (k + h)) / c
-    rho = orbit.weyl_vector
+    num, den = 2 * orbit._form_den, orbit._omega_den * height
     points, phases = [], []
-    for lam, _ in weights:
-        pt = TorusPoint(vscale(shift, vadd(lam, rho)))
-        frame = label_phases(ctx, pt.xi)
+    for m in labels:
+        shifted = tuple(x + 1 for x in m)
+        points.append(TorusPoint(tuple(Fraction(num * x, den) for x in numerators(shifted))))
+        frame = [2 * sum(map(mul, row, shifted)) for row in form]
+        g = gcd(height, *frame)
+        frame = tuple(x // g for x in frame), height // g
         if 0 in _root_residues(ctx, frame):
             raise FusionError("level point is not regular")
-        points.append(pt)
         phases.append(frame)
 
-    level_weights, labels = zip(*weights)
+    level_weights = tuple(orbit.from_labels(m) for m in labels)
+    twice_form = [[2 * x for x in row] for row in form]
     return LevelData(
         k=k,
-        rescale=c,
+        rescale=Fraction(tft, 2 * orbit._form_den),
         dual_coxeter=h,
         level_weights=level_weights,
         labels=labels,
         s_points=tuple(points),
         phases=tuple(phases),
-        t_group_order=_sum_lattice_index(ctx, shift),
+        t_group_order=prod(height // gcd(height, d) for d in smith_normal_form(twice_form)),
         comarks=marks,
-        theta_labels=orbit.labels_of(orbit.highest_root),
+        theta_labels=theta,
         label_index={m: i for i, m in enumerate(labels)},
         weight_index={lam: i for i, lam in enumerate(level_weights)},
     )
@@ -350,12 +385,18 @@ def level_values(ctx: FoldingContext, level: LevelData) -> LevelValues:
     return table
 
 
+def _index(level: LevelData, lam: Vec) -> int:
+    """Index of a level weight: a stored vector by identity, any other by value."""
+    i = level.by_id.get(id(lam))
+    if i is None:
+        i = level.weight_index.get(lam)
+        if i is None:
+            raise FusionError("weight is not a level weight")
+    return i
+
+
 def _indices(level: LevelData, lam: Vec, mu: Vec, nu: Vec) -> tuple[int, int, int]:
-    index = level.weight_index
-    try:
-        return index[lam], index[mu], index[nu]
-    except KeyError:
-        raise FusionError("weight is not a level weight") from None
+    return _index(level, lam), _index(level, mu), _index(level, nu)
 
 
 def verlinde_coefficient(
@@ -407,6 +448,11 @@ class FusionTable:
     max_residual: float  # largest |Verlinde sum - nearest integer| over entries
 
     def get(self, lam: Vec, mu: Vec, nu: Vec) -> int:
+        """N_{lam mu}^nu of three level weights.
+
+        A vector of ``level.level_weights`` resolves by identity, any equal
+        vector by value; a weight off the level raises FusionError.
+        """
         return self.coefficients[_indices(self.level, lam, mu, nu)]
 
 

@@ -1,5 +1,8 @@
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
+import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +14,14 @@ from twinefold.rootcore import (
     build_root_datum,
     decompose_into_irreducibles,
     irreducible_character,
+    lattice_index,
+    lattice_span,
     weyl_dimension,
 )
 from twinefold.folding import automorphism_by_name, fold
 from twinefold.twining import (
+    TorusPoint,
+    _root_residues,
     _signed_orbit,
     denominator_norm_sq,
     evaluate_labels,
@@ -25,9 +32,9 @@ from twinefold.alcove import fold_to_alcove, fundamental_alcove
 from twinefold.fusion import (
     INTEGRALITY_TOL,
     FusionError,
+    LevelData,
     RingElement,
     basic_rescale,
-    dual_weight,
     fusion_table,
     level_data,
     level_values,
@@ -40,6 +47,12 @@ from twinefold.fusion import (
 def ctx_for(label, name="flip"):
     d = build_root_datum(label)
     return fold(d, automorphism_by_name(d, name))
+
+
+def dual_weight(ctx, lam):
+    """-w0(lam) on the orbit system."""
+    datum = ctx.orbit.datum
+    return datum.from_labels(fusion._dual_labels(datum, datum.labels_of(lam)))
 
 
 def test_basic_rescale_values():
@@ -242,20 +255,6 @@ def test_dual_weight_permutes_level_weights():
         assert sorted(dual_weight(ctx, nu) for nu in ws) == sorted(ws)
 
 
-def test_fusion_table_builds_one_phase_frame_per_s_point(monkeypatch):
-    calls = []
-    label_phases = twining.label_phases
-
-    def counted(ctx, xi):
-        calls.append(xi)
-        return label_phases(ctx, xi)
-
-    for module in (twining, fusion):
-        monkeypatch.setattr(module, "label_phases", counted)
-    table = fusion_table(ctx_for("A3"), 2)
-    assert calls == [pt.xi for pt in table.level.s_points]
-
-
 def test_fusion_table_skips_weyl_traversal_and_reports_residual():
     ctx = ctx_for("A3")
     table = fusion_table(ctx, 2)
@@ -401,10 +400,124 @@ def test_fixed_weights_are_the_orbit_weights():
 
 def test_verlinde_rejects_a_weight_off_the_level():
     ctx = ctx_for("A2")
-    level = level_data(ctx, 1)
+    table = fusion_table(ctx, 1)
+    level = table.level
     zero = zero_vec(ctx.base.ambient_dim)
     beyond = vscale(2, ctx.base.highest_root)
     assert beyond not in level.level_weights
     for args in [(beyond, zero, zero), (zero, beyond, zero), (zero, zero, beyond)]:
         with pytest.raises(FusionError, match="weight is not a level weight"):
             verlinde_coefficient(ctx, level, *args)
+        with pytest.raises(FusionError, match="weight is not a level weight"):
+            table.get(*args)
+
+
+def reference_level_data(ctx, k):
+    """``level_data`` by ambient Fraction pairings: the comarks pair the
+    fundamental weights with theta^vee, the rescaling is norm_sq(theta) / 2,
+    each frame is ``label_phases`` of its s-point, and |T| is the index of the
+    orbit coroot lattice in its sum with the rescaled weight lattice."""
+    base, orbit = ctx.base, ctx.orbit.datum
+    theta = orbit.highest_root
+    theta_vee = base.coroot(theta)
+    marks = [base.inner(w, theta_vee) for w in orbit.fundamental_weights]
+    assert all(a.denominator == 1 and a > 0 for a in marks)
+    marks = tuple(int(a) for a in marks)
+    rescale = base.norm_sq(theta) / 2
+    h = 1 + sum(marks)
+    weights = sorted(
+        (orbit.from_labels(combo), combo)
+        for combo in itertools.product(*(range(k // a + 1) for a in marks))
+        if sum(c * a for c, a in zip(combo, marks)) <= k
+    )
+    shift = Fraction(1, k + h) / rescale
+    rho = orbit.weyl_vector
+    points = tuple(TorusPoint(vscale(shift, vadd(lam, rho))) for lam, _ in weights)
+    phases = tuple(label_phases(ctx, pt.xi) for pt in points)
+    assert all(0 not in _root_residues(ctx, frame) for frame in phases)
+    coroots = ctx.orbit.coroot_lattice
+    scaled = [vscale(shift, w) for w in orbit.fundamental_weights]
+    total = lattice_span(scaled + list(coroots.basis), coroots.ambient_dim)
+    assert total.rank == coroots.rank
+    level_weights, labels = zip(*weights)
+    return LevelData(
+        k=k,
+        rescale=rescale,
+        dual_coxeter=h,
+        level_weights=level_weights,
+        labels=labels,
+        s_points=points,
+        phases=phases,
+        t_group_order=lattice_index(coroots, total),
+        comarks=marks,
+        theta_labels=orbit.labels_of(theta),
+        label_index={m: i for i, m in enumerate(labels)},
+        weight_index={lam: i for i, lam in enumerate(level_weights)},
+    )
+
+
+# (group, automorphism, level) for the integer level data against the reference
+LEVEL_REFERENCE_CASES = [
+    case + (k,)
+    for case in FOLDING_CASES
+    for k in ((1, 2) if case in {("E6", "flip"), ("D6", "flip")} else (1, 2, 3))
+] + [(g, "id", k) for g in ("B3", "C3", "G2", "F4") for k in (1, 2)]
+
+
+@pytest.mark.parametrize("group,name,k", LEVEL_REFERENCE_CASES)
+def test_level_data_matches_fraction_reference(group, name, k):
+    ctx = ctx_for(group, name)
+    level, expected = level_data(ctx, k), reference_level_data(ctx, k)
+    for f in dataclasses.fields(LevelData):
+        if f.name != "by_id":
+            assert getattr(level, f.name) == getattr(expected, f.name), f.name
+
+
+def _copy(lam):
+    """An equal vector sharing no object with ``lam``."""
+    return tuple(Fraction(x.numerator, x.denominator) for x in lam)
+
+
+@pytest.mark.parametrize("group,name,k", [("A3", "flip", 2), ("D4", "rot", 2)])
+def test_lookups_resolve_copies_and_the_unit(group, name, k):
+    ctx = ctx_for(group, name)
+    table = fusion_table(ctx, k)
+    level = table.level
+    weights = level.level_weights
+    unit = zero_vec(ctx.base.ambient_dim)
+    for lam, mu, nu in itertools.product(weights, repeat=3):
+        copies = _copy(lam), _copy(mu), _copy(nu)
+        assert all(c == v and c is not v for c, v in zip(copies, (lam, mu, nu)))
+        n = table.get(lam, mu, nu)
+        assert table.get(*copies) == n
+        assert verlinde_coefficient(ctx, level, *copies) == n
+        assert verlinde_coefficient(ctx, level, lam, mu, nu) == n
+    for mu, nu in itertools.product(weights, repeat=2):
+        assert table.get(unit, mu, nu) == int(mu == nu)
+        assert verlinde_coefficient(ctx, level, unit, mu, nu) == int(mu == nu)
+
+
+def test_stored_level_weights_resolve_by_identity():
+    """With the value index emptied, the stored vectors still resolve and
+    equal copies no longer do."""
+    level = level_data(ctx_for("A3"), 2)
+    level.weight_index.clear()
+    lam, mu, nu = level.level_weights[:3]
+    assert fusion._indices(level, lam, mu, nu) == (0, 1, 2)
+    with pytest.raises(FusionError):
+        fusion._indices(level, _copy(lam), mu, nu)
+
+
+def test_fusion_table_pickle_round_trip():
+    ctx = ctx_for("D4", "rot")
+    table = fusion_table(ctx, 2)
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy == table
+    assert copy.level.weight_index == table.level.weight_index
+    assert copy.level.by_id == {id(lam): i for i, lam in enumerate(copy.level.level_weights)}
+    for triple in itertools.product(range(len(table.level.level_weights)), repeat=3):
+        n = table.coefficients[triple]
+        stored = [copy.level.level_weights[i] for i in triple]
+        assert copy.get(*stored) == n
+        assert verlinde_coefficient(ctx, copy.level, *stored) == n
+        assert copy.get(*(table.level.level_weights[i] for i in triple)) == n
