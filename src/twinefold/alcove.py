@@ -10,12 +10,19 @@ for it.  The Jacobian of the twisted conjugation map at exp(xi) is
 are a translation by the orbit coroot lattice followed by a word of affine
 reflections, never matrices: the sign of the linear part is the parity of the
 word length.
+
+The alcove keeps each wall's covector as an integer row over one
+denominator, so a point is scaled to integers once and meets every wall in an
+integer dot product: membership, interiority and the walls through a point
+make no ``Fraction`` per wall.  ``fold_to_alcove`` walks in integer orbit
+coroot coordinates and builds the folded point once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -86,28 +93,44 @@ class AlcoveDescription:
     """0 <= <alpha, xi> for simple orbit roots, <theta, xi> <= 1.
 
     ``walls`` holds the reflection in each wall: one per simple orbit root,
-    then the ceiling <theta, xi> = 1.  Each wall's covector G alpha makes
-    <alpha, xi> one dot product; ``weight_covectors`` does the same for the
-    orbit fundamental weights.
+    then the ceiling <theta, xi> = 1.  ``wall_rows`` holds each wall's
+    covector G a as an integer row r over a positive denominator d, so a point
+    scaled once to x / x_den meets every wall in one integer dot product
+    r . x (``wall_offsets``).
+
+    ``fold_to_alcove`` walks in orbit coroot coordinates <omega_j, xi>, read
+    off ``weight_rows``, the covectors G omega_j as integer rows over one
+    denominator; ``coroot_rows`` gives the point back from them.  In those
+    coordinates s_i subtracts <alpha_i, xi> from coordinate i, with
+    <alpha_i, alpha_j^vee> the entry ``cartan[j][i]``; <theta, xi> pairs them
+    with ``theta_labels``, and theta^vee has coordinates ``comarks``.
     """
 
     simple_roots: tuple[Vec, ...]
     theta: Vec
     vertices: tuple[Vec, ...]
     walls: tuple[AffineReflection, ...]
-    weight_covectors: tuple[Vec, ...]
+    wall_rows: tuple[tuple[tuple[int, ...], int], ...]
+    weight_rows: tuple[int, tuple[tuple[int, ...], ...]]
+    coroot_rows: tuple[int, tuple[tuple[int, ...], ...]]
+    cartan: tuple[tuple[int, ...], ...]
+    theta_labels: tuple[int, ...]
+    comarks: tuple[int, ...]
+
+    def wall_offsets(self, xi: Vec) -> tuple[list[int], int]:
+        """For each wall <a, .> = k, an integer of the sign of <a, xi> - k:
+        r . x for the floors (k = 0), r . x - d x_den for the ceiling."""
+        x_den, (x,) = scaled_rows([xi])
+        *floors, (ceiling, d) = self.wall_rows
+        return [sum(map(mul, r, x)) for r, _ in floors], sum(map(mul, ceiling, x)) - d * x_den
 
     def contains(self, xi: Vec) -> bool:
-        *floors, ceiling = self.walls
-        return all(vdot(w.covector, xi) >= 0 for w in floors) and vdot(
-            ceiling.covector, xi
-        ) <= 1
+        floors, ceiling = self.wall_offsets(xi)
+        return min(floors) >= 0 and ceiling <= 0
 
     def is_interior(self, xi: Vec) -> bool:
-        *floors, ceiling = self.walls
-        return all(vdot(w.covector, xi) > 0 for w in floors) and vdot(
-            ceiling.covector, xi
-        ) < 1
+        floors, ceiling = self.wall_offsets(xi)
+        return min(floors) > 0 and ceiling < 0
 
 
 def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
@@ -116,8 +139,9 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
 
     Built once per context, from the integer rows of the orbit datum's
     simple roots, coroots, weights and coweights: with the ambient form
-    G = g / g_den, each covector G v is one integer product g v, and a
-    ``Fraction`` is made once per entry.
+    G = g / g_den, each covector G v is one integer product g v, kept as that
+    row over its denominator, and a ``Fraction`` is made once per entry of the
+    walls' reflections.
     """
     if ctx._alcove is not None:
         return ctx._alcove
@@ -125,8 +149,8 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
     theta = orbit.highest_root
     g_den, g = scaled_rows(ctx.base.ambient_gram)
 
-    def g_times(row):
-        return [sum(map(mul, gr, row)) for gr in g]
+    def g_times(row) -> tuple[int, ...]:
+        return tuple(sum(map(mul, gr, row)) for gr in g)
 
     def covector(row, den: int) -> Vec:
         # G (row / den) for an integer row
@@ -157,10 +181,26 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
             tuple(Fraction(2 * g_den * t_den * x, t_norm) for x in t),
         ),
     )
+    wall_rows = tuple((g_times(a), g_den * a_den) for a in roots) + ((gt, g_den * t_den),)
+    # theta^vee = sum_j a_j alpha_j^vee with a_j = <omega_j, theta^vee> =
+    # 2 (F t)_j / tFt over the orbit datum's integer form F
+    i = orbit._theta_index
+    ft, tft = orbit._root_covectors[i], orbit._pos_norms[i]
+    marks = [divmod(2 * x, tft) for x in ft]
+    if any(r for _, r in marks):
+        raise AlcoveError("theta^vee is not an integer combination of the simple coroots")
     w_den, weights = orbit.weight_rows()
-    weight_covectors = tuple(covector(w, w_den) for w in weights)
     alc = AlcoveDescription(
-        orbit.simple_roots, theta, tuple(vertices), walls, weight_covectors
+        orbit.simple_roots,
+        theta,
+        tuple(vertices),
+        walls,
+        wall_rows,
+        (g_den * w_den, tuple(map(g_times, weights))),
+        (v_den, coroots),
+        orbit.cartan,
+        orbit._pos_labels[i],
+        tuple(a for a, _ in marks),
     )
     for v in alc.vertices:
         if not alc.contains(v):
@@ -180,41 +220,57 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     reflection in the ceiling wall until all constraints hold.  A point of
     the closed alcove, and a point of the box, get no translation: on a wall
     the folding element is not unique, and these keep the one the walk gives.
+
+    The walk runs on integers: xi = sum_j (N_j / D) alpha_j^vee, with
+    N_j / D = <omega_j, xi>.  The reflection s_i sets N_i to
+    N_i - sum_j N_j <alpha_i, alpha_j^vee>, and the ceiling reflection, with
+    H / D = <theta, xi>, subtracts (H - D) times the comarks.  It takes the
+    first floor wall of negative height, and otherwise the ceiling, as the
+    reflection in those walls would; the folded point is built once, and
+    the group element is checked against it.
     """
     if ctx.apply_kappa(xi) != xi:
         raise AlcoveError("point does not lie in the fixed subspace")
     dim = ctx.base.ambient_dim
     alc = fundamental_alcove(ctx)
     *floors, ceiling = alc.walls
-    shift = zero_vec(dim)
+    # column i of the Cartan matrix pairs the coordinates with alpha_i
+    columns = tuple(zip(*alc.cartan))
+    x_den, (x,) = scaled_rows([xi])
+    w_den, weights = alc.weight_rows
+    n = [sum(map(mul, w, x)) for w in weights]
+    d = w_den * x_den
+    common = gcd(d, *n)
+    n, d = [c // common for c in n], d // common
+
+    steps = [0] * len(n)
     if not alc.contains(xi):
-        for covector, wall in zip(alc.weight_covectors, floors):
-            n = int(vdot(covector, xi))
-            if n:
-                shift = vsub(shift, vscale(n, wall.coroot))
+        for j, c in enumerate(n):
+            # the integer part of c / d, rounded toward zero
+            steps[j] = q = c // d if c >= 0 else -(-c // d)
+            n[j] -= q * d
+    v_den, coroots = alc.coroot_rows
+    shift = tuple(Fraction(-sum(map(mul, steps, col)), v_den) for col in zip(*coroots))
     word = []
-    cur = vadd(xi, shift)
     for _ in range(FOLD_ITERATION_CAP):
-        moved = False
-        for wall in floors:
-            height = vdot(wall.covector, cur)
+        for i, c in enumerate(columns):
+            height = sum(map(mul, n, c))
             if height < 0:
-                cur = vsub(cur, vscale(height, wall.coroot))
-                word.append(wall)
-                moved = True
+                n[i] -= height
+                word.append(floors[i])
                 break
-        if moved:
-            continue
-        height = vdot(ceiling.covector, cur)
-        if height > 1:
-            # reflection in the affine wall <theta, xi> = 1
-            cur = vsub(cur, vscale(height - 1, ceiling.coroot))
-            word.append(ceiling)
-            continue
-        g = AffineElement(dim, tuple(word), shift)
-        if g.apply(xi) != cur:
-            raise AlcoveError("affine bookkeeping drifted from the folded point")
-        return cur, g
+        else:
+            excess = sum(map(mul, n, alc.theta_labels)) - d
+            if excess > 0:
+                # reflection in the affine wall <theta, xi> = 1
+                n = [c - excess * a for c, a in zip(n, alc.comarks)]
+                word.append(ceiling)
+                continue
+            cur = tuple(Fraction(sum(map(mul, n, col)), d * v_den) for col in zip(*coroots))
+            g = AffineElement(dim, tuple(word), shift)
+            if g.apply(xi) != cur:
+                raise AlcoveError("affine bookkeeping drifted from the folded point")
+            return cur, g
     raise AlcoveError("alcove folding did not terminate within the iteration cap")
 
 
@@ -247,12 +303,14 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     alc = fundamental_alcove(ctx)
     if not alc.contains(xi):
         raise AlcoveError("point lies outside the fundamental alcove")
-    # each wall's covector G a pairs with xi as (a, xi), G being symmetric
+    # the walls through xi: each wall's covector G a pairs with xi as (a, xi),
+    # G being symmetric, and its offset is zero there
     *floors, ceiling = alc.walls
+    floor_offsets, ceiling_offset = alc.wall_offsets(xi)
     nodes = [
-        (a, w) for a, w in zip(alc.simple_roots, floors) if vdot(w.covector, xi) == 0
+        (a, w) for a, w, h in zip(alc.simple_roots, floors, floor_offsets) if h == 0
     ]
-    includes_affine = vdot(ceiling.covector, xi) == 1
+    includes_affine = ceiling_offset == 0
     if includes_affine:
         nodes.append((vneg(alc.theta), ceiling))
 

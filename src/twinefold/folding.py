@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .linalg import Vec, vneg, vscale
@@ -178,10 +179,17 @@ class FoldedSystem:
     """
 
     label: str
-    roots: frozenset[Vec]
     datum: RootDatum | None
     b_subsystem: RootDatum | None = None
     c_subsystem: RootDatum | None = None
+
+    @cached_property
+    def roots(self) -> frozenset[Vec]:
+        """All roots, positive and negative, built on first read: those of
+        ``datum``, or for BC_n the union of the B and C subsystems'."""
+        if self.datum is not None:
+            return _roots(self.datum)
+        return _roots(self.b_subsystem) | _roots(self.c_subsystem)
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,7 @@ class FoldingContext:
 
         if kappa.is_identity:
             folded_datum = orbit_datum = base
-            self.folded = FoldedSystem(base.type_label, _roots(base), base)
+            self.folded = FoldedSystem(base.type_label, base)
         else:
             self._check_supported()
             folded_datum, orbit_datum = self._build_twisted()
@@ -371,9 +379,7 @@ class FoldingContext:
             c_datum = self._realize(
                 _rank_one_as_a1("C", n), p_alpha[:-1] + [vscale(2, p_alpha[-1])]
             )
-            folded = FoldedSystem(
-                folded_label, _roots(b_datum) | _roots(c_datum), None, b_datum, c_datum
-            )
+            folded = FoldedSystem(folded_label, None, b_datum, c_datum)
             folded_roots = _scaled_roots(b_datum, scale) | _scaled_roots(c_datum, scale)
             # 2a for a fixed root a (where 2a = 2 p(a)), 2 p(a) for a root
             # orthogonal to kappa a; A_2n is simply laced, so (kappa a, a) is
@@ -390,7 +396,7 @@ class FoldingContext:
                 folded_label,
                 (self.project(base.simple_roots[orb[0]]) for orb in self.node_orbits),
             )
-            folded = FoldedSystem(folded_label, _roots(folded_datum), folded_datum)
+            folded = FoldedSystem(folded_label, folded_datum)
             folded_roots = _scaled_roots(folded_datum, scale)
             # a fixed root a (where L a = L p(a)), |kappa| p(a) for the rest
             expected_orbit = _with_negatives(
@@ -398,12 +404,11 @@ class FoldingContext:
                 for a, pa in zip(base._pos_num, projected)
             )
             # the coroot 2 b / (b, b) of each folded root is an orbit root; the
-            # negative roots follow, as both sets are closed under negation
-            den = folded_datum._alpha_den
-            for b, norm in zip(folded_datum._pos_num, folded_datum.positive_norms):
-                coroot = _exact_tuple(
-                    [2 * scale * norm.denominator * x for x in b], den * norm.numerator
-                )
+            # negative roots follow, as both sets are closed under negation;
+            # (b, b) is the integer norm over the datum's _form_den
+            den, norm_den = folded_datum._alpha_den, folded_datum._form_den
+            for b, norm in zip(folded_datum._pos_num, folded_datum._pos_norms):
+                coroot = _exact_tuple([2 * scale * norm_den * x for x in b], den * norm)
                 if coroot not in expected_orbit:
                     raise FoldingError("orbit system is not the dual of the folded one")
 

@@ -34,7 +34,6 @@ from .rootcore import (
     regular_dominant_labels,
 )
 from .twining import (
-    TorusPoint,
     _norm_sq_at,
     _root_residues,
     evaluate_labels,
@@ -151,8 +150,9 @@ def _dual_labels(datum: RootDatum, m: Labels) -> Labels:
 class LevelData:
     """The level-k weights and s-points, and the affine alcove in labels.
 
-    Level weight i has orbit Dynkin labels ``labels[i]`` and s-point
-    ``s_points[i]`` with ``label_phases`` frame ``phases[i]``.  With
+    Level weight i has orbit Dynkin labels ``labels[i]``, and its s-point
+    has ``label_phases`` frame ``phases[i]``; every value at an s-point is
+    computed from that frame, so the point itself is never built.  With
     m = labels(lam + rho), the open alcove of the rho-shifted action is
     m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
 
@@ -171,7 +171,6 @@ class LevelData:
     dual_coxeter: int
     level_weights: tuple[Vec, ...]
     labels: tuple[Labels, ...]
-    s_points: tuple[TorusPoint, ...]
     phases: tuple[tuple[tuple[int, ...], int], ...]
     t_group_order: int
     comarks: tuple[int, ...]     # <omega_i, theta^vee> of the orbit system
@@ -263,11 +262,9 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         key=numerators,
     ))
 
-    num, den = 2 * orbit._form_den, orbit._omega_den * height
-    points, phases = [], []
+    phases = []
     for m in labels:
         shifted = tuple(x + 1 for x in m)
-        points.append(TorusPoint(tuple(Fraction(num * x, den) for x in numerators(shifted))))
         frame = [2 * sum(map(mul, row, shifted)) for row in form]
         g = gcd(height, *frame)
         frame = tuple(x // g for x in frame), height // g
@@ -283,7 +280,6 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         dual_coxeter=h,
         level_weights=level_weights,
         labels=labels,
-        s_points=tuple(points),
         phases=tuple(phases),
         t_group_order=prod(height // gcd(height, d) for d in smith_normal_form(twice_form)),
         comarks=marks,

@@ -19,10 +19,11 @@ It is built from integer numerators: the simple roots over their common
 denominator and the ambient form over its own give the Gram and Cartan
 matrices, A^-1 comes from fraction-free elimination
 (``linalg.integer_inverse``), and the positive roots are reached by a
-reflection closure on integer simple-root coordinates.  Its public vectors
-(roots, rho, fundamental weights, the Gram matrix) are ``Fraction`` tuples
-built once from those integers; the lattice generators (``root_rows`` and its
-siblings) stay integer rows over one denominator.
+reflection closure on integer simple-root coordinates.  Construction and its
+checks read only integers; the ``Fraction`` views of them (roots, rho,
+fundamental weights, the Gram matrix, the coroot covectors, the root lengths)
+are built on a datum's first read of each, and the lattice generators
+(``root_rows`` and its siblings) stay integer rows over one denominator.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import cos, factorial, fsum, gcd, lcm, pi, sin
@@ -453,9 +454,19 @@ class RootDatum:
     simple roots.  The Cartan matrix is computed once, from the simple roots.
     A given ``type_label`` is checked against it (RootSystemError "... not of
     type ..." on a mismatch); ``None`` classifies the system instead,
-    reducible ones as 'X+Y' (sorted).  Immutable after construction; all
-    derived quantities are precomputed or cached, and every operation is a
-    pure function of the inputs.
+    reducible ones as 'X+Y' (sorted).
+
+    Construction computes the integer data and runs every check on it: the
+    Cartan matrix, the positive roots as integer numerators ``_pos_num`` and
+    labels ``_pos_labels``, the form ``_form`` over ``_form_den``, the squared
+    lengths ``_pos_norms`` and the root, coroot, weight and coweight rows.
+    ``highest_root`` and ``highest_short_root`` are picked by those integer
+    lengths.  The ``Fraction`` views ``positive_roots``, ``weyl_vector``,
+    ``fundamental_weights``, ``gram``, ``positive_norms`` and the coroot
+    covectors behind ``pairings`` are built on first read and kept on the
+    instance (``functools.cached_property``), so a datum that no caller reads
+    them from never builds them.  No value changes after construction, and
+    every operation is a pure function of the inputs.
     """
 
     def __init__(
@@ -509,14 +520,9 @@ class RootDatum:
         self._pos_num = tuple(
             tuple(sum(map(mul, c, row)) for row in alpha_num) for c in pos_coords
         )
-        self.positive_roots = tuple(
-            tuple(Fraction(x, alpha_den) if x else ZERO for x in num)
-            for num in self._pos_num
-        )
-        # twice rho in simple-root coordinates
+        # twice rho in simple-root coordinates, then its numerators over alpha_den
         rho2 = [sum(col) for col in zip(*pos_coords)]
-        rho2_num = [sum(map(mul, rho2, row)) for row in alpha_num]
-        self.weyl_vector = tuple(Fraction(x, 2 * alpha_den) for x in rho2_num)
+        self._rho2_num = tuple(sum(map(mul, rho2, row)) for row in alpha_num)
 
         # fundamental weights: <w_i, alpha_j^vee> = delta_ij inside the span,
         # i.e. the columns of A^-1 in simple-root coordinates
@@ -525,34 +531,29 @@ class RootDatum:
         self._init_label_frame(cinv_num, cinv_den, gram, gram_den, pos_coords, alpha_num)
         # rho = sum_i omega_i, cross-multiplied over alpha_den cinv_den
         if any(
-            cinv_den * x != 2 * sum(row) for x, row in zip(rho2_num, self._omega_num)
+            cinv_den * x != 2 * sum(row) for x, row in zip(self._rho2_num, self._omega_num)
         ):
             raise RootSystemError(
                 "half-sum of positive roots disagrees with the sum of "
                 "fundamental weights"
             )
-        self.fundamental_weights = tuple(
-            self.from_labels(tuple(int(i == j) for j in range(self.rank)))
-            for i in range(self.rank)
-        )
+        # kept for the Fraction views built on first read
+        self._ga = tuple(map(tuple, ga))
+        self._gram_num = tuple(map(tuple, gram))
+        self._gram_den = gram_den
 
-        # the Fraction forms of the pairings, once: the Gram matrix, and
-        # G alpha_i^vee = 2 alpha_den ga[i] / gram[i][i], so each pairing
-        # <v, alpha_i^vee> is one dot product
-        self.gram = tuple(tuple(Fraction(x, gram_den) for x in row) for row in gram)
-        self._coroot_covectors = tuple(
-            tuple(Fraction(2 * alpha_den * x, gram[i][i]) if x else ZERO for x in gai)
-            for i, gai in enumerate(ga)
+        # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels,
+        # over D = _form_den; _pos_norms[i] is that of the root _pos_num[i].
+        # theta and the highest short root are the dominant roots of the
+        # largest and the smallest length (None for reducible systems).
+        self._pos_norms = tuple(
+            sum(map(mul, a, cov)) for a, cov in zip(self._pos_labels, self._root_covectors)
         )
-
-        # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels;
-        # positive_norms[i] is the squared length of positive_roots[i]
-        norms = self.positive_norms = tuple(
-            Fraction(sum(x * y for x, y in zip(a, cov)), self._form_den)
-            for a, cov in zip(self._pos_labels, self._root_covectors)
+        self._theta_index = self._dominant_index(max(self._pos_norms))
+        self.highest_root = self._root_vector(self._theta_index)
+        self.highest_short_root = self._root_vector(
+            self._dominant_index(min(self._pos_norms))
         )
-        self.highest_root = self._dominant_root(norms, max(norms))
-        self.highest_short_root = self._dominant_root(norms, min(norms))
 
         self._char_cache: dict[Vec, FourierPolynomial] = {}
         self._label_char_cache: dict[Labels, dict[Labels, int]] = {}
@@ -594,6 +595,45 @@ class RootDatum:
             tuple(sum(map(mul, row, col)) for col in zip(*cinv_num)) for row in alpha_num
         )
         self._omega_den = self._alpha_den * cinv_den
+
+    # -- Fraction views of the integer data, each built on first read ------
+
+    @cached_property
+    def positive_roots(self) -> tuple[Vec, ...]:
+        """The positive roots, by height and then simple-root coordinates."""
+        return tuple(map(self._root_vector, range(len(self._pos_num))))
+
+    @cached_property
+    def weyl_vector(self) -> Vec:
+        return tuple(Fraction(x, 2 * self._alpha_den) for x in self._rho2_num)
+
+    @cached_property
+    def fundamental_weights(self) -> tuple[Vec, ...]:
+        return tuple(
+            self.from_labels(tuple(int(i == j) for j in range(self.rank)))
+            for i in range(self.rank)
+        )
+
+    @cached_property
+    def gram(self) -> Matrix:
+        """The Gram matrix (alpha_i, alpha_j) of the simple roots."""
+        den = self._gram_den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._gram_num)
+
+    @cached_property
+    def _coroot_covectors(self) -> tuple[Vec, ...]:
+        # G alpha_i^vee = 2 alpha_den ga[i] / gram[i][i], so each pairing
+        # <v, alpha_i^vee> is one dot product
+        ad, gram = self._alpha_den, self._gram_num
+        return tuple(
+            tuple(Fraction(2 * ad * x, gram[i][i]) if x else ZERO for x in gai)
+            for i, gai in enumerate(self._ga)
+        )
+
+    @cached_property
+    def positive_norms(self) -> tuple[Fraction, ...]:
+        """positive_norms[i] is the squared length of positive_roots[i]."""
+        return tuple(Fraction(n, self._form_den) for n in self._pos_norms)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -662,14 +702,21 @@ class RootDatum:
 
     # -- misc ----------------------------------------------------------------
 
-    def _dominant_root(self, norms, target: Fraction) -> Vec | None:
-        """Dominant positive root of squared length ``target``; None for
-        reducible systems (``norms`` lists the positive roots' lengths).
-        Dominance is read off the integer labels of the roots."""
-        for beta, n, m in zip(self.positive_roots, norms, self._pos_labels):
+    def _dominant_index(self, target: int) -> int | None:
+        """Index of the dominant positive root with D (alpha, alpha) =
+        ``target``; None for reducible systems.  Dominance is read off the
+        integer labels of the roots."""
+        for i, (n, m) in enumerate(zip(self._pos_norms, self._pos_labels)):
             if n == target and all(x >= 0 for x in m):
-                return beta
+                return i
         return None
+
+    def _root_vector(self, i: int | None) -> Vec | None:
+        """The ambient vector of positive root i, None for None."""
+        if i is None:
+            return None
+        den = self._alpha_den
+        return tuple(Fraction(x, den) if x else ZERO for x in self._pos_num[i])
 
     def __repr__(self):
         return f"RootDatum({self.type_label}, rank={self.rank})"

@@ -2,12 +2,15 @@ import math
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import identity, mat_det, mat_vec, vadd, vneg, vscale, vsub, zero_vec
+from twinefold.linalg import (
+    identity, mat_det, mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec,
+)
 from twinefold.rootcore import RootDatum, build_root_datum, lattice_quotient
 from twinefold.folding import (
     automorphism_by_name,
@@ -16,6 +19,7 @@ from twinefold.folding import (
     fundamental_coweights,
 )
 from twinefold.alcove import (
+    FOLD_ITERATION_CAP,
     AffineElement,
     AffineReflection,
     AlcoveError,
@@ -341,3 +345,113 @@ def test_stabilizer_matches_coroot_datum_at_folded_points(case, coeffs):
         xi = vadd(xi, vscale(c, cw))
     folded, _ = fold_to_alcove(ctx, xi)
     assert_stabilizer_is_coroot_datum(ctx, folded)
+
+
+# ---------------------------------------------------------------------------
+# the integer walls and walk against Fraction pairings with the wall covectors
+# ---------------------------------------------------------------------------
+
+# the nine foldings, A2 flip, and identity folds with unequal root lengths
+REFERENCE_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [
+    ("A2", "flip"), ("B3", "id"), ("C4", "id"), ("G2", "id")
+]
+
+
+@lru_cache(maxsize=None)
+def cached_ctx(case):
+    return ctx_for(*case)
+
+
+def reference_heights(alc, xi):
+    """<a, xi> for the floor walls, and <theta, xi>, by Fraction dot products."""
+    *floors, ceiling = alc.walls
+    return [vdot(w.covector, xi) for w in floors], vdot(ceiling.covector, xi)
+
+
+def reference_contains(alc, xi):
+    floors, top = reference_heights(alc, xi)
+    return all(h >= 0 for h in floors) and top <= 1
+
+
+def reference_fold(ctx, xi):
+    """The fold by Fraction reflections in the alcove walls: the translation
+    by the integer parts of <omega_j, xi>, rounded toward zero, for a point
+    outside the alcove, then the first floor wall of negative height, else the
+    ceiling, until none applies.  Returns (point, word, shift)."""
+    alc = fundamental_alcove(ctx)
+    *floors, ceiling = alc.walls
+    gram = ctx.base.ambient_gram
+    shift = zero_vec(ctx.base.ambient_dim)
+    if not reference_contains(alc, xi):
+        for w, wall in zip(ctx.orbit.datum.fundamental_weights, floors):
+            n = int(vdot(mat_vec(gram, w), xi))
+            if n:
+                shift = vsub(shift, vscale(n, wall.coroot))
+    word = []
+    cur = vadd(xi, shift)
+    for _ in range(FOLD_ITERATION_CAP):
+        heights, top = reference_heights(alc, cur)
+        i = next((i for i, h in enumerate(heights) if h < 0), None)
+        if i is not None:
+            cur = vsub(cur, vscale(heights[i], floors[i].coroot))
+            word.append(floors[i])
+        elif top > 1:
+            cur = vsub(cur, vscale(top - 1, ceiling.coroot))
+            word.append(ceiling)
+        else:
+            return cur, tuple(word), shift
+    raise AssertionError("reference fold did not terminate")
+
+
+def seeded_points(ctx, rng):
+    """Kappa-fixed points: the alcove vertices, averages of 2 or more of them
+    (edge and wall midpoints, interior points), and points at 1 to 10^6
+    coweight units in every direction."""
+    vertices = fundamental_alcove(ctx).vertices
+    points = list(vertices)
+    for _ in range(4):
+        subset = rng.sample(vertices, rng.randint(2, len(vertices)))
+        total = subset[0]
+        for v in subset[1:]:
+            total = vadd(total, v)
+        points.append(vscale(Fraction(1, len(subset)), total))
+    for scale in (1, 10, 10**6):
+        xi = zero_vec(ctx.base.ambient_dim)
+        for cw in fundamental_coweights(ctx.orbit.datum):
+            c = Fraction(rng.randint(-97 * scale, 97 * scale), rng.randint(1, 29))
+            xi = vadd(xi, vscale(c, cw))
+        points.append(xi)
+    return points
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=st.sampled_from(REFERENCE_CASES), seed=st.integers(0, 2**32 - 1))
+def test_integer_walls_match_fraction_pairings(case, seed):
+    ctx = cached_ctx(case)
+    alc = fundamental_alcove(ctx)
+    for xi in seeded_points(ctx, random.Random(seed)):
+        assert ctx.apply_kappa(xi) == xi
+        for point in (xi, fold_to_alcove(ctx, xi)[0]):
+            floors, top = reference_heights(alc, point)
+            inside = all(h >= 0 for h in floors) and top <= 1
+            assert alc.contains(point) == inside
+            assert alc.is_interior(point) == (all(h > 0 for h in floors) and top < 1)
+            if not inside:
+                with pytest.raises(AlcoveError):
+                    stabilizer_datum(ctx, point)
+                continue
+            stab = stabilizer_datum(ctx, point)
+            on_walls = tuple(a for a, h in zip(alc.simple_roots, floors) if h == 0)
+            if top == 1:
+                on_walls += (vneg(alc.theta),)
+            assert stab.surviving == on_walls
+            assert stab.includes_affine_node == (top == 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=st.sampled_from(REFERENCE_CASES), seed=st.integers(0, 2**32 - 1))
+def test_fold_to_alcove_matches_fraction_walk(case, seed):
+    ctx = cached_ctx(case)
+    for xi in seeded_points(ctx, random.Random(seed)):
+        folded, g = fold_to_alcove(ctx, xi)
+        assert (folded, g.word, g.shift) == reference_fold(ctx, xi)

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import twinefold
 from twinefold.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
@@ -25,6 +29,19 @@ def run(argv):
 def run_json(argv):
     code, text = run(argv)
     return code, json.loads(text)
+
+
+def test_module_entry_point_matches_main():
+    """``python -m twinefold`` runs the same command line as ``cli.main``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinefold.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinefold", "fold", "A3", "flip"],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == run(["fold", "A3", "flip"])[1]
 
 
 def test_rational_round_trip():

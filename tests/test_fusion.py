@@ -55,6 +55,19 @@ def dual_weight(ctx, lam):
     return datum.from_labels(fusion._dual_labels(datum, datum.labels_of(lam)))
 
 
+def s_points(ctx, level):
+    """The s-point (lam + rho) / ((k + h) c) of each level weight, c the basic
+    rescaling, checked against the frame ``level_data`` keeps for it."""
+    rho = ctx.orbit.datum.weyl_vector
+    shift = Fraction(1, level.k + level.dual_coxeter) / level.rescale
+    points = []
+    for lam, frame in zip(level.level_weights, level.phases):
+        pt = TorusPoint(vscale(shift, vadd(lam, rho)))
+        assert label_phases(ctx, pt.xi) == frame
+        points.append(pt)
+    return points
+
+
 def test_basic_rescale_values():
     assert basic_rescale(ctx_for("A2")) == 4
     assert basic_rescale(ctx_for("A3")) == 2
@@ -136,7 +149,7 @@ def test_wall_weights_have_vanishing_characters():
     theta = ctx.base.highest_root
     wall = vscale(2, theta)
     assert phi_project(ctx, ld, wall) is None
-    for pt in ld.s_points:
+    for pt in s_points(ctx, ld):
         value = twining_character(ctx, wall).poly.evaluate(ctx.base.ambient_gram, pt.xi)
         assert abs(value) < 1e-9
 
@@ -149,7 +162,7 @@ def test_phi_sign_rule_at_s_points():
     for m in range(7):
         lam = vscale(m, theta)
         out = phi_project(ctx, ld, lam)
-        for pt in ld.s_points:
+        for pt in s_points(ctx, ld):
             lhs = twining_character(ctx, lam).poly.evaluate(ctx.base.ambient_gram, pt.xi)
             if out is None:
                 assert abs(lhs) < 1e-9
@@ -228,7 +241,7 @@ def test_denominator_product_formula_matches_alternating_sum():
                            ("D4", "rot", 2), ("E6", "flip", 1)]:
         ctx = ctx_for(label, name)
         rho = ctx.orbit.datum.weyl_vector
-        for pt in level_data(ctx, k).s_points:
+        for pt in s_points(ctx, level_data(ctx, k)):
             product = denominator_norm_sq(ctx, pt.xi)
             alternating = evaluate_labels(_signed_orbit(ctx, rho), label_phases(ctx, pt.xi))
             reference = abs(alternating) ** 2
@@ -446,7 +459,6 @@ def reference_level_data(ctx, k):
         dual_coxeter=h,
         level_weights=level_weights,
         labels=labels,
-        s_points=points,
         phases=phases,
         t_group_order=lattice_index(coroots, total),
         comarks=marks,

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -486,6 +488,7 @@ def _reference_datum(d):
         "_coroot_covectors": tuple(vscale(2 / gram[i][i], ga) for i, ga in enumerate(galpha)),
         "positive_roots": positive,
         "positive_norms": norms,
+        "_pos_norms": tuple(int(n * form_den) for n in norms),
         "weyl_vector": rho,
         "fundamental_weights": weights,
         "highest_root": dominant_of_norm(max(norms)),
@@ -523,15 +526,56 @@ def test_root_datum_matches_fraction_reference(label):
     _assert_matches_reference(build_root_datum(label))
 
 
+def _realized(ctx):
+    """The folded datum (or the B and C subsystems of BC_n), then the orbit datum."""
+    folded = ctx.folded
+    parts = ([folded.datum] if folded.datum is not None
+             else [folded.b_subsystem, folded.c_subsystem])
+    return parts + [ctx.orbit.datum]
+
+
 @pytest.mark.parametrize("group,name", _PINNED_FOLDINGS)
 def test_folded_and_orbit_data_match_fraction_reference(group, name):
     base = build_root_datum(group)
     ctx = fold(base, automorphism_by_name(base, name))
-    folded = ctx.folded
-    parts = ([folded.datum] if folded.datum is not None
-             else [folded.b_subsystem, folded.c_subsystem])
-    for datum in parts + [ctx.orbit.datum]:
+    for datum in _realized(ctx):
         _assert_matches_reference(datum)
+
+
+# the Fraction views a RootDatum builds on first read
+LAZY_VIEWS = ("positive_roots", "weyl_vector", "fundamental_weights", "gram",
+              "_coroot_covectors", "positive_norms")
+
+
+@pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
+def test_lazy_views_survive_pickle_and_deepcopy(group, name):
+    """Copies taken before and after the views are read equal the reference."""
+    base = build_root_datum(group)
+    assert not any(view in base.__dict__ for view in LAZY_VIEWS)
+    fresh_base = [pickle.loads(pickle.dumps(base)), copy.deepcopy(base)]
+    ctx = fold(base, automorphism_by_name(base, name))
+    data = [base] + _realized(ctx)
+    unread = [fresh_base] + [
+        [pickle.loads(pickle.dumps(d)), copy.deepcopy(d)] for d in data[1:]
+    ]
+    for datum, copies in zip(data, unread):
+        for c in copies:
+            assert not any(view in c.__dict__ for view in ("positive_roots", "gram"))
+            _assert_matches_reference(c)
+        _assert_matches_reference(datum)
+        for c in (pickle.loads(pickle.dumps(datum)), copy.deepcopy(datum)):
+            assert all(view in c.__dict__ for view in LAZY_VIEWS)
+            _assert_matches_reference(c)
+
+
+@pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
+def test_fold_builds_no_fraction_views(group, name):
+    base = build_root_datum(group)
+    ctx = fold(base, automorphism_by_name(base, name))
+    assert "roots" not in ctx.folded.__dict__
+    for datum in _realized(ctx):
+        for view in ("positive_roots", "fundamental_weights", "gram"):
+            assert view not in datum.__dict__, view
 
 
 @pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
