@@ -14,15 +14,17 @@ word length.
 The alcove keeps each wall's covector as an integer row over one
 denominator, so a point is scaled to integers once and meets every wall in an
 integer dot product: membership, interiority and the walls through a point
-make no ``Fraction`` per wall.  ``fold_to_alcove`` walks in integer orbit
-coroot coordinates and builds the folded point once at the end.
+make no ``Fraction`` per wall.  Coroot coordinates, theta's labels and comarks
+and the extended Cartan matrix come from the orbit datum
+(``RootDatum.coroot_coords``, ``extended_cartan``): ``fold_to_alcove`` walks
+in those integer coordinates, and a stabilizer's Cartan matrix is the
+submatrix of the nodes whose walls contain its point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import NamedTuple
 
@@ -97,13 +99,6 @@ class AlcoveDescription:
     covector G a as an integer row r over a positive denominator d, so a point
     scaled once to x / x_den meets every wall in one integer dot product
     r . x (``wall_offsets``).
-
-    ``fold_to_alcove`` walks in orbit coroot coordinates <omega_j, xi>, read
-    off ``weight_rows``, the covectors G omega_j as integer rows over one
-    denominator; ``coroot_rows`` gives the point back from them.  In those
-    coordinates s_i subtracts <alpha_i, xi> from coordinate i, with
-    <alpha_i, alpha_j^vee> the entry ``cartan[j][i]``; <theta, xi> pairs them
-    with ``theta_labels``, and theta^vee has coordinates ``comarks``.
     """
 
     simple_roots: tuple[Vec, ...]
@@ -111,11 +106,6 @@ class AlcoveDescription:
     vertices: tuple[Vec, ...]
     walls: tuple[AffineReflection, ...]
     wall_rows: tuple[tuple[tuple[int, ...], int], ...]
-    weight_rows: tuple[int, tuple[tuple[int, ...], ...]]
-    coroot_rows: tuple[int, tuple[tuple[int, ...], ...]]
-    cartan: tuple[tuple[int, ...], ...]
-    theta_labels: tuple[int, ...]
-    comarks: tuple[int, ...]
 
     def wall_offsets(self, xi: Vec) -> tuple[list[int], int]:
         """For each wall <a, .> = k, an integer of the sign of <a, xi> - k:
@@ -138,7 +128,7 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
     each divided by (theta, cw_i), the coefficient of alpha_i in theta.
 
     Built once per context, from the integer rows of the orbit datum's
-    simple roots, coroots, weights and coweights: with the ambient form
+    simple roots, coroots and coweights: with the ambient form
     G = g / g_den, each covector G v is one integer product g v, kept as that
     row over its denominator, and a ``Fraction`` is made once per entry of the
     walls' reflections.
@@ -182,26 +172,7 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
         ),
     )
     wall_rows = tuple((g_times(a), g_den * a_den) for a in roots) + ((gt, g_den * t_den),)
-    # theta^vee = sum_j a_j alpha_j^vee with a_j = <omega_j, theta^vee> =
-    # 2 (F t)_j / tFt over the orbit datum's integer form F
-    i = orbit._theta_index
-    ft, tft = orbit._root_covectors[i], orbit._pos_norms[i]
-    marks = [divmod(2 * x, tft) for x in ft]
-    if any(r for _, r in marks):
-        raise AlcoveError("theta^vee is not an integer combination of the simple coroots")
-    w_den, weights = orbit.weight_rows()
-    alc = AlcoveDescription(
-        orbit.simple_roots,
-        theta,
-        tuple(vertices),
-        walls,
-        wall_rows,
-        (g_den * w_den, tuple(map(g_times, weights))),
-        (v_den, coroots),
-        orbit.cartan,
-        orbit._pos_labels[i],
-        tuple(a for a, _ in marks),
-    )
+    alc = AlcoveDescription(orbit.simple_roots, theta, tuple(vertices), walls, wall_rows)
     for v in alc.vertices:
         if not alc.contains(v):
             raise AlcoveError("computed vertex violates the alcove constraints")
@@ -226,48 +197,45 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     N_i - sum_j N_j <alpha_i, alpha_j^vee>, and the ceiling reflection, with
     H / D = <theta, xi>, subtracts (H - D) times the comarks.  It takes the
     first floor wall of negative height, and otherwise the ceiling, as the
-    reflection in those walls would; the folded point is built once, and
-    the group element is checked against it.
+    reflection in those walls would.  N / D is the orbit datum's
+    ``coroot_coords`` of xi, and its ``from_coroot_coords`` builds the
+    translation and, once, the folded point; the group element is checked
+    against it.
     """
     if ctx.apply_kappa(xi) != xi:
         raise AlcoveError("point does not lie in the fixed subspace")
-    dim = ctx.base.ambient_dim
+    orbit = ctx.orbit.datum
     alc = fundamental_alcove(ctx)
     *floors, ceiling = alc.walls
-    # column i of the Cartan matrix pairs the coordinates with alpha_i
-    columns = tuple(zip(*alc.cartan))
-    x_den, (x,) = scaled_rows([xi])
-    w_den, weights = alc.weight_rows
-    n = [sum(map(mul, w, x)) for w in weights]
-    d = w_den * x_den
-    common = gcd(d, *n)
-    n, d = [c // common for c in n], d // common
-
+    theta, marks = orbit.theta_labels, orbit.comarks
+    n, d = orbit.coroot_coords(xi)
+    n = list(n)
     steps = [0] * len(n)
     if not alc.contains(xi):
         for j, c in enumerate(n):
             # the integer part of c / d, rounded toward zero
             steps[j] = q = c // d if c >= 0 else -(-c // d)
             n[j] -= q * d
-    v_den, coroots = alc.coroot_rows
-    shift = tuple(Fraction(-sum(map(mul, steps, col)), v_den) for col in zip(*coroots))
+    shift = orbit.from_coroot_coords([-q for q in steps], 1)
     word = []
     for _ in range(FOLD_ITERATION_CAP):
-        for i, c in enumerate(columns):
+        # column i of the Cartan matrix, the labels of alpha_i, pairs the
+        # coordinates with alpha_i
+        for i, c in enumerate(orbit._alpha_labels):
             height = sum(map(mul, n, c))
             if height < 0:
                 n[i] -= height
                 word.append(floors[i])
                 break
         else:
-            excess = sum(map(mul, n, alc.theta_labels)) - d
+            excess = sum(map(mul, n, theta)) - d
             if excess > 0:
                 # reflection in the affine wall <theta, xi> = 1
-                n = [c - excess * a for c, a in zip(n, alc.comarks)]
+                n = [c - excess * a for c, a in zip(n, marks)]
                 word.append(ceiling)
                 continue
-            cur = tuple(Fraction(sum(map(mul, n, col)), d * v_den) for col in zip(*coroots))
-            g = AffineElement(dim, tuple(word), shift)
+            cur = orbit.from_coroot_coords(n, d)
+            g = AffineElement(ctx.base.ambient_dim, tuple(word), shift)
             if g.apply(xi) != cur:
                 raise AlcoveError("affine bookkeeping drifted from the folded point")
             return cur, g
@@ -296,23 +264,19 @@ class StabilizerDatum:
 def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     """Extended-diagram deletion rule at a point of the closed alcove.
 
-    Everything is read off the alcove walls that contain xi: their Cartan
-    matrix c_ij = <a_j, a_i^vee> gives the types, and their roots or
-    coroots span the stabilizer's coroot lattice inside Lambda^kappa.
+    Everything is read off the nodes of the extended Dynkin diagram whose
+    walls contain xi: their submatrix of the orbit datum's extended Cartan
+    matrix c_ij = <a_j, a_i^vee> gives the types, and their roots or coroots
+    span the stabilizer's coroot lattice inside Lambda^kappa.
     """
     alc = fundamental_alcove(ctx)
     if not alc.contains(xi):
         raise AlcoveError("point lies outside the fundamental alcove")
-    # the walls through xi: each wall's covector G a pairs with xi as (a, xi),
-    # G being symmetric, and its offset is zero there
-    *floors, ceiling = alc.walls
+    # the walls through xi, simple nodes then the ceiling (the node -theta):
+    # each wall's offset is zero there
     floor_offsets, ceiling_offset = alc.wall_offsets(xi)
-    nodes = [
-        (a, w) for a, w, h in zip(alc.simple_roots, floors, floor_offsets) if h == 0
-    ]
+    nodes = [i for i, h in enumerate((*floor_offsets, ceiling_offset)) if h == 0]
     includes_affine = ceiling_offset == 0
-    if includes_affine:
-        nodes.append((vneg(alc.theta), ceiling))
 
     fixed_integral = ctx.lattices["fixed_integral"]
     if not nodes:
@@ -325,22 +289,16 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
             pi1_free_rank=fixed_integral.rank,
         )
 
-    surviving, walls = zip(*nodes)
-    # c_ij = <a_j, a_i^vee>, exact: integers on a valid alcove, and a
-    # non-integer entry matches no type.  The ceiling wall is <theta, .> = 1
-    # and its node is -theta, so a pairing of the affine node with another
-    # node changes sign.
-    signs = [-1 if w is ceiling else 1 for w in walls]
-    cartan = tuple(
-        tuple(si * sj * vdot(wj.covector, wi.coroot) for sj, wj in zip(signs, walls))
-        for si, wi in zip(signs, walls)
-    )
+    roots = alc.simple_roots + (vneg(alc.theta),)
+    surviving = tuple(roots[i] for i in nodes)
+    extended = ctx.orbit.datum.extended_cartan
+    cartan = tuple(tuple(extended[i][j] for j in nodes) for i in nodes)
     label = _classify_system(cartan)
     dim = ctx.base.ambient_dim
     # the stabilizer's coroot lattice, inside Lambda^kappa
     if ctx.is_trivial:
         # untwisted case: the stabilizer's roots are the surviving roots
-        dual_label, coroots = label, lattice([w.coroot for w in walls], dim)
+        dual_label, coroots = label, lattice([alc.walls[i].coroot for i in nodes], dim)
     else:
         # its roots are the coroots a^v, with the transposed Cartan matrix,
         # and their coroots are the surviving roots again: (a^v)^v = a

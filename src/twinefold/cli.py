@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .linalg import Vec, scaled_rows
 from .rootcore import (
@@ -91,21 +90,15 @@ def format_complex(z: complex) -> list[float]:
 
 
 def point_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
-    # sum_i c_i alpha_i^vee over the integer coroot rows
-    den, rows = ctx.base.coroot_rows()
-    cden, (c,) = scaled_rows([coords])
-    return tuple(Fraction(sum(map(mul, c, col)), den * cden) for col in zip(*rows))
+    # sum_i c_i alpha_i^vee
+    den, (c,) = scaled_rows([coords])
+    return ctx.base.from_coroot_coords(c, den)
 
 
 def point_from_ambient(ctx: FoldingContext, xi: Vec) -> Vec:
-    # the coefficient of alpha_i^vee is (omega_i, xi): <omega_i, alpha_j^vee> =
-    # delta_ij; each is one dot of a weight row with the integer covector g x
-    base = ctx.base
-    g_den, g = scaled_rows(base.ambient_gram)
-    den, weights = base.weight_rows()
-    xden, (x,) = scaled_rows([xi])
-    gx = [sum(map(mul, row, x)) for row in g]
-    return tuple(Fraction(sum(map(mul, w, gx)), g_den * den * xden) for w in weights)
+    # the coefficient of alpha_i^vee is <omega_i, xi>
+    nums, den = ctx.base.coroot_coords(xi)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 # ---------------------------------------------------------------------------

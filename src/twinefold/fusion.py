@@ -13,6 +13,9 @@ orbit system's integer Dynkin labels: tensor products by the Racah-Speiser
 rule (``_product_labels``), then the rho-shifted level-k affine folding
 (``_fold_labels``).  Inside a level, a weight is its index in
 ``LevelData.level_weights``; ambient vectors appear only at the API boundary.
+Theta's labels and comarks, and so the dual Coxeter number and the affine
+wall, are read off the orbit datum (``RootDatum.theta_labels``,
+``RootDatum.comarks``).
 """
 
 from __future__ import annotations
@@ -151,15 +154,15 @@ class LevelData:
     """The level-k weights and s-points, and the affine alcove in labels.
 
     Level weight i has orbit Dynkin labels ``labels[i]``, and its s-point
-    has ``label_phases`` frame ``phases[i]``; every value at an s-point is
-    computed from that frame, so the point itself is never built.  With
-    m = labels(lam + rho), the open alcove of the rho-shifted action is
-    m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
+    has coroot coordinates ``phases[i]`` (``RootDatum.coroot_coords``); every
+    value at an s-point is computed from that frame, so the point itself is
+    never built.  With m = labels(lam + rho), the open alcove of the
+    rho-shifted action is m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
 
     ``level_data`` reads all of it off the orbit datum's integer form
-    F = D (omega_i, omega_j) and the labels t of theta: the frame of s_lam
-    is 2 F m over (k + h) tFt, reduced by their gcd, which is ``label_phases``
-    of s_lam without a Fraction pairing.
+    F = D (omega_i, omega_j), the labels t of theta and its comarks: the
+    frame of s_lam is 2 F m over (k + h) tFt, reduced by their gcd, which is
+    ``coroot_coords`` of s_lam without building the point.
 
     ``weight_index`` resolves any vector equal to a level weight; the stored
     vectors of ``level_weights`` themselves resolve by identity (``by_id``),
@@ -189,42 +192,9 @@ class LevelData:
         self.__post_init__()
 
 
-def _theta_form(orbit: RootDatum) -> tuple[Labels, tuple[int, ...], int]:
-    """The labels t of theta, F t and tFt for the orbit datum's integer form
-    F = D (omega_i, omega_j) over D = ``_form_den``: (omega_i, theta) is
-    (F t)_i / D and (theta, theta) is tFt / D."""
-    t = orbit.labels_of(orbit.highest_root)
-    ft = tuple(sum(map(mul, row, t)) for row in orbit._form)
-    return t, ft, sum(map(mul, t, ft))
-
-
-def _comarks(ft: tuple[int, ...], tft: int) -> tuple[int, ...]:
-    """a_i^vee = <omega_i, theta^vee> = 2 (F t)_i / tFt."""
-    marks = [divmod(2 * x, tft) for x in ft]
-    if any(r for _, r in marks):
-        raise FusionError("a comark of the orbit system is not an integer")
-    if any(a <= 0 for a, _ in marks):
-        raise FusionError("a weight generator pairs non-positively with theta")
-    return tuple(a for a, _ in marks)
-
-
-def basic_rescale(ctx: FoldingContext) -> Fraction:
-    """Factor making the orbit highest root have squared length 2:
-    (theta, theta) / 2 = tFt / 2D."""
-    orbit = ctx.orbit.datum
-    return Fraction(_theta_form(orbit)[2], 2 * orbit._form_den)
-
-
-def comarks(ctx: FoldingContext) -> tuple[int, ...]:
-    """The comarks <omega_i, theta^vee> of the orbit system: the coefficients
-    of theta^vee in the simple coroots, positive integers."""
-    _, ft, tft = _theta_form(ctx.orbit.datum)
-    return _comarks(ft, tft)
-
-
 def dual_coxeter_number(ctx: FoldingContext) -> int:
     """h^vee = 1 + sum_i a_i^vee (Kac, Infinite-Dimensional Lie Algebras, 6.1)."""
-    return 1 + sum(comarks(ctx))
+    return 1 + sum(ctx.orbit.datum.comarks)
 
 
 def level_data(ctx: FoldingContext, k: int) -> LevelData:
@@ -241,9 +211,10 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         raise FusionError("level must be a positive integer")
     orbit = ctx.orbit.datum
     form = orbit._form
-    theta, ft, tft = _theta_form(orbit)
-    marks = _comarks(ft, tft)
+    marks = orbit.comarks
     h = 1 + sum(marks)
+    # D (theta, theta), the squared length of theta over D = _form_den
+    tft = orbit._pos_norms[orbit._theta_index]
     height = (k + h) * tft
 
     # the kappa-fixed weights are the weights of the orbit datum, so a level
@@ -283,7 +254,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         phases=tuple(phases),
         t_group_order=prod(height // gcd(height, d) for d in smith_normal_form(twice_form)),
         comarks=marks,
-        theta_labels=theta,
+        theta_labels=orbit.theta_labels,
         label_index={m: i for i, m in enumerate(labels)},
         weight_index={lam: i for i, lam in enumerate(level_weights)},
     )

@@ -25,6 +25,14 @@ fundamental weights, the Gram matrix, the coroot covectors, the root lengths)
 are built on a datum's first read of each, and the lattice generators
 (``root_rows`` and its siblings) stay integer rows over one denominator.
 
+A point xi meets a datum through its simple-coroot coordinates
+<omega_j, xi> (``coroot_coords``, integer numerators over one denominator,
+from the fundamental weights' integer covectors; ``from_coroot_coords``
+inverts it).  Theta's labels, the comarks and the extended Cartan matrix
+(``theta_labels``, ``comarks``, ``extended_cartan``) are integer data of the
+datum too, with the comarks' integrality and positivity checked there once.
+Both are built on first read.
+
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
 decomposition run on integer tuples, with the form as one integer matrix over
@@ -465,8 +473,11 @@ class RootDatum:
     ``fundamental_weights``, ``gram``, ``positive_norms`` and the coroot
     covectors behind ``pairings`` are built on first read and kept on the
     instance (``functools.cached_property``), so a datum that no caller reads
-    them from never builds them.  No value changes after construction, and
-    every operation is a pure function of the inputs.
+    them from never builds them.  So are the integer data of points and of
+    theta: the fundamental weights' covectors behind ``coroot_coords``,
+    ``theta_labels``, ``comarks`` and ``extended_cartan``.  No value changes
+    after construction, and every operation is a pure function of the
+    inputs.
     """
 
     def __init__(
@@ -694,6 +705,72 @@ class RootDatum:
         return den * self._omega_den, tuple(
             tuple(s * ad * x for x in w) for s, w in zip(scale, zip(*self._omega_num))
         )
+
+    # -- points in simple-coroot coordinates, built on first read ------------
+
+    @cached_property
+    def _weight_covectors(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        # G omega_j = g w_j / (g_den w_den): one integer row per weight
+        g_den, g = scaled_rows(self.ambient_gram)
+        w_den, weights = self.weight_rows()
+        return g_den * w_den, tuple(
+            tuple(sum(map(mul, row, w)) for row in g) for w in weights
+        )
+
+    def coroot_coords(self, xi: Vec) -> tuple[tuple[int, ...], int]:
+        """The pairings <omega_j, xi> as integer numerators over their least
+        common denominator.
+
+        For xi in the coroot span these are its coordinates in the simple
+        coroots, as <omega_j, alpha_i^vee> = delta_ij.  A weight with labels m
+        pairs with xi as sum_j m_j nums_j / den, so each phase is reduced
+        mod 1 in integers.
+        """
+        den, rows = self._weight_covectors
+        x_den, (x,) = scaled_rows([xi])
+        nums = [sum(map(mul, row, x)) for row in rows]
+        g = gcd(den * x_den, *nums)
+        return tuple(n // g for n in nums), den * x_den // g
+
+    def from_coroot_coords(self, nums, den: int) -> Vec:
+        """sum_j (nums_j / den) alpha_j^vee, the inverse of ``coroot_coords``
+        on the coroot span."""
+        c_den, rows = self.coroot_rows()
+        return tuple(Fraction(sum(map(mul, nums, col)), den * c_den) for col in zip(*rows))
+
+    # -- theta and the extended Dynkin diagram, built on first read --------
+
+    @cached_property
+    def theta_labels(self) -> Labels:
+        """The Dynkin labels t of the highest root theta."""
+        return self._pos_labels[self._theta_index]
+
+    @cached_property
+    def comarks(self) -> tuple[int, ...]:
+        """a_i^vee = <omega_i, theta^vee> = 2 (F t)_i / tFt, the coefficients
+        of theta^vee in the simple coroots: positive integers."""
+        i = self._theta_index
+        marks = [divmod(2 * x, self._pos_norms[i]) for x in self._root_covectors[i]]
+        if any(r for _, r in marks):
+            raise RootSystemError(
+                "theta^vee is not an integer combination of the simple coroots"
+            )
+        if any(a <= 0 for a, _ in marks):
+            raise RootSystemError("a fundamental weight pairs non-positively with theta")
+        return tuple(a for a, _ in marks)
+
+    @cached_property
+    def extended_cartan(self) -> tuple[tuple[int, ...], ...]:
+        """c_ij = <a_j, a_i^vee> over the nodes of the extended Dynkin
+        diagram: the simple roots, then -theta (Kac, Infinite-Dimensional Lie
+        Algebras, 6.1).  <-theta, alpha_i^vee> = -t_i, and as
+        theta^vee = sum_i a_i^vee alpha_i^vee, <alpha_j, -theta^vee> is
+        -sum_i a_i^vee A_ij."""
+        marks = self.comarks
+        last = tuple(-sum(map(mul, marks, col)) for col in self._alpha_labels)
+        return tuple(
+            row + (-t,) for row, t in zip(self.cartan, self.theta_labels)
+        ) + (last + (2,),)
 
     # -- dominance and integrality ----------------------------------------
 

@@ -8,9 +8,10 @@ character in ambient vectors.
 Evaluation at torus points is numeric; all structural identities
 (orthogonality, decomposition) are exact.
 
-A torus point exp(xi) meets the orbit datum only in ``label_phases`` (integer
-numerators over one denominator): characters, J(rho), regularity and |J(rho)|^2
-there read that frame; ``adjoint_oracle`` alone keeps an ambient pairing.
+A torus point exp(xi) meets the orbit datum only in its coroot coordinates
+<omega_j, xi> (``RootDatum.coroot_coords``: integer numerators over one
+denominator): characters, J(rho), regularity and |J(rho)|^2 there read that
+frame; ``adjoint_oracle`` alone keeps an ambient pairing.
 
 The signed rho-orbit J(rho) = sum_w det w e^{w rho} = e^rho prod (1 - e^{-alpha})
 of the orbit Weyl group, keyed by integer orbit Dynkin labels, is cached per
@@ -24,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import cos, fsum, lcm, pi, prod, sin
+from math import cos, fsum, pi, prod, sin
 from operator import add, mul
 
 from .linalg import Vec, mat_vec, vadd, vdot
@@ -57,7 +58,7 @@ class Denominator:
     poly: FourierPolynomial
 
     def eval(self, ctx: FoldingContext, point: TorusPoint) -> complex:
-        return evaluate_labels(_denominator_labels(ctx), label_phases(ctx, point.xi))
+        return evaluate_labels(_denominator_labels(ctx), ctx.orbit.datum.coroot_coords(point.xi))
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class TwiningCharacter:
 
     def eval(self, ctx: FoldingContext, point: TorusPoint) -> complex:
         terms = label_character(ctx.orbit.datum, self.labels)
-        return evaluate_labels(terms.items(), label_phases(ctx, point.xi))
+        return evaluate_labels(terms.items(), ctx.orbit.datum.coroot_coords(point.xi))
 
     @property
     def dimension_at_identity(self) -> int:
@@ -102,20 +103,6 @@ def twining_character(ctx: FoldingContext, lam: Vec) -> TwiningCharacter:
     return TwiningCharacter(lam, dominant_labels(datum, lam), datum)
 
 
-def label_phases(ctx: FoldingContext, xi: Vec) -> tuple[tuple[int, ...], int]:
-    """The pairings <omega_j, xi> with the orbit fundamental weights, as
-    integer numerators over their common denominator.
-
-    With u = sum_j m_j omega_j in integer Dynkin labels, <u, xi> is then
-    sum_j m_j nums_j / den, so each phase is reduced mod 1 exactly in integer
-    arithmetic.
-    """
-    gx = mat_vec(ctx.base.ambient_gram, xi)
-    pairings = [vdot(w, gx) for w in ctx.orbit.datum.fundamental_weights]
-    den = lcm(*(p.denominator for p in pairings))
-    return tuple(int(p * den) for p in pairings), den
-
-
 def _root_residues(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> list[int]:
     """den <alpha, xi> mod den for the positive orbit roots alpha, in
     ``positive_roots`` order: alpha with labels a pairs to a . nums / den."""
@@ -125,7 +112,7 @@ def _root_residues(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> 
 
 def is_regular(ctx: FoldingContext, point: TorusPoint) -> bool:
     """Exact test: no positive orbit root pairs integrally with xi."""
-    return 0 not in _root_residues(ctx, label_phases(ctx, point.xi))
+    return 0 not in _root_residues(ctx, ctx.orbit.datum.coroot_coords(point.xi))
 
 
 def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
@@ -134,11 +121,11 @@ def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
     J(rho) = e^rho prod (1 - e^{-alpha}) over positive orbit roots, and
     |1 - e^{2 pi i t}|^2 = 4 sin^2(pi t); no Weyl-group traversal is needed.
     """
-    return _norm_sq_at(ctx, label_phases(ctx, xi))
+    return _norm_sq_at(ctx, ctx.orbit.datum.coroot_coords(xi))
 
 
 def _norm_sq_at(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> float:
-    """``denominator_norm_sq`` at the point whose ``label_phases`` are ``phases``."""
+    """``denominator_norm_sq`` at the point whose ``coroot_coords`` are ``phases``."""
     return prod(4 * sin(pi * (r / phases[1])) ** 2 for r in _root_residues(ctx, phases))
 
 
@@ -146,7 +133,7 @@ def evaluate_labels(
     terms: Iterable[tuple[Labels, int]], phases: tuple[tuple[int, ...], int]
 ) -> complex:
     """sum c e^{2 pi i <u, xi>} over the (labels u, coefficient c) pairs of
-    ``terms``, at the point whose ``label_phases`` are ``phases``.
+    ``terms``, at the point whose ``coroot_coords`` are ``phases``.
 
     Equal to ``FourierPolynomial.evaluate`` of the same polynomial: each angle
     is the same correctly rounded fraction, and fsum is order-independent.
@@ -182,7 +169,7 @@ def _denominator_labels(ctx: FoldingContext) -> list[tuple[Labels, int]]:
 def jantzen_eval(ctx: FoldingContext, lam: Vec, point: TorusPoint) -> complex:
     """Quotient-formula value of the twining character at a regular point."""
     _require_admissible(ctx, lam)
-    phases = label_phases(ctx, point.xi)
+    phases = ctx.orbit.datum.coroot_coords(point.xi)
     if 0 in _root_residues(ctx, phases):
         raise SingularPointError(
             "point pairs integrally with an orbit root; use the polynomial instead"

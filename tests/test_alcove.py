@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from twinefold.checks import FOLDINGS
 from twinefold.linalg import (
     identity, mat_det, mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec,
 )
-from twinefold.rootcore import RootDatum, build_root_datum, lattice_quotient
+from twinefold.rootcore import RootDatum, _classify_system, build_root_datum, lattice_quotient
 from twinefold.folding import (
     automorphism_by_name,
     coroot_lattice,
@@ -455,3 +456,68 @@ def test_fold_to_alcove_matches_fraction_walk(case, seed):
     for xi in seeded_points(ctx, random.Random(seed)):
         folded, g = fold_to_alcove(ctx, xi)
         assert (folded, g.word, g.shift) == reference_fold(ctx, xi)
+
+
+# ---------------------------------------------------------------------------
+# the extended Cartan matrix against Fraction pairings of the alcove walls
+# ---------------------------------------------------------------------------
+
+# the nine foldings, the flips of A2, A7, A12 and D10, and identity folds with
+# unequal root lengths
+CARTAN_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [
+    ("A2", "flip"), ("A7", "flip"), ("A12", "flip"), ("D10", "flip"),
+    ("B3", "id"), ("C4", "id"), ("F4", "id"), ("G2", "id"),
+]
+
+
+def reference_wall_cartan(alc, walls):
+    """c_ij = <a_j, a_i^vee> over the given alcove walls, by Fraction pairings
+    of each wall's covector with another wall's coroot.  The ceiling
+    <theta, .> = 1 is the node -theta, so a pairing of it with another node
+    changes sign."""
+    ceiling = alc.walls[-1]
+    signs = [-1 if w is ceiling else 1 for w in walls]
+    return tuple(
+        tuple(si * sj * vdot(wj.covector, wi.coroot) for sj, wj in zip(signs, walls))
+        for si, wi in zip(signs, walls)
+    )
+
+
+def wall_points(alc, rng, count):
+    """Points of random proper faces of the alcove: positive combinations of
+    all but at least one of its vertices, on every wall that holds them."""
+    points = []
+    for _ in range(count):
+        subset = rng.sample(alc.vertices, rng.randint(1, len(alc.vertices) - 1))
+        weights = [rng.randint(1, 9) for _ in subset]
+        total = zero_vec(len(subset[0]))
+        for w, v in zip(weights, subset):
+            total = vadd(total, vscale(w, v))
+        points.append(vscale(Fraction(1, sum(weights)), total))
+    return points
+
+
+@pytest.mark.parametrize("case", CARTAN_CASES, ids="-".join)
+def test_extended_cartan_matches_wall_pairings(case):
+    """The orbit datum's extended Cartan matrix equals the walls' Fraction
+    pairings, (comarks, 1) is a left null vector of it, and at every vertex
+    and at random wall points its submatrix on the walls through the point is
+    the reference matrix of the stabilizer, with the types it is read as."""
+    ctx = cached_ctx(case)
+    orbit = ctx.orbit.datum
+    alc = fundamental_alcove(ctx)
+    extended = orbit.extended_cartan
+    assert extended == reference_wall_cartan(alc, alc.walls)
+    null = orbit.comarks + (1,)
+    assert all(sum(map(mul, null, col)) == 0 for col in zip(*extended))
+    for xi in alc.vertices + tuple(wall_points(alc, random.Random(24), 20)):
+        floors, top = reference_heights(alc, xi)
+        nodes = [i for i, h in enumerate(floors + [top - 1]) if h == 0]
+        assert nodes, "every face point lies on a wall"
+        reference = reference_wall_cartan(alc, [alc.walls[i] for i in nodes])
+        assert tuple(tuple(extended[i][j] for j in nodes) for i in nodes) == reference
+        stab = stabilizer_datum(ctx, xi)
+        dual = reference if ctx.is_trivial else tuple(zip(*reference))
+        assert (stab.subsystem_label, stab.dual_label) == (
+            _classify_system(reference), _classify_system(dual)
+        )

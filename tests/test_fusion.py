@@ -25,7 +25,6 @@ from twinefold.twining import (
     _signed_orbit,
     denominator_norm_sq,
     evaluate_labels,
-    label_phases,
     twining_character,
 )
 from twinefold.alcove import fold_to_alcove, fundamental_alcove
@@ -34,7 +33,6 @@ from twinefold.fusion import (
     FusionError,
     LevelData,
     RingElement,
-    basic_rescale,
     fusion_table,
     level_data,
     level_values,
@@ -63,16 +61,16 @@ def s_points(ctx, level):
     points = []
     for lam, frame in zip(level.level_weights, level.phases):
         pt = TorusPoint(vscale(shift, vadd(lam, rho)))
-        assert label_phases(ctx, pt.xi) == frame
+        assert ctx.orbit.datum.coroot_coords(pt.xi) == frame
         points.append(pt)
     return points
 
 
 def test_basic_rescale_values():
-    assert basic_rescale(ctx_for("A2")) == 4
-    assert basic_rescale(ctx_for("A3")) == 2
-    assert basic_rescale(ctx_for("E6")) == 2
-    assert basic_rescale(ctx_for("D4", "rot")) == 3
+    assert level_data(ctx_for("A2"), 1).rescale == 4
+    assert level_data(ctx_for("A3"), 1).rescale == 2
+    assert level_data(ctx_for("E6"), 1).rescale == 2
+    assert level_data(ctx_for("D4", "rot"), 1).rescale == 3
 
 
 def test_ring_product_clebsch_gordan():
@@ -243,7 +241,8 @@ def test_denominator_product_formula_matches_alternating_sum():
         rho = ctx.orbit.datum.weyl_vector
         for pt in s_points(ctx, level_data(ctx, k)):
             product = denominator_norm_sq(ctx, pt.xi)
-            alternating = evaluate_labels(_signed_orbit(ctx, rho), label_phases(ctx, pt.xi))
+            phases = ctx.orbit.datum.coroot_coords(pt.xi)
+            alternating = evaluate_labels(_signed_orbit(ctx, rho), phases)
             reference = abs(alternating) ** 2
             assert abs(product - reference) <= 1e-9 * reference
 
@@ -407,8 +406,9 @@ def test_fixed_weights_are_the_orbit_weights():
         assert tuple(orbit_sums) == ctx.orbit.datum.fundamental_weights
         assert tuple(orbit_sums) == ctx.lattices["fixed_weight"].basis
         theta = ctx.orbit.datum.highest_root
-        marks = [base.inner(g, theta) / basic_rescale(ctx) for g in orbit_sums]
-        assert tuple(marks) == level_data(ctx, 1).comarks
+        level = level_data(ctx, 1)
+        marks = [base.inner(g, theta) / level.rescale for g in orbit_sums]
+        assert tuple(marks) == level.comarks
 
 
 def test_verlinde_rejects_a_weight_off_the_level():
@@ -428,8 +428,9 @@ def test_verlinde_rejects_a_weight_off_the_level():
 def reference_level_data(ctx, k):
     """``level_data`` by ambient Fraction pairings: the comarks pair the
     fundamental weights with theta^vee, the rescaling is norm_sq(theta) / 2,
-    each frame is ``label_phases`` of its s-point, and |T| is the index of the
-    orbit coroot lattice in its sum with the rescaled weight lattice."""
+    each frame is ``coroot_coords`` of its s-point built in Fractions, and |T|
+    is the index of the orbit coroot lattice in its sum with the rescaled
+    weight lattice."""
     base, orbit = ctx.base, ctx.orbit.datum
     theta = orbit.highest_root
     theta_vee = base.coroot(theta)
@@ -446,7 +447,7 @@ def reference_level_data(ctx, k):
     shift = Fraction(1, k + h) / rescale
     rho = orbit.weyl_vector
     points = tuple(TorusPoint(vscale(shift, vadd(lam, rho))) for lam, _ in weights)
-    phases = tuple(label_phases(ctx, pt.xi) for pt in points)
+    phases = tuple(orbit.coroot_coords(pt.xi) for pt in points)
     assert all(0 not in _root_residues(ctx, frame) for frame in phases)
     coroots = ctx.orbit.coroot_lattice
     scaled = [vscale(shift, w) for w in orbit.fundamental_weights]

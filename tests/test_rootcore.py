@@ -13,8 +13,10 @@ from twinefold.linalg import (
     vscale, vsub,
 )
 from twinefold import rootcore
-from twinefold.alcove import fundamental_alcove, stabilizer_datum
+from twinefold.alcove import fold_to_alcove, fundamental_alcove, stabilizer_datum
 from twinefold.folding import automorphism_by_name, fold
+from twinefold.fusion import dual_coxeter_number, level_data
+from twinefold.twining import TorusPoint, is_regular
 from twinefold.rootcore import (
     FourierPolynomial,
     Lattice,
@@ -576,6 +578,54 @@ def test_fold_builds_no_fraction_views(group, name):
     for datum in _realized(ctx):
         for view in ("positive_roots", "fundamental_weights", "gram"):
             assert view not in datum.__dict__, view
+
+
+@pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
+def test_points_and_theta_data_build_no_fraction_views(group, name):
+    """Coroot coordinates, the alcove walk, stabilizers and level data read
+    the base and orbit data's integer rows, not their Fraction views."""
+    base = build_root_datum(group)
+    ctx = fold(base, automorphism_by_name(base, name))
+    data = (base, ctx.orbit.datum)
+    views = [{v for v in LAZY_VIEWS if v in d.__dict__} for d in data]
+    for v in fundamental_alcove(ctx).vertices:
+        for xi in (v, vscale(-Fraction(7, 3), v)):
+            base.from_coroot_coords(*base.coroot_coords(xi))
+            is_regular(ctx, TorusPoint(xi))
+            stabilizer_datum(ctx, fold_to_alcove(ctx, xi)[0])
+    level_data(ctx, 2)
+    assert views == [{v for v in LAZY_VIEWS if v in d.__dict__} for d in data]
+
+
+def test_comark_checks_fire(monkeypatch):
+    """One integrality and one positivity check guard the comarks
+    2 (F t)_i / tFt, for every reader of theta's extended-diagram data."""
+    base = build_root_datum("A3")
+    ctx = fold(base, automorphism_by_name(base, "flip"))
+    orbit = ctx.orbit.datum
+    i, origin = orbit._theta_index, (Fraction(0),) * 3
+    ft = orbit._root_covectors[i]
+    assert (ft, orbit._pos_norms[i]) == ((2, 2), 4)
+    readers = [
+        lambda: orbit.comarks,
+        lambda: orbit.extended_cartan,
+        lambda: dual_coxeter_number(ctx),
+        lambda: level_data(ctx, 1),
+        lambda: fold_to_alcove(ctx, origin),
+        lambda: stabilizer_datum(ctx, origin),
+    ]
+    for patched, message in [
+        ((3, 2), "^theta\\^vee is not an integer combination of the simple coroots$"),
+        ((-2, -2), "^a fundamental weight pairs non-positively with theta$"),
+    ]:
+        covectors = list(orbit._root_covectors)
+        covectors[i] = patched
+        monkeypatch.setattr(orbit, "_root_covectors", tuple(covectors))
+        for read in readers:
+            with pytest.raises(RootSystemError, match=message):
+                read()
+    monkeypatch.undo()
+    assert orbit.comarks == (1, 1) and dual_coxeter_number(ctx) == 3
 
 
 @pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])

@@ -29,7 +29,6 @@ from twinefold.twining import (
     inner_product,
     is_regular,
     jantzen_eval,
-    label_phases,
     twining_character,
     weyl_denominator,
 )
@@ -90,7 +89,7 @@ def test_evaluate_labels_matches_evaluate():
         terms = label_character(ctx.orbit.datum, chi.labels)
         assert {ctx.orbit.datum.from_labels(u): c for u, c in terms.items()} == poly.terms
         for pt in random_regular_points(ctx, 3, seed=5):
-            value = evaluate_labels(terms.items(), label_phases(ctx, pt.xi))
+            value = evaluate_labels(terms.items(), ctx.orbit.datum.coroot_coords(pt.xi))
             assert value == poly.evaluate(gram, pt.xi)
 
 
@@ -119,6 +118,50 @@ def test_torus_values_match_ambient_references(group, name):
         assert delta.eval(ctx, pt) == delta.poly.evaluate(gram, pt.xi)
     assert all(is_regular(ctx, pt) for pt in points)
     assert not any(is_regular(ctx, pt) for pt in vertices)
+
+
+def fraction_coroot_coords(datum, xi):
+    """Reference for ``RootDatum.coroot_coords``: the pairings <omega_j, xi>
+    as Fraction dot products of the fundamental weights with G xi, over the
+    lcm of their denominators."""
+    gx = mat_vec(datum.ambient_gram, xi)
+    pairings = [vdot(w, gx) for w in datum.fundamental_weights]
+    den = math.lcm(*(p.denominator for p in pairings))
+    return tuple(int(p * den) for p in pairings), den
+
+
+# the nine foldings, A2 flip, and identity folds with unequal root lengths
+FRAME_CASES = [(g, n) for g, n, _, _ in checks.FOLDINGS] + [
+    ("A2", "flip"), ("B3", "id"), ("C4", "id"), ("F4", "id"), ("G2", "id")
+]
+fractions_strategy = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    case=st.sampled_from(FRAME_CASES),
+    orbit=st.booleans(),
+    data=st.data(),
+)
+def test_coroot_coords_match_fraction_pairings(case, orbit, data):
+    """The integer frame equals the Fraction pairings at any ambient point of
+    the base or orbit datum, and ``from_coroot_coords`` inverts it on the
+    coroot span."""
+    ctx = checks.context(*case)
+    datum = ctx.orbit.datum if orbit else ctx.base
+    dim = datum.ambient_dim
+    xi = tuple(data.draw(st.lists(fractions_strategy, min_size=dim, max_size=dim)))
+    assert datum.coroot_coords(xi) == fraction_coroot_coords(datum, xi)
+    # a point of the coroot span, sum_j c_j alpha_j^vee
+    c = data.draw(st.lists(fractions_strategy, min_size=datum.rank, max_size=datum.rank))
+    den, rows = datum.coroot_rows()
+    point = tuple(
+        sum((cj * Fraction(x, den) for cj, x in zip(c, col)), Fraction(0))
+        for col in zip(*rows)
+    )
+    nums, d = datum.coroot_coords(point)
+    assert tuple(Fraction(n, d) for n in nums) == tuple(c)
+    assert datum.from_coroot_coords(nums, d) == point
 
 
 def test_twining_character_trivial_weight():
