@@ -11,27 +11,28 @@ are a translation by the orbit coroot lattice followed by a word of affine
 reflections, never matrices: the sign of the linear part is the parity of the
 word length.
 
-The alcove keeps each wall's covector as an integer row over one
-denominator, so a point is scaled to integers once and meets every wall in an
-integer dot product: membership, interiority and the walls through a point
-make no ``Fraction`` per wall.  Coroot coordinates, theta's labels and comarks
-and the extended Cartan matrix come from the orbit datum
-(``RootDatum.coroot_coords``, ``extended_cartan``): ``fold_to_alcove`` walks
-in those integer coordinates, and a stabilizer's Cartan matrix is the
-submatrix of the nodes whose walls contain its point.
+The orbit datum is the one source of the affine data.  A point meets the
+walls in its integer coroot coordinates (N, D) = ``RootDatum.coroot_coords``:
+the height of the floor alpha_i is N dotted with alpha_i's labels, and that of
+the ceiling is N dotted with theta's labels, less D (``_wall_heights``), so
+membership and the walls through a point make no ``Fraction`` per wall.
+``fold_to_alcove`` walks in those coordinates, reflecting by theta's comarks
+at the ceiling, and a stabilizer's Cartan matrix is the submatrix of the
+datum's ``extended_cartan`` on the nodes whose walls contain its point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import Vec, identity, scaled_rows, vadd, vdot, vneg, vscale, vsub, zero_vec
+from .linalg import Vec, scaled_rows, vadd, vdot, vneg, vscale, vsub, zero_vec
 from .folding import FoldingContext
 from .rootcore import (
     FiniteAbelianGroup,
+    RootDatum,
     _classify_system,
     is_sublattice,
     lattice,
@@ -58,13 +59,12 @@ class AffineElement:
     """The translation by ``shift``, then the affine reflections of ``word``
     in order.
 
-    Each reflection has linear part of determinant -1 and a translation has
-    determinant 1, so ``linear_det`` is the parity of the word length.
-    ``fold_to_alcove`` shifts by the orbit coroot lattice and builds its words
-    from the alcove walls, so its translations lie in that lattice.
+    Each reflection has linear part of determinant -1, so the determinant of
+    the linear part is the parity of the word length.  ``fold_to_alcove``
+    shifts by the orbit coroot lattice and builds its words from the alcove
+    walls, so its translations lie in that lattice.
     """
 
-    dim: int
     word: tuple[AffineReflection, ...] = ()
     shift: Vec = ()  # () for no translation
 
@@ -75,19 +75,18 @@ class AffineElement:
             v = vsub(v, vscale(vdot(covector, v) - k, coroot))
         return v
 
-    @property
-    def translation(self) -> Vec:
-        return self.apply(zero_vec(self.dim))
 
-    @property
-    def linear_det(self) -> int:
-        return -1 if len(self.word) % 2 else 1
+def _wall_heights(orbit: RootDatum, n, d: int) -> tuple[list[int], int]:
+    """The heights of the point with ``coroot_coords`` (n, d) over the alcove
+    walls: n . (labels of alpha_i) = d <alpha_i, xi> for each floor, and
+    n . (labels of theta) - d = d (<theta, xi> - 1) for the ceiling.  As
+    d > 0, their signs are those of the walls' equations."""
+    floors = [sum(map(mul, n, c)) for c in orbit._alpha_labels]
+    return floors, sum(map(mul, n, orbit.theta_labels)) - d
 
-    @property
-    def is_identity(self) -> bool:
-        # an affine map is fixed by its values at 0 and the unit vectors
-        points = (zero_vec(self.dim), *identity(self.dim))
-        return all(self.apply(p) == p for p in points)
+
+def _inside(floors: list[int], ceiling: int) -> bool:
+    return min(floors) >= 0 and ceiling <= 0
 
 
 @dataclass(frozen=True)
@@ -95,32 +94,16 @@ class AlcoveDescription:
     """0 <= <alpha, xi> for simple orbit roots, <theta, xi> <= 1.
 
     ``walls`` holds the reflection in each wall: one per simple orbit root,
-    then the ceiling <theta, xi> = 1.  ``wall_rows`` holds each wall's
-    covector G a as an integer row r over a positive denominator d, so a point
-    scaled once to x / x_den meets every wall in one integer dot product
-    r . x (``wall_offsets``).
+    then the ceiling <theta, xi> = 1.  ``datum`` is the orbit datum, which
+    every wall height is read from (``_wall_heights``).
     """
 
-    simple_roots: tuple[Vec, ...]
-    theta: Vec
+    datum: RootDatum = field(compare=False, repr=False)
     vertices: tuple[Vec, ...]
     walls: tuple[AffineReflection, ...]
-    wall_rows: tuple[tuple[tuple[int, ...], int], ...]
-
-    def wall_offsets(self, xi: Vec) -> tuple[list[int], int]:
-        """For each wall <a, .> = k, an integer of the sign of <a, xi> - k:
-        r . x for the floors (k = 0), r . x - d x_den for the ceiling."""
-        x_den, (x,) = scaled_rows([xi])
-        *floors, (ceiling, d) = self.wall_rows
-        return [sum(map(mul, r, x)) for r, _ in floors], sum(map(mul, ceiling, x)) - d * x_den
 
     def contains(self, xi: Vec) -> bool:
-        floors, ceiling = self.wall_offsets(xi)
-        return min(floors) >= 0 and ceiling <= 0
-
-    def is_interior(self, xi: Vec) -> bool:
-        floors, ceiling = self.wall_offsets(xi)
-        return min(floors) > 0 and ceiling < 0
+        return _inside(*_wall_heights(self.datum, *self.datum.coroot_coords(xi)))
 
 
 def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
@@ -129,9 +112,9 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
 
     Built once per context, from the integer rows of the orbit datum's
     simple roots, coroots and coweights: with the ambient form
-    G = g / g_den, each covector G v is one integer product g v, kept as that
-    row over its denominator, and a ``Fraction`` is made once per entry of the
-    walls' reflections.
+    G = g / g_den, each covector G v is one integer product g v over its
+    denominator, and a ``Fraction`` is made once per entry of the walls'
+    reflections.
     """
     if ctx._alcove is not None:
         return ctx._alcove
@@ -171,8 +154,7 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
             tuple(Fraction(2 * g_den * t_den * x, t_norm) for x in t),
         ),
     )
-    wall_rows = tuple((g_times(a), g_den * a_den) for a in roots) + ((gt, g_den * t_den),)
-    alc = AlcoveDescription(orbit.simple_roots, theta, tuple(vertices), walls, wall_rows)
+    alc = AlcoveDescription(orbit, tuple(vertices), walls)
     for v in alc.vertices:
         if not alc.contains(v):
             raise AlcoveError("computed vertex violates the alcove constraints")
@@ -197,21 +179,20 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     N_i - sum_j N_j <alpha_i, alpha_j^vee>, and the ceiling reflection, with
     H / D = <theta, xi>, subtracts (H - D) times the comarks.  It takes the
     first floor wall of negative height, and otherwise the ceiling, as the
-    reflection in those walls would.  N / D is the orbit datum's
-    ``coroot_coords`` of xi, and its ``from_coroot_coords`` builds the
-    translation and, once, the folded point; the group element is checked
-    against it.
+    reflection in those walls would; the heights are ``_wall_heights``.
+    N / D is the orbit datum's ``coroot_coords`` of xi, computed once, and
+    its ``from_coroot_coords`` builds the translation and, once, the folded
+    point; the group element is checked against it.
     """
     if ctx.apply_kappa(xi) != xi:
         raise AlcoveError("point does not lie in the fixed subspace")
     orbit = ctx.orbit.datum
-    alc = fundamental_alcove(ctx)
-    *floors, ceiling = alc.walls
-    theta, marks = orbit.theta_labels, orbit.comarks
+    *floors, ceiling = fundamental_alcove(ctx).walls
+    marks = orbit.comarks
     n, d = orbit.coroot_coords(xi)
     n = list(n)
     steps = [0] * len(n)
-    if not alc.contains(xi):
+    if not _inside(*_wall_heights(orbit, n, d)):
         for j, c in enumerate(n):
             # the integer part of c / d, rounded toward zero
             steps[j] = q = c // d if c >= 0 else -(-c // d)
@@ -219,23 +200,18 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     shift = orbit.from_coroot_coords([-q for q in steps], 1)
     word = []
     for _ in range(FOLD_ITERATION_CAP):
-        # column i of the Cartan matrix, the labels of alpha_i, pairs the
-        # coordinates with alpha_i
-        for i, c in enumerate(orbit._alpha_labels):
-            height = sum(map(mul, n, c))
-            if height < 0:
-                n[i] -= height
-                word.append(floors[i])
-                break
+        heights, excess = _wall_heights(orbit, n, d)
+        i = next((i for i, h in enumerate(heights) if h < 0), None)
+        if i is not None:
+            n[i] -= heights[i]
+            word.append(floors[i])
+        elif excess > 0:
+            # reflection in the affine wall <theta, xi> = 1
+            n = [c - excess * a for c, a in zip(n, marks)]
+            word.append(ceiling)
         else:
-            excess = sum(map(mul, n, theta)) - d
-            if excess > 0:
-                # reflection in the affine wall <theta, xi> = 1
-                n = [c - excess * a for c, a in zip(n, marks)]
-                word.append(ceiling)
-                continue
             cur = orbit.from_coroot_coords(n, d)
-            g = AffineElement(ctx.base.ambient_dim, tuple(word), shift)
+            g = AffineElement(tuple(word), shift)
             if g.apply(xi) != cur:
                 raise AlcoveError("affine bookkeeping drifted from the folded point")
             return cur, g
@@ -270,13 +246,14 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     span the stabilizer's coroot lattice inside Lambda^kappa.
     """
     alc = fundamental_alcove(ctx)
-    if not alc.contains(xi):
+    orbit = ctx.orbit.datum
+    floors, ceiling = _wall_heights(orbit, *orbit.coroot_coords(xi))
+    if not _inside(floors, ceiling):
         raise AlcoveError("point lies outside the fundamental alcove")
     # the walls through xi, simple nodes then the ceiling (the node -theta):
-    # each wall's offset is zero there
-    floor_offsets, ceiling_offset = alc.wall_offsets(xi)
-    nodes = [i for i, h in enumerate((*floor_offsets, ceiling_offset)) if h == 0]
-    includes_affine = ceiling_offset == 0
+    # each wall's height is zero there
+    nodes = [i for i, h in enumerate((*floors, ceiling)) if h == 0]
+    includes_affine = ceiling == 0
 
     fixed_integral = ctx.lattices["fixed_integral"]
     if not nodes:
@@ -289,9 +266,9 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
             pi1_free_rank=fixed_integral.rank,
         )
 
-    roots = alc.simple_roots + (vneg(alc.theta),)
+    roots = orbit.simple_roots + (vneg(orbit.highest_root),)
     surviving = tuple(roots[i] for i in nodes)
-    extended = ctx.orbit.datum.extended_cartan
+    extended = orbit.extended_cartan
     cartan = tuple(tuple(extended[i][j] for j in nodes) for i in nodes)
     label = _classify_system(cartan)
     dim = ctx.base.ambient_dim

@@ -156,12 +156,13 @@ def cmd_fold(args) -> dict:
 def cmd_alcove(args) -> dict:
     ctx = build_context(args.group, args.automorphism)
     alc = fundamental_alcove(ctx)
+    orbit = ctx.orbit.datum
     return {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
-        "orbit_type": ctx.orbit.datum.type_label,
-        "simple_roots": [format_vector(ctx.base.pairings(a)) for a in alc.simple_roots],
-        "highest_root": format_vector(ctx.base.pairings(alc.theta)),
+        "orbit_type": orbit.type_label,
+        "simple_roots": [format_vector(ctx.base.pairings(a)) for a in orbit.simple_roots],
+        "highest_root": format_vector(ctx.base.pairings(orbit.highest_root)),
         "vertices": [
             format_vector(point_from_ambient(ctx, v)) for v in alc.vertices
         ],

@@ -26,7 +26,6 @@ from .rootcore import (
     RootDatum,
     RootSystemError,
     cartan_isomorphisms,
-    classical_weyl_order,
     lattice_eq,
     lattice_index,
     lattice_quotient,
@@ -231,7 +230,7 @@ class FoldingContext:
         if orbit_datum.weyl_vector != base.weyl_vector:
             raise FoldingError("orbit half-sum of positive roots differs from base rho")
         self.orbit = OrbitDatum(orbit_datum, self.lattices["QOv"])
-        self.orbit_weyl_order = classical_weyl_order(orbit_datum.type_label)
+        self.orbit_weyl_order = orbit_datum.weyl_order
         self.outer_weyl_order = self.fixed_intersection.order * self.orbit_weyl_order
 
     # -- helpers -----------------------------------------------------------

@@ -176,8 +176,6 @@ class LevelData:
     labels: tuple[Labels, ...]
     phases: tuple[tuple[tuple[int, ...], int], ...]
     t_group_order: int
-    comarks: tuple[int, ...]     # <omega_i, theta^vee> of the orbit system
-    theta_labels: Labels         # the orbit highest root theta in labels
     label_index: dict[Labels, int] = field(compare=False, repr=False)
     weight_index: dict[Vec, int] = field(compare=False, repr=False)  # public getters
     by_id: dict[int, int] = field(init=False, compare=False, repr=False)
@@ -212,7 +210,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     orbit = ctx.orbit.datum
     form = orbit._form
     marks = orbit.comarks
-    h = 1 + sum(marks)
+    h = dual_coxeter_number(ctx)
     # D (theta, theta), the squared length of theta over D = _form_den
     tft = orbit._pos_norms[orbit._theta_index]
     height = (k + h) * tft
@@ -253,8 +251,6 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         labels=labels,
         phases=tuple(phases),
         t_group_order=prod(height // gcd(height, d) for d in smith_normal_form(twice_form)),
-        comarks=marks,
-        theta_labels=orbit.theta_labels,
         label_index={m: i for i, m in enumerate(labels)},
         weight_index={lam: i for i, lam in enumerate(level_weights)},
     )
@@ -276,6 +272,7 @@ def _fold_labels(
     k + h.  Returns (sign, index of the level weight m - rho), the sign the
     parity of the reflections, or None when m lies on a wall.
     """
+    marks, theta = datum.comarks, datum.theta_labels
     height = level.k + level.dual_coxeter
     sign = 1
     while True:
@@ -284,12 +281,12 @@ def _fold_labels(
             return None
         s, m = folded
         sign *= s
-        excess = sum(a * x for a, x in zip(level.comarks, m)) - height
+        excess = sum(a * x for a, x in zip(marks, m)) - height
         if excess < 0:
             break
         if excess == 0:
             return None
-        m = tuple(x - excess * t for x, t in zip(m, level.theta_labels))
+        m = tuple(x - excess * t for x, t in zip(m, theta))
         sign = -sign
     i = level.label_index.get(tuple(x - 1 for x in m))
     if i is None:

@@ -5,9 +5,10 @@ tuples.  Everything here is pure and allocation-cheap at the ranks we care
 about (a dozen at most), so no numpy: exactness matters more than speed, and
 lattice membership tests must never go through floats.
 
-One Gauss-Jordan routine, ``_row_reduce``, does every rational elimination:
-``rank_of``, ``solve`` and ``mat_inv`` read its reduced rows and pivot
-columns.  Exact determinants and the inverses of integer matrices come from
+One Gauss-Jordan routine, ``_row_reduce``, does every rational elimination;
+``solve`` reads its reduced rows and pivot columns (the rational rank,
+inverse and basis coordinates the tests compare against live with the tests).
+Exact determinants and the inverses of integer matrices come from
 one fraction-free elimination, ``_bareiss``: ``mat_det`` scales a rational
 matrix to integers first, and ``integer_inverse`` returns an integer matrix
 over one denominator (a Cartan matrix's inverse, say).  Lattice membership
@@ -63,18 +64,8 @@ def vdot(u: Vec, v: Vec) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
 def mat(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(e) for e in row) for row in rows)
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-    )
 
 
 def mat_vec(m: Matrix, v: Vec) -> Vec:
@@ -188,15 +179,6 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], 
     return tuple(tuple(x // g for x in row[n:]) for row in rows), d // g
 
 
-def mat_inv(m: Matrix) -> Matrix:
-    n = len(m)
-    eye = identity(n)
-    reduced, pivots = _row_reduce([tuple(row) + eye[i] for i, row in enumerate(m)], n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
 def solve(a: Matrix, b: Vec) -> Vec | None:
     """Solve ``a @ x = b`` exactly; ``None`` if inconsistent.
 
@@ -213,18 +195,6 @@ def solve(a: Matrix, b: Vec) -> Vec | None:
     for row, col in zip(reduced, pivots):
         x[col] = row[n]
     return tuple(x)
-
-
-def coords_in_basis(basis: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coordinates of ``v`` in the given (independent) basis, or None."""
-    if not basis:
-        return () if is_zero_vec(v) else None
-    a = transpose(tuple(basis))
-    return solve(a, v)
-
-
-def rank_of(rows: Sequence[Vec]) -> int:
-    return len(_row_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
 # ---------------------------------------------------------------------------

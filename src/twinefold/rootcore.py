@@ -21,9 +21,9 @@ matrices, A^-1 comes from fraction-free elimination
 (``linalg.integer_inverse``), and the positive roots are reached by a
 reflection closure on integer simple-root coordinates.  Construction and its
 checks read only integers; the ``Fraction`` views of them (roots, rho,
-fundamental weights, the Gram matrix, the coroot covectors, the root lengths)
-are built on a datum's first read of each, and the lattice generators
-(``root_rows`` and its siblings) stay integer rows over one denominator.
+fundamental weights, the coroot covectors) are built on a datum's first read
+of each, and the lattice generators (``root_rows`` and its siblings) stay
+integer rows over one denominator.
 
 A point xi meets a datum through its simple-coroot coordinates
 <omega_j, xi> (``coroot_coords``, integer numerators over one denominator,
@@ -31,7 +31,9 @@ from the fundamental weights' integer covectors; ``from_coroot_coords``
 inverts it).  Theta's labels, the comarks and the extended Cartan matrix
 (``theta_labels``, ``comarks``, ``extended_cartan``) are integer data of the
 datum too, with the comarks' integrality and positivity checked there once.
-Both are built on first read.
+So is |W| (``weyl_order``), from which ``weyl_traverse`` and
+``label_character`` size each orbit against ``TWINEFOLD_WEYL_CAP`` before
+they enumerate it.  All of these are built on first read.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import cos, factorial, fsum, gcd, lcm, pi, sin
+from math import cos, factorial, fsum, gcd, lcm, pi, prod, sin
 from operator import mul
 
 from .linalg import (
@@ -78,7 +80,8 @@ Labels = tuple[int, ...]
 def resolve_weyl_cap() -> int:
     """The TWINEFOLD_WEYL_CAP env var, else the default.
 
-    The cap bounds the size of a Weyl orbit enumerated by ``weyl_traverse``.
+    The cap bounds the size of a Weyl orbit enumerated by ``weyl_traverse``
+    or by the orbit expansion of ``label_character``.
     """
     import os
 
@@ -128,6 +131,12 @@ def classical_weyl_order(label: str) -> int:
     if family in ("E", "F", "G"):
         return _WEYL_ORDERS[label](rank)
     return _WEYL_ORDERS[family](rank)
+
+
+def _system_weyl_order(label: str) -> int:
+    """|W| of a type label, reducible ones 'X+Y' as the product over the
+    components; '' (no nodes) is the trivial group."""
+    return prod(classical_weyl_order(c) for c in label.split("+") if c)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +325,6 @@ def lattice(basis, ambient_dim: int) -> Lattice:
     return Lattice(tuple(basis), ambient_dim)
 
 
-def lattice_span(vectors, ambient_dim: int) -> Lattice:
-    """The lattice generated by ``vectors``, which need not be independent:
-    its basis is their integer echelon, scaled back by the common
-    denominator."""
-    den, rows = scaled_rows(vectors)
-    return Lattice.from_rows(
-        den, [row for _, row, _ in integer_echelon(rows)], ambient_dim
-    )
-
-
 def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
     return all(sup._row_coords(r, sub._den) is not None for r in sub._rows)
 
@@ -470,14 +469,14 @@ class RootDatum:
     lengths ``_pos_norms`` and the root, coroot, weight and coweight rows.
     ``highest_root`` and ``highest_short_root`` are picked by those integer
     lengths.  The ``Fraction`` views ``positive_roots``, ``weyl_vector``,
-    ``fundamental_weights``, ``gram``, ``positive_norms`` and the coroot
-    covectors behind ``pairings`` are built on first read and kept on the
-    instance (``functools.cached_property``), so a datum that no caller reads
-    them from never builds them.  So are the integer data of points and of
-    theta: the fundamental weights' covectors behind ``coroot_coords``,
-    ``theta_labels``, ``comarks`` and ``extended_cartan``.  No value changes
-    after construction, and every operation is a pure function of the
-    inputs.
+    ``fundamental_weights`` and the coroot covectors behind ``pairings`` are
+    built on first read and kept on the instance
+    (``functools.cached_property``), so a datum that no caller reads them
+    from never builds them.  So are the integer data of points and of theta
+    and the group order: the fundamental weights' covectors behind
+    ``coroot_coords``, ``theta_labels``, ``comarks``, ``extended_cartan`` and
+    ``weyl_order``.  No value changes after construction, and every
+    operation is a pure function of the inputs.
     """
 
     def __init__(
@@ -548,10 +547,9 @@ class RootDatum:
                 "half-sum of positive roots disagrees with the sum of "
                 "fundamental weights"
             )
-        # kept for the Fraction views built on first read
+        # kept for the coroot covectors built on first read
         self._ga = tuple(map(tuple, ga))
         self._gram_num = tuple(map(tuple, gram))
-        self._gram_den = gram_den
 
         # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels,
         # over D = _form_den; _pos_norms[i] is that of the root _pos_num[i].
@@ -626,12 +624,6 @@ class RootDatum:
         )
 
     @cached_property
-    def gram(self) -> Matrix:
-        """The Gram matrix (alpha_i, alpha_j) of the simple roots."""
-        den = self._gram_den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self._gram_num)
-
-    @cached_property
     def _coroot_covectors(self) -> tuple[Vec, ...]:
         # G alpha_i^vee = 2 alpha_den ga[i] / gram[i][i], so each pairing
         # <v, alpha_i^vee> is one dot product
@@ -640,11 +632,6 @@ class RootDatum:
             tuple(Fraction(2 * ad * x, gram[i][i]) if x else ZERO for x in gai)
             for i, gai in enumerate(self._ga)
         )
-
-    @cached_property
-    def positive_norms(self) -> tuple[Fraction, ...]:
-        """positive_norms[i] is the squared length of positive_roots[i]."""
-        return tuple(Fraction(n, self._form_den) for n in self._pos_norms)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -738,7 +725,7 @@ class RootDatum:
         c_den, rows = self.coroot_rows()
         return tuple(Fraction(sum(map(mul, nums, col)), den * c_den) for col in zip(*rows))
 
-    # -- theta and the extended Dynkin diagram, built on first read --------
+    # -- theta, the extended Dynkin diagram and |W|, built on first read ----
 
     @cached_property
     def theta_labels(self) -> Labels:
@@ -771,6 +758,11 @@ class RootDatum:
         return tuple(
             row + (-t,) for row, t in zip(self.cartan, self.theta_labels)
         ) + (last + (2,),)
+
+    @cached_property
+    def weyl_order(self) -> int:
+        """|W|, the product of the orders of the components' Weyl groups."""
+        return _system_weyl_order(self.type_label)
 
     # -- dominance and integrality ----------------------------------------
 
@@ -1004,6 +996,17 @@ def _orbit_levels(datum: RootDatum, labels: Labels):
         frontier = list(nxt)
 
 
+def _check_orbit(datum: RootDatum, mu: Labels, cap: int) -> None:
+    """WeylOverflowError when the orbit of dominant labels mu, of size
+    |W| / |W_mu|, exceeds ``cap``; W_mu is the Weyl group of the Cartan
+    submatrix at the zero labels of mu, classified only when |W| > cap."""
+    if datum.weyl_order > cap:
+        zeros = [i for i, m in enumerate(mu) if m == 0]
+        stabilizer = _classify_system([[datum.cartan[i][j] for j in zeros] for i in zeros])
+        if datum.weyl_order // _system_weyl_order(stabilizer) > cap:
+            raise WeylOverflowError(f"Weyl orbit exceeds the traversal cap {cap}")
+
+
 def weyl_traverse(datum: RootDatum, v: Vec):
     """Yield (det w, w.v) once for every Weyl element w, identity first.
 
@@ -1013,18 +1016,18 @@ def weyl_traverse(datum: RootDatum, v: Vec):
     part of v orthogonal to the roots; w fixes it).  The search reflects u
     by s_i only when its label m_i > 0, which lengthens w by one, so
     det w = (-1)^length(w) is the parity of the breadth-first depth (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.6-1.8).  Raises WeylOverflowError
-    when the orbit has more elements than ``resolve_weyl_cap()`` allows.
+    Reflection Groups and Coxeter Groups, 1.6-1.8).  A regular orbit has
+    |W| elements, so ``_check_orbit`` raises before the first one when
+    ``datum.weyl_order`` exceeds ``resolve_weyl_cap()``.
     """
     cap = resolve_weyl_cap()
     labels = datum.pairings(v)
     if any(m.denominator != 1 or m <= 0 for m in labels):
         raise RootSystemError("weight must be regular dominant integral")
-    sign, count = 1, 0
-    for level in _orbit_levels(datum, tuple(int(m) for m in labels)):
-        count += len(level)
-        if count > cap:
-            raise WeylOverflowError(f"Weyl orbit exceeds the traversal cap {cap}")
+    labels = tuple(int(m) for m in labels)
+    _check_orbit(datum, labels, cap)
+    sign = 1
+    for level in _orbit_levels(datum, labels):
         for u in level:
             yield sign, u
         sign = -sign
@@ -1033,21 +1036,6 @@ def weyl_traverse(datum: RootDatum, v: Vec):
 # ---------------------------------------------------------------------------
 # dimensions, multiplicities, characters
 # ---------------------------------------------------------------------------
-
-
-def weyl_dimension(datum: RootDatum, lam: Vec) -> int:
-    """Dimension by the product formula prod (lam+rho, a) / (rho, a)."""
-    if not datum.is_dominant_integral(lam):
-        raise RootSystemError("weight must be dominant and integral")
-    rho = datum.weyl_vector
-    num = ONE
-    den = ONE
-    shifted = vadd(lam, rho)
-    for a in datum.positive_roots:
-        num *= datum.inner(shifted, a)
-        den *= datum.inner(rho, a)
-    q = num / den
-    return _as_int(q.numerator, q.denominator)
 
 
 def dominant_labels(datum: RootDatum, lam: Vec) -> Labels:
@@ -1185,12 +1173,17 @@ def label_character(datum: RootDatum, lam: Labels) -> dict[Labels, int]:
 
     Freudenthal multiplicities on the dominant cone, then Weyl-orbit
     expansion.  Memoized on the datum: callers must not mutate the result.
+    Each orbit is checked against the cap before it is expanded, and lam's
+    before the recursion (``_check_orbit``).
     """
     terms = datum._label_char_cache.get(lam)
     if terms is None:
+        cap = resolve_weyl_cap()
+        _check_orbit(datum, lam, cap)
         terms = {}
         for mu, m in _dominant_multiplicities(datum, lam).items():
             if m:
+                _check_orbit(datum, mu, cap)
                 for level in _orbit_levels(datum, mu):
                     terms.update(dict.fromkeys(level, m))
         datum._label_char_cache[lam] = terms

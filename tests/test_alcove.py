@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import (
-    identity, mat_det, mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec,
-)
+from twinefold.linalg import mat_det, mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec
 from twinefold.rootcore import RootDatum, _classify_system, build_root_datum, lattice_quotient
 from twinefold.folding import (
     automorphism_by_name,
@@ -29,6 +27,8 @@ from twinefold.alcove import (
     stabilizer_datum,
 )
 from twinefold.twining import TorusPoint, denominator_norm_sq, is_regular, weyl_denominator
+
+from fraction_reference import identity
 
 
 def ctx_for(label, name="flip"):
@@ -59,7 +59,7 @@ def test_e6_alcove_simplex():
     alc = fundamental_alcove(ctx)
     assert len(alc.vertices) == 5  # 0 plus one per F4 node
     for v in alc.vertices:
-        assert ctx.base.inner(alc.theta, v) <= 1
+        assert ctx.base.inner(ctx.orbit.datum.highest_root, v) <= 1
         assert alc.contains(v)
 
 
@@ -70,7 +70,7 @@ def test_fold_fixed_point():
     assert alc.contains(xi)
     folded, g = fold_to_alcove(ctx, xi)
     assert folded == xi
-    assert g.is_identity
+    assert g.word == () and not any(g.shift)
 
 
 def test_fold_negative_endpoint():
@@ -78,7 +78,7 @@ def test_fold_negative_endpoint():
     v = vscale(Fraction(1, 4), ctx.base.highest_root)
     folded, g = fold_to_alcove(ctx, vneg(v))
     assert folded == v
-    assert g.linear_det == -1
+    assert len(g.word) % 2 == 1
     assert g.apply(vneg(v)) == v
 
 
@@ -90,7 +90,7 @@ def test_fold_lattice_periodicity():
     lam = ctx.orbit.coroot_lattice.basis[0]
     folded, g = fold_to_alcove(ctx, vadd(xi, lam))
     assert folded == xi
-    assert g.translation == vneg(lam)
+    assert g.apply(zero_vec(3)) == vneg(lam)
 
 
 def test_fold_is_retraction_random():
@@ -108,9 +108,9 @@ def test_fold_is_retraction_random():
             folded, g = fold_to_alcove(ctx, xi)
             assert alc.contains(folded)
             assert g.apply(xi) == folded
-            assert ctx.orbit.coroot_lattice.contains(g.translation)
+            assert ctx.orbit.coroot_lattice.contains(g.apply(zero_vec(ctx.base.ambient_dim)))
             again, h = fold_to_alcove(ctx, folded)
-            assert again == folded and h.is_identity
+            assert again == folded and h.word == () and not any(h.shift)
 
 
 @pytest.mark.parametrize("case", [("A3", "flip"), ("D4", "rot")])
@@ -130,7 +130,7 @@ def test_far_fold_reduces_in_one_step(case):
         assert time.perf_counter() - start < 0.1
         assert alc.contains(folded)
         assert g.apply(xi) == folded
-        assert ctx.orbit.coroot_lattice.contains(g.translation)
+        assert ctx.orbit.coroot_lattice.contains(g.apply(zero_vec(ctx.base.ambient_dim)))
         assert len(g.word) <= 20  # reflections after the translation
 
 
@@ -152,10 +152,10 @@ def test_fundamental_domain_property_a2():
     for k in range(-4, 5):
         shift = vscale(k, gen)
         # x -> x + shift and x -> s_alpha(x) + shift, as reflection words
-        translate = AffineElement(2, (affine_reflection(0), affine_reflection(k)))
-        reflect = AffineElement(2, (affine_reflection(k),))
+        translate = AffineElement((affine_reflection(0), affine_reflection(k)))
+        reflect = AffineElement((affine_reflection(k),))
         for g, det in ((translate, 1), (reflect, -1)):
-            assert g.translation == shift and g.linear_det == det
+            assert g.apply(zero_vec(2)) == shift and (-1) ** len(g.word) == det
             elements.append(g)
     assert len(elements) == 18
     for i, p in enumerate(points):
@@ -272,13 +272,13 @@ def test_fold_to_alcove_properties(case, coeffs):
     assert alc.contains(folded)
     assert g.apply(xi) == folded
     again, h = fold_to_alcove(ctx, folded)
-    assert again == folded and h.is_identity
-    t = g.translation
+    assert again == folded and h.word == () and not any(h.shift)
+    t = g.apply(zero_vec(dim))
     assert ctx.orbit.coroot_lattice.contains(t)
     # reference: the matrix of the linear part, column j = g(e_j) - g(0)
     cols = [vsub(g.apply(e), t) for e in identity(dim)]
     linear = tuple(tuple(col[r] for col in cols) for r in range(dim))
-    assert mat_det(linear) == g.linear_det
+    assert mat_det(linear) == (-1) ** len(g.word)
 
 
 @pytest.mark.parametrize(
@@ -425,28 +425,56 @@ def seeded_points(ctx, rng):
     return points
 
 
+def unfixed_points(ctx, points, rng):
+    """A random ambient vector of small entries and, for a nontrivial kappa,
+    each of ``points`` plus a random non-zero vector that kappa averages to
+    zero: that part is orthogonal to the fixed subspace, so a point on a wall
+    stays on it."""
+    dim = ctx.base.ambient_dim
+
+    def draw():
+        return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim))
+
+    out = [draw()]
+    for xi in points if not ctx.is_trivial else ():
+        moving = zero_vec(dim)
+        while not any(moving):
+            v = draw()
+            moving = vsub(v, ctx.project(v))
+        out.append(vadd(xi, moving))
+    return out
+
+
 @settings(deadline=None, max_examples=40)
 @given(case=st.sampled_from(REFERENCE_CASES), seed=st.integers(0, 2**32 - 1))
 def test_integer_walls_match_fraction_pairings(case, seed):
+    """The coroot-frame wall heights against Fraction pairings with the wall
+    covectors, at kappa-fixed points, their folds, and points off the fixed
+    subspace, which ``contains`` and ``stabilizer_datum`` accept too."""
     ctx = cached_ctx(case)
+    orbit = ctx.orbit.datum
     alc = fundamental_alcove(ctx)
-    for xi in seeded_points(ctx, random.Random(seed)):
-        assert ctx.apply_kappa(xi) == xi
-        for point in (xi, fold_to_alcove(ctx, xi)[0]):
-            floors, top = reference_heights(alc, point)
-            inside = all(h >= 0 for h in floors) and top <= 1
-            assert alc.contains(point) == inside
-            assert alc.is_interior(point) == (all(h > 0 for h in floors) and top < 1)
-            if not inside:
-                with pytest.raises(AlcoveError):
-                    stabilizer_datum(ctx, point)
-                continue
-            stab = stabilizer_datum(ctx, point)
-            on_walls = tuple(a for a, h in zip(alc.simple_roots, floors) if h == 0)
-            if top == 1:
-                on_walls += (vneg(alc.theta),)
-            assert stab.surviving == on_walls
-            assert stab.includes_affine_node == (top == 1)
+    rng = random.Random(seed)
+    fixed = seeded_points(ctx, rng)
+    assert all(ctx.apply_kappa(xi) == xi for xi in fixed)
+    points = fixed + [fold_to_alcove(ctx, xi)[0] for xi in fixed]
+    unfixed = unfixed_points(ctx, points, rng)
+    if not ctx.is_trivial:
+        assert all(ctx.apply_kappa(xi) != xi for xi in unfixed[1:])
+    for point in points + unfixed:
+        floors, top = reference_heights(alc, point)
+        inside = all(h >= 0 for h in floors) and top <= 1
+        assert alc.contains(point) == inside
+        if not inside:
+            with pytest.raises(AlcoveError):
+                stabilizer_datum(ctx, point)
+            continue
+        stab = stabilizer_datum(ctx, point)
+        on_walls = tuple(a for a, h in zip(orbit.simple_roots, floors) if h == 0)
+        if top == 1:
+            on_walls += (vneg(orbit.highest_root),)
+        assert stab.surviving == on_walls
+        assert stab.includes_affine_node == (top == 1)
 
 
 @settings(deadline=None, max_examples=40)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,24 @@ def test_weyl_cap_env(monkeypatch):
         assert code == EXIT_COMPUTE
         assert doc["error"]["type"] == "RootSystemError"
         assert "TWINEFOLD_WEYL_CAP" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("weight", ["0,0,0,0,0,0,0,0,0,0", "1,1,1,1,1,1,1,1,1,1"])
+def test_weyl_overflow_fails_fast(weight, monkeypatch):
+    """|W(C9)| = 185794560 exceeds the default cap: the quotient formula at
+    weight 0, and the orbit expansion of the regular weight, raise up front,
+    before any orbit element is enumerated (walking 10^6 of them took ~9 s)."""
+    monkeypatch.delenv("TWINEFOLD_WEYL_CAP", raising=False)
+    argv = ["eval", "D10", "flip", "--weight", weight,
+            "--point", "1/3,1/5,1/7,1/9,1/11,1/13,1/17,1/19,1/23,1/23"]
+    start = time.perf_counter()
+    code, doc = run_json(argv)
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_COMPUTE
+    assert doc["error"] == {
+        "type": "WeylOverflowError",
+        "message": "Weyl orbit exceeds the traversal cap 1000000",
+    }
 
 
 def test_verify_names_the_exception(monkeypatch):

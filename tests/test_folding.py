@@ -5,9 +5,7 @@ from fractions import Fraction
 import pytest
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import (
-    coords_in_basis, invariant_factors, mat_mul, mat_vec, vadd, vscale, zero_vec,
-)
+from twinefold.linalg import invariant_factors, mat_mul, mat_vec, vadd, vscale, zero_vec
 from twinefold.rootcore import RootDatum, build_root_datum, lattice_eq, weyl_traverse
 from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import (
@@ -20,6 +18,8 @@ from twinefold.folding import (
     root_lattice,
     weight_lattice,
 )
+
+from fraction_reference import coords_in_basis
 
 
 def ctx_for(label, name="flip"):
@@ -367,7 +367,7 @@ def _fraction_families(datum):
         datum.simple_roots,
         tuple(datum.coroot(a) for a in datum.simple_roots),
         weights,
-        tuple(vscale(2 / datum.gram[i][i], w) for i, w in enumerate(weights)),
+        tuple(vscale(2 / datum.norm_sq(a), w) for a, w in zip(datum.simple_roots, weights)),
     )
 
 

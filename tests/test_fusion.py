@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold import checks, fusion, twining
-from twinefold.linalg import vadd, vscale, vsub, zero_vec
+from twinefold.linalg import vadd, vdot, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     build_root_datum,
     decompose_into_irreducibles,
     irreducible_character,
     lattice_index,
-    lattice_span,
-    weyl_dimension,
 )
 from twinefold.folding import automorphism_by_name, fold
 from twinefold.twining import (
@@ -40,6 +38,8 @@ from twinefold.fusion import (
     ring_product,
     verlinde_coefficient,
 )
+
+from fraction_reference import lattice_span, weyl_dimension
 
 
 def ctx_for(label, name="flip"):
@@ -360,7 +360,8 @@ def fixed_weights(case):
 @given(case=st.sampled_from(FOLDING_CASES), k=st.integers(1, 4), data=st.data())
 def test_phi_project_matches_alcove_fold(case, k, data):
     """The label-level Kac-Walton fold against the geometric one: lam + rho
-    rescaled into the torus, ``fold_to_alcove``, ``is_interior``, back."""
+    rescaled into the torus, ``fold_to_alcove``, strictly inside every wall
+    by Fraction pairings with the wall covectors, back."""
     ctx = checks.context(*case)
     level = level_for(case, k)
     lam = data.draw(st.sampled_from(fixed_weights(case)))
@@ -368,8 +369,9 @@ def test_phi_project_matches_alcove_fold(case, k, data):
     rho = ctx.orbit.datum.weyl_vector
     folded, g = fold_to_alcove(ctx, vscale(scale, vadd(lam, rho)))
     expected = None
-    if fundamental_alcove(ctx).is_interior(folded):
-        expected = (g.linear_det, vsub(vscale(1 / scale, folded), rho))
+    *floors, ceiling = (vdot(w.covector, folded) - w.k for w in fundamental_alcove(ctx).walls)
+    if all(h > 0 for h in floors) and ceiling < 0:
+        expected = ((-1) ** len(g.word), vsub(vscale(1 / scale, folded), rho))
     assert phi_project(ctx, level, lam) == expected
 
 
@@ -408,7 +410,7 @@ def test_fixed_weights_are_the_orbit_weights():
         theta = ctx.orbit.datum.highest_root
         level = level_data(ctx, 1)
         marks = [base.inner(g, theta) / level.rescale for g in orbit_sums]
-        assert tuple(marks) == level.comarks
+        assert tuple(marks) == ctx.orbit.datum.comarks
 
 
 def test_verlinde_rejects_a_weight_off_the_level():
@@ -430,13 +432,16 @@ def reference_level_data(ctx, k):
     fundamental weights with theta^vee, the rescaling is norm_sq(theta) / 2,
     each frame is ``coroot_coords`` of its s-point built in Fractions, and |T|
     is the index of the orbit coroot lattice in its sum with the rescaled
-    weight lattice."""
+    weight lattice.  The comarks and theta's labels, which the level data
+    read off the orbit datum, are checked against that datum here."""
     base, orbit = ctx.base, ctx.orbit.datum
     theta = orbit.highest_root
     theta_vee = base.coroot(theta)
     marks = [base.inner(w, theta_vee) for w in orbit.fundamental_weights]
     assert all(a.denominator == 1 and a > 0 for a in marks)
     marks = tuple(int(a) for a in marks)
+    assert marks == orbit.comarks
+    assert orbit.labels_of(theta) == orbit.theta_labels
     rescale = base.norm_sq(theta) / 2
     h = 1 + sum(marks)
     weights = sorted(
@@ -462,8 +467,6 @@ def reference_level_data(ctx, k):
         labels=labels,
         phases=phases,
         t_group_order=lattice_index(coroots, total),
-        comarks=marks,
-        theta_labels=orbit.labels_of(theta),
         label_index={m: i for i, m in enumerate(labels)},
         weight_index={lam: i for i, lam in enumerate(level_weights)},
     )

@@ -8,10 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import (
-    bilinear, coords_in_basis, mat, mat_inv, rank_of, scaled_rows, vadd, vdot, vec,
-    vscale, vsub,
-)
+from twinefold.linalg import bilinear, mat, scaled_rows, vadd, vdot, vec, vscale, vsub
 from twinefold import rootcore
 from twinefold.alcove import fold_to_alcove, fundamental_alcove, stabilizer_datum
 from twinefold.folding import automorphism_by_name, fold
@@ -36,13 +33,13 @@ from twinefold.rootcore import (
     lattice_eq,
     lattice_index,
     lattice_quotient,
-    lattice_span,
     parse_type_label,
     regular_dominant_labels,
     standard_cartan_matrix,
-    weyl_dimension,
     weyl_traverse,
 )
+
+from fraction_reference import coords_in_basis, lattice_span, mat_inv, rank_of, weyl_dimension
 
 
 def test_a2_root_counts():
@@ -144,10 +141,56 @@ def test_weyl_traverse_counts():
 
 
 def test_weyl_traverse_cap(monkeypatch):
+    """|W(A3)| = 24 exceeds the cap, so the first element already raises."""
     d = build_root_datum("A3")
     monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "5")
-    with pytest.raises(WeylOverflowError):
-        list(weyl_traverse(d, d.weyl_vector))
+    orbit = weyl_traverse(d, d.weyl_vector)
+    with pytest.raises(WeylOverflowError, match="^Weyl orbit exceeds the traversal cap 5$"):
+        next(orbit)
+
+
+# the nine foldings, the flips of A2, A7, A12 and D10, and identity folds with
+# unequal root lengths
+WEYL_ORDER_CASES = [(g, a) for g, a, _, _ in FOLDINGS] + [
+    ("A2", "flip"), ("A7", "flip"), ("A12", "flip"), ("D10", "flip"),
+    ("B3", "id"), ("C4", "id"), ("F4", "id"), ("G2", "id"),
+]
+
+
+@pytest.mark.parametrize("group,name", WEYL_ORDER_CASES)
+def test_weyl_order_of_base_and_orbit_data(group, name):
+    base = build_root_datum(group)
+    ctx = fold(base, automorphism_by_name(base, name))
+    for datum in (base, ctx.orbit.datum):
+        assert datum.weyl_order == classical_weyl_order(datum.type_label)
+    assert ctx.orbit_weyl_order == ctx.orbit.datum.weyl_order
+
+
+def test_weyl_order_of_a_reducible_datum():
+    d4, a4 = build_root_datum("D4"), build_root_datum("A4")
+    for d, nodes, label, order in [(d4, (0, 2, 3), "A1+A1+A1", 8), (a4, (0, 2, 3), "A1+A2", 12)]:
+        sub = RootDatum(None, [d.simple_roots[i] for i in nodes], d.ambient_gram)
+        assert sub.type_label == label
+        assert sub.weyl_order == order == math.prod(
+            classical_weyl_order(c) for c in label.split("+")
+        )
+
+
+def test_label_character_obeys_the_cap(monkeypatch):
+    """With |W(A3)| = 24 over the cap, an orbit of 4 is expanded and the
+    regular orbit of (1, 1, 1) raises before Freudenthal's recursion."""
+    d = build_root_datum("A3")
+    expected = dict(rootcore.label_character(build_root_datum("A3"), (1, 0, 0)))
+    monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "5")
+    assert rootcore.label_character(d, (1, 0, 0)) == expected
+    assert len(expected) == 4
+
+    def no_recursion(datum, lam):
+        raise AssertionError("Freudenthal's recursion ran")
+
+    monkeypatch.setattr(rootcore, "_dominant_multiplicities", no_recursion)
+    with pytest.raises(WeylOverflowError, match="^Weyl orbit exceeds the traversal cap 5$"):
+        rootcore.label_character(d, (1, 1, 1))
 
 
 @settings(deadline=None, max_examples=25)
@@ -486,10 +529,8 @@ def _reference_datum(d):
     norms = tuple(norm(b) for b in positive)
     return {
         "cartan": cartan,
-        "gram": gram,
         "_coroot_covectors": tuple(vscale(2 / gram[i][i], ga) for i, ga in enumerate(galpha)),
         "positive_roots": positive,
-        "positive_norms": norms,
         "_pos_norms": tuple(int(n * form_den) for n in norms),
         "weyl_vector": rho,
         "fundamental_weights": weights,
@@ -545,8 +586,7 @@ def test_folded_and_orbit_data_match_fraction_reference(group, name):
 
 
 # the Fraction views a RootDatum builds on first read
-LAZY_VIEWS = ("positive_roots", "weyl_vector", "fundamental_weights", "gram",
-              "_coroot_covectors", "positive_norms")
+LAZY_VIEWS = ("positive_roots", "weyl_vector", "fundamental_weights", "_coroot_covectors")
 
 
 @pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
@@ -562,7 +602,9 @@ def test_lazy_views_survive_pickle_and_deepcopy(group, name):
     ]
     for datum, copies in zip(data, unread):
         for c in copies:
-            assert not any(view in c.__dict__ for view in ("positive_roots", "gram"))
+            assert not any(
+                view in c.__dict__ for view in ("positive_roots", "fundamental_weights")
+            )
             _assert_matches_reference(c)
         _assert_matches_reference(datum)
         for c in (pickle.loads(pickle.dumps(datum)), copy.deepcopy(datum)):
@@ -576,7 +618,7 @@ def test_fold_builds_no_fraction_views(group, name):
     ctx = fold(base, automorphism_by_name(base, name))
     assert "roots" not in ctx.folded.__dict__
     for datum in _realized(ctx):
-        for view in ("positive_roots", "fundamental_weights", "gram"):
+        for view in ("positive_roots", "fundamental_weights"):
             assert view not in datum.__dict__, view
 
 
