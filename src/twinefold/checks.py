@@ -191,11 +191,10 @@ def quotient_formula_rows(rng: random.Random | None = None) -> Rows:
 
 def fixed_dominant_weights(ctx: FoldingContext, height: int) -> list[Vec]:
     """The kappa-fixed dominant weights whose Dynkin labels sum to <= height."""
-    perm = ctx.kappa.permutation
     return sorted(
         ctx.base.from_labels(labels)
-        for labels in itertools.product(range(height + 1), repeat=ctx.base.rank)
-        if sum(labels) <= height and all(labels[j] == c for j, c in zip(perm, labels))
+        for m in itertools.product(range(height + 1), repeat=ctx.fixed_dim)
+        if sum(labels := ctx.base_labels(m)) <= height
     )
 
 

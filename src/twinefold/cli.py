@@ -2,7 +2,8 @@
 twining character evaluation, fusion tables, and self-verification.
 
 Conventions: weights are read and written in fundamental-weight coordinates
-of the base group; torus points in simple-coroot coordinates.  Rationals are
+of the base group, crossing to the orbit's by ``FoldingContext.orbit_labels``
+and ``base_labels``; torus points in simple-coroot coordinates.  Rationals are
 serialized as "p/q" strings and complex numbers as [re, im] pairs.  Output is
 JSON by default or flat CSV with ``--format csv``; field and row ordering is
 deterministic.
@@ -21,6 +22,8 @@ from .rootcore import (
     RootSystemError,
     WeylOverflowError,
     build_root_datum,
+    label_character,
+    label_dimension,
     lattice_index,
 )
 from .folding import (
@@ -67,7 +70,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_vector(v: Vec) -> list[str]:
-    return [format_rational(e) for e in v]
+    return [f"{e.numerator}/{e.denominator}" for e in v]
 
 
 def parse_vector(text: str, expected_len: int) -> Vec:
@@ -126,7 +129,7 @@ def build_context(group: str, automorphism: str) -> FoldingContext:
 def cmd_fold(args) -> dict:
     ctx = build_context(args.group, args.automorphism)
     lat = ctx.lattices
-    doc = {
+    return {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
         "automorphism_order": ctx.kappa.order,
@@ -150,7 +153,6 @@ def cmd_fold(args) -> dict:
         "orbit_weyl_order": ctx.orbit_weyl_order,
         "outer_weyl_order": ctx.outer_weyl_order,
     }
-    return doc
 
 
 def cmd_alcove(args) -> dict:
@@ -161,8 +163,8 @@ def cmd_alcove(args) -> dict:
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
         "orbit_type": orbit.type_label,
-        "simple_roots": [format_vector(ctx.base.pairings(a)) for a in orbit.simple_roots],
-        "highest_root": format_vector(ctx.base.pairings(orbit.highest_root)),
+        "simple_roots": [format_vector(ctx.base_labels(a)) for a in zip(*orbit.cartan)],
+        "highest_root": format_vector(ctx.base_labels(orbit.theta_labels)),
         "vertices": [
             format_vector(point_from_ambient(ctx, v)) for v in alc.vertices
         ],
@@ -188,31 +190,30 @@ def cmd_stabilizer(args) -> dict:
 
 def cmd_char(args) -> dict:
     ctx = build_context(args.group, args.automorphism)
-    lam = ctx.base.from_labels(parse_vector(args.weight, ctx.base.rank))
-    chi = twining_character(ctx, lam)
-    terms = sorted((ctx.base.pairings(mu), c) for mu, c in chi.poly.terms.items())
+    weight = parse_vector(args.weight, ctx.base.rank)
+    labels, orbit = ctx.orbit_labels(weight), ctx.orbit.datum
+    terms = sorted((ctx.base_labels(u), c) for u, c in label_character(orbit, labels).items())
     return {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
-        "highest_weight": format_vector(ctx.base.pairings(lam)),
-        "orbit_weight": format_vector(ctx.orbit.datum.pairings(lam)),
-        "dimension_at_identity": chi.dimension_at_identity,
+        "highest_weight": format_vector(weight),
+        "orbit_weight": format_vector(labels),
+        "dimension_at_identity": label_dimension(orbit, labels),
         "terms": [[format_vector(mu), c] for mu, c in terms],
     }
 
 
 def cmd_eval(args) -> dict:
     ctx = build_context(args.group, args.automorphism)
-    lam = ctx.base.from_labels(parse_vector(args.weight, ctx.base.rank))
-    xi = point_to_ambient(ctx, parse_vector(args.point, ctx.base.rank))
-    chi = twining_character(ctx, lam)
-    point = TorusPoint(xi)
-    value = chi.eval(ctx, point)
+    weight = parse_vector(args.weight, ctx.base.rank)
+    lam = ctx.base.from_labels(weight)
+    point = TorusPoint(point_to_ambient(ctx, parse_vector(args.point, ctx.base.rank)))
+    value = twining_character(ctx, lam).eval(ctx, point)
     doc = {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,
-        "highest_weight": format_vector(ctx.base.pairings(lam)),
-        "point": format_vector(point_from_ambient(ctx, xi)),
+        "highest_weight": format_vector(weight),
+        "point": format_vector(point_from_ambient(ctx, point.xi)),
         "regular": is_regular(ctx, point),
         "value": format_complex(value),
     }
@@ -230,7 +231,7 @@ def cmd_fusion(args) -> dict:
     table = fusion_table(ctx, args.level)
     level = table.level
 
-    coords = [ctx.base.pairings(lam) for lam in level.level_weights]
+    coords = [ctx.base_labels(m) for m in level.labels]
     weights = sorted(range(len(coords)), key=coords.__getitem__)
     name = [format_vector(c) for c in coords]
     entries = []
@@ -315,8 +316,7 @@ def emit(doc: dict, fmt: str, out) -> None:
     if fmt == "csv":
         _emit_csv(doc, out)
     else:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,9 @@ coroots, fundamental weights and coweights over one denominator
 projected in units of 1/|kappa|.  The finite group T^kappa ∩ T_kappa is
 obtained as an exact lattice quotient.
 kappa = id takes the same path, with the base as folded and orbit system.
+A kappa-fixed weight crosses between base and orbit in integer Dynkin labels,
+in one place (``FoldingContext.orbit_labels`` and ``base_labels``): the orbit
+simple coroots p(alpha_i) pair with it as the base coroots alpha_i^vee do.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from operator import mul
 
 from .linalg import Vec, vneg, vscale
 from .rootcore import (
+    Labels,
     Lattice,
     RootDatum,
     RootSystemError,
@@ -213,10 +217,11 @@ class FoldingContext:
         # per-context caches, filled on first use: signed Weyl orbits for
         # twining._signed_orbit, the alcove.fundamental_alcove description,
         # and the fusion.level_values table of each level k
-        self._alt_sum_cache: dict[Vec, list] = {}
+        self._alt_sum_cache: dict[Labels, list] = {}
         self._alcove = None
         self._level_values: dict[int, object] = {}
         self.node_orbits = kappa.orbits()
+        self._orbit_of = sorted((i, j) for j, orb in enumerate(self.node_orbits) for i in orb)
         self.fixed_dim = len(self.node_orbits)
         self.moving_dim = base.rank - self.fixed_dim
 
@@ -248,6 +253,20 @@ class FoldingContext:
 
     def apply_kappa(self, v: Vec) -> Vec:
         return self.kappa.apply(v)
+
+    def orbit_labels(self, b) -> Labels:
+        """The orbit Dynkin labels of the highest weight with base labels b: b
+        on each orbit's first node.  RootSystemError unless b is constant on
+        node orbits (kappa-fixed), then unless it is dominant integral."""
+        if any(b[i] != b[orb[0]] for orb in self.node_orbits for i in orb):
+            raise RootSystemError("highest weight is not kappa-fixed")
+        if any(x < 0 or x.denominator != 1 for x in b):
+            raise RootSystemError("highest weight is not dominant integral for the base")
+        return tuple(int(b[orb[0]]) for orb in self.node_orbits)
+
+    def base_labels(self, m) -> tuple:
+        """The base labels of orbit labels m: m_j on every node of orbit j."""
+        return tuple(m[j] for _, j in self._orbit_of)
 
     @property
     def is_trivial(self) -> bool:

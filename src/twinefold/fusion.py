@@ -16,6 +16,10 @@ rule (``_product_labels``), then the rho-shifted level-k affine folding
 Theta's labels and comarks, and so the dual Coxeter number and the affine
 wall, are read off the orbit datum (``RootDatum.theta_labels``,
 ``RootDatum.comarks``).
+
+Level k is the orbit group's level, not the set of kappa-fixed base level-k
+weights (which ``orbit_labels`` maps into it): on A2 flip at k = 1 the base has
+one kappa-fixed level-1 weight (0), and ``level_data`` two, those of orbit A1.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .folding import FoldingContext
 from .rootcore import (
     Labels,
     RootDatum,
+    RootSystemError,
     dominant_conjugate,
     label_character,
     label_dimension,
@@ -40,7 +45,6 @@ from .twining import (
     _norm_sq_at,
     _root_residues,
     evaluate_labels,
-    twining_character,
 )
 
 INTEGRALITY_TOL = 1e-6
@@ -118,15 +122,15 @@ def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingEle
     """Product in the representation ring, by the Racah-Speiser rule.
 
     Each pair of basis elements is multiplied in the orbit system's Dynkin
-    labels (``_product_labels``); only the factors' and the result's highest
-    weights are ambient vectors.
+    labels (``_product_labels``), each factor's read once; only the factors'
+    and the result's highest weights are ambient vectors.
     """
     datum = ctx.orbit.datum
+    left = [(ctx.orbit_labels(ctx.base.pairings(lam)), m) for lam, m in a.coeffs]
+    right = [(ctx.orbit_labels(ctx.base.pairings(mu)), n) for mu, n in b.coeffs]
     total: dict[Labels, int] = {}
-    for lam, m in a.coeffs:
-        la = twining_character(ctx, lam).labels
-        for mu, n in b.coeffs:
-            lb = twining_character(ctx, mu).labels
+    for la, m in left:
+        for lb, n in right:
             for nu, c in _product_labels(datum, la, lb).items():
                 total[nu] = total.get(nu, 0) + m * n * c
     out: dict[Vec, int] = {}
@@ -158,15 +162,7 @@ class LevelData:
     value at an s-point is computed from that frame, so the point itself is
     never built.  With m = labels(lam + rho), the open alcove of the
     rho-shifted action is m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
-
-    ``level_data`` reads all of it off the orbit datum's integer form
-    F = D (omega_i, omega_j), the labels t of theta and its comarks: the
-    frame of s_lam is 2 F m over (k + h) tFt, reduced by their gcd, which is
-    ``coroot_coords`` of s_lam without building the point.
-
-    ``weight_index`` resolves any vector equal to a level weight; the stored
-    vectors of ``level_weights`` themselves resolve by identity (``by_id``),
-    with no hashing.
+    ``_index`` resolves a weight to its index (``by_id``, ``weight_index``).
     """
 
     k: int
@@ -302,10 +298,11 @@ def phi_project(
     Returns (sign, level weight) or None when lam + rho lands on an affine
     wall; the sign is the determinant of the folding element's linear part.
     """
-    if ctx.apply_kappa(lam) != lam or not ctx.base.is_dominant_integral(lam):
-        raise FusionError("weight is not kappa-fixed dominant integral")
-    datum = ctx.orbit.datum
-    folded = _fold_labels(datum, level, tuple(x + 1 for x in datum.labels_of(lam)))
+    try:
+        labels = ctx.orbit_labels(ctx.base.pairings(lam))
+    except RootSystemError as exc:
+        raise FusionError("weight is not kappa-fixed dominant integral") from exc
+    folded = _fold_labels(ctx.orbit.datum, level, tuple(x + 1 for x in labels))
     return None if folded is None else (folded[0], level.level_weights[folded[1]])
 
 

@@ -39,7 +39,8 @@ Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
 decomposition run on integer tuples, with the form as one integer matrix over
 a common denominator.  Ambient vectors appear only at the API boundary
-(``RootDatum.labels_of``, ``from_labels`` and ``pairings``).
+(``RootDatum.labels_of``, ``from_labels`` and ``pairings``); a kappa-fixed
+weight crosses from base to orbit labels in integers (``folding``).
 """
 
 from __future__ import annotations
@@ -468,14 +469,9 @@ class RootDatum:
     labels ``_pos_labels``, the form ``_form`` over ``_form_den``, the squared
     lengths ``_pos_norms`` and the root, coroot, weight and coweight rows.
     ``highest_root`` and ``highest_short_root`` are picked by those integer
-    lengths.  The ``Fraction`` views ``positive_roots``, ``weyl_vector``,
-    ``fundamental_weights`` and the coroot covectors behind ``pairings`` are
-    built on first read and kept on the instance
-    (``functools.cached_property``), so a datum that no caller reads them
-    from never builds them.  So are the integer data of points and of theta
-    and the group order: the fundamental weights' covectors behind
-    ``coroot_coords``, ``theta_labels``, ``comarks``, ``extended_cartan`` and
-    ``weyl_order``.  No value changes after construction, and every
+    lengths.  The ``Fraction`` views and the data of points, of theta and of
+    |W| are built on first read (``functools.cached_property``), as the module
+    docstring lists.  No value changes after construction, and every
     operation is a pure function of the inputs.
     """
 

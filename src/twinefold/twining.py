@@ -2,9 +2,9 @@
 
 A twining character is the character of the orbit system's irreducible with
 the same highest weight, supported on the kappa-fixed weight lattice of the
-base.  It keeps its highest weight's orbit Dynkin labels and is evaluated from
-the label-keyed character; ``.poly``, built on first access, is that
-character in ambient vectors.
+base.  It keeps its highest weight's orbit Dynkin labels (from its base labels
+by ``FoldingContext.orbit_labels``) and is evaluated from the label-keyed
+character; ``.poly``, built on first access, is that character in ambient vectors.
 Evaluation at torus points is numeric; all structural identities
 (orthogonality, decomposition) are exact.
 
@@ -15,9 +15,10 @@ frame; ``adjoint_oracle`` alone keeps an ambient pairing.
 
 The signed rho-orbit J(rho) = sum_w det w e^{w rho} = e^rho prod (1 - e^{-alpha})
 of the orbit Weyl group, keyed by integer orbit Dynkin labels, is cached per
-context.  It is e^rho times the Weyl denominator, the denominator of the
-quotient formula (``jantzen_eval``) and the density of the inner product:
-since |e^rho| = 1, <f, g> = (1/|W_O|) sum_u F_u G_u, F = f J(rho), G = g J(rho).
+context under rho's labels (1, ..., 1), as J(lam + rho) is under m + 1.  It is
+e^rho times the Weyl denominator, the denominator of the quotient formula
+(``jantzen_eval``) and the density of the inner product: since |e^rho| = 1,
+<f, g> = (1/|W_O|) sum_u F_u G_u, F = f J(rho), G = g J(rho).
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from fractions import Fraction
 from math import cos, fsum, pi, prod, sin
 from operator import add, mul
 
-from .linalg import Vec, mat_vec, vadd, vdot
+from .linalg import Vec, mat_vec, vdot
 from .folding import FoldingContext
 from .rootcore import (
     FourierPolynomial,
     Labels,
     RootDatum,
     RootSystemError,
-    dominant_labels,
     irreducible_character,
     label_character,
     label_dimension,
@@ -90,17 +90,8 @@ def weyl_denominator(ctx: FoldingContext) -> Denominator:
     return Denominator(FourierPolynomial(terms))
 
 
-def _require_admissible(ctx: FoldingContext, lam: Vec) -> None:
-    if ctx.apply_kappa(lam) != lam:
-        raise RootSystemError("highest weight is not kappa-fixed")
-    if not ctx.base.is_dominant_integral(lam):
-        raise RootSystemError("highest weight is not dominant integral for the base")
-
-
 def twining_character(ctx: FoldingContext, lam: Vec) -> TwiningCharacter:
-    _require_admissible(ctx, lam)
-    datum = ctx.orbit.datum
-    return TwiningCharacter(lam, dominant_labels(datum, lam), datum)
+    return TwiningCharacter(lam, ctx.orbit_labels(ctx.base.pairings(lam)), ctx.orbit.datum)
 
 
 def _root_residues(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> list[int]:
@@ -147,37 +138,35 @@ def evaluate_labels(
     return complex(fsum(res), fsum(ims))
 
 
-def _signed_orbit(ctx: FoldingContext, shifted: Vec) -> list[tuple[Labels, int]]:
+def _signed_orbit(ctx: FoldingContext, shifted: Labels) -> list[tuple[Labels, int]]:
     """J(shifted) = sum over the orbit Weyl group of det w e^{w.shifted}, as
-    (orbit Dynkin labels of w.shifted, det w) pairs, cached per context."""
+    (orbit Dynkin labels of w.shifted, det w) pairs, cached per context by the
+    orbit labels ``shifted``."""
     orbit = ctx._alt_sum_cache.get(shifted)
     if orbit is None:
+        datum = ctx.orbit.datum
         orbit = ctx._alt_sum_cache[shifted] = [
-            (u, sign) for sign, u in weyl_traverse(ctx.orbit.datum, shifted)
+            (u, sign) for sign, u in weyl_traverse(datum, datum.from_labels(shifted))
         ]
     return orbit
 
 
 def _denominator_labels(ctx: FoldingContext) -> list[tuple[Labels, int]]:
     """e^{-rho} J(rho): the signed rho-orbit with each label lowered by one."""
-    return [
-        (tuple(m - 1 for m in u), sign)
-        for u, sign in _signed_orbit(ctx, ctx.orbit.datum.weyl_vector)
-    ]
+    rho_orbit = _signed_orbit(ctx, (1,) * ctx.orbit.datum.rank)
+    return [(tuple(m - 1 for m in u), sign) for u, sign in rho_orbit]
 
 
 def jantzen_eval(ctx: FoldingContext, lam: Vec, point: TorusPoint) -> complex:
     """Quotient-formula value of the twining character at a regular point."""
-    _require_admissible(ctx, lam)
+    labels = ctx.orbit_labels(ctx.base.pairings(lam))
     phases = ctx.orbit.datum.coroot_coords(point.xi)
     if 0 in _root_residues(ctx, phases):
         raise SingularPointError(
             "point pairs integrally with an orbit root; use the polynomial instead"
         )
-    rho = ctx.orbit.datum.weyl_vector
-    num = evaluate_labels(_signed_orbit(ctx, vadd(lam, rho)), phases)
-    den = evaluate_labels(_signed_orbit(ctx, rho), phases)
-    return num / den
+    num = evaluate_labels(_signed_orbit(ctx, tuple(m + 1 for m in labels)), phases)
+    return num / evaluate_labels(_signed_orbit(ctx, (1,) * ctx.orbit.datum.rank), phases)
 
 
 def adjoint_oracle(ctx: FoldingContext, point: TorusPoint) -> complex:
@@ -213,7 +202,7 @@ def _times_signed_rho_orbit(
             "polynomial support lies outside the fixed weight lattice"
         ) from exc
     out: dict[Labels, int] = {}
-    for u, sign in _signed_orbit(ctx, ctx.orbit.datum.weyl_vector):
+    for u, sign in _signed_orbit(ctx, (1,) * ctx.orbit.datum.rank):
         for mu, c in labels:
             key = tuple(map(add, mu, u))
             out[key] = out.get(key, 0) + sign * c

@@ -9,16 +9,22 @@ from fractions import Fraction
 import pytest
 
 import twinefold
+from twinefold import checks
+from twinefold.alcove import fundamental_alcove
 from twinefold.cli import (
     EXIT_COMPUTE,
     EXIT_OK,
     EXIT_PARSE,
+    build_context,
     format_rational,
     main,
     parse_rational,
     parse_vector,
+    point_from_ambient,
 )
+from twinefold.fusion import fusion_table
 from twinefold.rootcore import RootSystemError, build_root_datum
+from twinefold.twining import twining_character
 
 
 def run(argv):
@@ -218,6 +224,101 @@ def test_compute_errors_exit_one():
     code, doc = run_json(["char", "A3", "flip", "--weight", "1,0,0"])
     assert code == EXIT_COMPUTE
     assert "error" in doc
+
+
+# the former route of every weight field, kept as the reference: ambient
+# vectors paired with the base coroots in Fractions
+def fractions(v):
+    return [format_rational(q) for q in v]
+
+
+def reference_char(group, name, weight):
+    ctx = build_context(group, name)
+    lam = ctx.base.from_labels(parse_vector(weight, ctx.base.rank))
+    chi = twining_character(ctx, lam)
+    terms = sorted((ctx.base.pairings(mu), c) for mu, c in chi.poly.terms.items())
+    return {
+        "group": ctx.base.type_label,
+        "automorphism": ctx.kappa.name,
+        "highest_weight": fractions(ctx.base.pairings(lam)),
+        "orbit_weight": fractions(ctx.orbit.datum.pairings(lam)),
+        "dimension_at_identity": chi.dimension_at_identity,
+        "terms": [[fractions(mu), c] for mu, c in terms],
+    }
+
+
+def reference_alcove(group, name):
+    ctx = build_context(group, name)
+    orbit = ctx.orbit.datum
+    return {
+        "group": ctx.base.type_label,
+        "automorphism": ctx.kappa.name,
+        "orbit_type": orbit.type_label,
+        "simple_roots": [fractions(ctx.base.pairings(a)) for a in orbit.simple_roots],
+        "highest_root": fractions(ctx.base.pairings(orbit.highest_root)),
+        "vertices": [
+            fractions(point_from_ambient(ctx, v)) for v in fundamental_alcove(ctx).vertices
+        ],
+    }
+
+
+def reference_fusion(group, name, k):
+    ctx = build_context(group, name)
+    table = fusion_table(ctx, k)
+    level = table.level
+    coords = [ctx.base.pairings(lam) for lam in level.level_weights]
+    order = sorted(range(len(coords)), key=coords.__getitem__)
+    names = [fractions(c) for c in coords]
+    return {
+        "group": ctx.base.type_label,
+        "automorphism": ctx.kappa.name,
+        "level": k,
+        "rescale": format_rational(level.rescale),
+        "dual_coxeter": level.dual_coxeter,
+        "t_group_order": level.t_group_order,
+        "max_residual": table.max_residual,
+        "level_weights": [names[i] for i in order],
+        "coefficients": [
+            [names[a], names[b], names[c], table.coefficients[a, b, c]]
+            for a in order for b in order for c in order if table.coefficients[a, b, c]
+        ],
+    }
+
+
+def same_bytes(argv, reference):
+    code, text = run(argv)
+    assert code == EXIT_OK
+    assert text == json.dumps(reference, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("group,name,weight", [
+    ("A3", "flip", "1,1,1"), ("D4", "rot", "1,1,1,1"), ("E6", "flip", "1,0,0,0,0,1"),
+    ("A7", "flip", "0,1,0,1,0,1,0"),
+])
+def test_char_matches_fraction_route(group, name, weight):
+    same_bytes(["char", group, name, "--weight", weight], reference_char(group, name, weight))
+
+
+@pytest.mark.parametrize("group,name", [(g, n) for g, n, *_ in checks.FOLDINGS])
+def test_alcove_matches_fraction_route(group, name):
+    same_bytes(["alcove", group, name], reference_alcove(group, name))
+
+
+@pytest.mark.parametrize("group,name,k", [("A2", "flip", 1), ("D4", "rot", 2)])
+def test_fusion_matches_fraction_route(group, name, k):
+    same_bytes(["fusion", group, name, "--level", str(k)], reference_fusion(group, name, k))
+
+
+@pytest.mark.parametrize("weight,message", [
+    ("1,0,0", "highest weight is not kappa-fixed"),
+    ("1/2,0,1/2", "highest weight is not dominant integral for the base"),
+    ("-1,0,-1", "highest weight is not dominant integral for the base"),
+])
+def test_char_rejects_inadmissible_weights(weight, message):
+    code, text = run(["char", "A3", "flip", f"--weight={weight}"])
+    assert code == EXIT_COMPUTE
+    error = {"error": {"type": "RootSystemError", "message": message}}
+    assert text == json.dumps(error, indent=2) + "\n"
 
 
 def test_bc_is_not_a_root_datum_type(capsys):

@@ -1,12 +1,20 @@
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
 from twinefold.linalg import invariant_factors, mat_mul, mat_vec, vadd, vscale, zero_vec
-from twinefold.rootcore import RootDatum, build_root_datum, lattice_eq, weyl_traverse
+from twinefold.rootcore import (
+    RootDatum,
+    RootSystemError,
+    build_root_datum,
+    lattice_eq,
+    weyl_traverse,
+)
 from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import (
     FoldingError,
@@ -490,3 +498,51 @@ def test_fixed_intersection_check_is_live(monkeypatch):
         FoldingError, match=r"^T\^k cap T_k has unexpected invariant factors \(4,\)$"
     ):
         _fold_with(monkeypatch, "A4", "flip", "coroot_rows", move_orbit_sums)
+
+
+# the weight map between base and orbit labels: the nine foldings, A2, A7,
+# A12 and D10 flip, and the identity folds of B3, C4, F4, G2 and E6
+MAP_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [
+    ("A2", "flip"), ("A7", "flip"), ("A12", "flip"), ("D10", "flip"),
+    ("B3", "id"), ("C4", "id"), ("F4", "id"), ("G2", "id"), ("E6", "id"),
+]
+
+map_context = lru_cache(maxsize=None)(ctx_for)
+
+
+@pytest.mark.parametrize("label,name", MAP_CASES)
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_base_labels_are_the_fraction_pairings(label, name, data):
+    """base_labels(m) pairs the orbit weight with labels m with the base
+    coroots, for rational m; orbit_labels inverts it on dominant integral m."""
+    ctx = map_context(label, name)
+    rank = ctx.orbit.datum.rank
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    m = data.draw(st.tuples(*[rational] * rank))
+    assert ctx.base_labels(m) == ctx.base.pairings(ctx.orbit.datum.from_labels(m))
+    dominant = data.draw(st.tuples(*[st.integers(0, 5)] * rank))
+    assert ctx.orbit_labels(ctx.base_labels(dominant)) == dominant
+
+
+@pytest.mark.parametrize("label,name", MAP_CASES)
+def test_base_labels_of_orbit_roots(label, name):
+    """The orbit Cartan columns and theta's labels, in base labels, are the
+    Fraction pairings of the orbit simple roots and highest root."""
+    ctx = map_context(label, name)
+    orbit = ctx.orbit.datum
+    assert [ctx.base_labels(col) for col in zip(*orbit.cartan)] == [
+        ctx.base.pairings(a) for a in orbit.simple_roots
+    ]
+    assert ctx.base_labels(orbit.theta_labels) == ctx.base.pairings(orbit.highest_root)
+
+
+@pytest.mark.parametrize("labels,message", [
+    ((1, 0, 0), "not kappa-fixed"),
+    ((-1, 0, 0), "not kappa-fixed"),  # the kappa test comes first
+    ((Fraction(1, 2), 0, Fraction(1, 2)), "not dominant integral for the base"),
+    ((-1, 0, -1), "not dominant integral for the base"),
+])
+def test_orbit_labels_rejects_inadmissible_weights(labels, message):
+    with pytest.raises(RootSystemError, match=message):
+        map_context("A3", "flip").orbit_labels(labels)

@@ -11,6 +11,7 @@ from twinefold import checks, fusion, twining
 from twinefold.linalg import vadd, vdot, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
+    RootSystemError,
     build_root_datum,
     decompose_into_irreducibles,
     irreducible_character,
@@ -238,7 +239,7 @@ def test_denominator_product_formula_matches_alternating_sum():
     for label, name, k in [("A2", "flip", 3), ("A3", "flip", 2),
                            ("D4", "rot", 2), ("E6", "flip", 1)]:
         ctx = ctx_for(label, name)
-        rho = ctx.orbit.datum.weyl_vector
+        rho = (1,) * ctx.orbit.datum.rank
         for pt in s_points(ctx, level_data(ctx, k)):
             product = denominator_norm_sq(ctx, pt.xi)
             phases = ctx.orbit.datum.coroot_coords(pt.xi)
@@ -537,3 +538,34 @@ def test_fusion_table_pickle_round_trip():
         assert copy.get(*stored) == n
         assert verlinde_coefficient(ctx, copy.level, *stored) == n
         assert copy.get(*(table.level.level_weights[i] for i in triple)) == n
+
+
+# (kappa-fixed base level-k weights, twisted level-k weights) at k = 1 and 2
+LEVEL_COUNTS = {
+    ("A3", "flip"): [(2, 3), (4, 6)], ("A4", "flip"): [(1, 3), (3, 6)],
+    ("A5", "flip"): [(2, 3), (5, 7)], ("A6", "flip"): [(1, 4), (4, 10)],
+    ("D5", "flip"): [(2, 5), (6, 15)], ("D6", "flip"): [(2, 6), (7, 21)],
+    ("D4", "swap34"): [(2, 4), (5, 10)], ("D4", "rot"): [(1, 2), (2, 4)],
+    ("E6", "flip"): [(1, 2), (3, 5)], ("A2", "flip"): [(1, 2), (2, 3)],
+}
+
+
+@pytest.mark.parametrize("group,name", list(LEVEL_COUNTS))
+def test_level_k_is_the_orbit_groups_level(group, name):
+    """level_data(ctx, k) is the orbit group's level k: it contains the
+    kappa-fixed level-k weights of the base, taken to orbit labels by
+    orbit_labels, and in general more of them."""
+    ctx = ctx_for(group, name)
+    base = fold(ctx.base, automorphism_by_name(ctx.base, "id"))
+    counts = []
+    for k in (1, 2):
+        twisted = level_data(ctx, k).labels
+        fixed = []
+        for labels in level_data(base, k).labels:
+            try:
+                fixed.append(ctx.orbit_labels(labels))
+            except RootSystemError:  # not kappa-fixed
+                continue
+        assert set(fixed) <= set(twisted)
+        counts.append((len(fixed), len(twisted)))
+    assert counts == LEVEL_COUNTS[group, name]

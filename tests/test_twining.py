@@ -307,7 +307,7 @@ def test_signed_rho_orbit_is_shifted_denominator():
             tuple(a + b for a, b in zip(datum.labels_of(mu), rho)): c
             for mu, c in delta.terms.items()
         }
-        orbit = dict(_signed_orbit(ctx, ctx.orbit.datum.weyl_vector))
+        orbit = dict(_signed_orbit(ctx, rho))
         assert len(orbit) == ctx.orbit_weyl_order
         assert orbit == shifted, (group, name)
         assert weyl_denominator(ctx).poly == delta, (group, name)
