@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .linalg import Vec, vadd, vscale, zero_vec
-from .rootcore import build_root_datum, is_sublattice, lattice_eq
+from .rootcore import build_root_datum, cartan_isomorphisms, is_sublattice, lattice_eq
 from .folding import FoldingContext, automorphism_by_name, fold, fundamental_coweights
 from .twining import (TorusPoint, adjoint_oracle, inner_product, is_regular, jantzen_eval,
                       twining_character)
@@ -205,7 +205,7 @@ def _orthogonality(group, name, height) -> Outcome:
     return _same(gram, [[int(i == j) for j in range(len(polys))] for i in range(len(polys))])
 
 
-# fusion: 09-11
+# fusion: 09-12
 
 
 def _unit_axiom(group, name, k) -> Outcome:
@@ -239,10 +239,42 @@ def _dual_coxeter(group, name, h) -> Outcome:
     return _same([dual_coxeter_number(ctx), _num(alt)], [h, h])
 
 
+def _orbit_group_table(group, name, orbit_type, k) -> Outcome:
+    """[h^vee, number of nonzero coefficients, those missing from the other
+    table] of the twisted level-k table and of the orbit type's own.
+
+    A coefficient is [lam, mu, nu, N] with each weight named by the orbit
+    type's labels: orbit labels m become (m[p[0]], ..., m[p[r-1]]), p the
+    first node map from the orbit Cartan matrix to the orbit type's (the
+    inverse map fails on E6 flip).  Twining characters are the orbit datum's
+    by construction, so this checks the level data built from the base
+    (rescaling, s-points, |T|, comarks) and the node identification.
+    """
+    ctx, standalone = context(group, name), context(orbit_type, "id")
+    p = next(cartan_isomorphisms(ctx.orbit.datum.cartan, standalone.base.cartan))
+
+    def nonzero(c, relabel) -> set:
+        table = fusion_table(c, k)
+        names = [relabel(m) for m in table.level.labels]
+        return {(names[l], names[m], names[n], v)
+                for (l, m, n), v in table.coefficients.items() if v}
+
+    twisted = nonzero(ctx, lambda m: tuple(m[i] for i in p))
+    own = nonzero(standalone, tuple)
+    return _same(
+        [dual_coxeter_number(ctx), len(twisted), [list(e) for e in sorted(twisted - own)]],
+        [dual_coxeter_number(standalone), len(own), [list(e) for e in sorted(own - twisted)]],
+    )
+
+
 # the registry, in order; each row function is looked up when its criterion runs
 
 _LEVELS = [("A2", "flip", k) for k in (1, 2, 3, 4)] + [
     ("A3", "flip", 1), ("A3", "flip", 2), ("D4", "rot", 1), ("D4", "rot", 2)
+]
+# the nine foldings and A2 flip, whose orbit type is A1, at levels 1 and 2
+_ORBIT_GROUP_LEVELS = [
+    (g, a, orbit, k) for g, a, *_, orbit in FOLDINGS + [("A2", "flip", "A1")] for k in (1, 2)
 ]
 
 CRITERIA = [
@@ -267,6 +299,8 @@ CRITERIA = [
     Criterion("11 dual coxeter numbers", "fusion", lambda: _cases(
         _dual_coxeter, [("A2", "flip", 2), ("A3", "flip", 3), ("E6", "flip", 9),
                         ("D4", "rot", 4)])),
+    Criterion("12 orbit group fusion ring", "fusion", lambda: _cases(
+        _orbit_group_table, _ORBIT_GROUP_LEVELS, "{} {} vs {} level {}")),
 ]
 
 SUITES = tuple(dict.fromkeys(c.suite for c in CRITERIA))

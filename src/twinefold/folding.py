@@ -214,12 +214,7 @@ class FoldingContext:
         self.base = base
         self.kappa = kappa
         self._is_a_even = False
-        # per-context caches, filled on first use: signed Weyl orbits for
-        # twining._signed_orbit, the alcove.fundamental_alcove description,
-        # and the fusion.level_values table of each level k
-        self._alt_sum_cache: dict[Labels, list] = {}
-        self._alcove = None
-        self._level_values: dict[int, object] = {}
+        self._alcove = None  # alcove.fundamental_alcove of this folding, built on first use
         self.node_orbits = kappa.orbits()
         self._orbit_of = sorted((i, j) for j, orb in enumerate(self.node_orbits) for i in orb)
         self.fixed_dim = len(self.node_orbits)

@@ -13,6 +13,8 @@ orbit system's integer Dynkin labels: tensor products by the Racah-Speiser
 rule (``_product_labels``), then the rho-shifted level-k affine folding
 (``_fold_labels``).  Inside a level, a weight is its index in
 ``LevelData.level_weights``; ambient vectors appear only at the API boundary.
+The Verlinde sum reads the level alone: ``LevelData`` keeps its orbit datum
+and builds the characters and weights at its s-points on first read.
 Theta's labels and comarks, and so the dual Coxeter number and the affine
 wall, are read off the orbit datum (``RootDatum.theta_labels``,
 ``RootDatum.comarks``).
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 import itertools
 from math import gcd, prod
 from operator import mul
@@ -163,6 +166,11 @@ class LevelData:
     never built.  With m = labels(lam + rho), the open alcove of the
     rho-shifted action is m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
     ``_index`` resolves a weight to its index (``by_id``, ``weight_index``).
+
+    The Verlinde sum reads three tables of the orbit datum ``datum``, each
+    built on first read: ``characters[i][p]`` is chi_i(s_p) for level weights
+    i and p, ``weights[p]`` is |J(rho)(s_p)|^2 / |T|, and ``dual[i]`` is the
+    index of i*.
     """
 
     k: int
@@ -172,6 +180,7 @@ class LevelData:
     labels: tuple[Labels, ...]
     phases: tuple[tuple[tuple[int, ...], int], ...]
     t_group_order: int
+    datum: RootDatum = field(compare=False, repr=False)  # the orbit datum
     label_index: dict[Labels, int] = field(compare=False, repr=False)
     weight_index: dict[Vec, int] = field(compare=False, repr=False)  # public getters
     by_id: dict[int, int] = field(init=False, compare=False, repr=False)
@@ -184,6 +193,27 @@ class LevelData:
         # object ids do not survive a pickle or a copy: index the new vectors
         self.__dict__.update(state)
         self.__post_init__()
+
+    @cached_property
+    def characters(self) -> tuple[tuple[complex, ...], ...]:
+        return tuple(
+            tuple(evaluate_labels(terms, ph) for ph in self.phases)
+            for terms in (label_character(self.datum, m).items() for m in self.labels)
+        )
+
+    @cached_property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(_norm_sq_at(self.datum, ph) / self.t_group_order for ph in self.phases)
+
+    @cached_property
+    def dual(self) -> tuple[int, ...]:
+        dual = []
+        for lam, m in zip(self.level_weights, self.labels):
+            i = self.label_index.get(_dual_labels(self.datum, m))
+            if i is None:
+                raise FusionError(f"the dual of level weight {lam} is not a level weight")
+            dual.append(i)
+        return tuple(dual)
 
 
 def dual_coxeter_number(ctx: FoldingContext) -> int:
@@ -233,7 +263,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         frame = [2 * sum(map(mul, row, shifted)) for row in form]
         g = gcd(height, *frame)
         frame = tuple(x // g for x in frame), height // g
-        if 0 in _root_residues(ctx, frame):
+        if 0 in _root_residues(orbit, frame):
             raise FusionError("level point is not regular")
         phases.append(frame)
 
@@ -247,6 +277,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
         labels=labels,
         phases=tuple(phases),
         t_group_order=prod(height // gcd(height, d) for d in smith_normal_form(twice_form)),
+        datum=orbit,
         label_index={m: i for i, m in enumerate(labels)},
         weight_index={lam: i for i, lam in enumerate(level_weights)},
     )
@@ -311,41 +342,6 @@ def phi_project(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelValues:
-    """Everything the Verlinde sum at one level reads, each value computed once.
-
-    ``characters[i][p]`` is chi_i(s_p) for level weights i and p;
-    ``weights[p]`` is |J(rho)(s_p)|^2 / |T|; ``dual[i]`` is the index of i*.
-    """
-
-    characters: tuple[tuple[complex, ...], ...]
-    weights: tuple[float, ...]
-    dual: tuple[int, ...]
-
-
-def level_values(ctx: FoldingContext, level: LevelData) -> LevelValues:
-    """The value table of ``level``, built on first use and kept on the context;
-    it reads the phase frames of ``level_data``."""
-    table = ctx._level_values.get(level.k)
-    if table is not None:
-        return table
-    datum = ctx.orbit.datum
-    characters = tuple(
-        tuple(evaluate_labels(terms, ph) for ph in level.phases)
-        for terms in (label_character(datum, m).items() for m in level.labels)
-    )
-    weights = tuple(_norm_sq_at(ctx, ph) / level.t_group_order for ph in level.phases)
-    dual = []
-    for lam, m in zip(level.level_weights, level.labels):
-        i = level.label_index.get(_dual_labels(datum, m))
-        if i is None:
-            raise FusionError(f"the dual of level weight {lam} is not a level weight")
-        dual.append(i)
-    table = ctx._level_values[level.k] = LevelValues(characters, weights, tuple(dual))
-    return table
-
-
 def _index(level: LevelData, lam: Vec) -> int:
     """Index of a level weight: a stored vector by identity, any other by value."""
     i = level.by_id.get(id(lam))
@@ -363,19 +359,17 @@ def _indices(level: LevelData, lam: Vec, mu: Vec, nu: Vec) -> tuple[int, int, in
 def verlinde_coefficient(
     ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
 ) -> int:
-    """N_{lam mu}^nu by the Verlinde sum over the s-points of ``level``."""
-    return _verlinde(ctx, level, *_indices(level, lam, mu, nu))[0]
+    """N_{lam mu}^nu by the Verlinde sum over the s-points of ``level``, which
+    alone determines it."""
+    return _verlinde(level, *_indices(level, lam, mu, nu))[0]
 
 
-def _verlinde(
-    ctx: FoldingContext, level: LevelData, lam: int, mu: int, nu: int
-) -> tuple[int, float]:
+def _verlinde(level: LevelData, lam: int, mu: int, nu: int) -> tuple[int, float]:
     """Verlinde coefficient of level-weight indices and the distance of its
     sum to that integer."""
-    table = level_values(ctx, level)
-    chi = table.characters
-    values = chi[lam], chi[mu], chi[table.dual[nu]]
-    total = sum(w * a * b * c for w, a, b, c in zip(table.weights, *values))
+    chi = level.characters
+    values = chi[lam], chi[mu], chi[level.dual[nu]]
+    total = sum(w * a * b * c for w, a, b, c in zip(level.weights, *values))
     nearest = round(total.real)
     residual = abs(total - nearest)
     if residual > INTEGRALITY_TOL:
@@ -428,7 +422,7 @@ def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
     for lam, mu in itertools.combinations_with_replacement(range(n), 2):
         folded = _folded_product(datum, level, labels[lam], labels[mu])
         for nu in range(n):
-            n_verlinde, residual = _verlinde(ctx, level, lam, mu, nu)
+            n_verlinde, residual = _verlinde(level, lam, mu, nu)
             max_residual = max(max_residual, residual)
             n_phi = folded.get(nu, 0)
             if n_verlinde != n_phi:

@@ -7,8 +7,9 @@ matrix normalized so long roots of the base have squared length 2.  Subsystems
 the same form.
 
 No Weyl-group element is built as a matrix: ``weyl_traverse`` walks the orbit
-of a regular dominant weight in integer Dynkin labels, which is in bijection
-with the group, and reads det w = (-1)^length(w) off the search depth.
+of a regular dominant weight from its integer Dynkin labels, which is in
+bijection with the group, and reads det w = (-1)^length(w) off the search
+depth.  ``signed_orbit`` keeps that walk, J(labels), memoized on the datum.
 
 Every ``RootDatum`` is a reduced root system, the reflection closure of its
 simple roots; the one non-reduced system of a folding, BC_n, lives in
@@ -562,6 +563,7 @@ class RootDatum:
 
         self._char_cache: dict[Vec, FourierPolynomial] = {}
         self._label_char_cache: dict[Labels, dict[Labels, int]] = {}
+        self._signed_orbit_cache: dict[Labels, list[tuple[Labels, int]]] = {}
         self._label_dim_cache: dict[Labels, int] = {}
 
     def _init_label_frame(
@@ -1003,13 +1005,12 @@ def _check_orbit(datum: RootDatum, mu: Labels, cap: int) -> None:
             raise WeylOverflowError(f"Weyl orbit exceeds the traversal cap {cap}")
 
 
-def weyl_traverse(datum: RootDatum, v: Vec):
+def weyl_traverse(datum: RootDatum, labels: Labels):
     """Yield (det w, w.v) once for every Weyl element w, identity first.
 
-    ``v`` must be regular dominant integral, so w -> w.v is a bijection and
-    the orbit stands in for the group.  w.v is given by its integer Dynkin
-    labels <w.v, alpha_i^vee> (fundamental-weight coordinates, which omit the
-    part of v orthogonal to the roots; w fixes it).  The search reflects u
+    ``labels`` are the integer Dynkin labels <v, alpha_i^vee> of a regular
+    dominant weight v, so w -> w.v is a bijection and the orbit stands in for
+    the group; w.v is given by its labels too.  The search reflects u
     by s_i only when its label m_i > 0, which lengthens w by one, so
     det w = (-1)^length(w) is the parity of the breadth-first depth (Humphreys,
     Reflection Groups and Coxeter Groups, 1.6-1.8).  A regular orbit has
@@ -1017,16 +1018,26 @@ def weyl_traverse(datum: RootDatum, v: Vec):
     ``datum.weyl_order`` exceeds ``resolve_weyl_cap()``.
     """
     cap = resolve_weyl_cap()
-    labels = datum.pairings(v)
-    if any(m.denominator != 1 or m <= 0 for m in labels):
+    if any(m <= 0 for m in labels):
         raise RootSystemError("weight must be regular dominant integral")
-    labels = tuple(int(m) for m in labels)
     _check_orbit(datum, labels, cap)
     sign = 1
     for level in _orbit_levels(datum, labels):
         for u in level:
             yield sign, u
         sign = -sign
+
+
+def signed_orbit(datum: RootDatum, labels: Labels) -> list[tuple[Labels, int]]:
+    """J(labels) = sum_w det w e^{w.labels} as (labels of w.labels, det w)
+    pairs, from ``weyl_traverse``.  Memoized on the datum: callers must not
+    mutate the result."""
+    orbit = datum._signed_orbit_cache.get(labels)
+    if orbit is None:
+        orbit = datum._signed_orbit_cache[labels] = [
+            (u, sign) for sign, u in weyl_traverse(datum, labels)
+        ]
+    return orbit
 
 
 # ---------------------------------------------------------------------------

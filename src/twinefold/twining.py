@@ -14,8 +14,9 @@ denominator): characters, J(rho), regularity and |J(rho)|^2 there read that
 frame; ``adjoint_oracle`` alone keeps an ambient pairing.
 
 The signed rho-orbit J(rho) = sum_w det w e^{w rho} = e^rho prod (1 - e^{-alpha})
-of the orbit Weyl group, keyed by integer orbit Dynkin labels, is cached per
-context under rho's labels (1, ..., 1), as J(lam + rho) is under m + 1.  It is
+of the orbit Weyl group, keyed by integer orbit Dynkin labels, is read off the
+orbit datum (``rootcore.signed_orbit``, memoized there) at rho's labels
+(1, ..., 1), as J(lam + rho) is at m + 1.  It is
 e^rho times the Weyl denominator, the denominator of the quotient formula
 (``jantzen_eval``) and the density of the inner product: since |e^rho| = 1,
 <f, g> = (1/|W_O|) sum_u F_u G_u, F = f J(rho), G = g J(rho).
@@ -39,7 +40,7 @@ from .rootcore import (
     irreducible_character,
     label_character,
     label_dimension,
-    weyl_traverse,
+    signed_orbit,
 )
 
 class SingularPointError(ValueError):
@@ -56,9 +57,10 @@ class TorusPoint:
 @dataclass(frozen=True)
 class Denominator:
     poly: FourierPolynomial
+    label_terms: list[tuple[Labels, int]] = field(repr=False, compare=False)  # poly, in labels
 
     def eval(self, ctx: FoldingContext, point: TorusPoint) -> complex:
-        return evaluate_labels(_denominator_labels(ctx), ctx.orbit.datum.coroot_coords(point.xi))
+        return evaluate_labels(self.label_terms, ctx.orbit.datum.coroot_coords(point.xi))
 
 
 @dataclass(frozen=True)
@@ -84,26 +86,29 @@ class TwiningCharacter:
 
 def weyl_denominator(ctx: FoldingContext) -> Denominator:
     """prod over positive orbit roots of (1 - e^{-alpha}), read off the signed
-    rho-orbit as e^{-rho} J(rho), with its keys taken to ambient vectors."""
+    rho-orbit as e^{-rho} J(rho) (each label lowered by one), with its keys
+    taken to ambient vectors."""
     datum = ctx.orbit.datum
-    terms = {datum.from_labels(u): c for u, c in _denominator_labels(ctx)}
-    return Denominator(FourierPolynomial(terms))
+    rho_orbit = signed_orbit(datum, (1,) * datum.rank)
+    terms = [(tuple(m - 1 for m in u), sign) for u, sign in rho_orbit]
+    return Denominator(FourierPolynomial({datum.from_labels(u): c for u, c in terms}), terms)
 
 
 def twining_character(ctx: FoldingContext, lam: Vec) -> TwiningCharacter:
     return TwiningCharacter(lam, ctx.orbit_labels(ctx.base.pairings(lam)), ctx.orbit.datum)
 
 
-def _root_residues(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> list[int]:
-    """den <alpha, xi> mod den for the positive orbit roots alpha, in
+def _root_residues(datum: RootDatum, phases: tuple[tuple[int, ...], int]) -> list[int]:
+    """den <alpha, xi> mod den for the positive roots alpha of ``datum``, in
     ``positive_roots`` order: alpha with labels a pairs to a . nums / den."""
     nums, den = phases
-    return [sum(map(mul, a, nums)) % den for a in ctx.orbit.datum._pos_labels]
+    return [sum(map(mul, a, nums)) % den for a in datum._pos_labels]
 
 
 def is_regular(ctx: FoldingContext, point: TorusPoint) -> bool:
     """Exact test: no positive orbit root pairs integrally with xi."""
-    return 0 not in _root_residues(ctx, ctx.orbit.datum.coroot_coords(point.xi))
+    datum = ctx.orbit.datum
+    return 0 not in _root_residues(datum, datum.coroot_coords(point.xi))
 
 
 def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
@@ -112,12 +117,12 @@ def denominator_norm_sq(ctx: FoldingContext, xi: Vec) -> float:
     J(rho) = e^rho prod (1 - e^{-alpha}) over positive orbit roots, and
     |1 - e^{2 pi i t}|^2 = 4 sin^2(pi t); no Weyl-group traversal is needed.
     """
-    return _norm_sq_at(ctx, ctx.orbit.datum.coroot_coords(xi))
+    return _norm_sq_at(ctx.orbit.datum, ctx.orbit.datum.coroot_coords(xi))
 
 
-def _norm_sq_at(ctx: FoldingContext, phases: tuple[tuple[int, ...], int]) -> float:
-    """``denominator_norm_sq`` at the point whose ``coroot_coords`` are ``phases``."""
-    return prod(4 * sin(pi * (r / phases[1])) ** 2 for r in _root_residues(ctx, phases))
+def _norm_sq_at(datum: RootDatum, phases: tuple[tuple[int, ...], int]) -> float:
+    """|J(rho)|^2 of ``datum`` at the point whose ``coroot_coords`` are ``phases``."""
+    return prod(4 * sin(pi * (r / phases[1])) ** 2 for r in _root_residues(datum, phases))
 
 
 def evaluate_labels(
@@ -138,35 +143,17 @@ def evaluate_labels(
     return complex(fsum(res), fsum(ims))
 
 
-def _signed_orbit(ctx: FoldingContext, shifted: Labels) -> list[tuple[Labels, int]]:
-    """J(shifted) = sum over the orbit Weyl group of det w e^{w.shifted}, as
-    (orbit Dynkin labels of w.shifted, det w) pairs, cached per context by the
-    orbit labels ``shifted``."""
-    orbit = ctx._alt_sum_cache.get(shifted)
-    if orbit is None:
-        datum = ctx.orbit.datum
-        orbit = ctx._alt_sum_cache[shifted] = [
-            (u, sign) for sign, u in weyl_traverse(datum, datum.from_labels(shifted))
-        ]
-    return orbit
-
-
-def _denominator_labels(ctx: FoldingContext) -> list[tuple[Labels, int]]:
-    """e^{-rho} J(rho): the signed rho-orbit with each label lowered by one."""
-    rho_orbit = _signed_orbit(ctx, (1,) * ctx.orbit.datum.rank)
-    return [(tuple(m - 1 for m in u), sign) for u, sign in rho_orbit]
-
-
 def jantzen_eval(ctx: FoldingContext, lam: Vec, point: TorusPoint) -> complex:
     """Quotient-formula value of the twining character at a regular point."""
     labels = ctx.orbit_labels(ctx.base.pairings(lam))
-    phases = ctx.orbit.datum.coroot_coords(point.xi)
-    if 0 in _root_residues(ctx, phases):
+    datum = ctx.orbit.datum
+    phases = datum.coroot_coords(point.xi)
+    if 0 in _root_residues(datum, phases):
         raise SingularPointError(
             "point pairs integrally with an orbit root; use the polynomial instead"
         )
-    num = evaluate_labels(_signed_orbit(ctx, tuple(m + 1 for m in labels)), phases)
-    return num / evaluate_labels(_signed_orbit(ctx, (1,) * ctx.orbit.datum.rank), phases)
+    num = evaluate_labels(signed_orbit(datum, tuple(m + 1 for m in labels)), phases)
+    return num / evaluate_labels(signed_orbit(datum, (1,) * datum.rank), phases)
 
 
 def adjoint_oracle(ctx: FoldingContext, point: TorusPoint) -> complex:
@@ -202,7 +189,7 @@ def _times_signed_rho_orbit(
             "polynomial support lies outside the fixed weight lattice"
         ) from exc
     out: dict[Labels, int] = {}
-    for u, sign in _signed_orbit(ctx, (1,) * ctx.orbit.datum.rank):
+    for u, sign in signed_orbit(datum, (1,) * datum.rank):
         for mu, c in labels:
             key = tuple(map(add, mu, u))
             out[key] = out.get(key, 0) + sign * c

@@ -44,11 +44,11 @@ def run_json(argv):
 
 
 def test_registry_layout(monkeypatch):
-    assert [c.name[:2] for c in checks.CRITERIA] == [f"{i:02d}" for i in range(1, 12)]
+    assert [c.name[:2] for c in checks.CRITERIA] == [f"{i:02d}" for i in range(1, 13)]
     assert checks.SUITES == ("tables", "lattices", "characters", "fusion")
-    # 01-02 tables, 03-04 lattices, 05-08 characters, 09-11 fusion
+    # 01-02 tables, 03-04 lattices, 05-08 characters, 09-12 fusion
     assert [c.suite for c in checks.CRITERIA] == [
-        s for s, n in zip(checks.SUITES, (2, 2, 4, 3)) for _ in range(n)
+        s for s, n in zip(checks.SUITES, (2, 2, 4, 4)) for _ in range(n)
     ]
     # one stub row per criterion: --suite all must run them in registry order
     stub = [c._replace(rows=lambda: [("stub", lambda: (True, 0, 0))]) for c in checks.CRITERIA]

@@ -218,7 +218,7 @@ def test_outer_weyl_order():
     # orbit B2: |W| = 8; T^k cap T_k = Z2
     assert ctx.outer_weyl_order == 2 * 8
     orbit = ctx.orbit.datum
-    assert ctx.orbit_weyl_order == sum(1 for _ in weyl_traverse(orbit, orbit.weyl_vector))
+    assert ctx.orbit_weyl_order == sum(1 for _ in weyl_traverse(orbit, orbit.labels_of(orbit.weyl_vector)))
 
 
 def test_index_two_quotients_a_even():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
@@ -16,12 +17,12 @@ from twinefold.rootcore import (
     decompose_into_irreducibles,
     irreducible_character,
     lattice_index,
+    signed_orbit,
 )
 from twinefold.folding import automorphism_by_name, fold
 from twinefold.twining import (
     TorusPoint,
     _root_residues,
-    _signed_orbit,
     denominator_norm_sq,
     evaluate_labels,
     twining_character,
@@ -34,7 +35,6 @@ from twinefold.fusion import (
     RingElement,
     fusion_table,
     level_data,
-    level_values,
     phi_project,
     ring_product,
     verlinde_coefficient,
@@ -243,7 +243,7 @@ def test_denominator_product_formula_matches_alternating_sum():
         for pt in s_points(ctx, level_data(ctx, k)):
             product = denominator_norm_sq(ctx, pt.xi)
             phases = ctx.orbit.datum.coroot_coords(pt.xi)
-            alternating = evaluate_labels(_signed_orbit(ctx, rho), phases)
+            alternating = evaluate_labels(signed_orbit(ctx.orbit.datum, rho), phases)
             reference = abs(alternating) ** 2
             assert abs(product - reference) <= 1e-9 * reference
 
@@ -271,7 +271,7 @@ def test_dual_weight_permutes_level_weights():
 def test_fusion_table_skips_weyl_traversal_and_reports_residual():
     ctx = ctx_for("A3")
     table = fusion_table(ctx, 2)
-    assert ctx._alt_sum_cache == {}
+    assert ctx.orbit.datum._signed_orbit_cache == {}
     assert 0 <= table.max_residual <= INTEGRALITY_TOL
 
 
@@ -336,7 +336,7 @@ def test_fusion_ring_laws(case_k, data):
     size = len(level.labels)
     lam, mu, nu = data.draw(st.tuples(*[st.integers(0, size - 1)] * 3))
     unit = level.labels.index((0,) * len(level.labels[0]))
-    dual = level_values(checks.context(*case), level).dual
+    dual = level.dual
     assert n[lam, mu, nu] == n[mu, lam, nu]
     assert n[unit, mu, nu] == int(mu == nu)
     assert n[lam, mu, nu] == n[lam, dual[nu], dual[mu]]
@@ -454,7 +454,7 @@ def reference_level_data(ctx, k):
     rho = orbit.weyl_vector
     points = tuple(TorusPoint(vscale(shift, vadd(lam, rho))) for lam, _ in weights)
     phases = tuple(orbit.coroot_coords(pt.xi) for pt in points)
-    assert all(0 not in _root_residues(ctx, frame) for frame in phases)
+    assert all(0 not in _root_residues(orbit, frame) for frame in phases)
     coroots = ctx.orbit.coroot_lattice
     scaled = [vscale(shift, w) for w in orbit.fundamental_weights]
     total = lattice_span(scaled + list(coroots.basis), coroots.ambient_dim)
@@ -468,6 +468,7 @@ def reference_level_data(ctx, k):
         labels=labels,
         phases=phases,
         t_group_order=lattice_index(coroots, total),
+        datum=orbit,
         label_index={m: i for i, m in enumerate(labels)},
         weight_index={lam: i for i, lam in enumerate(level_weights)},
     )
@@ -538,6 +539,57 @@ def test_fusion_table_pickle_round_trip():
         assert copy.get(*stored) == n
         assert verlinde_coefficient(ctx, copy.level, *stored) == n
         assert copy.get(*(table.level.level_weights[i] for i in triple)) == n
+
+
+VALUE_TABLES = ("characters", "weights", "dual")
+
+
+def test_level_values_are_built_once_on_first_read(monkeypatch):
+    level = level_data(ctx_for("D4", "rot"), 2)
+    assert not any(name in level.__dict__ for name in VALUE_TABLES)
+    tables = [getattr(level, name) for name in VALUE_TABLES]
+    assert len(tables[0]) == len(tables[1]) == len(tables[2]) == len(level.labels)
+
+    def no_recomputation(*args):
+        raise AssertionError("a value table was rebuilt")
+
+    monkeypatch.setattr(fusion, "label_character", no_recomputation)
+    monkeypatch.setattr(fusion, "_norm_sq_at", no_recomputation)
+    monkeypatch.setattr(fusion, "_dual_labels", no_recomputation)
+    assert all(getattr(level, n) is t for n, t in zip(VALUE_TABLES, tables))
+
+
+def test_level_values_survive_pickle_and_deepcopy():
+    """Copies taken before and after the tables are read give the same
+    tables, and index their own level weights by identity."""
+    ctx = ctx_for("A3")
+    level = level_data(ctx, 2)
+    unread = [pickle.loads(pickle.dumps(level)), copy.deepcopy(level)]
+    tables = [getattr(level, name) for name in VALUE_TABLES]
+    read = [pickle.loads(pickle.dumps(level)), copy.deepcopy(level)]
+    for c in unread + read:
+        assert c == level
+        assert c.by_id == {id(lam): i for i, lam in enumerate(c.level_weights)}
+        assert [getattr(c, name) for name in VALUE_TABLES] == tables
+    for c in read:
+        assert all(name in c.__dict__ for name in VALUE_TABLES)
+
+
+def test_verlinde_values_come_from_the_level_alone():
+    """A level read with another folding's context gives its own folding's
+    coefficients, after that context has evaluated a level of its own."""
+    a3, d4 = ctx_for("A3"), ctx_for("D4", "swap34")
+    own = level_data(a3, 1)
+    unit = own.level_weights[0]
+    assert verlinde_coefficient(a3, own, unit, unit, unit) == 1
+    level = level_data(d4, 1)
+    w = level.level_weights
+    assert [verlinde_coefficient(a3, level, w[1], w[1], nu) for nu in w] == [1, 0, 1, 0]
+    fresh = level_data(ctx_for("D4", "swap34"), 1)
+    for triple in itertools.product(range(len(w)), repeat=3):
+        assert verlinde_coefficient(a3, level, *(w[i] for i in triple)) == (
+            verlinde_coefficient(d4, fresh, *(fresh.level_weights[i] for i in triple))
+        )
 
 
 # (kappa-fixed base level-k weights, twisted level-k weights) at k = 1 and 2

@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,6 +36,7 @@ from twinefold.rootcore import (
     lattice_quotient,
     parse_type_label,
     regular_dominant_labels,
+    signed_orbit,
     standard_cartan_matrix,
     weyl_traverse,
 )
@@ -130,7 +132,7 @@ def test_weyl_traverse_counts():
     for label, stride in [("A2", 1), ("B2", 1), ("G2", 1), ("A3", 1), ("F4", 1),
                           ("E6", 97)]:
         d = build_root_datum(label)
-        els = list(weyl_traverse(d, d.weyl_vector))
+        els = list(weyl_traverse(d, d.labels_of(d.weyl_vector)))
         assert len(els) == classical_weyl_order(label)
         assert len({u for _, u in els}) == len(els)
         assert els[0] == (1, (1,) * d.rank)
@@ -144,9 +146,26 @@ def test_weyl_traverse_cap(monkeypatch):
     """|W(A3)| = 24 exceeds the cap, so the first element already raises."""
     d = build_root_datum("A3")
     monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "5")
-    orbit = weyl_traverse(d, d.weyl_vector)
+    orbit = weyl_traverse(d, d.labels_of(d.weyl_vector))
     with pytest.raises(WeylOverflowError, match="^Weyl orbit exceeds the traversal cap 5$"):
         next(orbit)
+
+
+@pytest.mark.parametrize("labels", [(1, 0, 1), (1, -1, 1), (0, 0, 0), (-2, 3, 1)])
+def test_weyl_traverse_rejects_a_label_below_one(labels, monkeypatch):
+    """A zero or negative label raises before the cap is consulted."""
+    d = build_root_datum("A3")
+    with pytest.raises(RootSystemError, match="^weight must be regular dominant integral$"):
+        next(weyl_traverse(d, labels))
+    monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "5")
+    with pytest.raises(RootSystemError, match="^weight must be regular dominant integral$"):
+        next(weyl_traverse(d, labels))
+
+
+def test_weyl_traverse_of_rank_zero_yields_the_identity():
+    """The empty labels are regular: the trivial group has one element."""
+    trivial = SimpleNamespace(weyl_order=1, cartan=(), _alpha_labels=())
+    assert list(weyl_traverse(trivial, ())) == [(1, ())]
 
 
 # the nine foldings, the flips of A2, A7, A12 and D10, and identity folds with
@@ -203,7 +222,7 @@ def test_signed_orbit_of_shifted_weight(label, coeffs):
     lam = rootcore.zero_vec(d.ambient_dim)
     for n, w in zip(coeffs, d.fundamental_weights):
         lam = vadd(lam, vscale(n, w))
-    els = list(weyl_traverse(d, vadd(lam, d.weyl_vector)))
+    els = list(weyl_traverse(d, d.labels_of(vadd(lam, d.weyl_vector))))
     assert len(els) == classical_weyl_order(label)
     sign = _length_sign(d)
     assert all(det == sign(u) for det, u in els)
@@ -613,6 +632,28 @@ def test_lazy_views_survive_pickle_and_deepcopy(group, name):
 
 
 @pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
+def test_signed_orbit_is_memoized_per_datum(group, name):
+    """J(rho) and J(theta + rho) of the orbit datum are read once, equal the
+    traversal, and survive pickle and deepcopy with the datum."""
+    base = build_root_datum(group)
+    datum = fold(base, automorphism_by_name(base, name)).orbit.datum
+    keys = [(1,) * datum.rank, tuple(m + 1 for m in datum.theta_labels)]
+    unread = [pickle.loads(pickle.dumps(datum)), copy.deepcopy(datum)]
+    assert datum._signed_orbit_cache == {}
+    orbits = [signed_orbit(datum, key) for key in keys]
+    for key, orbit in zip(keys, orbits):
+        assert signed_orbit(datum, key) is orbit
+        assert orbit == [(u, sign) for sign, u in weyl_traverse(datum, key)]
+        assert len(orbit) == datum.weyl_order
+    for c in unread:
+        assert c._signed_orbit_cache == {}
+        assert [signed_orbit(c, key) for key in keys] == orbits
+    for c in (pickle.loads(pickle.dumps(datum)), copy.deepcopy(datum)):
+        assert c._signed_orbit_cache == dict(zip(keys, orbits))
+        assert [signed_orbit(c, key) for key in keys] == orbits
+
+
+@pytest.mark.parametrize("group,name", [(g, a) for g, a, _, _ in FOLDINGS])
 def test_fold_builds_no_fraction_views(group, name):
     base = build_root_datum(group)
     ctx = fold(base, automorphism_by_name(base, name))
@@ -747,7 +788,9 @@ _WCF_DATA["D4 rot"] = _orbit_datum("D4", "rot")
 
 def _alternant(d, v):
     """J(v) = sum_w det(w) e^{w.v} from the signed orbit of weyl_traverse."""
-    return FourierPolynomial({_ambient(d, u): sign for sign, u in weyl_traverse(d, v)})
+    return FourierPolynomial(
+        {_ambient(d, u): sign for sign, u in weyl_traverse(d, d.labels_of(v))}
+    )
 
 
 @settings(deadline=None, max_examples=30)

@@ -17,12 +17,12 @@ from twinefold.rootcore import (
     decompose_into_irreducibles,
     irreducible_character,
     label_character,
+    signed_orbit,
 )
 from twinefold.folding import automorphism_by_name, fold, fundamental_coweights
 from twinefold.twining import (
     SingularPointError,
     TorusPoint,
-    _signed_orbit,
     adjoint_oracle,
     denominator_norm_sq,
     evaluate_labels,
@@ -307,7 +307,7 @@ def test_signed_rho_orbit_is_shifted_denominator():
             tuple(a + b for a, b in zip(datum.labels_of(mu), rho)): c
             for mu, c in delta.terms.items()
         }
-        orbit = dict(_signed_orbit(ctx, rho))
+        orbit = dict(signed_orbit(datum, rho))
         assert len(orbit) == ctx.orbit_weyl_order
         assert orbit == shifted, (group, name)
         assert weyl_denominator(ctx).poly == delta, (group, name)
