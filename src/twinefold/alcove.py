@@ -184,7 +184,7 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     its ``from_coroot_coords`` builds the translation and, once, the folded
     point; the group element is checked against it.
     """
-    if ctx.apply_kappa(xi) != xi:
+    if ctx.kappa.apply(xi) != xi:
         raise AlcoveError("point does not lie in the fixed subspace")
     orbit = ctx.orbit.datum
     *floors, ceiling = fundamental_alcove(ctx).walls

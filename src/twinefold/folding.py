@@ -1,5 +1,8 @@
 """Dynkin diagram automorphisms and folded/orbit root systems.
 
+A diagram automorphism kappa is a node permutation: its cycles are the node
+orbits, and its order is the lcm of their lengths.
+
 Everything is realized inside the simple-root coordinate space of the base
 system, where kappa permutes coordinates: the fixed subspace of the node
 permutation, the projection onto it (each coordinate averaged over its node
@@ -21,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 
-from .linalg import Vec, vneg, vscale
+from .linalg import Vec, scaled_rows, vneg, vscale
 from .rootcore import (
     Labels,
     Lattice,
@@ -67,29 +71,25 @@ class DiagramAutomorphism:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Node orbits, each listed from its smallest member, in node order."""
-        seen = set()
-        out = []
-        for i in range(len(self.permutation)):
-            if i in seen:
-                continue
-            orb = [i]
-            j = self.permutation[i]
-            while j != i:
-                orb.append(j)
-                j = self.permutation[j]
-            seen.update(orb)
-            out.append(tuple(orb))
-        return tuple(out)
+        return _cycles(self.permutation)
 
 
-def _perm_order(perm: tuple[int, ...]) -> int:
-    n = len(perm)
-    cur = list(range(n))
-    for k in range(1, n + 2):
-        cur = [perm[i] for i in cur]
-        if cur == list(range(n)):
-            return k
-    raise AssertionError("not a permutation")
+def _cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of a permutation, each listed from its smallest member, in
+    order of that member."""
+    seen = set()
+    out = []
+    for i in range(len(perm)):
+        if i in seen:
+            continue
+        cycle = [i]
+        j = perm[i]
+        while j != i:
+            cycle.append(j)
+            j = perm[j]
+        seen.update(cycle)
+        out.append(tuple(cycle))
+    return tuple(out)
 
 
 def _preserves_cartan(cartan, perm) -> bool:
@@ -116,10 +116,11 @@ def _automorphism_name(datum: RootDatum, perm: tuple[int, ...], order: int) -> s
 
 
 def list_automorphisms(datum: RootDatum) -> tuple[DiagramAutomorphism, ...]:
-    """All Cartan-preserving node permutations, identity first."""
+    """All Cartan-preserving node permutations, identity first; the order
+    of each is the lcm of its cycle lengths."""
     found = []
     for perm in cartan_isomorphisms(datum.cartan, datum.cartan):
-        order = _perm_order(perm)
+        order = lcm(*map(len, _cycles(perm)))
         found.append(
             DiagramAutomorphism(perm, order, _automorphism_name(datum, perm, order))
         )
@@ -145,15 +146,15 @@ def automorphism_by_name(datum: RootDatum, name: str) -> DiagramAutomorphism:
 
 
 def root_lattice(datum: RootDatum) -> Lattice:
-    return Lattice.from_rows(*datum.root_rows(), datum.ambient_dim)
+    return Lattice(*datum.root_rows(), datum.ambient_dim)
 
 
 def weight_lattice(datum: RootDatum) -> Lattice:
-    return Lattice.from_rows(*datum.weight_rows(), datum.ambient_dim)
+    return Lattice(*datum.weight_rows(), datum.ambient_dim)
 
 
 def coroot_lattice(datum: RootDatum) -> Lattice:
-    return Lattice.from_rows(*datum.coroot_rows(), datum.ambient_dim)
+    return Lattice(*datum.coroot_rows(), datum.ambient_dim)
 
 
 def fundamental_coweights(datum: RootDatum) -> tuple[Vec, ...]:
@@ -164,7 +165,7 @@ def fundamental_coweights(datum: RootDatum) -> tuple[Vec, ...]:
 
 
 def coweight_lattice(datum: RootDatum) -> Lattice:
-    return Lattice.from_rows(*datum.coweight_rows(), datum.ambient_dim)
+    return Lattice(*datum.coweight_rows(), datum.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +238,10 @@ class FoldingContext:
 
     def project(self, v: Vec) -> Vec:
         """The kappa-average (1/|kappa|) sum_t kappa^t v: each simple-root
-        coordinate replaced by its mean over the node orbit."""
-        out = list(v)
-        for orb in self.node_orbits:
-            if len(orb) > 1:
-                mean = sum(v[i] for i in orb) / len(orb)
-                for i in orb:
-                    out[i] = mean
-        return tuple(out)
-
-    def apply_kappa(self, v: Vec) -> Vec:
-        return self.kappa.apply(v)
+        coordinate replaced by its mean over the node orbit, as Fractions."""
+        den, (row,) = scaled_rows([v])
+        scale = self.kappa.order * den
+        return tuple(Fraction(x, scale) for x in self._scaled_projection(row))
 
     def orbit_labels(self, b) -> Labels:
         """The orbit Dynkin labels of the highest weight with base labels b: b
@@ -271,7 +265,7 @@ class FoldingContext:
         """All base roots (positive and negative) fixed by kappa."""
         out = []
         for beta in self.base.positive_roots:
-            if self.apply_kappa(beta) == beta:
+            if self.kappa.apply(beta) == beta:
                 out.append(beta)
                 out.append(tuple(-e for e in beta))
         return out
@@ -302,7 +296,7 @@ class FoldingContext:
         integer rows over one denominator: the orbit sums of the rows."""
         den, rows = family
         sums = [tuple(map(sum, zip(*(rows[i] for i in orb)))) for orb in self.node_orbits]
-        return Lattice.from_rows(den, sums, self.base.ambient_dim)
+        return Lattice(den, sums, self.base.ambient_dim)
 
     def _orbit_simple_roots(self) -> tuple[Vec, ...]:
         """The coroots p(alpha)^vee of the projected simple roots, one per
@@ -329,7 +323,7 @@ class FoldingContext:
         as L p(row) over den L."""
         den, rows = family
         basis = [self._scaled_projection(rows[orb[0]]) for orb in self.node_orbits]
-        return Lattice.from_rows(den * self.kappa.order, basis, self.base.ambient_dim)
+        return Lattice(den * self.kappa.order, basis, self.base.ambient_dim)
 
     # -- construction branches --------------------------------------------
 
@@ -400,7 +394,7 @@ class FoldingContext:
             expected_orbit = _with_negatives(
                 tuple(2 * x for x in pa)
                 for a, pa, labels in zip(base._pos_num, projected, base._pos_labels)
-                if (ka := self.apply_kappa(a)) == a or sum(map(mul, ka, labels)) == 0
+                if (ka := self.kappa.apply(a)) == a or sum(map(mul, ka, labels)) == 0
             )
             # the B subsystem carries the folded lattices QF, QFv, PF and PFv
             folded_datum = b_datum
@@ -413,7 +407,7 @@ class FoldingContext:
             folded_roots = _scaled_roots(folded_datum, scale)
             # a fixed root a (where L a = L p(a)), |kappa| p(a) for the rest
             expected_orbit = _with_negatives(
-                pa if self.apply_kappa(a) == a else tuple(scale * x for x in pa)
+                pa if self.kappa.apply(a) == a else tuple(scale * x for x in pa)
                 for a, pa in zip(base._pos_num, projected)
             )
             # the coroot 2 b / (b, b) of each folded root is an orbit root; the

@@ -62,30 +62,6 @@ class FusionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """Finite integer combination of kappa-fixed dominant highest weights."""
-
-    coeffs: tuple[tuple[Vec, int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[Vec, int]) -> "RingElement":
-        return cls(tuple(sorted((k, v) for k, v in d.items() if v != 0)))
-
-    @classmethod
-    def basis(cls, lam: Vec) -> "RingElement":
-        return cls(((lam, 1),))
-
-    def as_dict(self) -> dict[Vec, int]:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        out = self.as_dict()
-        for k, v in other.coeffs:
-            out[k] = out.get(k, 0) + v
-        return RingElement.from_dict(out)
-
-
 def _product_labels(datum: RootDatum, lam: Labels, mu: Labels) -> dict[Labels, int]:
     """chi_lam chi_mu as a combination of irreducibles, by Racah-Speiser.
 
@@ -121,16 +97,20 @@ def _product_labels(datum: RootDatum, lam: Labels, mu: Labels) -> dict[Labels, i
     return out
 
 
-def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingElement:
+def ring_product(
+    ctx: FoldingContext, a: dict[Vec, int], b: dict[Vec, int]
+) -> dict[Vec, int]:
     """Product in the representation ring, by the Racah-Speiser rule.
 
-    Each pair of basis elements is multiplied in the orbit system's Dynkin
-    labels (``_product_labels``), each factor's read once; only the factors'
-    and the result's highest weights are ambient vectors.
+    A ring element is a dict from kappa-fixed dominant highest weights to
+    integer coefficients; the product has no zero coefficient.  Each pair of
+    basis elements is multiplied in the orbit system's Dynkin labels
+    (``_product_labels``), each factor's read once; only the factors' and the
+    result's highest weights are ambient vectors.
     """
     datum = ctx.orbit.datum
-    left = [(ctx.orbit_labels(ctx.base.pairings(lam)), m) for lam, m in a.coeffs]
-    right = [(ctx.orbit_labels(ctx.base.pairings(mu)), n) for mu, n in b.coeffs]
+    left = [(ctx.orbit_labels(ctx.base.pairings(lam)), m) for lam, m in a.items()]
+    right = [(ctx.orbit_labels(ctx.base.pairings(mu)), n) for mu, n in b.items()]
     total: dict[Labels, int] = {}
     for la, m in left:
         for lb, n in right:
@@ -140,10 +120,10 @@ def ring_product(ctx: FoldingContext, a: RingElement, b: RingElement) -> RingEle
     for labels, c in total.items():
         if c:
             lam = datum.from_labels(labels)
-            if ctx.apply_kappa(lam) != lam:
+            if ctx.kappa.apply(lam) != lam:
                 raise FusionError("product decomposition left the kappa-fixed cone")
             out[lam] = c
-    return RingElement.from_dict(out)
+    return out
 
 
 def _dual_labels(datum: RootDatum, m: Labels) -> Labels:

@@ -24,7 +24,7 @@ reflection closure on integer simple-root coordinates.  Construction and its
 checks read only integers; the ``Fraction`` views of them (roots, rho,
 fundamental weights, the coroot covectors) are built on a datum's first read
 of each, and the lattice generators (``root_rows`` and its siblings) stay
-integer rows over one denominator.
+integer rows over one denominator, from which a ``Lattice`` is built as is.
 
 A point xi meets a datum through its simple-coroot coordinates
 <omega_j, xi> (``coroot_coords``, integer numerators over one denominator,
@@ -253,30 +253,19 @@ class FiniteAbelianGroup:
 
 
 class Lattice:
-    """Z-span of linearly independent rational vectors.
-
-    The basis is kept as integer rows over one denominator ``den`` (the
-    vectors row / den), row-reduced once over Z (``linalg.integer_echelon``).
-    That reduction is the independence check, and v lies in the lattice
-    exactly when den v is an integer vector that reduces to zero against the
-    echelon, so membership never solves a rational system.  ``from_rows``
-    takes the rows directly and builds the ``Fraction`` basis only when
-    something reads it; sublattice tests and quotients read the rows.
+    """Z-span of linearly independent rational vectors: integer rows over one
+    denominator ``den`` (the vectors row / den), row-reduced once over Z
+    (``linalg.integer_echelon``).  That reduction is the independence check,
+    and v lies in the lattice exactly when den v is an integer vector that
+    reduces to zero against the echelon, so membership never solves a
+    rational system.  ``lattice`` builds one from ``Fraction`` vectors; the
+    ``Fraction`` basis is built only when read, sublattice tests and
+    quotients read the rows, and ``lattice_eq`` is the equality.
     """
 
-    def __init__(self, basis, ambient_dim: int):
-        self._basis = tuple(basis)
-        self._set_rows(*scaled_rows(self._basis), ambient_dim)
-
-    @classmethod
-    def from_rows(cls, den: int, rows, ambient_dim: int) -> "Lattice":
-        lat = cls.__new__(cls)
-        lat._basis = None
-        lat._set_rows(den, rows, ambient_dim)
-        return lat
-
-    def _set_rows(self, den: int, rows, ambient_dim: int) -> None:
+    def __init__(self, den: int, rows, ambient_dim: int):
         self._den, self._rows, self.ambient_dim = den, rows, ambient_dim
+        self._basis = None
         self._echelon = integer_echelon(rows)
         if len(self._echelon) != len(rows):
             raise ValueError("lattice basis must be linearly independent")
@@ -287,14 +276,6 @@ class Lattice:
             den = self._den
             self._basis = tuple(tuple(Fraction(x, den) for x in r) for r in self._rows)
         return self._basis
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Lattice) and (self.basis, self.ambient_dim) == (
-            other.basis, other.ambient_dim
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.ambient_dim))
 
     def __repr__(self) -> str:
         return f"Lattice(basis={self.basis!r}, ambient_dim={self.ambient_dim!r})"
@@ -324,7 +305,7 @@ class Lattice:
 
 
 def lattice(basis, ambient_dim: int) -> Lattice:
-    return Lattice(tuple(basis), ambient_dim)
+    return Lattice(*scaled_rows(tuple(basis)), ambient_dim)
 
 
 def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
@@ -761,11 +742,6 @@ class RootDatum:
     def weyl_order(self) -> int:
         """|W|, the product of the orders of the components' Weyl groups."""
         return _system_weyl_order(self.type_label)
-
-    # -- dominance and integrality ----------------------------------------
-
-    def is_dominant_integral(self, v: Vec) -> bool:
-        return all(p >= 0 and p.denominator == 1 for p in self.pairings(v))
 
     # -- misc ----------------------------------------------------------------
 

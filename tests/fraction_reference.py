@@ -59,7 +59,7 @@ def rank_of(rows: Sequence[Vec]) -> int:
 
 def weyl_dimension(datum: RootDatum, lam: Vec) -> int:
     """Dimension by the product formula prod (lam+rho, a) / (rho, a)."""
-    if not datum.is_dominant_integral(lam):
+    if not all(p >= 0 and p.denominator == 1 for p in datum.pairings(lam)):
         raise RootSystemError("weight must be dominant and integral")
     rho = datum.weyl_vector
     num = ONE
@@ -79,6 +79,4 @@ def lattice_span(vectors, ambient_dim: int) -> Lattice:
     its basis is their integer echelon, scaled back by the common
     denominator."""
     den, rows = scaled_rows(vectors)
-    return Lattice.from_rows(
-        den, [row for _, row, _ in integer_echelon(rows)], ambient_dim
-    )
+    return Lattice(den, [row for _, row, _ in integer_echelon(rows)], ambient_dim)

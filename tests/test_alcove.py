@@ -456,11 +456,11 @@ def test_integer_walls_match_fraction_pairings(case, seed):
     alc = fundamental_alcove(ctx)
     rng = random.Random(seed)
     fixed = seeded_points(ctx, rng)
-    assert all(ctx.apply_kappa(xi) == xi for xi in fixed)
+    assert all(ctx.kappa.apply(xi) == xi for xi in fixed)
     points = fixed + [fold_to_alcove(ctx, xi)[0] for xi in fixed]
     unfixed = unfixed_points(ctx, points, rng)
     if not ctx.is_trivial:
-        assert all(ctx.apply_kappa(xi) != xi for xi in unfixed[1:])
+        assert all(ctx.kappa.apply(xi) != xi for xi in unfixed[1:])
     for point in points + unfixed:
         floors, top = reference_heights(alc, point)
         inside = all(h >= 0 for h in floors) and top <= 1

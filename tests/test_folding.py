@@ -50,6 +50,15 @@ def _expected_automorphism_count(label):
     return 1
 
 
+def _least_order(perm):
+    """The least k >= 1 with perm^k = id, by composing with no bound."""
+    identity = tuple(range(len(perm)))
+    power, k = perm, 1
+    while power != identity:
+        power, k = tuple(perm[i] for i in power), k + 1
+    return k
+
+
 def test_automorphism_counts():
     labels = (
         [f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)]
@@ -68,6 +77,7 @@ def test_automorphism_counts():
             assert all(
                 d.cartan[p[i]][p[j]] == d.cartan[i][j] for i in range(n) for j in range(n)
             )
+            assert a.order == _least_order(p), (label, a)
 
 
 def test_automorphisms_of_a10_within_a_second():
@@ -94,6 +104,20 @@ def test_automorphism_orders_and_names():
     assert automorphism_by_name(a2, "flip").permutation == (1, 0)
     with pytest.raises(FoldingError):
         automorphism_by_name(a2, "rot")
+
+
+def test_automorphisms_of_seven_orthogonal_a1():
+    # the order of a 3-cycle times a 4-cycle, 12, exceeds the rank plus one
+    n = 7
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    d = RootDatum(None, units, tuple(tuple(2 * x for x in row) for row in units))
+    assert d.type_label == "+".join(["A1"] * n)
+    autos = list_automorphisms(d)
+    assert len(autos) == math.factorial(n)
+    assert max(a.order for a in autos) == 12
+    for a in autos:
+        assert a.order == _least_order(a.permutation), a
+    assert autos[0].permutation == tuple(range(n))
 
 
 @pytest.mark.parametrize(
@@ -136,7 +160,7 @@ def test_projection_idempotent_and_selfadjoint():
         for v in base.simple_roots + base.fundamental_weights + base.positive_roots:
             pv = ctx.project(v)
             assert ctx.project(pv) == pv
-            assert ctx.apply_kappa(pv) == pv
+            assert ctx.kappa.apply(pv) == pv
         for u in base.simple_roots:
             for w in base.simple_roots:
                 assert base.inner(ctx.project(u), w) == base.inner(u, ctx.project(w))
@@ -187,7 +211,7 @@ def test_special_roots_cases():
     assert tl == vscale(2, ctx4.base.highest_root)
     # theta itself is not an orbit root here; the short dominant root is
     # beta1+beta2 of the realized C2 system
-    assert ctx4.orbit.datum.is_dominant_integral(ts)
+    assert min(ctx4.orbit.datum.labels_of(ts)) >= 0
     assert ctx4.orbit.datum.norm_sq(ts) == 4
 
     ctxd = ctx_for("D4", "rot")

@@ -397,8 +397,8 @@ def test_lattice_membership_matches_fraction_reference(data):
     def constructions(vectors):
         den, rows = scaled_rows(vectors)
         return (
-            lambda: Lattice(tuple(vectors), dim),
-            lambda: Lattice.from_rows(m * den, [[m * x for x in r] for r in rows], dim),
+            lambda: lattice(vectors, dim),
+            lambda: Lattice(m * den, [[m * x for x in r] for r in rows], dim),
         )
 
     if rank_of(basis) < rank:
@@ -420,11 +420,11 @@ def test_lattice_membership_matches_fraction_reference(data):
     ]
     # and an arbitrary vector, mostly outside the span when rank < dim
     vs.append(tuple(data.draw(st.lists(_RATIONAL, min_size=dim, max_size=dim))))
-    other = Lattice(tuple(_unimodular_change(data, basis)), dim)
+    other = lattice(_unimodular_change(data, basis), dim)
     # an index-2 sublattice, both ways
     doubled = [make() for make in constructions([vscale(2, basis[0])] + basis[1:])]
     for lat in lats:
-        assert lat == lats[0] and lat.basis == tuple(basis)
+        assert lat.basis == lats[0].basis == tuple(basis)
         assert (lat.rank, lat.ambient_dim) == (rank, dim)
         for v in vs:
             assert lat.contains(v) == _reference_contains(basis, v), (basis, v)

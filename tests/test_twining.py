@@ -261,7 +261,7 @@ def test_weight_containment():
         ctx = ctx_for(label, name)
         lam = ctx.base.highest_root
         base_weights = set(irreducible_character(ctx.base, lam).terms)
-        fixed = {w for w in base_weights if ctx.apply_kappa(w) == w}
+        fixed = {w for w in base_weights if ctx.kappa.apply(w) == w}
         support = set(twining_character(ctx, lam).poly.terms)
         assert support <= fixed
 
