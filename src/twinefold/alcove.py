@@ -3,13 +3,15 @@
 The affine group is the semidirect product of translations by the orbit
 coroot lattice with the orbit Weyl group; its fundamental alcove in the fixed
 subspace parametrizes twisted conjugacy classes.  Point folding and
-stabilizers by the extended-diagram deletion rule live here.  A stabilizer is
-read off the alcove walls through its point, with no root system realized
-for it.  The Jacobian of the twisted conjugation map at exp(xi) is
-|T^kappa cap T_kappa| times ``twining.denominator_norm_sq``.  Group elements
-are a translation by the orbit coroot lattice followed by a word of affine
-reflections, never matrices: the sign of the linear part is the parity of the
-word length.
+stabilizers by the extended-diagram deletion rule live here.
+``fold_to_alcove`` refuses a point off the fixed subspace (``require_fixed``),
+while the walls, and so ``stabilizer_datum``, see only a point's projection
+onto it.  A stabilizer is read off the alcove walls through its point, with no
+root system realized for it.  The Jacobian of the twisted conjugation map at
+exp(xi) is |T^kappa cap T_kappa| times ``twining.denominator_norm_sq``.  Group
+elements are a translation by the orbit coroot lattice followed by a word of
+affine reflections, never matrices: the sign of the linear part is the parity
+of the word length.
 
 The orbit datum is the one source of the affine data.  A point meets the
 walls in its integer coroot coordinates (N, D) = ``RootDatum.coroot_coords``:
@@ -112,15 +114,15 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
 
     Built once per context, from the integer rows of the orbit datum's
     simple roots, coroots and coweights: with the ambient form
-    G = g / g_den, each covector G v is one integer product g v over its
-    denominator, and a ``Fraction`` is made once per entry of the walls'
-    reflections.
+    G = g / g_den (``RootDatum.gram_rows``), each covector G v is one integer
+    product g v over its denominator, and a ``Fraction`` is made once per
+    entry of the walls' reflections.
     """
     if ctx._alcove is not None:
         return ctx._alcove
     orbit = ctx.orbit.datum
     theta = orbit.highest_root
-    g_den, g = scaled_rows(ctx.base.ambient_gram)
+    g_den, g = orbit.gram_rows
 
     def g_times(row) -> tuple[int, ...]:
         return tuple(sum(map(mul, gr, row)) for gr in g)
@@ -162,6 +164,13 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
     return alc
 
 
+def require_fixed(ctx: FoldingContext, xi: Vec) -> Vec:
+    """xi, after an AlcoveError unless it lies in the kappa-fixed subspace."""
+    if ctx.kappa.apply(xi) != xi:
+        raise AlcoveError("point does not lie in the fixed subspace")
+    return xi
+
+
 def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     """Affine-Weyl representative in the closed alcove, with the group element.
 
@@ -184,12 +193,10 @@ def fold_to_alcove(ctx: FoldingContext, xi: Vec) -> tuple[Vec, AffineElement]:
     its ``from_coroot_coords`` builds the translation and, once, the folded
     point; the group element is checked against it.
     """
-    if ctx.kappa.apply(xi) != xi:
-        raise AlcoveError("point does not lie in the fixed subspace")
     orbit = ctx.orbit.datum
     *floors, ceiling = fundamental_alcove(ctx).walls
     marks = orbit.comarks
-    n, d = orbit.coroot_coords(xi)
+    n, d = orbit.coroot_coords(require_fixed(ctx, xi))
     n = list(n)
     steps = [0] * len(n)
     if not _inside(*_wall_heights(orbit, n, d)):
@@ -273,7 +280,7 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     label = _classify_system(cartan)
     dim = ctx.base.ambient_dim
     # the stabilizer's coroot lattice, inside Lambda^kappa
-    if ctx.is_trivial:
+    if ctx.kappa.is_identity:
         # untwisted case: the stabilizer's roots are the surviving roots
         dual_label, coroots = label, lattice([alc.walls[i].coroot for i in nodes], dim)
     else:

@@ -137,7 +137,7 @@ def _finite_groups(group, name, *_) -> Outcome:
     fixed = ctx.fixed_intersection
     factors = [3] if ctx.kappa.order == 3 else [2] * ctx.moving_dim
     return _same([list(fixed.invariant_factors), ctx.outer_weyl_order],
-                 [factors, fixed.order * ctx.orbit_weyl_order])
+                 [factors, fixed.order * ctx.orbit.datum.weyl_order])
 
 
 # characters: 05-08

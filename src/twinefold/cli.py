@@ -3,10 +3,10 @@ twining character evaluation, fusion tables, and self-verification.
 
 Conventions: weights are read and written in fundamental-weight coordinates
 of the base group, crossing to the orbit's by ``FoldingContext.orbit_labels``
-and ``base_labels``; torus points in simple-coroot coordinates.  Rationals are
-serialized as "p/q" strings and complex numbers as [re, im] pairs.  Output is
-JSON by default or flat CSV with ``--format csv``; field and row ordering is
-deterministic.
+and ``base_labels``; torus points in simple-coroot coordinates, kappa-fixed
+(``alcove.require_fixed``).  Rationals are serialized as "p/q" strings and
+complex numbers as [re, im] pairs.  Output is JSON by default or flat CSV with
+``--format csv``; field and row ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .twining import (
     jantzen_eval,
     twining_character,
 )
-from .alcove import AlcoveError, fundamental_alcove, stabilizer_datum
+from .alcove import AlcoveError, fundamental_alcove, require_fixed, stabilizer_datum
 from .fusion import FusionError, fusion_table
 
 EXIT_OK = 0
@@ -93,9 +93,9 @@ def format_complex(z: complex) -> list[float]:
 
 
 def point_to_ambient(ctx: FoldingContext, coords: Vec) -> Vec:
-    # sum_i c_i alpha_i^vee
+    # sum_i c_i alpha_i^vee, which must be kappa-fixed
     den, (c,) = scaled_rows([coords])
-    return ctx.base.from_coroot_coords(c, den)
+    return require_fixed(ctx, ctx.base.from_coroot_coords(c, den))
 
 
 def point_from_ambient(ctx: FoldingContext, xi: Vec) -> Vec:
@@ -150,7 +150,7 @@ def cmd_fold(args) -> dict:
             "invariant_factors": list(ctx.fixed_intersection.invariant_factors),
             "order": ctx.fixed_intersection.order,
         },
-        "orbit_weyl_order": ctx.orbit_weyl_order,
+        "orbit_weyl_order": ctx.orbit.datum.weyl_order,
         "outer_weyl_order": ctx.outer_weyl_order,
     }
 

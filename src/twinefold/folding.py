@@ -231,8 +231,7 @@ class FoldingContext:
         if orbit_datum.weyl_vector != base.weyl_vector:
             raise FoldingError("orbit half-sum of positive roots differs from base rho")
         self.orbit = OrbitDatum(orbit_datum, self.lattices["QOv"])
-        self.orbit_weyl_order = orbit_datum.weyl_order
-        self.outer_weyl_order = self.fixed_intersection.order * self.orbit_weyl_order
+        self.outer_weyl_order = self.fixed_intersection.order * orbit_datum.weyl_order
 
     # -- helpers -----------------------------------------------------------
 
@@ -256,10 +255,6 @@ class FoldingContext:
     def base_labels(self, m) -> tuple:
         """The base labels of orbit labels m: m_j on every node of orbit j."""
         return tuple(m[j] for _, j in self._orbit_of)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.kappa.is_identity
 
     def kappa_fixed_roots(self) -> list[Vec]:
         """All base roots (positive and negative) fixed by kappa."""
@@ -377,14 +372,13 @@ class FoldingContext:
         folded_label, orbit_label = self._expected_labels()
         # L p(a) for each positive base root a (its integer coordinates)
         projected = [self._scaled_projection(a) for a in base._pos_num]
+        # p(alpha) for one simple root per node orbit
+        p_simple = [self.project(base.simple_roots[orb[0]]) for orb in self.node_orbits]
         if self._is_a_even:
-            # orbits of the reversal are (alpha_i, alpha_{2n+1-i}); project
-            # the first n of them
             n = self._rank // 2
-            p_alpha = [self.project(base.simple_roots[i]) for i in range(n)]
-            b_datum = self._realize(_rank_one_as_a1("B", n), p_alpha)
+            b_datum = self._realize(_rank_one_as_a1("B", n), p_simple)
             c_datum = self._realize(
-                _rank_one_as_a1("C", n), p_alpha[:-1] + [vscale(2, p_alpha[-1])]
+                _rank_one_as_a1("C", n), p_simple[:-1] + [vscale(2, p_simple[-1])]
             )
             folded = FoldedSystem(folded_label, None, b_datum, c_datum)
             folded_roots = _scaled_roots(b_datum, scale) | _scaled_roots(c_datum, scale)
@@ -399,10 +393,7 @@ class FoldingContext:
             # the B subsystem carries the folded lattices QF, QFv, PF and PFv
             folded_datum = b_datum
         else:
-            folded_datum = self._realize(
-                folded_label,
-                (self.project(base.simple_roots[orb[0]]) for orb in self.node_orbits),
-            )
+            folded_datum = self._realize(folded_label, p_simple)
             folded = FoldedSystem(folded_label, folded_datum)
             folded_roots = _scaled_roots(folded_datum, scale)
             # a fixed root a (where L a = L p(a)), |kappa| p(a) for the rest

@@ -13,8 +13,8 @@ orbit system's integer Dynkin labels: tensor products by the Racah-Speiser
 rule (``_product_labels``), then the rho-shifted level-k affine folding
 (``_fold_labels``).  Inside a level, a weight is its index in
 ``LevelData.level_weights``; ambient vectors appear only at the API boundary.
-The Verlinde sum reads the level alone: ``LevelData`` keeps its orbit datum
-and builds the characters and weights at its s-points on first read.
+Both routes read the level alone: ``LevelData`` keeps its orbit datum and
+builds the characters and weights at its s-points on first read.
 Theta's labels and comarks, and so the dual Coxeter number and the affine
 wall, are read off the orbit datum (``RootDatum.theta_labels``,
 ``RootDatum.comarks``).
@@ -268,9 +268,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
 # ---------------------------------------------------------------------------
 
 
-def _fold_labels(
-    datum: RootDatum, level: LevelData, m: Labels
-) -> tuple[int, int] | None:
+def _fold_labels(level: LevelData, m: Labels) -> tuple[int, int] | None:
     """Fold m = labels(sigma + rho) into the open alcove of ``level``.
 
     Finite simple reflections make m dominant; the affine wall
@@ -279,11 +277,11 @@ def _fold_labels(
     k + h.  Returns (sign, index of the level weight m - rho), the sign the
     parity of the reflections, or None when m lies on a wall.
     """
-    marks, theta = datum.comarks, datum.theta_labels
+    marks, theta = level.datum.comarks, level.datum.theta_labels
     height = level.k + level.dual_coxeter
     sign = 1
     while True:
-        folded = regular_dominant_labels(datum, m)
+        folded = regular_dominant_labels(level.datum, m)
         if folded is None:
             return None
         s, m = folded
@@ -313,7 +311,7 @@ def phi_project(
         labels = ctx.orbit_labels(ctx.base.pairings(lam))
     except RootSystemError as exc:
         raise FusionError("weight is not kappa-fixed dominant integral") from exc
-    folded = _fold_labels(ctx.orbit.datum, level, tuple(x + 1 for x in labels))
+    folded = _fold_labels(level, tuple(x + 1 for x in labels))
     return None if folded is None else (folded[0], level.level_weights[folded[1]])
 
 
@@ -332,16 +330,12 @@ def _index(level: LevelData, lam: Vec) -> int:
     return i
 
 
-def _indices(level: LevelData, lam: Vec, mu: Vec, nu: Vec) -> tuple[int, int, int]:
-    return _index(level, lam), _index(level, mu), _index(level, nu)
-
-
 def verlinde_coefficient(
     ctx: FoldingContext, level: LevelData, lam: Vec, mu: Vec, nu: Vec
 ) -> int:
     """N_{lam mu}^nu by the Verlinde sum over the s-points of ``level``, which
     alone determines it."""
-    return _verlinde(level, *_indices(level, lam, mu, nu))[0]
+    return _verlinde(level, _index(level, lam), _index(level, mu), _index(level, nu))[0]
 
 
 def _verlinde(level: LevelData, lam: int, mu: int, nu: int) -> tuple[int, float]:
@@ -362,14 +356,12 @@ def _verlinde(level: LevelData, lam: int, mu: int, nu: int) -> tuple[int, float]
     return int(nearest), residual
 
 
-def _folded_product(
-    datum: RootDatum, level: LevelData, lam: Labels, mu: Labels
-) -> dict[int, int]:
+def _folded_product(level: LevelData, lam: Labels, mu: Labels) -> dict[int, int]:
     """The affine-folded tensor product of two highest weights given by
     labels, keyed by level-weight index."""
     folded: dict[int, int] = {}
-    for sigma, m in _product_labels(datum, lam, mu).items():
-        projected = _fold_labels(datum, level, tuple(x + 1 for x in sigma))
+    for sigma, m in _product_labels(level.datum, lam, mu).items():
+        projected = _fold_labels(level, tuple(x + 1 for x in sigma))
         if projected is not None:
             sign, nu = projected
             folded[nu] = folded.get(nu, 0) + sign * m
@@ -388,19 +380,19 @@ class FusionTable:
         A vector of ``level.level_weights`` resolves by identity, any equal
         vector by value; a weight off the level raises FusionError.
         """
-        return self.coefficients[_indices(self.level, lam, mu, nu)]
+        level = self.level
+        return self.coefficients[_index(level, lam), _index(level, mu), _index(level, nu)]
 
 
 def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
     """Full table with every entry computed by both routes; they must agree."""
     level = level_data(ctx, k)
-    datum = ctx.orbit.datum
     labels = level.labels
     n = len(labels)
     coeffs: dict[tuple[int, int, int], int] = {}
     max_residual = 0.0
     for lam, mu in itertools.combinations_with_replacement(range(n), 2):
-        folded = _folded_product(datum, level, labels[lam], labels[mu])
+        folded = _folded_product(level, labels[lam], labels[mu])
         for nu in range(n):
             n_verlinde, residual = _verlinde(level, lam, mu, nu)
             max_residual = max(max_residual, residual)

@@ -5,19 +5,17 @@ tuples.  Everything here is pure and allocation-cheap at the ranks we care
 about (a dozen at most), so no numpy: exactness matters more than speed, and
 lattice membership tests must never go through floats.
 
-One Gauss-Jordan routine, ``_row_reduce``, does every rational elimination;
-``solve`` reads its reduced rows and pivot columns (the rational rank,
-inverse and basis coordinates the tests compare against live with the tests).
-Exact determinants and the inverses of integer matrices come from
-one fraction-free elimination, ``_bareiss``: ``mat_det`` scales a rational
-matrix to integers first, and ``integer_inverse`` returns an integer matrix
-over one denominator (a Cartan matrix's inverse, say).  Lattice membership
-never goes through either: ``integer_echelon`` row-reduces an integer basis
-over Z with gcd row operations (once per ``rootcore.Lattice``), and
-``echelon_coords`` reads a vector's integer coordinates off that echelon.  The
-Smith normal form of a quotient of lattices comes from the same routine, run
-alternately over rows and columns; it returns the diagonal only, with no
-transforms.
+One fraction-free elimination, ``_bareiss``, does every exact elimination:
+``mat_det`` scales a rational matrix to integers first, ``integer_inverse``
+returns an integer matrix over one denominator (a Cartan matrix's inverse,
+say), and ``solve`` eliminates the integer normal equations of its system.
+The rational Gauss-Jordan reference that the tests compare against lives
+with the tests.  Lattice membership never goes through an elimination over
+Q: ``integer_echelon`` row-reduces an integer basis over Z with gcd row
+operations (once per ``rootcore.Lattice``), and ``echelon_coords`` reads a
+vector's integer coordinates off that echelon.  The Smith normal form of a
+quotient of lattices comes from the same routine, run alternately over rows
+and columns; it returns the diagonal only, with no transforms.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -84,35 +83,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def bilinear(g: Matrix, u: Vec, v: Vec) -> Fraction:
     # u^T g v, reading only the rows of g where u is non-zero
     return sum((a * vdot(row, v) for a, row in zip(u, g, strict=True) if a), ZERO)
-
-
-def _row_reduce(
-    rows: Sequence[Sequence[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``.
-
-    The pivot of each column is its first non-zero entry at or below the
-    current row; pivot rows are scaled to 1 and the column is cleared above
-    and below.  Returns the reduced rows and the pivot columns.  Columns past
-    ``ncols`` (right-hand sides) ride along.
-    """
-    a = [list(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-        inv = ONE / a[r][col]
-        a[r] = [e * inv for e in a[r]]
-        for i, row in enumerate(a):
-            if i != r and row[col]:
-                f = row[col]
-                a[i] = [e - f * q if q else e for e, q in zip(row, a[r])]
-        pivots.append(col)
-    return a, pivots
 
 
 def scaled_rows(vectors) -> tuple[int, list[list[int]]]:
@@ -180,21 +150,18 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], 
 
 
 def solve(a: Matrix, b: Vec) -> Vec | None:
-    """Solve ``a @ x = b`` exactly; ``None`` if inconsistent.
-
-    ``a`` is m x n with full column rank (the only case we need: expressing a
-    vector in a linearly independent basis).
-    """
+    """Solve ``a @ x = b`` exactly; ``None`` if inconsistent or if ``a``, only
+    ever a linearly independent basis, has dependent columns.  ``_bareiss``
+    eliminates the normal equations A^T A x = A^T B of [a | b] scaled to
+    integer rows [A | B], leaving d x in the last column."""
     n = len(a[0]) if a else 0
-    aug = [tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)]
-    reduced, pivots = _row_reduce(aug, n)
-    # inconsistency: a zero row with a nonzero right-hand side
-    if len(pivots) < n or any(row[n] != 0 for row in reduced[len(pivots):]):
+    _, rows = scaled_rows([tuple(row) + (bi,) for row, bi in zip(a, b, strict=True)])
+    cols = list(zip(*rows))
+    normal, d, _ = _bareiss([[sum(map(mul, c, e)) for e in cols] for c in cols[:n]], n)
+    dx = [row[n] for row in normal]
+    if not d or any(sum(map(mul, row[:n], dx)) != d * row[n] for row in rows):
         return None
-    x = [ZERO] * n
-    for row, col in zip(reduced, pivots):
-        x[col] = row[n]
-    return tuple(x)
+    return tuple(Fraction(x, d) for x in dx)
 
 
 # ---------------------------------------------------------------------------

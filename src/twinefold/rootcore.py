@@ -106,8 +106,6 @@ _WEYL_ORDERS = {
     "C": lambda n: 2**n * factorial(n),
     "D": lambda n: 2 ** (n - 1) * factorial(n),
     "E6": lambda n: 51840,
-    "E7": lambda n: 2903040,
-    "E8": lambda n: 696729600,
     "F4": lambda n: 1152,
     "G2": lambda n: 12,
 }
@@ -242,10 +240,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -449,12 +444,13 @@ class RootDatum:
     Construction computes the integer data and runs every check on it: the
     Cartan matrix, the positive roots as integer numerators ``_pos_num`` and
     labels ``_pos_labels``, the form ``_form`` over ``_form_den``, the squared
-    lengths ``_pos_norms`` and the root, coroot, weight and coweight rows.
-    ``highest_root`` and ``highest_short_root`` are picked by those integer
-    lengths.  The ``Fraction`` views and the data of points, of theta and of
-    |W| are built on first read (``functools.cached_property``), as the module
-    docstring lists.  No value changes after construction, and every
-    operation is a pure function of the inputs.
+    lengths ``_pos_norms`` and the rows of the ambient form (``gram_rows``),
+    roots, coroots, weights and coweights.  ``highest_root`` and
+    ``highest_short_root`` are picked by those integer lengths.  The
+    ``Fraction`` views and the data of points, of theta and of |W| are built
+    on first read (``functools.cached_property``), as the module docstring
+    lists.  No value changes after construction, and every operation is a pure
+    function of the inputs.
     """
 
     def __init__(
@@ -472,7 +468,7 @@ class RootDatum:
         # G alpha_i = ga[i] / (g_den alpha_den) and (alpha_i, alpha_j) =
         # gram[i][j] / (g_den alpha_den^2)
         alpha_den, a = scaled_rows(self.simple_roots)
-        g_den, g = scaled_rows(ambient_gram)
+        g_den, g = self.gram_rows = scaled_rows(ambient_gram)
         ga = [[sum(map(mul, row, ai)) for row in g] for ai in a]
         gram = [[sum(map(mul, ai, gb)) for gb in ga] for ai in a]
         self.cartan = tuple(
@@ -525,10 +521,6 @@ class RootDatum:
                 "half-sum of positive roots disagrees with the sum of "
                 "fundamental weights"
             )
-        # kept for the coroot covectors built on first read
-        self._ga = tuple(map(tuple, ga))
-        self._gram_num = tuple(map(tuple, gram))
-
         # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels,
         # over D = _form_den; _pos_norms[i] is that of the root _pos_num[i].
         # theta and the highest short root are the dominant roots of the
@@ -604,12 +596,12 @@ class RootDatum:
 
     @cached_property
     def _coroot_covectors(self) -> tuple[Vec, ...]:
-        # G alpha_i^vee = 2 alpha_den ga[i] / gram[i][i], so each pairing
-        # <v, alpha_i^vee> is one dot product
-        ad, gram = self._alpha_den, self._gram_num
+        # G alpha_i^vee = g c_i / (g_den c_den) for the coroot rows c_i, so
+        # each pairing <v, alpha_i^vee> is one dot product
+        (g_den, g), (c_den, coroots) = self.gram_rows, self.coroot_rows()
         return tuple(
-            tuple(Fraction(2 * ad * x, gram[i][i]) if x else ZERO for x in gai)
-            for i, gai in enumerate(self._ga)
+            tuple(Fraction(sum(map(mul, row, c)), g_den * c_den) for row in g)
+            for c in coroots
         )
 
     # -- basic geometry ----------------------------------------------------
@@ -677,8 +669,7 @@ class RootDatum:
     @cached_property
     def _weight_covectors(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         # G omega_j = g w_j / (g_den w_den): one integer row per weight
-        g_den, g = scaled_rows(self.ambient_gram)
-        w_den, weights = self.weight_rows()
+        (g_den, g), (w_den, weights) = self.gram_rows, self.weight_rows()
         return g_den * w_den, tuple(
             tuple(sum(map(mul, row, w)) for row in g) for w in weights
         )

@@ -210,4 +210,4 @@ def inner_product(
     ff = _times_signed_rho_orbit(ctx, f)
     gg = _times_signed_rho_orbit(ctx, g)
     ct = sum(c * gg.get(u, 0) for u, c in ff.items())
-    return Fraction(ct, ctx.orbit_weyl_order)
+    return Fraction(ct, ctx.orbit.datum.weyl_order)

@@ -2,13 +2,14 @@
 the library's integer paths against.
 
 Rank, inverse and basis coordinates by rational Gauss-Jordan elimination
-(``linalg._row_reduce`` and ``solve``), the Weyl dimension formula over
-ambient pairings, and the lattice spanned by dependent generators.  No
-library code path calls any of these.
+(``_row_reduce``), the Weyl dimension formula over ambient pairings, and the
+lattice spanned by dependent generators.  No library code path calls any of
+these.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from twinefold.linalg import (
@@ -16,24 +17,46 @@ from twinefold.linalg import (
     ZERO,
     Matrix,
     Vec,
-    _row_reduce,
     integer_echelon,
     scaled_rows,
-    solve,
-    transpose,
     vadd,
 )
 from twinefold.rootcore import Lattice, RootDatum, RootSystemError
+
+
+def _row_reduce(
+    rows: Sequence[Sequence[Fraction]], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``.
+
+    The pivot of each column is its first non-zero entry at or below the
+    current row; pivot rows are scaled to 1 and the column is cleared above
+    and below.  Returns the reduced rows and the pivot columns.  Columns past
+    ``ncols`` (right-hand sides) ride along.
+    """
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+        inv = ONE / a[r][col]
+        a[r] = [e * inv for e in a[r]]
+        for i, row in enumerate(a):
+            if i != r and row[col]:
+                f = row[col]
+                a[i] = [e - f * q if q else e for e, q in zip(row, a[r])]
+        pivots.append(col)
+    return a, pivots
 
 
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
     )
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
 
 
 def mat_inv(m: Matrix) -> Matrix:
@@ -46,11 +69,14 @@ def mat_inv(m: Matrix) -> Matrix:
 
 
 def coords_in_basis(basis: Sequence[Vec], v: Vec) -> Vec | None:
-    """Coordinates of ``v`` in the given (independent) basis, or None."""
-    if not basis:
-        return () if is_zero_vec(v) else None
-    a = transpose(tuple(basis))
-    return solve(a, v)
+    """Coordinates of ``v`` in the given (independent) basis, or None: the
+    right-hand column of [basis^T | v] reduced, unless a zero row keeps a
+    non-zero entry there."""
+    n = len(basis)
+    reduced, pivots = _row_reduce(list(zip(*basis, v)), n)
+    if len(pivots) < n or any(row[n] for row in reduced[n:]):
+        return None
+    return tuple(row[n] for row in reduced[:n])
 
 
 def rank_of(rows: Sequence[Vec]) -> int:

@@ -315,7 +315,7 @@ def assert_stabilizer_is_coroot_datum(ctx, xi):
         assert stab.dual_label == "maximal torus" and stab.pi1.is_trivial
         return
     base = ctx.base
-    roots = stab.surviving if ctx.is_trivial else [base.coroot(a) for a in stab.surviving]
+    roots = stab.surviving if ctx.kappa.is_identity else [base.coroot(a) for a in stab.surviving]
     dual = RootDatum(None, roots, base.ambient_gram)
     coroots = coroot_lattice(dual)
     fixed_integral = ctx.lattices["fixed_integral"]
@@ -436,7 +436,7 @@ def unfixed_points(ctx, points, rng):
         return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim))
 
     out = [draw()]
-    for xi in points if not ctx.is_trivial else ():
+    for xi in points if not ctx.kappa.is_identity else ():
         moving = zero_vec(dim)
         while not any(moving):
             v = draw()
@@ -459,7 +459,7 @@ def test_integer_walls_match_fraction_pairings(case, seed):
     assert all(ctx.kappa.apply(xi) == xi for xi in fixed)
     points = fixed + [fold_to_alcove(ctx, xi)[0] for xi in fixed]
     unfixed = unfixed_points(ctx, points, rng)
-    if not ctx.is_trivial:
+    if not ctx.kappa.is_identity:
         assert all(ctx.kappa.apply(xi) != xi for xi in unfixed[1:])
     for point in points + unfixed:
         floors, top = reference_heights(alc, point)
@@ -545,7 +545,7 @@ def test_extended_cartan_matches_wall_pairings(case):
         reference = reference_wall_cartan(alc, [alc.walls[i] for i in nodes])
         assert tuple(tuple(extended[i][j] for j in nodes) for i in nodes) == reference
         stab = stabilizer_datum(ctx, xi)
-        dual = reference if ctx.is_trivial else tuple(zip(*reference))
+        dual = reference if ctx.kappa.is_identity else tuple(zip(*reference))
         assert (stab.subsystem_label, stab.dual_label) == (
             _classify_system(reference), _classify_system(dual)
         )

@@ -321,6 +321,23 @@ def test_char_rejects_inadmissible_weights(weight, message):
     assert text == json.dumps(error, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stabilizer", "A3", "flip", "--point", "1/4,1/4,0"],
+    ["eval", "A3", "flip", "--weight", "1,0,1", "--point", "1/4,1/4,0"],
+])
+def test_point_off_the_fixed_subspace_is_refused(argv):
+    """A point that is not constant on node orbits exits 1 with an
+    AlcoveError, rather than being read as its projection 1/8,1/4,1/8, which
+    the same command accepts."""
+    code, text = run(argv)
+    assert code == EXIT_COMPUTE
+    error = {"error": {"type": "AlcoveError",
+                       "message": "point does not lie in the fixed subspace"}}
+    assert text == json.dumps(error, indent=2) + "\n"
+    projected = [a if a != "1/4,1/4,0" else "1/8,1/4,1/8" for a in argv]
+    assert run(projected)[0] == EXIT_OK
+
+
 def test_bc_is_not_a_root_datum_type(capsys):
     # BC_n exists only as the folded system of A_2n, never as a base
     for label in ("BC1", "BC2"):

@@ -242,7 +242,7 @@ def test_outer_weyl_order():
     # orbit B2: |W| = 8; T^k cap T_k = Z2
     assert ctx.outer_weyl_order == 2 * 8
     orbit = ctx.orbit.datum
-    assert ctx.orbit_weyl_order == sum(1 for _ in weyl_traverse(orbit, orbit.labels_of(orbit.weyl_vector)))
+    assert orbit.weyl_order == sum(1 for _ in weyl_traverse(orbit, orbit.labels_of(orbit.weyl_vector)))
 
 
 def test_index_two_quotients_a_even():
@@ -273,7 +273,7 @@ def test_fixed_subgroup_is_the_origin_stabilizer():
 def test_trivial_kappa_context():
     d = build_root_datum("A1")
     ctx = fold(d, automorphism_by_name(d, "id"))
-    assert ctx.is_trivial
+    assert ctx.kappa.is_identity
     assert ctx.folded.label == "A1"
     assert ctx.orbit.datum is d
     assert ctx.fixed_intersection.is_trivial

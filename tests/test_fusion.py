@@ -422,6 +422,45 @@ def test_fixed_weights_are_the_orbit_weights():
         assert tuple(marks) == ctx.orbit.datum.comarks
 
 
+@pytest.mark.parametrize(
+    "group,name", [(g, n) for g, n, *_ in checks.FOLDINGS] + [("A2", "flip")]
+)
+def test_kappa_traces_on_base_tensor_products(group, name):
+    """kappa acts on the multiplicity space of each kappa-fixed constituent
+    of V_lam (x) V_mu, and the orbit datum's product gives its trace t.
+
+    Over all pairs of the 8 lowest kappa-fixed dominant weights of base
+    height <= 2 (<= 3 on D4 rot, which has only 3 of height <= 2): every
+    orbit constituent is a base constituent; a kappa-fixed base constituent
+    of multiplicity d has |t| <= d and t = d mod |kappa|, as the trace of an
+    operator of order |kappa| with integer trace; and t != d somewhere, so
+    the orbit product is no copy of the base one.  Both sides run
+    ``_product_labels``, so a fault in its Racah-Speiser rule that both
+    data share would go unseen here.
+    """
+    ctx = checks.context(group, name)
+    height = 3 if (group, name) == ("D4", "rot") else 2
+    weights = sorted(
+        (sum(b), b)
+        for m in itertools.product(range(height + 1), repeat=ctx.fixed_dim)
+        if sum(b := ctx.base_labels(m)) <= height
+    )[:8]
+    moved = 0
+    for (_, b1), (_, b2) in itertools.combinations_with_replacement(weights, 2):
+        base = fusion._product_labels(ctx.base, b1, b2)
+        orbit = fusion._product_labels(
+            ctx.orbit.datum, ctx.orbit_labels(b1), ctx.orbit_labels(b2)
+        )
+        assert all(ctx.base_labels(nu) in base for nu in orbit), (b1, b2)
+        for nu, d in base.items():
+            if any(nu[i] != nu[orb[0]] for orb in ctx.node_orbits for i in orb):
+                continue
+            t = orbit.get(ctx.orbit_labels(nu), 0)
+            assert abs(t) <= d and (t - d) % ctx.kappa.order == 0, (b1, b2, nu)
+            moved += t != d
+    assert moved > 0
+
+
 def test_verlinde_rejects_a_weight_off_the_level():
     ctx = ctx_for("A2")
     table = fusion_table(ctx, 1)
@@ -529,9 +568,9 @@ def test_stored_level_weights_resolve_by_identity():
     level = level_data(ctx_for("A3"), 2)
     level.weight_index.clear()
     lam, mu, nu = level.level_weights[:3]
-    assert fusion._indices(level, lam, mu, nu) == (0, 1, 2)
+    assert tuple(fusion._index(level, v) for v in (lam, mu, nu)) == (0, 1, 2)
     with pytest.raises(FusionError):
-        fusion._indices(level, _copy(lam), mu, nu)
+        fusion._index(level, _copy(lam))
 
 
 def test_fusion_table_pickle_round_trip():

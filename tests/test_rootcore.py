@@ -182,7 +182,6 @@ def test_weyl_order_of_base_and_orbit_data(group, name):
     ctx = fold(base, automorphism_by_name(base, name))
     for datum in (base, ctx.orbit.datum):
         assert datum.weyl_order == classical_weyl_order(datum.type_label)
-    assert ctx.orbit_weyl_order == ctx.orbit.datum.weyl_order
 
 
 def test_weyl_order_of_a_reducible_datum():

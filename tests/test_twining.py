@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold import checks
-from twinefold.alcove import fundamental_alcove
+from twinefold.alcove import fold_to_alcove, fundamental_alcove
 from twinefold.linalg import mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
@@ -292,7 +293,7 @@ def reference_inner_product(ctx, f, g):
     """(1/|W_O|) CT(conj(f) g Delta conj(Delta)) by ambient convolution."""
     delta = reference_denominator(ctx)
     product = f.conj() * g * delta * delta.conj()
-    return Fraction(product.constant_term(ctx.base.ambient_dim), ctx.orbit_weyl_order)
+    return Fraction(product.constant_term(ctx.base.ambient_dim), ctx.orbit.datum.weyl_order)
 
 
 def test_signed_rho_orbit_is_shifted_denominator():
@@ -308,7 +309,7 @@ def test_signed_rho_orbit_is_shifted_denominator():
             for mu, c in delta.terms.items()
         }
         orbit = dict(signed_orbit(datum, rho))
-        assert len(orbit) == ctx.orbit_weyl_order
+        assert len(orbit) == ctx.orbit.datum.weyl_order
         assert orbit == shifted, (group, name)
         assert weyl_denominator(ctx).poly == delta, (group, name)
 
@@ -355,3 +356,65 @@ def test_inner_product_rejects_weights_off_the_fixed_lattice():
             ) as excinfo:
                 inner_product(ctx, f, g)
             assert cause in str(excinfo.value.__cause__)
+
+
+# D_n flip against O(2n): kappa is the reflection in the last vector e_n of
+# the orthonormal basis, and a kappa-fixed xi = sum_i c_i alpha_i^vee has
+# e_n-coordinate c_n - c_{n-1} = 0, so exp(xi) kappa acts on C^{2n} with the
+# eigenvalues e^{+-2 pi i t_j}, j < n, and 1, -1.
+
+
+def o2n_angles(ctx, xi):
+    """t_1 = c_1, t_j = c_j - c_{j-1} for 2 <= j <= n-2 and
+    t_{n-1} = c_{n-1} + c_n - c_{n-2}, for c the simple-coroot coordinates
+    of a kappa-fixed xi of D_n."""
+    nums, den = ctx.base.coroot_coords(xi)
+    c = [Fraction(x, den) for x in nums]
+    return [c[0]] + [b - a for a, b in zip(c[:-3], c[1:-2])] + [c[-2] + c[-1] - c[-3]]
+
+
+def elementary_symmetric(k, values):
+    e = [1] + [0] * k
+    for v in values:
+        for i in range(k, 0, -1):
+            e[i] += e[i - 1] * v
+    return e[k]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_dn_flip_twining_values_are_o2n_traces(n):
+    """The highest weight vector e_1 ^ ... ^ e_k of V(omega_k) =
+    Lambda^k C^{2n}, k <= n-2, does not involve e_n, so kappa fixes it and
+    the twining character of omega_k is the trace of exp(xi) kappa there:
+    the k-th elementary symmetric function of its eigenvalues on C^{2n}."""
+    ctx = ctx_for(f"D{n}")
+    for point in random_regular_points(ctx, 5, seed=n):
+        eigenvalues = [
+            cmath.exp(2j * math.pi * s * t) for t in o2n_angles(ctx, point.xi) for s in (1, -1)
+        ] + [1, -1]
+        for k in range(1, n - 1):
+            value = twining_character(ctx, ctx.base.fundamental_weights[k - 1]).eval(ctx, point)
+            expected = elementary_symmetric(k, eigenvalues)
+            assert abs(value - expected) <= checks.REL_TOL * max(1.0, abs(expected)), (n, k)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_dn_flip_alcove_fold_keeps_the_o2n_spectrum(n):
+    """For 50 far kappa-fixed points, the folded point has the multiset
+    {+-t_j mod 1} of the point itself, exactly.  The check is one-way: SO(2n)
+    sees a twisted class of Spin(2n) only up to the centre, so equal spectra
+    do not show that two points lie in one class."""
+    ctx = ctx_for(f"D{n}")
+    rng = random.Random(n)
+    coweights = fundamental_coweights(ctx.orbit.datum)
+
+    def spectrum(xi):
+        return sorted(s * t % 1 for t in o2n_angles(ctx, xi) for s in (1, -1))
+
+    for _ in range(50):
+        xi = zero_vec(ctx.base.ambient_dim)
+        for cw in coweights:
+            c = Fraction(rng.randint(-97 * 10**3, 97 * 10**3), rng.randint(1, 29))
+            xi = vadd(xi, vscale(c, cw))
+        folded, _ = fold_to_alcove(ctx, xi)
+        assert folded != xi and spectrum(folded) == spectrum(xi)
