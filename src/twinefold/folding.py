@@ -293,16 +293,6 @@ class FoldingContext:
         sums = [tuple(map(sum, zip(*(rows[i] for i in orb)))) for orb in self.node_orbits]
         return Lattice(den, sums, self.base.ambient_dim)
 
-    def _orbit_simple_roots(self) -> tuple[Vec, ...]:
-        """The coroots p(alpha)^vee of the projected simple roots, one per
-        node orbit: the rescaling that defines the orbit root system (Fuchs,
-        Schellekens and Schweigert, Commun. Math. Phys. 180 (1996))."""
-        base = self.base
-        return tuple(
-            base.coroot(self.project(base.simple_roots[orb[0]]))
-            for orb in self.node_orbits
-        )
-
     def _scaled_projection(self, a: tuple[int, ...]) -> tuple[int, ...]:
         """L p(a) for an integer vector a, L = |kappa|: each coordinate
         replaced by L / |orbit| times its node orbit's sum, an integer."""
@@ -350,9 +340,10 @@ class FoldingContext:
             ) from exc
 
     def _build_twisted(self):
-        """Realize the folded and orbit systems from simple roots and compare
-        them with the root sets they must have: the projected base roots, and
-        the orbit roots built from the base roots.
+        """Realize the folded system from the projected simple roots and the
+        orbit system from its simple coroots, and compare them with the root
+        sets they must have: the projected base roots, and the orbit roots
+        built from the base roots.
 
         Only the folded datum and the expected orbit roots depend on the case.
         For a base of type A_{2n} the projected set is BC_n, realized as its B
@@ -414,7 +405,13 @@ class FoldingContext:
             raise FoldingError(f"projected roots do not form the {folded_label} system")
         self.folded = folded
 
-        orbit_datum = self._realize(orbit_label, self._orbit_simple_roots())
+        # the orbit simple roots are the coroots p(alpha)^vee of the projected
+        # simple roots (Fuchs, Schellekens and Schweigert, Commun. Math. Phys.
+        # 180 (1996)), the folded datum's simple coroots
+        den, coroots = folded_datum.coroot_rows()
+        orbit_datum = self._realize(
+            orbit_label, [tuple(Fraction(x, den) for x in c) for c in coroots]
+        )
         if _scaled_roots(orbit_datum, scale) != expected_orbit:
             raise FoldingError("orbit root set mismatch")
 

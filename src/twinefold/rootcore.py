@@ -31,10 +31,11 @@ A point xi meets a datum through its simple-coroot coordinates
 from the fundamental weights' integer covectors; ``from_coroot_coords``
 inverts it).  Theta's labels, the comarks and the extended Cartan matrix
 (``theta_labels``, ``comarks``, ``extended_cartan``) are integer data of the
-datum too, with the comarks' integrality and positivity checked there once.
-So is |W| (``weyl_order``), from which ``weyl_traverse`` and
-``label_character`` size each orbit against ``TWINEFOLD_WEYL_CAP`` before
-they enumerate it.  All of these are built on first read.
+datum too, with the comarks' integrality and positivity checked there once,
+all built on first read.  |W| (``weyl_order``) is read off the positive roots
+at construction, and a stabilizer's order off those of its Cartan submatrix,
+from which ``weyl_traverse`` and ``label_character`` size each orbit against
+``TWINEFOLD_WEYL_CAP`` before they enumerate it.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import cos, factorial, fsum, gcd, lcm, pi, prod, sin
+from math import cos, fsum, gcd, lcm, pi, prod, sin
 from operator import mul
 
 from .linalg import (
@@ -100,16 +101,6 @@ def resolve_weyl_cap() -> int:
         ) from None
     return cap
 
-_WEYL_ORDERS = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: 2**n * factorial(n),
-    "C": lambda n: 2**n * factorial(n),
-    "D": lambda n: 2 ** (n - 1) * factorial(n),
-    "E6": lambda n: 51840,
-    "F4": lambda n: 1152,
-    "G2": lambda n: 12,
-}
-
 
 class RootSystemError(ValueError):
     pass
@@ -124,19 +115,6 @@ def parse_type_label(label: str) -> tuple[str, int]:
             f"bad type label {label!r}: expected a family and a rank, e.g. A5"
         )
     return family, int(rank)
-
-
-def classical_weyl_order(label: str) -> int:
-    family, rank = parse_type_label(label)
-    if family in ("E", "F", "G"):
-        return _WEYL_ORDERS[label](rank)
-    return _WEYL_ORDERS[family](rank)
-
-
-def _system_weyl_order(label: str) -> int:
-    """|W| of a type label, reducible ones 'X+Y' as the product over the
-    components; '' (no nodes) is the trivial group."""
-    return prod(classical_weyl_order(c) for c in label.split("+") if c)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +181,20 @@ def standard_cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(row) for row in a)
 
 
-def _root_half_lengths(family: str, rank: int) -> tuple[Fraction, ...]:
-    """d_i = (alpha_i, alpha_i)/2 with long roots normalized to length^2 = 2."""
-    n = rank
-    one = Fraction(1)
-    if family in ("A", "D", "E"):
-        return (one,) * n
-    if family == "B":
-        return (one,) * (n - 1) + (Fraction(1, 2),)
-    if family == "C":
-        return (Fraction(1, 2),) * (n - 1) + (one,)
-    if family == "F":
-        return (one, one, Fraction(1, 2), Fraction(1, 2))
-    if family == "G":
-        return (one, Fraction(1, 3))
-    raise RootSystemError(f"unknown family {family!r}")
+def _root_half_lengths(cartan) -> tuple[Fraction, ...]:
+    """d_i = (alpha_i, alpha_i)/2 of an irreducible Cartan matrix, with the
+    longest roots at squared length 2: d_i A_ij = d_j A_ji solved along the
+    edges of the Dynkin diagram from node 0, then scaled."""
+    d = {0: Fraction(1)}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, a in enumerate(cartan[i]):
+            if a and j not in d:
+                d[j] = d[i] * a / cartan[j][i]
+                stack.append(j)
+    top = max(d.values())
+    return tuple(d[i] / top for i in range(len(cartan)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +421,13 @@ class RootDatum:
     Construction computes the integer data and runs every check on it: the
     Cartan matrix, the positive roots as integer numerators ``_pos_num`` and
     labels ``_pos_labels``, the form ``_form`` over ``_form_den``, the squared
-    lengths ``_pos_norms`` and the rows of the ambient form (``gram_rows``),
-    roots, coroots, weights and coweights.  ``highest_root`` and
-    ``highest_short_root`` are picked by those integer lengths.  The
-    ``Fraction`` views and the data of points, of theta and of |W| are built
-    on first read (``functools.cached_property``), as the module docstring
-    lists.  No value changes after construction, and every operation is a pure
-    function of the inputs.
+    lengths ``_pos_norms``, |W| from the root heights (``weyl_order``) and the
+    rows of the ambient form (``gram_rows``), roots, coroots, weights and
+    coweights.  ``highest_root`` and ``highest_short_root`` are picked by
+    those integer lengths.  The ``Fraction`` views and the data of points and
+    of theta are built on first read (``functools.cached_property``), as the
+    module docstring lists.  No value changes after construction, and every
+    operation is a pure function of the inputs.
     """
 
     def __init__(
@@ -490,6 +467,7 @@ class RootDatum:
                 f"{type_label}: closure produced {2 * len(pos_coords)} roots, "
                 f"expected {expected}"
             )
+        self.weyl_order = _weyl_order(pos_coords)
         # ambient coordinate k of sum_j c_j alpha_j is (c . alpha_num[k]) / alpha_den
         alpha_num = tuple(zip(*a))
         self._alpha_den = alpha_den
@@ -695,7 +673,7 @@ class RootDatum:
         c_den, rows = self.coroot_rows()
         return tuple(Fraction(sum(map(mul, nums, col)), den * c_den) for col in zip(*rows))
 
-    # -- theta, the extended Dynkin diagram and |W|, built on first read ----
+    # -- theta and the extended Dynkin diagram, built on first read ---------
 
     @cached_property
     def theta_labels(self) -> Labels:
@@ -728,11 +706,6 @@ class RootDatum:
         return tuple(
             row + (-t,) for row, t in zip(self.cartan, self.theta_labels)
         ) + (last + (2,),)
-
-    @cached_property
-    def weyl_order(self) -> int:
-        """|W|, the product of the orders of the components' Weyl groups."""
-        return _system_weyl_order(self.type_label)
 
     # -- misc ----------------------------------------------------------------
 
@@ -798,6 +771,14 @@ def _positive_roots_by_closure(cartan) -> list[tuple[int, ...]]:
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
+def _weyl_order(pos_coords) -> int:
+    """|W| = prod over the positive roots of (ht a + 1) / ht a, from their
+    simple-root coordinates (Macdonald, Math. Ann. 199 (1972)); it holds for
+    reducible systems, and is 1 for rank 0."""
+    heights = [sum(c) for c in pos_coords]
+    return prod(h + 1 for h in heights) // prod(heights)
+
+
 # ---------------------------------------------------------------------------
 # construction and classification
 # ---------------------------------------------------------------------------
@@ -823,7 +804,7 @@ def build_root_datum(type_label: str) -> RootDatum:
     family, rank = parse_type_label(type_label)
     label = f"{family}{rank}"
     cartan = standard_cartan_matrix(family, rank)
-    d = _root_half_lengths(family, rank)
+    d = _root_half_lengths(cartan)
     gram = tuple(
         tuple(d[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
     )
@@ -879,29 +860,22 @@ def _check_type(cartan, label: str) -> None:
 
 
 def _classify_cartan(cartan) -> str:
-    """Type label of an irreducible integer Cartan matrix.
+    """Type label of an irreducible integer Cartan matrix: the first family,
+    A to G, whose ``standard_cartan_matrix`` at that rank exists and matches.
 
     B2/C2 are abstractly isomorphic; this returns 'B2' for that shape.
     """
     n = len(cartan)
-    candidates = [("A", n)]
-    if n >= 2:
-        candidates += [("B", n), ("C", n)]
-    if n >= 4:
-        candidates.append(("D", n))
-    if n == 6:
-        candidates.append(("E", 6))
-    if n == 4:
-        candidates.append(("F", 4))
-    if n == 2:
-        candidates.append(("G", 2))
     # a relabeling permutes the off-diagonal entries, so their sorted list
     # rejects most wrong candidates before the search
     entries = _off_diagonal(cartan)
-    for family, rank in candidates:
-        standard = standard_cartan_matrix(family, rank)
+    for family in "ABCDEFG":
+        try:
+            standard = standard_cartan_matrix(family, n)
+        except RootSystemError:
+            continue
         if _off_diagonal(standard) == entries and cartan_matrices_match(cartan, standard):
-            return f"{family}{rank}"
+            return f"{family}{n}"
     raise RootSystemError("simple system does not match any supported type")
 
 
@@ -964,11 +938,12 @@ def _orbit_levels(datum: RootDatum, labels: Labels):
 def _check_orbit(datum: RootDatum, mu: Labels, cap: int) -> None:
     """WeylOverflowError when the orbit of dominant labels mu, of size
     |W| / |W_mu|, exceeds ``cap``; W_mu is the Weyl group of the Cartan
-    submatrix at the zero labels of mu, classified only when |W| > cap."""
+    submatrix at the zero labels of mu, whose order is read off its
+    positive roots only when |W| > cap."""
     if datum.weyl_order > cap:
         zeros = [i for i, m in enumerate(mu) if m == 0]
-        stabilizer = _classify_system([[datum.cartan[i][j] for j in zeros] for i in zeros])
-        if datum.weyl_order // _system_weyl_order(stabilizer) > cap:
+        stabilizer = [[datum.cartan[i][j] for j in zeros] for i in zeros]
+        if datum.weyl_order // _weyl_order(_positive_roots_by_closure(stabilizer)) > cap:
             raise WeylOverflowError(f"Weyl orbit exceeds the traversal cap {cap}")
 
 

@@ -1,15 +1,18 @@
-"""Reference algorithms in plain Fraction arithmetic, for the tests to compare
-the library's integer paths against.
+"""Reference algorithms in plain Fraction arithmetic, and reference tables,
+for the tests to compare the library's integer paths against.
 
 Rank, inverse and basis coordinates by rational Gauss-Jordan elimination
 (``_row_reduce``), the Weyl dimension formula over ambient pairings, and the
-lattice spanned by dependent generators.  No library code path calls any of
+lattice spanned by dependent generators.  The Weyl-group orders and the root
+half-lengths of the simple types are tables by family, which the library
+derives from the root data instead.  No library code path calls any of
 these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, prod
 from typing import Sequence
 
 from twinefold.linalg import (
@@ -21,7 +24,48 @@ from twinefold.linalg import (
     scaled_rows,
     vadd,
 )
-from twinefold.rootcore import Lattice, RootDatum, RootSystemError
+from twinefold.rootcore import Lattice, RootDatum, RootSystemError, parse_type_label
+
+_WEYL_ORDERS = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E6": lambda n: 51840,
+    "F4": lambda n: 1152,
+    "G2": lambda n: 12,
+}
+
+
+def classical_weyl_order(label: str) -> int:
+    """|W| of a simple type by the table."""
+    family, rank = parse_type_label(label)
+    if family in ("E", "F", "G"):
+        return _WEYL_ORDERS[label](rank)
+    return _WEYL_ORDERS[family](rank)
+
+
+def system_weyl_order(label: str) -> int:
+    """|W| of a type label, reducible ones 'X+Y' as the product over the
+    components; '' (no nodes) is the trivial group."""
+    return prod(classical_weyl_order(c) for c in label.split("+") if c)
+
+
+def root_half_lengths(family: str, rank: int) -> tuple[Fraction, ...]:
+    """d_i = (alpha_i, alpha_i)/2 by the table, long roots at squared length 2."""
+    n = rank
+    one = Fraction(1)
+    if family in ("A", "D", "E"):
+        return (one,) * n
+    if family == "B":
+        return (one,) * (n - 1) + (Fraction(1, 2),)
+    if family == "C":
+        return (Fraction(1, 2),) * (n - 1) + (one,)
+    if family == "F":
+        return (one, one, Fraction(1, 2), Fraction(1, 2))
+    if family == "G":
+        return (one, Fraction(1, 3))
+    raise RootSystemError(f"unknown family {family!r}")
 
 
 def _row_reduce(

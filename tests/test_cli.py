@@ -396,6 +396,17 @@ def test_weyl_overflow_fails_fast(weight, monkeypatch):
     }
 
 
+def test_char_sizes_each_orbit_by_its_stabilizer(monkeypatch):
+    """|W(C9)| exceeds the default cap, so every orbit of the character of
+    omega_9 + omega_10 (orbit labels omega_9) is sized through its stabilizer
+    before it is expanded; all of them are within the cap."""
+    monkeypatch.delenv("TWINEFOLD_WEYL_CAP", raising=False)
+    code, doc = run_json(["char", "D10", "flip", "--weight", "0,0,0,0,0,0,0,0,1,1"])
+    assert code == EXIT_OK
+    assert doc["dimension_at_identity"] == 16796
+    assert len(doc["terms"]) == 9842
+
+
 def test_verify_names_the_exception(monkeypatch):
     def broken(group, automorphism):
         raise ZeroDivisionError(f"no context for {group}")

@@ -346,15 +346,12 @@ def test_orbit_coroot_lattice_is_projected_integral():
             assert qov.contains(ctx.project(b))
 
 
-def _corrupted(label, name, monkeypatch, method):
-    """A built context whose ``method`` now returns doubled vectors, so the
+def _corrupted(label, name, monkeypatch):
+    """A built context whose ``project`` now returns doubled vectors, so the
     systems realized from it keep their type but not their roots."""
     ctx = ctx_for(label, name)
-    real = getattr(ctx, method)
-    if method == "project":
-        monkeypatch.setattr(ctx, method, lambda v: vscale(2, real(v)))
-    else:
-        monkeypatch.setattr(ctx, method, lambda: tuple(vscale(2, a) for a in real()))
+    real = ctx.project
+    monkeypatch.setattr(ctx, "project", lambda v: vscale(2, real(v)))
     return ctx
 
 
@@ -362,7 +359,7 @@ def _corrupted(label, name, monkeypatch, method):
 def test_projected_root_identity_raises(label, monkeypatch):
     # doubled projections of the simple roots give B and C subsystems twice
     # the size of the projected base roots
-    ctx = _corrupted(label, "flip", monkeypatch, "project")
+    ctx = _corrupted(label, "flip", monkeypatch)
     with pytest.raises(FoldingError, match="^projected roots do not form the BC.* system$"):
         ctx._build_twisted()
 
@@ -370,14 +367,27 @@ def test_projected_root_identity_raises(label, monkeypatch):
 @pytest.mark.parametrize("label,name", [("A3", "flip"), ("D4", "rot"), ("E6", "flip")])
 def test_dual_identity_raises(label, name, monkeypatch):
     # a doubled folded system has halved coroots, which are no orbit roots
-    ctx = _corrupted(label, name, monkeypatch, "project")
+    ctx = _corrupted(label, name, monkeypatch)
     with pytest.raises(FoldingError, match="^orbit system is not the dual of the folded one$"):
         ctx._build_twisted()
 
 
 @pytest.mark.parametrize("label,name", [("A3", "flip"), ("A4", "flip"), ("D4", "rot")])
 def test_orbit_root_set_identity_raises(label, name, monkeypatch):
-    ctx = _corrupted(label, name, monkeypatch, "_orbit_simple_roots")
+    # the orbit datum is the last one _build_twisted realizes; doubled simple
+    # roots keep its type but not its roots
+    ctx = ctx_for(label, name)
+    real, labels = ctx._realize, []
+    monkeypatch.setattr(ctx, "_realize", lambda lbl, roots: labels.append(lbl) or real(lbl, roots))
+    ctx._build_twisted()
+    calls = iter(range(1, len(labels) + 1))
+
+    def realize(lbl, roots):
+        if next(calls) == len(labels):
+            roots = tuple(vscale(2, a) for a in roots)
+        return real(lbl, roots)
+
+    monkeypatch.setattr(ctx, "_realize", realize)
     with pytest.raises(FoldingError, match="^orbit root set mismatch$"):
         ctx._build_twisted()
 

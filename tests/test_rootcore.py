@@ -24,7 +24,6 @@ from twinefold.rootcore import (
     build_root_datum,
     cartan_isomorphisms,
     cartan_matrices_match,
-    classical_weyl_order,
     decompose_into_irreducibles,
     dominant_conjugate,
     freudenthal_multiplicities,
@@ -41,7 +40,16 @@ from twinefold.rootcore import (
     weyl_traverse,
 )
 
-from fraction_reference import coords_in_basis, lattice_span, mat_inv, rank_of, weyl_dimension
+from fraction_reference import (
+    classical_weyl_order,
+    coords_in_basis,
+    lattice_span,
+    mat_inv,
+    rank_of,
+    root_half_lengths,
+    system_weyl_order,
+    weyl_dimension,
+)
 
 
 def test_a2_root_counts():
@@ -189,9 +197,39 @@ def test_weyl_order_of_a_reducible_datum():
     for d, nodes, label, order in [(d4, (0, 2, 3), "A1+A1+A1", 8), (a4, (0, 2, 3), "A1+A2", 12)]:
         sub = RootDatum(None, [d.simple_roots[i] for i in nodes], d.ambient_gram)
         assert sub.type_label == label
-        assert sub.weyl_order == order == math.prod(
-            classical_weyl_order(c) for c in label.split("+")
-        )
+        assert sub.weyl_order == order == system_weyl_order(label)
+
+
+# every simple type the tables cover: A1-A12, B2-B10, C2-C10, D4-D10, E6, F4, G2
+TABLE_TYPES = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 11)]
+    + [f"D{n}" for n in range(4, 11)]
+    + ["E6", "F4", "G2"]
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_weyl_order_of_a_stabilizer_matches_the_table(data):
+    # |W_mu| of the zero labels of mu, read off the closure as _check_orbit
+    # does, against the table's orders over the classified components
+    family, rank = parse_type_label(data.draw(st.sampled_from(TABLE_TYPES)))
+    cartan = standard_cartan_matrix(family, rank)
+    zeros = sorted(data.draw(st.sets(st.integers(0, rank - 1))))
+    sub = [[cartan[i][j] for j in zeros] for i in zeros]
+    closure = rootcore._positive_roots_by_closure(sub)
+    assert rootcore._weyl_order(closure) == system_weyl_order(rootcore._classify_system(sub))
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_ambient_gram_matches_the_half_length_table(label):
+    family, rank = parse_type_label(label)
+    cartan, d = standard_cartan_matrix(family, rank), root_half_lengths(family, rank)
+    gram = tuple(tuple(d[i] * a for a in row) for i, row in enumerate(cartan))
+    datum = build_root_datum(label)
+    assert datum.ambient_gram == gram
+    assert datum.weyl_order == classical_weyl_order(label)
 
 
 def test_label_character_obeys_the_cap(monkeypatch):
@@ -209,6 +247,17 @@ def test_label_character_obeys_the_cap(monkeypatch):
     monkeypatch.setattr(rootcore, "_dominant_multiplicities", no_recursion)
     with pytest.raises(WeylOverflowError, match="^Weyl orbit exceeds the traversal cap 5$"):
         rootcore.label_character(d, (1, 1, 1))
+
+
+def test_label_character_sizes_a_reducible_stabilizer(monkeypatch):
+    """omega_2 of A3 is fixed by A1+A1, so its orbit has 24 / 4 = 6 elements:
+    over a cap of 5, within a cap of 6."""
+    monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "5")
+    with pytest.raises(WeylOverflowError, match="^Weyl orbit exceeds the traversal cap 5$"):
+        rootcore.label_character(build_root_datum("A3"), (0, 1, 0))
+    monkeypatch.setenv("TWINEFOLD_WEYL_CAP", "6")
+    terms = rootcore.label_character(build_root_datum("A3"), (0, 1, 0))
+    assert len(terms) == 6 and set(terms.values()) == {1}
 
 
 @settings(deadline=None, max_examples=25)
