@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 import itertools
-from math import gcd, prod
+from math import gcd, pi, prod, sin
 from operator import mul
 
 from .linalg import Vec, smith_normal_form
@@ -154,7 +154,7 @@ class LevelData:
     """
 
     k: int
-    rescale: Fraction            # basic form = rescale * ambient form
+    rescale: Fraction            # basic form = ambient form / rescale
     dual_coxeter: int
     level_weights: tuple[Vec, ...]
     labels: tuple[Labels, ...]
@@ -176,6 +176,12 @@ class LevelData:
 
     @cached_property
     def characters(self) -> tuple[tuple[complex, ...], ...]:
+        """chi_i(s_p): by Weyl's alternant where the orbit datum has a
+        classical frame (A1, B_n, C_n), else by the Weyl-orbit expansion of
+        the label character, term by term."""
+        frame = self.datum.classical_frame
+        if frame is not None:
+            return _alternant_characters(frame, self.labels, self.phases)
         return tuple(
             tuple(evaluate_labels(terms, ph) for ph in self.phases)
             for terms in (label_character(self.datum, m).items() for m in self.labels)
@@ -194,6 +200,72 @@ class LevelData:
                 raise FusionError(f"the dual of level weight {lam} is not a level weight")
             dual.append(i)
         return tuple(dual)
+
+
+def _alternant_characters(
+    frame: tuple[str, tuple[int, ...]],
+    labels: tuple[Labels, ...],
+    phases: tuple[tuple[tuple[int, ...], int], ...],
+) -> tuple[tuple[float, ...], ...]:
+    """chi_m(s) = J(l_m)(s) / J(l_rho)(s) for a datum of type A1, B_n or C_n,
+    at every level weight m and s-point s.
+
+    In the Bourbaki frame (family, p) of ``RootDatum.classical_frame``, the
+    point has epsilon-coordinates t_j = x_j - x_{j-1} (x_0 = 0, and
+    t_n = 2 x_n - x_{n-1} for B_n) over x_i = nums[p[i]] / den, and m + rho
+    has l_j = sum_{i >= j} (m_{p[i]} + 1), the i = n term halved for B_n.
+    The Weyl group acts by signed permutations, so the signed orbit sum is
+    J(l) = (2i)^n det[sin 2 pi l_i t_j] (Fulton and Harris, Representation
+    Theory, 24.2); the (2i)^n cancel in the ratio.  Each l_i t_j is reduced
+    modulo its integer denominator before ``sin``.
+    """
+    family, p = frame
+    # q l_j and den t_j are integers, and l_i t_j = (q l_i)(den t_j) / (q den)
+    q = 2 if family == "B" else 1
+
+    def shifted(m: Labels) -> list[int]:
+        terms = [q * (m[i] + 1) for i in p]
+        terms[-1] //= q
+        return list(itertools.accumulate(reversed(terms)))[::-1]
+
+    def angles(nums: tuple[int, ...]) -> list[int]:
+        x = [0] + [nums[i] for i in p]
+        t = [b - a for a, b in zip(x, x[1:])]
+        if family == "B":
+            t[-1] += x[-1]
+        return t
+
+    def alternant(l: list[int], t: list[int], d: int) -> float:
+        return _det([[sin(2 * pi * ((a * b) % d / d)) for b in t] for a in l])
+
+    points = [(angles(nums), q * den) for nums, den in phases]
+    rho = shifted((0,) * len(p))
+    denominators = [alternant(rho, *point) for point in points]
+    return tuple(
+        tuple(alternant(l, *point) / j for point, j in zip(points, denominators))
+        for l in map(shifted, labels)
+    )
+
+
+def _det(rows: list[list[float]]) -> float:
+    """Determinant of a float matrix by Gaussian elimination with partial
+    pivoting; ``rows`` is consumed."""
+    det = 1.0
+    n = len(rows)
+    for c in range(n):
+        r = max(range(c, n), key=lambda i: abs(rows[i][c]))
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        pivot = rows[c]
+        if not pivot[c]:
+            return 0.0
+        det *= pivot[c]
+        for row in rows[c + 1:]:
+            f = row[c] / pivot[c]
+            for j in range(c + 1, n):
+                row[j] -= f * pivot[j]
+    return det
 
 
 def dual_coxeter_number(ctx: FoldingContext) -> int:
@@ -335,15 +407,21 @@ def verlinde_coefficient(
 ) -> int:
     """N_{lam mu}^nu by the Verlinde sum over the s-points of ``level``, which
     alone determines it."""
-    return _verlinde(level, _index(level, lam), _index(level, mu), _index(level, nu))[0]
+    lam, mu, nu = (_index(level, v) for v in (lam, mu, nu))
+    return _verlinde(level, _pair_vector(level, lam, mu), nu)[0]
 
 
-def _verlinde(level: LevelData, lam: int, mu: int, nu: int) -> tuple[int, float]:
-    """Verlinde coefficient of level-weight indices and the distance of its
-    sum to that integer."""
+def _pair_vector(level: LevelData, lam: int, mu: int) -> list[complex]:
+    """w_p chi_lam(s_p) chi_mu(s_p) over the s-points p, for level-weight
+    indices: each Verlinde sum of the pair is its dot with one chi_{nu*}."""
     chi = level.characters
-    values = chi[lam], chi[mu], chi[level.dual[nu]]
-    total = sum(w * a * b * c for w, a, b, c in zip(level.weights, *values))
+    return list(map(mul, map(mul, level.weights, chi[lam]), chi[mu]))
+
+
+def _verlinde(level: LevelData, pair: list[complex], nu: int) -> tuple[int, float]:
+    """Verlinde coefficient of a pair (``_pair_vector``) and the level-weight
+    index nu, and the distance of its sum to that integer."""
+    total = sum(map(mul, pair, level.characters[level.dual[nu]]))
     nearest = round(total.real)
     residual = abs(total - nearest)
     if residual > INTEGRALITY_TOL:
@@ -393,8 +471,9 @@ def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
     max_residual = 0.0
     for lam, mu in itertools.combinations_with_replacement(range(n), 2):
         folded = _folded_product(level, labels[lam], labels[mu])
+        pair = _pair_vector(level, lam, mu)
         for nu in range(n):
-            n_verlinde, residual = _verlinde(level, lam, mu, nu)
+            n_verlinde, residual = _verlinde(level, pair, nu)
             max_residual = max(max_residual, residual)
             n_phi = folded.get(nu, 0)
             if n_verlinde != n_phi:

@@ -19,12 +19,13 @@ realized system (base, folded, orbit) computes its Cartan pairings once.
 It is built from integer numerators: the simple roots over their common
 denominator and the ambient form over its own give the Gram and Cartan
 matrices, A^-1 comes from fraction-free elimination
-(``linalg.integer_inverse``), and the positive roots are reached by a
-reflection closure on integer simple-root coordinates.  Construction and its
-checks read only integers; the ``Fraction`` views of them (roots, rho,
-fundamental weights, the coroot covectors) are built on a datum's first read
-of each, and the lattice generators (``root_rows`` and its siblings) stay
-integer rows over one denominator, from which a ``Lattice`` is built as is.
+(``linalg.integer_inverse``), and the positive roots and their labels are
+reached by one reflection closure on integer simple-root coordinates.
+Construction and its checks read only integers; the ``Fraction`` views of them
+(roots, rho, fundamental weights, the coroot covectors) and the roots' integer
+covectors are built on a datum's first read of each, and the lattice
+generators (``root_rows`` and its siblings) stay integer rows over one
+denominator, from which a ``Lattice`` is built as is.
 
 A point xi meets a datum through its simple-coroot coordinates
 <omega_j, xi> (``coroot_coords``, integer numerators over one denominator,
@@ -32,10 +33,11 @@ from the fundamental weights' integer covectors; ``from_coroot_coords``
 inverts it).  Theta's labels, the comarks and the extended Cartan matrix
 (``theta_labels``, ``comarks``, ``extended_cartan``) are integer data of the
 datum too, with the comarks' integrality and positivity checked there once,
-all built on first read.  |W| (``weyl_order``) is read off the positive roots
-at construction, and a stabilizer's order off those of its Cartan submatrix,
-from which ``weyl_traverse`` and ``label_character`` size each orbit against
-``TWINEFOLD_WEYL_CAP`` before they enumerate it.
+all built on first read, as is the Bourbaki node map of an A1, B_n or C_n
+datum (``classical_frame``).  |W| (``weyl_order``) is read off the positive
+roots at construction, and a stabilizer's order off those of its Cartan
+submatrix, from which ``weyl_traverse`` and ``label_character`` size each
+orbit against ``TWINEFOLD_WEYL_CAP`` before they enumerate it.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -420,13 +422,13 @@ class RootDatum:
 
     Construction computes the integer data and runs every check on it: the
     Cartan matrix, the positive roots as integer numerators ``_pos_num`` and
-    labels ``_pos_labels``, the form ``_form`` over ``_form_den``, the squared
-    lengths ``_pos_norms``, |W| from the root heights (``weyl_order``) and the
-    rows of the ambient form (``gram_rows``), roots, coroots, weights and
-    coweights.  ``highest_root`` and ``highest_short_root`` are picked by
-    those integer lengths.  The ``Fraction`` views and the data of points and
-    of theta are built on first read (``functools.cached_property``), as the
-    module docstring lists.  No value changes after construction, and every
+    labels ``_pos_labels`` (both from one closure), the form ``_form`` over
+    ``_form_den``, the squared lengths ``_pos_norms``, |W| from the root
+    heights (``weyl_order``) and the rows of the ambient form (``gram_rows``),
+    roots, coroots, weights and coweights.  ``highest_root`` and
+    ``highest_short_root`` are picked by those integer lengths.  The
+    ``Fraction`` views and the data of points and of theta are built on first
+    read (``functools.cached_property``), as the module docstring lists.  No value changes after construction, and every
     operation is a pure function of the inputs.
     """
 
@@ -457,7 +459,9 @@ class RootDatum:
             _check_type(self.cartan, type_label)
         self.type_label = type_label
 
-        pos_coords = _positive_roots_by_closure(self.cartan)
+        closure = _positive_roots_by_closure(self.cartan)
+        pos_coords = list(closure)
+        self._pos_labels = tuple(closure.values())
         expected = sum(
             _ROOT_COUNTS[family](rank)
             for family, rank in map(parse_type_label, type_label.split("+"))
@@ -490,7 +494,7 @@ class RootDatum:
         # i.e. the columns of A^-1 in simple-root coordinates
         cinv_num, cinv_den = integer_inverse(self.cartan)
         gram_den = g_den * alpha_den * alpha_den
-        self._init_label_frame(cinv_num, cinv_den, gram, gram_den, pos_coords, alpha_num)
+        self._init_label_frame(cinv_num, cinv_den, gram, gram_den, alpha_num)
         # rho = sum_i omega_i, cross-multiplied over alpha_den cinv_den
         if any(
             cinv_den * x != 2 * sum(row) for x, row in zip(self._rho2_num, self._omega_num)
@@ -499,12 +503,16 @@ class RootDatum:
                 "half-sum of positive roots disagrees with the sum of "
                 "fundamental weights"
             )
-        # squared lengths, each once: D (alpha, alpha) = a . (F a) in labels,
-        # over D = _form_den; _pos_norms[i] is that of the root _pos_num[i].
-        # theta and the highest short root are the dominant roots of the
-        # largest and the smallest length (None for reducible systems).
+        # squared lengths, each once, over D = _form_den: with coordinates c
+        # and labels m, (beta, beta) = sum_i c_i m_i (alpha_i, alpha_i) / 2, and
+        # (alpha_i, alpha_i) is gram[i][i] / gram_den; _pos_norms[i] is that of
+        # the root _pos_num[i].  theta and the highest short root are the
+        # dominant roots of the largest and the smallest length (None for
+        # reducible systems).
+        half = [self._form_den * row[i] for i, row in enumerate(gram)]
         self._pos_norms = tuple(
-            sum(map(mul, a, cov)) for a, cov in zip(self._pos_labels, self._root_covectors)
+            _as_int(sum(map(mul, map(mul, c, m), half)), 2 * gram_den)
+            for c, m in closure.items()
         )
         self._theta_index = self._dominant_index(max(self._pos_norms))
         self.highest_root = self._root_vector(self._theta_index)
@@ -518,7 +526,7 @@ class RootDatum:
         self._label_dim_cache: dict[Labels, int] = {}
 
     def _init_label_frame(
-        self, cinv_num, cinv_den: int, gram, gram_den: int, pos_coords, alpha_num
+        self, cinv_num, cinv_den: int, gram, gram_den: int, alpha_num
     ) -> None:
         """Integer data for weights given by their Dynkin labels.
 
@@ -531,20 +539,12 @@ class RootDatum:
         ``gram[i][i] / gram_den``.
         """
         self._alpha_labels = tuple(zip(*self.cartan))
-        self._pos_labels = tuple(
-            tuple(sum(map(mul, row, coords)) for row in self.cartan)
-            for coords in pos_coords
-        )
         # D is the least common denominator: F and D share no factor
         form = [[x * gram[i][i] for x in row] for i, row in enumerate(cinv_num)]
         den = 2 * cinv_den * gram_den
         g = gcd(den, *(x for row in form for x in row))
         self._form = tuple(tuple(x // g for x in row) for row in form)
         self._form_den = den // g
-        # D (nu, alpha) = nu . (F a) for each positive root alpha, in _pos_labels order
-        self._root_covectors = tuple(
-            tuple(sum(map(mul, row, a)) for row in self._form) for a in self._pos_labels
-        )
         # D (nu, rho) = nu . (F rho), with rho = (1, ..., 1) in labels
         self._rho_covector = tuple(sum(row) for row in self._form)
         # ambient coordinate k of sum_i m_i omega_i is (m . omega_num[k]) / omega_den:
@@ -570,6 +570,13 @@ class RootDatum:
         return tuple(
             self.from_labels(tuple(int(i == j) for j in range(self.rank)))
             for i in range(self.rank)
+        )
+
+    @cached_property
+    def _root_covectors(self) -> tuple[tuple[int, ...], ...]:
+        # D (nu, alpha) = nu . (F a) for each positive root alpha, in _pos_labels order
+        return tuple(
+            tuple(sum(map(mul, row, a)) for row in self._form) for a in self._pos_labels
         )
 
     @cached_property
@@ -707,6 +714,23 @@ class RootDatum:
             row + (-t,) for row, t in zip(self.cartan, self.theta_labels)
         ) + (last + (2,),)
 
+    @cached_property
+    def classical_frame(self) -> tuple[str, tuple[int, ...]] | None:
+        """(family, p) for a datum of type A1, B_n or C_n, where Bourbaki node
+        i is node p[i] of this datum (the first of ``cartan_isomorphisms``);
+        None for every other type, reducible ones included.  Weyl's alternant
+        for these types is read in this frame (``fusion``)."""
+        if "+" in self.type_label:
+            return None
+        family, rank = parse_type_label(self.type_label)
+        if (family, rank) == ("A", 1):
+            return family, (0,)
+        if family not in ("B", "C"):
+            return None
+        return family, next(
+            cartan_isomorphisms(self.cartan, standard_cartan_matrix(family, rank))
+        )
+
     # -- misc ----------------------------------------------------------------
 
     def _dominant_index(self, target: int) -> int | None:
@@ -741,9 +765,9 @@ def _as_int(n: int, d: int) -> int:
     return q
 
 
-def _positive_roots_by_closure(cartan) -> list[tuple[int, ...]]:
-    """Positive roots as integer simple-root coordinate tuples, by height and
-    then coordinates.
+def _positive_roots_by_closure(cartan) -> dict[tuple[int, ...], Labels]:
+    """Positive roots as integer simple-root coordinate tuples, each mapped
+    to its Dynkin labels, by height and then coordinates.
 
     Reflection closure upward from the simple roots.  For a positive root
     beta other than alpha_i, s_i beta = beta - <beta, alpha_i^vee> alpha_i is
@@ -751,24 +775,25 @@ def _positive_roots_by_closure(cartan) -> list[tuple[int, ...]]:
     that is not simple pairs positively with some alpha_i (its squared length
     is positive), and s_i lowers it, so every positive root is reached from a
     simple root by raising steps alone (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 10.2).
+    Algebras and Representation Theory, 10.2).  The pairings the closure
+    reads are beta's labels.
     """
     rank = len(cartan)
     frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    roots = set(frontier)
+    labels: dict[tuple[int, ...], Labels | None] = dict.fromkeys(frontier)
     while frontier:
         nxt = []
         for beta in frontier:
-            for i, row in enumerate(cartan):
-                # <beta, alpha_i^vee> = sum_j c_j A[i][j]
-                pairing = sum(map(mul, row, beta))
+            # <beta, alpha_i^vee> = sum_j c_j A[i][j]
+            pairings = labels[beta] = tuple(sum(map(mul, row, beta)) for row in cartan)
+            for i, pairing in enumerate(pairings):
                 if pairing < 0:
                     gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
-                    if gamma not in roots:
-                        roots.add(gamma)
+                    if gamma not in labels:
+                        labels[gamma] = None
                         nxt.append(gamma)
         frontier = nxt
-    return sorted(roots, key=lambda r: (sum(r), r))
+    return {r: labels[r] for r in sorted(labels, key=lambda r: (sum(r), r))}
 
 
 def _weyl_order(pos_coords) -> int:

@@ -12,12 +12,15 @@ from twinefold import checks, fusion, twining
 from twinefold.linalg import vadd, vdot, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
+    RootDatum,
     RootSystemError,
     build_root_datum,
     decompose_into_irreducibles,
     irreducible_character,
+    label_character,
     lattice_index,
     signed_orbit,
+    standard_cartan_matrix,
 )
 from twinefold.folding import automorphism_by_name, fold
 from twinefold.twining import (
@@ -382,6 +385,77 @@ def test_phi_project_matches_alcove_fold(case, k, data):
     if all(h > 0 for h in floors) and ceiling < 0:
         expected = ((-1) ** len(g.word), vsub(vscale(1 / scale, folded), rho))
     assert phi_project(ctx, level, lam) == expected
+
+
+# every folding whose orbit datum has a classical frame, and A2 flip, at
+# k = 1-3; A7 flip (B4) and A12 flip (C6) at k = 1
+ALTERNANT_TABLES = [
+    (g, a, k) for g, a in FOLDING_CASES if (g, a) not in {("D4", "rot"), ("E6", "flip")}
+    for k in (1, 2, 3)
+] + [("A7", "flip", 1), ("A12", "flip", 1)]
+
+
+@pytest.mark.parametrize("group,name,k", ALTERNANT_TABLES)
+@settings(deadline=None, max_examples=5)
+@given(data=st.data())
+def test_alternant_characters_match_the_orbit_expansion(group, name, k, data):
+    """Weyl's alternant in ``LevelData.characters`` against the Freudenthal
+    character expanded over its Weyl orbits and summed term by term, for one
+    level weight at every s-point, within 1e-10 relative (to max(1, |value|)):
+    the two share nothing but the labels and the phases."""
+    level = level_for((group, name), k)
+    datum = level.datum
+    assert datum.classical_frame is not None
+    i = data.draw(st.integers(0, len(level.labels) - 1))
+    terms = label_character(datum, level.labels[i]).items()
+    for value, phases in zip(level.characters[i], level.phases):
+        reference = evaluate_labels(terms, phases)
+        assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
+
+
+def test_classical_frames():
+    """A1, B_n and C_n orbit data carry the Bourbaki node map that carries
+    their Cartan matrix to the standard one; F4, G2, the other simple types
+    and reducible data have no frame, and keep the orbit route."""
+    frames = {
+        (g, a): checks.context(g, a).orbit.datum.classical_frame
+        for g, a in FOLDING_CASES + [("A12", "flip"), ("C4", "id"), ("A3", "id"), ("D4", "id")]
+    }
+    assert frames["E6", "flip"] is None and frames["D4", "rot"] is None
+    assert frames["A3", "id"] is None and frames["D4", "id"] is None
+    assert frames["A2", "flip"] == ("A", (0,))
+    assert frames["A3", "flip"] == ("B", (0, 1)) and frames["A4", "flip"] == ("C", (0, 1))
+    assert frames["A12", "flip"][0] == "C" and frames["C4", "id"] == ("C", (0, 1, 2, 3))
+    for (g, a), frame in frames.items():
+        if frame is not None and frame[0] != "A":
+            datum = checks.context(g, a).orbit.datum
+            standard = standard_cartan_matrix(frame[0], datum.rank)
+            p = frame[1]
+            assert all(
+                datum.cartan[p[i]][p[j]] == standard[i][j]
+                for i in range(datum.rank) for j in range(datum.rank)
+            )
+    d4 = build_root_datum("D4")
+    reducible = RootDatum(None, [d4.simple_roots[i] for i in (0, 2, 3)], d4.ambient_gram)
+    assert reducible.classical_frame is None
+
+
+@pytest.mark.parametrize("group,name,k", [("A3", "flip", 2), ("D4", "rot", 2)])
+def test_one_verlinde_decision(group, name, k):
+    """``verlinde_coefficient`` and ``fusion_table`` decide each entry by the
+    same pair vector, on the alternant route (A3 flip) and the orbit route
+    (D4 rot): equal coefficients, and the table's residual is the largest of
+    the per-entry residuals."""
+    ctx = ctx_for(group, name)
+    table = fusion_table(ctx, k)
+    level = table.level
+    assert (level.datum.classical_frame is None) == (group == "D4")
+    weights = level.level_weights
+    residuals = []
+    for (lam, mu, nu), n in table.coefficients.items():
+        assert verlinde_coefficient(ctx, level, weights[lam], weights[mu], weights[nu]) == n
+        residuals.append(fusion._verlinde(level, fusion._pair_vector(level, lam, mu), nu)[1])
+    assert table.max_residual == max(residuals)
 
 
 def test_product_dimension_check_raises(monkeypatch):
