@@ -3,21 +3,29 @@
 The ring of kappa-fixed highest weights multiplies by the Racah-Speiser rule
 in the orbit system's Dynkin labels.  At level k the basic rescaling of the
 invariant form fixes the dual Coxeter number, the finite set of level weights,
-and the regular torus points s_lambda; fusion coefficients come out of the
-Verlinde-type sum over those points and, independently, out of the shifted
-affine folding of ordinary tensor multiplicities.  The two must agree.
+and the regular torus points s_lambda.  ``fusion_table`` computes every
+coefficient twice and requires the two to agree:
 
-The affine route is the Kac-Walton formula (Kac, Infinite-Dimensional Lie
-Algebras, Ex. 13.35; Walton, Nucl. Phys. B 340 (1990) 777) and runs on the
-orbit system's integer Dynkin labels: tensor products by the Racah-Speiser
-rule (``_product_labels``), then the rho-shifted level-k affine folding
-(``_fold_labels``).  Inside a level, a weight is its index in
-``LevelData.level_weights``; ambient vectors appear only at the API boundary.
-Both routes read the level alone: ``LevelData`` keeps its orbit datum and
-builds the characters and weights at its s-points on first read.
-Theta's labels and comarks, and so the dual Coxeter number and the affine
-wall, are read off the orbit datum (``RootDatum.theta_labels``,
-``RootDatum.comarks``).
+- the Verlinde route sums over those points, one sum per entry, and decides
+  each coefficient by rounding within ``INTEGRALITY_TOL``;
+- the folded route builds the fusion matrices (``_fusion_rows``).  The rows
+  of the unit and of the fundamental weights that are level weights come
+  from the Kac-Walton formula (Kac, Infinite-Dimensional Lie Algebras,
+  Ex. 13.35; Walton, Nucl. Phys. B 340 (1990) 777): tensor products by the
+  Racah-Speiser rule (``_product_labels``), then the rho-shifted level-k
+  affine folding (``_fold_labels``), in the orbit system's integer Dynkin
+  labels.  Every other row follows from the product law of the fusion
+  matrices, which takes the ring to be associative and commutative; the
+  folded route does not test those laws on its own.  Comparing each
+  Verlinde value with the folded entry in both orders of its first two
+  weights does.
+
+Inside a level, a weight is its index in ``LevelData.level_weights``;
+ambient vectors appear only at the API boundary.  Both routes read the level
+alone: ``LevelData`` keeps its orbit datum and builds the characters and
+weights at its s-points on first read.  Theta's labels and comarks, and so
+the dual Coxeter number and the affine wall, are read off the orbit datum
+(``RootDatum.theta_labels``, ``RootDatum.comarks``).
 
 Level k is the orbit group's level, not the set of kappa-fixed base level-k
 weights (which ``orbit_labels`` maps into it): on A2 flip at k = 1 the base has
@@ -31,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 import itertools
 from math import gcd, pi, prod, sin
-from operator import mul
+from operator import add, mul
 
 from .linalg import Vec, smith_normal_form
 from .folding import FoldingContext
@@ -68,19 +76,18 @@ def _product_labels(datum: RootDatum, lam: Labels, mu: Labels) -> dict[Labels, i
     Brauer-Klimyk: the product is the sum, over the weights sigma of one
     factor with multiplicity c, of c det(w) chi_{w(other + sigma + rho) - rho},
     where w makes other + sigma + rho dominant; terms on a wall drop.  The
-    sum runs over the factor with fewer terms.  A product of irreducibles has
-    non-negative multiplicities and dimension dim lam * dim mu; both are
-    checked (Racah 1962, Speiser 1964, Klimyk 1968; Humphreys, Introduction
-    to Lie Algebras and Representation Theory, 24.4).
+    sum runs over the factor of smaller Weyl dimension, whose character alone
+    is built.  A product of irreducibles has non-negative multiplicities and
+    dimension dim lam * dim mu; both are checked (Racah 1962, Speiser 1964,
+    Klimyk 1968; Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 24.4).
     """
-    a, b = label_character(datum, lam), label_character(datum, mu)
-    other, small = (lam, b) if len(b) <= len(a) else (mu, a)
+    dim_lam, dim_mu = label_dimension(datum, lam), label_dimension(datum, mu)
+    other, small = (lam, mu) if dim_mu <= dim_lam else (mu, lam)
     shifted = [x + 1 for x in other]
     total: dict[Labels, int] = {}
-    for sigma, c in small.items():
-        folded = regular_dominant_labels(
-            datum, tuple(x + y for x, y in zip(shifted, sigma))
-        )
+    for sigma, c in label_character(datum, small).items():
+        folded = regular_dominant_labels(datum, tuple(map(add, shifted, sigma)))
         if folded is not None:
             sign, nu = folded
             nu = tuple(x - 1 for x in nu)
@@ -89,10 +96,10 @@ def _product_labels(datum: RootDatum, lam: Labels, mu: Labels) -> dict[Labels, i
     if any(c < 0 for c in out.values()):
         raise FusionError(f"negative multiplicity in the product of {lam} and {mu}")
     dim = sum(c * label_dimension(datum, nu) for nu, c in out.items())
-    if dim != label_dimension(datum, lam) * label_dimension(datum, mu):
+    if dim != dim_lam * dim_mu:
         raise FusionError(
             f"the product of {lam} and {mu} has dimension {dim}, not "
-            f"{label_dimension(datum, lam)} * {label_dimension(datum, mu)}"
+            f"{dim_lam} * {dim_mu}"
         )
     return out
 
@@ -436,7 +443,8 @@ def _verlinde(level: LevelData, pair: list[complex], nu: int) -> tuple[int, floa
 
 def _folded_product(level: LevelData, lam: Labels, mu: Labels) -> dict[int, int]:
     """The affine-folded tensor product of two highest weights given by
-    labels, keyed by level-weight index."""
+    labels, keyed by level-weight index; a coefficient whose signed terms
+    cancel stays as an explicit zero."""
     folded: dict[int, int] = {}
     for sigma, m in _product_labels(level.datum, lam, mu).items():
         projected = _fold_labels(level, tuple(x + 1 for x in sigma))
@@ -444,6 +452,70 @@ def _folded_product(level: LevelData, lam: Labels, mu: Labels) -> dict[int, int]
             sign, nu = projected
             folded[nu] = folded.get(nu, 0) + sign * m
     return folded
+
+
+def _fusion_rows(level: LevelData) -> list[list[dict[int, int]]]:
+    """The fusion matrices of ``level``: rows[lam][mu] = {nu: N_{lam mu}^nu}
+    over level-weight indices.
+
+    The unit and each fundamental weight omega_i that is a level weight (its
+    comark is at most k) are the generators: their rows come from Kac-Walton,
+    ``_folded_product(omega_i, mu)`` for every mu, and may hold explicit
+    zeros.  Every other level weight lam is visited by increasing height
+    (lam, rho) and takes the i with m_i > 0 whose omega_i has the least
+    dimension, so that ``_product_labels`` expands the character of omega_i
+    alone.  In the character ring
+    chi_{lam - omega_i} chi_{omega_i} = chi_lam + sum_nu c_nu chi_nu
+    (``_product_labels``), and since fusion matrices multiply as
+    N_a N_b = sum_c N_{ab}^c N_c,
+
+        N_lam = N_{lam - omega_i} N_{omega_i} - sum_nu c_nu N_nu.
+
+    Each nu lies below lam, so it has smaller height and is a level weight
+    (<nu, theta^vee> <= <lam, theta^vee> <= k): its row is built, and no
+    affine reflection acts (Walton, Nucl. Phys. B 340 (1990); Di Francesco,
+    Mathieu and Senechal, Conformal Field Theory, ch. 16).  The recursion
+    assumes the fusion ring is associative and commutative; ``fusion_table``
+    checks every entry of both N[lam][mu] and N[mu][lam] against the
+    Verlinde sum.
+    """
+    datum, labels, index = level.datum, level.labels, level.label_index
+    n, r = len(labels), datum.rank
+    units = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    generators = {i: index[u] for i, u in enumerate(units) if u in index}
+    rows: list[list[dict[int, int]] | None] = [None] * n
+    for g in [index[(0,) * r], *generators.values()]:
+        rows[g] = [_folded_product(level, labels[g], mu) for mu in labels]
+
+    def height(lam: int) -> int:
+        return sum(map(mul, labels[lam], datum._rho_covector))
+
+    for lam in sorted(range(n), key=height):
+        if rows[lam] is not None:
+            continue
+        m = labels[lam]
+        i = min(
+            (i for i, x in enumerate(m) if x),
+            key=lambda i: label_dimension(datum, units[i]),
+        )
+        rest = index[tuple(x - (j == i) for j, x in enumerate(m))]
+        lower = _product_labels(datum, labels[rest], units[i])
+        del lower[m]  # chi_lam, once
+        lower_rows = [(c, rows[index[nu]]) for nu, c in lower.items()]
+        left, gen = rows[rest], rows[generators[i]]
+        new = []
+        for mu in range(n):
+            acc: dict[int, int] = {}
+            # omega_i mu = sum_x N_{omega_i mu}^x x, then (lam - omega_i) x
+            for x, a in gen[mu].items():
+                for nu, b in left[x].items():
+                    acc[nu] = acc.get(nu, 0) + a * b
+            for c, row in lower_rows:
+                for nu, b in row[mu].items():
+                    acc[nu] = acc.get(nu, 0) - c * b
+            new.append({nu: c for nu, c in acc.items() if c})
+        rows[lam] = new
+    return rows
 
 
 @dataclass(frozen=True)
@@ -463,24 +535,33 @@ class FusionTable:
 
 
 def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
-    """Full table with every entry computed by both routes; they must agree."""
+    """Full level-k table; every entry is decided by the Verlinde sum and
+    must equal the folded route's in both orders of its first two weights.
+
+    The folded route is ``_fusion_rows``: Kac-Walton on the generator rows,
+    the fusion ring's product law for the rest.  It takes associativity and
+    commutativity for granted, so it does not test them on its own; the
+    comparison of N[lam][mu] and N[mu][lam] with the one Verlinde value of
+    each pair does, entry by entry.
+    """
     level = level_data(ctx, k)
-    labels = level.labels
-    n = len(labels)
+    n = len(level.labels)
+    rows = _fusion_rows(level)
     coeffs: dict[tuple[int, int, int], int] = {}
     max_residual = 0.0
     for lam, mu in itertools.combinations_with_replacement(range(n), 2):
-        folded = _folded_product(level, labels[lam], labels[mu])
         pair = _pair_vector(level, lam, mu)
+        sides = (lam, mu, rows[lam][mu]), (mu, lam, rows[mu][lam])
         for nu in range(n):
             n_verlinde, residual = _verlinde(level, pair, nu)
             max_residual = max(max_residual, residual)
-            n_phi = folded.get(nu, 0)
-            if n_verlinde != n_phi:
-                a, b, c = (level.level_weights[i] for i in (lam, mu, nu))
-                raise FusionError(
-                    "route disagreement at "
-                    f"({a}, {b}, {c}): Verlinde {n_verlinde}, folded {n_phi}"
-                )
+            for a, b, row in sides:
+                n_phi = row.get(nu, 0)
+                if n_verlinde != n_phi:
+                    a, b, c = (level.level_weights[i] for i in (a, b, nu))
+                    raise FusionError(
+                        "route disagreement at "
+                        f"({a}, {b}, {c}): Verlinde {n_verlinde}, folded {n_phi}"
+                    )
             coeffs[lam, mu, nu] = coeffs[mu, lam, nu] = n_verlinde
     return FusionTable(level, coeffs, max_residual)

@@ -1,9 +1,12 @@
+import cmath
 import copy
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 import itertools
+import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,7 @@ from twinefold.rootcore import (
     decompose_into_irreducibles,
     irreducible_character,
     label_character,
+    label_dimension,
     lattice_index,
     signed_orbit,
     standard_cartan_matrix,
@@ -360,6 +364,118 @@ def test_fusion_ring_laws(case_k, data):
 @lru_cache(maxsize=None)
 def level_for(case, k):
     return level_data(checks.context(*case), k)
+
+
+# (group, automorphism, level) for the recursive fusion rows against the
+# pairwise reference: the nine foldings and A2 flip at k = 1-3, and G2 and B2
+# id at k = 1-2
+RECURSION_TABLES = [
+    (g, a, k) for g, a in FOLDING_CASES for k in (1, 2, 3)
+] + [(g, "id", k) for g in ("G2", "B2") for k in (1, 2)]
+
+# the fundamental weights whose comark exceeds k, so that they are no level
+# weights and no generator rows; every other table has all of them
+NON_LEVEL_FUNDAMENTALS = {
+    ("A5", "flip", 1): [1], ("D4", "rot", 1): [0], ("E6", "flip", 1): [0, 2, 3],
+    ("E6", "flip", 2): [2], ("G2", "id", 1): [0],
+}
+
+
+def _nonzero(row):
+    return {nu: c for nu, c in row.items() if c}
+
+
+@pytest.mark.parametrize("group,name,k", RECURSION_TABLES)
+def test_recursive_rows_match_the_pairwise_reference(group, name, k):
+    """The fusion matrices of ``_fusion_rows`` against Kac-Walton on each
+    pair (``_folded_product``), zeros dropped: N[lam][mu] and N[mu][lam] both
+    equal the folded product of lam and mu.  Every pair with a factor of
+    dimension <= 1000 is compared, which is every pair but on D5 and D6 flip
+    k = 2-3 and E6 flip k = 3; there every row is still compared, against the
+    columns of the small factors (the unit among them)."""
+    level = level_for((group, name), k)
+    datum, labels, n = level.datum, level.labels, len(level.labels)
+    units = [tuple(int(j == i) for j in range(datum.rank)) for i in range(datum.rank)]
+    missing = [i for i, u in enumerate(units) if u not in level.label_index]
+    assert missing == NON_LEVEL_FUNDAMENTALS.get((group, name, k), [])
+    rows = fusion._fusion_rows(level)
+    dims = [label_dimension(datum, m) for m in labels]
+    for lam, mu in itertools.combinations_with_replacement(range(n), 2):
+        if min(dims[lam], dims[mu]) <= 1000:
+            reference = _nonzero(fusion._folded_product(level, labels[lam], labels[mu]))
+            assert _nonzero(rows[lam][mu]) == reference, (lam, mu)
+            assert _nonzero(rows[mu][lam]) == reference, (mu, lam)
+
+
+def test_fusion_table_checks_both_orders(monkeypatch):
+    """A folded entry changed in one order only is a route disagreement:
+    the one Verlinde value of each pair is compared with both N[lam][mu] and
+    N[mu][lam], so the recursion's commutativity is checked too."""
+    build = fusion._fusion_rows
+
+    def skewed(level):
+        rows = build(level)
+        rows[2][1][0] = rows[2][1].get(0, 0) + 1
+        return rows
+
+    monkeypatch.setattr(fusion, "_fusion_rows", skewed)
+    ctx = ctx_for("A3")
+    w = level_data(ctx, 2).level_weights
+    with pytest.raises(FusionError, match=re.escape(f"at ({w[2]}, {w[1]}, {w[0]})")):
+        fusion_table(ctx, 2)
+
+
+# ten tables across the foldings, levels 2-4, classical and exceptional orbits
+MODULAR_TABLES = [
+    ("A2", "flip", 3), ("A3", "flip", 4), ("A4", "flip", 2), ("A6", "flip", 2),
+    ("D4", "rot", 2), ("D4", "rot", 3), ("D4", "swap34", 2), ("D5", "flip", 2),
+    ("E6", "flip", 2), ("E6", "flip", 3),
+]
+# absolute on matrix entries (|S_{lam mu}| <= 1), relative on the genus sums;
+# the largest defects measured are 1.6e-13 and 8e-15
+MODULAR_TOL = 1e-10
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("group,name,k", MODULAR_TABLES)
+def test_level_data_satisfy_the_modular_relations(group, name, k):
+    """S_{lam mu} = sqrt(w_mu) chi_lam(s_mu) from ``LevelData.characters`` and
+    ``weights``, and the diagonal T_lam = exp 2 pi i (h_lam - c / 24) with
+    h_lam = (lam, lam + 2 rho) / 2 (k + h^vee) in the basic form (the ambient
+    form over ``rescale``) and c = k dim / (k + h^vee): S is symmetric, S^2
+    is the charge conjugation of ``dual``, and (ST)^3 = S^2, each entry
+    within MODULAR_TOL; and the genus-g Verlinde dimensions sum_p w_p^(1-g),
+    g = 2, 3, 4, are integers within MODULAR_TOL relative.  Criterion 12
+    compares ``level_data`` with itself; these laws check its s-points, |T|
+    and rescaling independently."""
+    level = level_for((group, name), k)
+    datum, chi, w = level.datum, level.characters, level.weights
+    n = len(level.labels)
+    s = [[math.sqrt(w[mu]) * chi[lam][mu] for mu in range(n)] for lam in range(n)]
+    height = k + level.dual_coxeter
+    central = Fraction(k * (datum.rank + 2 * len(datum.positive_roots)), height)
+    two_rho = vscale(2, datum.weyl_vector)
+    t = [
+        cmath.exp(2j * math.pi * float(
+            datum.inner(lam, vadd(lam, two_rho)) / level.rescale / (2 * height)
+            - central / 24
+        ))
+        for lam in level.level_weights
+    ]
+    s_t = [[x * t[mu] for mu, x in enumerate(row)] for row in s]
+    s2 = _mat_mul(s, s)
+    st3 = _mat_mul(_mat_mul(s_t, s_t), s_t)
+    for lam in range(n):
+        for mu in range(n):
+            assert abs(s[lam][mu] - s[mu][lam]) <= MODULAR_TOL
+            assert abs(s2[lam][mu] - (mu == level.dual[lam])) <= MODULAR_TOL
+            assert abs(st3[lam][mu] - s2[lam][mu]) <= MODULAR_TOL
+    for genus in (2, 3, 4):
+        dimension = sum(x ** (1 - genus) for x in w)
+        assert abs(dimension - round(dimension)) <= MODULAR_TOL * dimension
 
 
 @lru_cache(maxsize=None)
