@@ -11,7 +11,8 @@ root system realized for it.  The Jacobian of the twisted conjugation map at
 exp(xi) is |T^kappa cap T_kappa| times ``twining.denominator_norm_sq``.  Group
 elements are a translation by the orbit coroot lattice followed by a word of
 affine reflections, never matrices: the sign of the linear part is the parity
-of the word length.
+of the word length, and ``AffineElement.apply`` replays the word exactly on
+ambient integer rows over one denominator, independently of the walk below.
 
 The orbit datum is the one source of the affine data.  A point meets the
 walls in its integer coroot coordinates (N, D) = ``RootDatum.coroot_coords``:
@@ -27,17 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .linalg import Vec, scaled_rows, vadd, vdot, vneg, vscale, vsub, zero_vec
+from .linalg import Vec, scaled_rows, zero_vec
 from .folding import FoldingContext
 from .rootcore import (
     FiniteAbelianGroup,
+    Lattice,
     RootDatum,
     _classify_system,
-    is_sublattice,
-    lattice,
     lattice_quotient,
 )
 
@@ -49,11 +50,14 @@ class AlcoveError(ValueError):
 
 
 class AffineReflection(NamedTuple):
-    """x -> x - (<alpha, x> - k) alpha^vee, the reflection in <alpha, x> = k."""
+    """x -> x - (<alpha, x> - k) alpha^vee, the reflection in <alpha, x> = k,
+    in integer rows over one denominator: G alpha = covector / den, so
+    <alpha, x> is one dot product, and alpha^vee = coroot / den."""
 
-    covector: Vec  # G alpha, so <alpha, x> is one dot product
-    k: Fraction
-    coroot: Vec
+    covector: tuple[int, ...]
+    k: int
+    coroot: tuple[int, ...]
+    den: int
 
 
 @dataclass(frozen=True)
@@ -65,17 +69,25 @@ class AffineElement:
     the linear part is the parity of the word length.  ``fold_to_alcove``
     shifts by the orbit coroot lattice and builds its words from the alcove
     walls, so its translations lie in that lattice.
+
+    ``apply`` replays the word on integer rows: a wall (c, k, r, e) sends
+    x = N / D to (e^2 N - h r) / (e^2 D), h = c . N - k e D, reduced by the
+    gcd at each step.  It reads the walls' ambient rows only, never
+    ``coroot_coords``, so it checks ``fold_to_alcove``'s walk independently.
     """
 
     word: tuple[AffineReflection, ...] = ()
     shift: Vec = ()  # () for no translation
 
     def apply(self, v: Vec) -> Vec:
-        if self.shift:
-            v = vadd(v, self.shift)
-        for covector, k, coroot in self.word:
-            v = vsub(v, vscale(vdot(covector, v) - k, coroot))
-        return v
+        d, rows = scaled_rows([v, self.shift] if self.shift else [v])
+        n = list(map(sum, zip(*rows)))
+        for covector, k, coroot, e in self.word:
+            h, s = sum(map(mul, covector, n)) - k * e * d, e * e
+            n = [s * x - h * y for x, y in zip(n, coroot)]
+            g = gcd(d * s, *n)
+            d, n = d * s // g, [x // g for x in n]
+        return tuple(Fraction(x, d) for x in n)
 
 
 def _wall_heights(orbit: RootDatum, n, d: int) -> tuple[list[int], int]:
@@ -115,45 +127,43 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
     Built once per context, from the integer rows of the orbit datum's
     simple roots, coroots and coweights: with the ambient form
     G = g / g_den (``RootDatum.gram_rows``), each covector G v is one integer
-    product g v over its denominator, and a ``Fraction`` is made once per
-    entry of the walls' reflections.
+    product g v over its denominator.  The walls keep integer rows over one
+    denominator; only the vertices are ``Fraction`` vectors.
     """
     if ctx._alcove is not None:
         return ctx._alcove
     orbit = ctx.orbit.datum
-    theta = orbit.highest_root
     g_den, g = orbit.gram_rows
 
     def g_times(row) -> tuple[int, ...]:
         return tuple(sum(map(mul, gr, row)) for gr in g)
 
-    def covector(row, den: int) -> Vec:
-        # G (row / den) for an integer row
-        return tuple(Fraction(x, g_den * den) for x in g_times(row))
-
-    t_den, (t,) = scaled_rows([theta])
+    (a_den, roots), (v_den, coroots) = orbit.root_rows(), orbit.coroot_rows()
+    t = orbit._pos_num[orbit._theta_index]
     gt = g_times(t)
     cw_den, coweights = orbit.coweight_rows()
     vertices = [zero_vec(ctx.base.ambient_dim)]
     for cw in coweights:
-        c = Fraction(sum(map(mul, gt, cw)), g_den * t_den * cw_den)
+        c = Fraction(sum(map(mul, gt, cw)), g_den * a_den * cw_den)
         if c <= 0:
             raise AlcoveError("highest root pairs non-positively with a coweight")
         vertices.append(
             tuple(Fraction(x * c.denominator, cw_den * c.numerator) for x in cw)
         )
-    (a_den, roots), (v_den, coroots) = orbit.root_rows(), orbit.coroot_rows()
-    walls = tuple(
-        AffineReflection(covector(a, a_den), Fraction(0), tuple(Fraction(x, v_den) for x in v))
-        for a, v in zip(roots, coroots)
-    )
-    # theta^vee = 2 theta / (theta, theta) = 2 g_den t_den t / (t . g t)
+    # every covector G a is g a / (g_den a_den), the floors' coroots are over
+    # v_den, and theta^vee = 2 theta / (theta, theta) = 2 g_den a_den t / (t . g t)
     t_norm = sum(map(mul, gt, t))
-    walls += (
+    den = lcm(g_den * a_den, v_den, t_norm)
+    c_scale, v_scale = den // (g_den * a_den), den // v_den
+    t_scale = 2 * g_den * a_den * (den // t_norm)
+    walls = tuple(
         AffineReflection(
-            covector(t, t_den),
-            Fraction(1),
-            tuple(Fraction(2 * g_den * t_den * x, t_norm) for x in t),
+            tuple(c_scale * x for x in g_times(a)), 0, tuple(v_scale * x for x in r), den
+        )
+        for a, r in zip(roots, coroots)
+    ) + (
+        AffineReflection(
+            tuple(c_scale * x for x in gt), 1, tuple(t_scale * x for x in t), den
         ),
     )
     alc = AlcoveDescription(orbit, tuple(vertices), walls)
@@ -273,8 +283,11 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
             pi1_free_rank=fixed_integral.rank,
         )
 
-    roots = orbit.simple_roots + (vneg(orbit.highest_root),)
-    surviving = tuple(roots[i] for i in nodes)
+    # the simple roots and -theta, as integer rows over one denominator
+    a_den, roots = orbit.root_rows()
+    roots += (tuple(-x for x in orbit._pos_num[orbit._theta_index]),)
+    rows = [roots[i] for i in nodes]
+    surviving = tuple(tuple(Fraction(x, a_den) for x in r) for r in rows)
     extended = orbit.extended_cartan
     cartan = tuple(tuple(extended[i][j] for j in nodes) for i in nodes)
     label = _classify_system(cartan)
@@ -282,19 +295,22 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     # the stabilizer's coroot lattice, inside Lambda^kappa
     if ctx.kappa.is_identity:
         # untwisted case: the stabilizer's roots are the surviving roots
-        dual_label, coroots = label, lattice([alc.walls[i].coroot for i in nodes], dim)
+        dual_label = label
+        coroots = Lattice(alc.walls[0].den, [alc.walls[i].coroot for i in nodes], dim)
     else:
         # its roots are the coroots a^v, with the transposed Cartan matrix,
         # and their coroots are the surviving roots again: (a^v)^v = a
         dual_label = _classify_system(tuple(zip(*cartan)))
-        coroots = lattice(surviving, dim)
-    if not is_sublattice(coroots, fixed_integral):
-        raise AlcoveError("stabilizer coroot lattice escapes the integral lattice")
+        coroots = Lattice(a_den, rows, dim)
+    try:
+        pi1 = lattice_quotient(coroots, fixed_integral)
+    except ValueError:
+        raise AlcoveError("stabilizer coroot lattice escapes the integral lattice") from None
     return StabilizerDatum(
         surviving=surviving,
         includes_affine_node=includes_affine,
         subsystem_label=label,
         dual_label=dual_label,
-        pi1=lattice_quotient(coroots, fixed_integral),
+        pi1=pi1,
         pi1_free_rank=fixed_integral.rank - coroots.rank,
     )

@@ -11,8 +11,11 @@ orbit), the folded root system (projection image), the orbit root system
 The lattices are built from integer rows: each datum's simple roots,
 coroots, fundamental weights and coweights over one denominator
 (``RootDatum.root_rows`` and its siblings), summed over node orbits or
-projected in units of 1/|kappa|.  The finite group T^kappa ∩ T_kappa is
-obtained as an exact lattice quotient.
+projected in units of 1/|kappa|; equal rows give one ``Lattice`` per fold,
+and the identities compare Hermite normal forms (``rootcore.lattice_eq``).
+The folded and orbit data are realized from such rows too: the projected
+simple roots, then the folded datum's coroots.  The finite group
+T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
 kappa = id takes the same path, with the base as folded and orbit system.
 A kappa-fixed weight crosses between base and orbit in integer Dynkin labels,
 in one place (``FoldingContext.orbit_labels`` and ``base_labels``): the orbit
@@ -27,7 +30,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .linalg import Vec, scaled_rows, vneg, vscale
+from .linalg import Vec, reduced_rows, scaled_rows, vneg, vscale
 from .rootcore import (
     Labels,
     Lattice,
@@ -278,7 +281,7 @@ class FoldingContext:
             )
         dim = self.base.ambient_dim
         units = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-        if self.base.simple_roots != units:
+        if self.base.root_rows() != (1, units):
             raise FoldingError(
                 "a nontrivial automorphism permutes simple-root coordinates, so "
                 "the base needs its simple roots as unit vectors"
@@ -286,12 +289,12 @@ class FoldingContext:
         self._family, self._rank = family, rank
         self._is_a_even = family == "A" and rank % 2 == 0
 
-    def _fixed_sublattice(self, family) -> Lattice:
-        """Fixed sublattice of a lattice whose basis kappa permutes, given as
-        integer rows over one denominator: the orbit sums of the rows."""
+    def _fixed_rows(self, family):
+        """Generators of the fixed sublattice of a lattice whose basis kappa
+        permutes, given as integer rows over one denominator: the orbit sums
+        of the rows."""
         den, rows = family
-        sums = [tuple(map(sum, zip(*(rows[i] for i in orb)))) for orb in self.node_orbits]
-        return Lattice(den, sums, self.base.ambient_dim)
+        return den, [tuple(map(sum, zip(*(rows[i] for i in orb)))) for orb in self.node_orbits]
 
     def _scaled_projection(self, a: tuple[int, ...]) -> tuple[int, ...]:
         """L p(a) for an integer vector a, L = |kappa|: each coordinate
@@ -303,12 +306,13 @@ class FoldingContext:
                 out[i] = total
         return tuple(out)
 
-    def _projected_lattice(self, family) -> Lattice:
-        """Image p(L) for the same kind of lattice: p of one row per orbit,
-        as L p(row) over den L."""
+    def _projected_rows(self, family):
+        """Generators of the image p(L) for the same kind of lattice: p of one
+        row per orbit, as L p(row) over den L."""
         den, rows = family
-        basis = [self._scaled_projection(rows[orb[0]]) for orb in self.node_orbits]
-        return Lattice(den * self.kappa.order, basis, self.base.ambient_dim)
+        return den * self.kappa.order, [
+            self._scaled_projection(rows[orb[0]]) for orb in self.node_orbits
+        ]
 
     # -- construction branches --------------------------------------------
 
@@ -328,11 +332,11 @@ class FoldingContext:
             return f"B{n}", f"C{n}"
         return "F4", "F4"
 
-    def _realize(self, label: str, simple_roots) -> RootDatum:
-        """The datum of ``simple_roots`` in the base's ambient space, which
-        must be of type ``label``."""
+    def _realize(self, label: str, simple_rows) -> RootDatum:
+        """The datum of the simple roots ``simple_rows`` (den, rows) in the
+        base's ambient space, which must be of type ``label``."""
         try:
-            return RootDatum(label, tuple(simple_roots), self.base.ambient_gram)
+            return RootDatum(label, simple_rows, self.base.gram_rows)
         except RootSystemError as exc:
             raise FoldingError(
                 f"a simple system realized from {self.base.type_label} is not "
@@ -364,12 +368,13 @@ class FoldingContext:
         # L p(a) for each positive base root a (its integer coordinates)
         projected = [self._scaled_projection(a) for a in base._pos_num]
         # p(alpha) for one simple root per node orbit
-        p_simple = [self.project(base.simple_roots[orb[0]]) for orb in self.node_orbits]
+        p_den, p_simple = self._projected_rows(base.root_rows())
         if self._is_a_even:
             n = self._rank // 2
-            b_datum = self._realize(_rank_one_as_a1("B", n), p_simple)
+            b_datum = self._realize(_rank_one_as_a1("B", n), (p_den, p_simple))
             c_datum = self._realize(
-                _rank_one_as_a1("C", n), p_simple[:-1] + [vscale(2, p_simple[-1])]
+                _rank_one_as_a1("C", n),
+                (p_den, p_simple[:-1] + [tuple(2 * x for x in p_simple[-1])]),
             )
             folded = FoldedSystem(folded_label, None, b_datum, c_datum)
             folded_roots = _scaled_roots(b_datum, scale) | _scaled_roots(c_datum, scale)
@@ -384,7 +389,7 @@ class FoldingContext:
             # the B subsystem carries the folded lattices QF, QFv, PF and PFv
             folded_datum = b_datum
         else:
-            folded_datum = self._realize(folded_label, p_simple)
+            folded_datum = self._realize(folded_label, (p_den, p_simple))
             folded = FoldedSystem(folded_label, folded_datum)
             folded_roots = _scaled_roots(folded_datum, scale)
             # a fixed root a (where L a = L p(a)), |kappa| p(a) for the rest
@@ -408,10 +413,7 @@ class FoldingContext:
         # the orbit simple roots are the coroots p(alpha)^vee of the projected
         # simple roots (Fuchs, Schellekens and Schweigert, Commun. Math. Phys.
         # 180 (1996)), the folded datum's simple coroots
-        den, coroots = folded_datum.coroot_rows()
-        orbit_datum = self._realize(
-            orbit_label, [tuple(Fraction(x, den) for x in c) for c in coroots]
-        )
+        orbit_datum = self._realize(orbit_label, folded_datum.coroot_rows())
         if _scaled_roots(orbit_datum, scale) != expected_orbit:
             raise FoldingError("orbit root set mismatch")
 
@@ -429,27 +431,37 @@ class FoldingContext:
         return folded_datum, orbit_datum
 
     def _assemble_lattices(self, folded_datum: RootDatum, orbit_datum: RootDatum):
-        base = self.base
+        """The sixteen named lattices and their identities.  Generator rows
+        that are equal in lowest terms give one ``Lattice``, so each distinct
+        set is row-reduced once (two to six per fold)."""
+        base, built = self.base, {}
+
+        def lat(family) -> Lattice:
+            key = reduced_rows(*family)
+            if key not in built:
+                built[key] = Lattice(*key, base.ambient_dim)
+            return built[key]
+
         simple, coroots = base.root_rows(), base.coroot_rows()
         weights, coweights = base.weight_rows(), base.coweight_rows()
 
-        fixed_integral = self._fixed_sublattice(coroots)          # Lambda^k
-        fixed_root = self._fixed_sublattice(simple)               # Q^k
-        fixed_weight = self._fixed_sublattice(weights)            # (Lambda*)^k
-        fixed_coweight = self._fixed_sublattice(coweights)        # (P^v)^k
-        p_integral = self._projected_lattice(coroots)             # p(Lambda)
-        p_root = self._projected_lattice(simple)                  # p(Q)
-        p_weight = self._projected_lattice(weights)               # p(Lambda*)
-        p_coweight = self._projected_lattice(coweights)           # p(P^v)
+        fixed_integral = lat(self._fixed_rows(coroots))           # Lambda^k
+        fixed_root = lat(self._fixed_rows(simple))                # Q^k
+        fixed_weight = lat(self._fixed_rows(weights))             # (Lambda*)^k
+        fixed_coweight = lat(self._fixed_rows(coweights))         # (P^v)^k
+        p_integral = lat(self._projected_rows(coroots))           # p(Lambda)
+        p_root = lat(self._projected_rows(simple))                # p(Q)
+        p_weight = lat(self._projected_rows(weights))             # p(Lambda*)
+        p_coweight = lat(self._projected_rows(coweights))         # p(P^v)
 
-        qf = root_lattice(folded_datum)
-        qfv = coroot_lattice(folded_datum)
-        pf = weight_lattice(folded_datum)
-        pfv = coweight_lattice(folded_datum)
-        qo = root_lattice(orbit_datum)
-        qov = coroot_lattice(orbit_datum)
-        po = weight_lattice(orbit_datum)
-        pov = coweight_lattice(orbit_datum)
+        qf = lat(folded_datum.root_rows())
+        qfv = lat(folded_datum.coroot_rows())
+        pf = lat(folded_datum.weight_rows())
+        pfv = lat(folded_datum.coweight_rows())
+        qo = lat(orbit_datum.root_rows())
+        qov = lat(orbit_datum.coroot_rows())
+        po = lat(orbit_datum.weight_rows())
+        pov = lat(orbit_datum.coweight_rows())
 
         checks = [
             ("QF = p(Q)", lattice_eq(qf, p_root)),

@@ -13,9 +13,11 @@ The rational Gauss-Jordan reference that the tests compare against lives
 with the tests.  Lattice membership never goes through an elimination over
 Q: ``integer_echelon`` row-reduces an integer basis over Z with gcd row
 operations (once per ``rootcore.Lattice``), and ``echelon_coords`` reads a
-vector's integer coordinates off that echelon.  The Smith normal form of a
-quotient of lattices comes from the same routine, run alternately over rows
-and columns; it returns the diagonal only, with no transforms.
+vector's integer coordinates off that echelon.  ``hermite_normal_form``
+reduces the echelon to the canonical form that decides lattice equality.
+The Smith normal form of a quotient of lattices comes from the same routine,
+run alternately over rows and columns; it returns the diagonal only, with no
+transforms.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ def scaled_rows(vectors) -> tuple[int, list[list[int]]]:
     vector as an integer row."""
     den = math.lcm(*(x.denominator for b in vectors for x in b))
     return den, [[x.numerator * (den // x.denominator) for x in b] for b in vectors]
+
+
+def reduced_rows(den: int, rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The vectors row / den in lowest terms: ``den`` and the rows divided by
+    the gcd of ``den`` and every entry, the rows as tuples (``den`` > 0)."""
+    if (g := math.gcd(den, *itertools.chain.from_iterable(rows))) == 1:
+        return den, tuple(map(tuple, rows))
+    return den // g, tuple(tuple(x // g for x in row) for row in rows)
 
 
 def _bareiss(rows: Sequence[Sequence[int]], n: int) -> tuple[list[list[int]], int, int]:
@@ -224,6 +234,21 @@ def echelon_coords(
             w[col:] = [x - q * y for x, y in zip(w[col:], row[col:], strict=True)]
             coords = [c + q * y for c, y in zip(coords, combination)]
     return None if any(w) else coords
+
+
+def hermite_normal_form(echelon) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of the rows of ``integer_echelon``: pivots made
+    positive, and each entry above a pivot p reduced into [0, p) by the
+    pivot's row (Cohen, 2.4.2).  It is the same for every basis of the
+    Z-module, so two modules are equal exactly when their forms are."""
+    hnf: list[list[int]] = []
+    for col, row, _ in echelon:
+        row = [-x for x in row] if row[col] < 0 else list(row)
+        for h in hnf:
+            if q := h[col] // row[col]:  # row is zero before col
+                h[col:] = [x - q * y for x, y in zip(h[col:], row[col:])]
+        hnf.append(row)
+    return tuple(map(tuple, hnf))
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -61,13 +61,14 @@ from .linalg import (
     Matrix,
     Vec,
     ZERO,
-    ONE,
     bilinear,
     echelon_coords,
+    hermite_normal_form,
     integer_echelon,
     integer_inverse,
     invariant_factors,
     mat_vec,
+    reduced_rows,
     scaled_rows,
     vadd,
     vdot,
@@ -234,22 +235,20 @@ class Lattice:
     reduces to zero against the echelon, so membership never solves a
     rational system.  ``lattice`` builds one from ``Fraction`` vectors; the
     ``Fraction`` basis is built only when read, sublattice tests and
-    quotients read the rows, and ``lattice_eq`` is the equality.
+    quotients read the rows, and ``lattice_eq`` is the equality, on the
+    canonical form ``hermite`` built on first read.
     """
 
     def __init__(self, den: int, rows, ambient_dim: int):
         self._den, self._rows, self.ambient_dim = den, rows, ambient_dim
-        self._basis = None
         self._echelon = integer_echelon(rows)
         if len(self._echelon) != len(rows):
             raise ValueError("lattice basis must be linearly independent")
 
-    @property
+    @cached_property
     def basis(self) -> tuple[Vec, ...]:
-        if self._basis is None:
-            den = self._den
-            self._basis = tuple(tuple(Fraction(x, den) for x in r) for r in self._rows)
-        return self._basis
+        den = self._den
+        return tuple(tuple(Fraction(x, den) for x in r) for r in self._rows)
 
     def __repr__(self) -> str:
         return f"Lattice(basis={self.basis!r}, ambient_dim={self.ambient_dim!r})"
@@ -257,6 +256,12 @@ class Lattice:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @cached_property
+    def hermite(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The Hermite normal form of the rows over ``den``, in lowest terms:
+        the same pair for every basis of the lattice."""
+        return reduced_rows(self._den, hermite_normal_form(self._echelon))
 
     def _row_coords(self, row, den: int) -> list[int] | None:
         """Integer coordinates of the vector row / den, for an integer row."""
@@ -287,7 +292,7 @@ def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
 
 
 def lattice_eq(a: Lattice, b: Lattice) -> bool:
-    return is_sublattice(a, b) and is_sublattice(b, a)
+    return a.hermite == b.hermite
 
 
 def lattice_quotient(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
@@ -420,34 +425,28 @@ class RootDatum:
     type ..." on a mismatch); ``None`` classifies the system instead,
     reducible ones as 'X+Y' (sorted).
 
-    Construction computes the integer data and runs every check on it: the
-    Cartan matrix, the positive roots as integer numerators ``_pos_num`` and
-    labels ``_pos_labels`` (both from one closure), the form ``_form`` over
-    ``_form_den``, the squared lengths ``_pos_norms``, |W| from the root
-    heights (``weyl_order``) and the rows of the ambient form (``gram_rows``),
-    roots, coroots, weights and coweights.  ``highest_root`` and
-    ``highest_short_root`` are picked by those integer lengths.  The
-    ``Fraction`` views and the data of points and of theta are built on first
-    read (``functools.cached_property``), as the module docstring lists.  No value changes after construction, and every
-    operation is a pure function of the inputs.
+    It is built from the simple roots and the ambient form as integer rows
+    over one denominator, (den, rows) pairs (``linalg.scaled_rows`` makes
+    one from ``Fraction`` vectors).  Construction computes the integer data
+    and runs every check on it: the Cartan matrix, the positive roots as
+    integer numerators ``_pos_num`` and labels ``_pos_labels`` (both from one
+    closure), the form ``_form`` over ``_form_den``, the squared lengths
+    ``_pos_norms``, |W| from the root heights (``weyl_order``) and the rows
+    of the ambient form (``gram_rows``), roots, coroots, weights and
+    coweights.  ``highest_root`` and ``highest_short_root`` are picked by
+    those integer lengths.  The ``Fraction`` views (``simple_roots`` and
+    ``ambient_gram`` among them) and the data of points and of theta are
+    built on first read (``functools.cached_property``).  No value changes
+    after construction, and every operation is a pure function of the inputs.
     """
 
-    def __init__(
-        self,
-        type_label: str | None,
-        simple_roots: tuple[Vec, ...],
-        ambient_gram: Matrix,
-    ):
-        self.simple_roots = tuple(simple_roots)
-        self.ambient_gram = ambient_gram
-        self.rank = len(simple_roots)
-        self.ambient_dim = len(ambient_gram)
-
+    def __init__(self, type_label: str | None, simple_rows, gram_rows):
         # integer numerators: alpha_i = a[i] / alpha_den and G = g / g_den, so
         # G alpha_i = ga[i] / (g_den alpha_den) and (alpha_i, alpha_j) =
         # gram[i][j] / (g_den alpha_den^2)
-        alpha_den, a = scaled_rows(self.simple_roots)
-        g_den, g = self.gram_rows = scaled_rows(ambient_gram)
+        alpha_den, a = reduced_rows(*simple_rows)
+        g_den, g = self.gram_rows = gram_rows
+        self.rank, self.ambient_dim = len(a), len(g)
         ga = [[sum(map(mul, row, ai)) for row in g] for ai in a]
         gram = [[sum(map(mul, ai, gb)) for gb in ga] for ai in a]
         self.cartan = tuple(
@@ -541,10 +540,7 @@ class RootDatum:
         self._alpha_labels = tuple(zip(*self.cartan))
         # D is the least common denominator: F and D share no factor
         form = [[x * gram[i][i] for x in row] for i, row in enumerate(cinv_num)]
-        den = 2 * cinv_den * gram_den
-        g = gcd(den, *(x for row in form for x in row))
-        self._form = tuple(tuple(x // g for x in row) for row in form)
-        self._form_den = den // g
+        self._form_den, self._form = reduced_rows(2 * cinv_den * gram_den, form)
         # D (nu, rho) = nu . (F rho), with rho = (1, ..., 1) in labels
         self._rho_covector = tuple(sum(row) for row in self._form)
         # ambient coordinate k of sum_i m_i omega_i is (m . omega_num[k]) / omega_den:
@@ -555,6 +551,16 @@ class RootDatum:
         self._omega_den = self._alpha_den * cinv_den
 
     # -- Fraction views of the integer data, each built on first read ------
+
+    @cached_property
+    def simple_roots(self) -> tuple[Vec, ...]:
+        den = self._alpha_den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self._simple_num)
+
+    @cached_property
+    def ambient_gram(self) -> Matrix:
+        den, rows = self.gram_rows
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     @cached_property
     def positive_roots(self) -> tuple[Vec, ...]:
@@ -753,10 +759,6 @@ class RootDatum:
         return f"RootDatum({self.type_label}, rank={self.rank})"
 
 
-def _unit(n: int, j: int) -> Vec:
-    return tuple(ONE if i == j else ZERO for i in range(n))
-
-
 def _as_int(n: int, d: int) -> int:
     """n / d as an int; RootSystemError when d does not divide n."""
     q, r = divmod(n, d)
@@ -779,18 +781,20 @@ def _positive_roots_by_closure(cartan) -> dict[tuple[int, ...], Labels]:
     reads are beta's labels.
     """
     rank = len(cartan)
-    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    labels: dict[tuple[int, ...], Labels | None] = dict.fromkeys(frontier)
+    # the labels of alpha_i are column i of A, and gamma = beta - p alpha_i
+    # has the labels of beta less p times that column
+    columns = tuple(zip(*cartan))
+    labels = {tuple(int(i == j) for j in range(rank)): columns[i] for i in range(rank)}
+    frontier = list(labels)
     while frontier:
         nxt = []
         for beta in frontier:
-            # <beta, alpha_i^vee> = sum_j c_j A[i][j]
-            pairings = labels[beta] = tuple(sum(map(mul, row, beta)) for row in cartan)
-            for i, pairing in enumerate(pairings):
-                if pairing < 0:
-                    gamma = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+            pairings = labels[beta]
+            for i, p in enumerate(pairings):
+                if p < 0:
+                    gamma = beta[:i] + (beta[i] - p,) + beta[i + 1:]
                     if gamma not in labels:
-                        labels[gamma] = None
+                        labels[gamma] = tuple(m - p * c for m, c in zip(pairings, columns[i]))
                         nxt.append(gamma)
         frontier = nxt
     return {r: labels[r] for r in sorted(labels, key=lambda r: (sum(r), r))}
@@ -829,15 +833,14 @@ def build_root_datum(type_label: str) -> RootDatum:
     family, rank = parse_type_label(type_label)
     label = f"{family}{rank}"
     cartan = standard_cartan_matrix(family, rank)
-    d = _root_half_lengths(cartan)
-    gram = tuple(
-        tuple(d[i] * cartan[i][j] for j in range(rank)) for i in range(rank)
-    )
+    # the Gram matrix d_i A_ij over the common denominator of the d_i
+    den, (d,) = scaled_rows([_root_half_lengths(cartan)])
+    gram = [[x * a for a in row] for x, row in zip(d, cartan)]
     # sanity: the Gram matrix must come out symmetric
-    if gram != tuple(zip(*gram)):
+    if gram != [list(col) for col in zip(*gram)]:
         raise RootSystemError("inconsistent length assignment")
-    simple = tuple(_unit(rank, i) for i in range(rank))
-    return RootDatum(label, simple, gram)
+    units = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    return RootDatum(label, (1, units), reduced_rows(den, gram))
 
 
 def cartan_isomorphisms(a, b):

@@ -2,8 +2,9 @@
 for the tests to compare the library's integer paths against.
 
 Rank, inverse and basis coordinates by rational Gauss-Jordan elimination
-(``_row_reduce``), the Weyl dimension formula over ambient pairings, and the
-lattice spanned by dependent generators.  The Weyl-group orders and the root
+(``_row_reduce``), the Weyl dimension formula over ambient pairings, the
+lattice spanned by dependent generators, and affine reflections and their
+words applied in ``Fraction`` vectors.  The Weyl-group orders and the root
 half-lengths of the simple types are tables by family, which the library
 derives from the root data instead.  No library code path calls any of
 these.
@@ -23,7 +24,11 @@ from twinefold.linalg import (
     integer_echelon,
     scaled_rows,
     vadd,
+    vdot,
+    vscale,
+    vsub,
 )
+from twinefold.alcove import AffineReflection
 from twinefold.rootcore import Lattice, RootDatum, RootSystemError, parse_type_label
 
 _WEYL_ORDERS = {
@@ -150,3 +155,31 @@ def lattice_span(vectors, ambient_dim: int) -> Lattice:
     denominator."""
     den, rows = scaled_rows(vectors)
     return Lattice(den, [row for _, row, _ in integer_echelon(rows)], ambient_dim)
+
+
+def fraction_wall(wall) -> tuple[Vec, Fraction, Vec]:
+    """(G alpha, k, alpha^vee) of an ``alcove.AffineReflection`` as
+    ``Fraction`` vectors."""
+    covector, k, coroot, den = wall
+    return (
+        tuple(Fraction(x, den) for x in covector),
+        Fraction(k),
+        tuple(Fraction(x, den) for x in coroot),
+    )
+
+
+def affine_reflection(covector: Vec, k: int, coroot: Vec):
+    """The ``alcove.AffineReflection`` in <alpha, x> = k of the ``Fraction``
+    vectors G alpha and alpha^vee, over their common denominator."""
+    den, (c, r) = scaled_rows([covector, coroot])
+    return AffineReflection(tuple(c), k, tuple(r), den)
+
+
+def reference_apply(g, v: Vec) -> Vec:
+    """``AffineElement.apply`` as a ``Fraction`` loop: the translation, then
+    x -> x - (<alpha, x> - k) alpha^vee for each reflection of the word."""
+    if g.shift:
+        v = vadd(v, g.shift)
+    for covector, k, coroot in map(fraction_wall, g.word):
+        v = vsub(v, vscale(vdot(covector, v) - k, coroot))
+    return v

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import mat_det, mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec
+from twinefold.linalg import mat_det, mat_vec, scaled_rows, vadd, vdot, vneg, vscale, vsub, zero_vec
 from twinefold.rootcore import RootDatum, _classify_system, build_root_datum, lattice_quotient
 from twinefold.folding import (
     automorphism_by_name,
@@ -20,7 +20,6 @@ from twinefold.folding import (
 from twinefold.alcove import (
     FOLD_ITERATION_CAP,
     AffineElement,
-    AffineReflection,
     AlcoveError,
     fold_to_alcove,
     fundamental_alcove,
@@ -28,7 +27,7 @@ from twinefold.alcove import (
 )
 from twinefold.twining import TorusPoint, denominator_norm_sq, is_regular, weyl_denominator
 
-from fraction_reference import identity
+from fraction_reference import affine_reflection, fraction_wall, identity, reference_apply
 
 
 def ctx_for(label, name="flip"):
@@ -145,15 +144,15 @@ def test_fundamental_domain_property_a2():
     assert gen == base.coroot(alpha)
     elements = []
 
-    def affine_reflection(k):
+    def wall(k):
         # the reflection in <alpha, x> = k
-        return AffineReflection(mat_vec(base.ambient_gram, alpha), Fraction(k), base.coroot(alpha))
+        return affine_reflection(mat_vec(base.ambient_gram, alpha), k, base.coroot(alpha))
 
     for k in range(-4, 5):
         shift = vscale(k, gen)
         # x -> x + shift and x -> s_alpha(x) + shift, as reflection words
-        translate = AffineElement((affine_reflection(0), affine_reflection(k)))
-        reflect = AffineElement((affine_reflection(k),))
+        translate = AffineElement((wall(0), wall(k)))
+        reflect = AffineElement((wall(k),))
         for g, det in ((translate, 1), (reflect, -1)):
             assert g.apply(zero_vec(2)) == shift and (-1) ** len(g.word) == det
             elements.append(g)
@@ -316,7 +315,7 @@ def assert_stabilizer_is_coroot_datum(ctx, xi):
         return
     base = ctx.base
     roots = stab.surviving if ctx.kappa.is_identity else [base.coroot(a) for a in stab.surviving]
-    dual = RootDatum(None, roots, base.ambient_gram)
+    dual = RootDatum(None, scaled_rows(roots), base.gram_rows)
     coroots = coroot_lattice(dual)
     fixed_integral = ctx.lattices["fixed_integral"]
     assert stab.dual_label == dual.type_label
@@ -365,8 +364,8 @@ def cached_ctx(case):
 
 def reference_heights(alc, xi):
     """<a, xi> for the floor walls, and <theta, xi>, by Fraction dot products."""
-    *floors, ceiling = alc.walls
-    return [vdot(w.covector, xi) for w in floors], vdot(ceiling.covector, xi)
+    *floors, ceiling = (covector for covector, _, _ in map(fraction_wall, alc.walls))
+    return [vdot(c, xi) for c in floors], vdot(ceiling, xi)
 
 
 def reference_contains(alc, xi):
@@ -387,17 +386,17 @@ def reference_fold(ctx, xi):
         for w, wall in zip(ctx.orbit.datum.fundamental_weights, floors):
             n = int(vdot(mat_vec(gram, w), xi))
             if n:
-                shift = vsub(shift, vscale(n, wall.coroot))
+                shift = vsub(shift, vscale(n, fraction_wall(wall)[2]))
     word = []
     cur = vadd(xi, shift)
     for _ in range(FOLD_ITERATION_CAP):
         heights, top = reference_heights(alc, cur)
         i = next((i for i, h in enumerate(heights) if h < 0), None)
         if i is not None:
-            cur = vsub(cur, vscale(heights[i], floors[i].coroot))
+            cur = vsub(cur, vscale(heights[i], fraction_wall(floors[i])[2]))
             word.append(floors[i])
         elif top > 1:
-            cur = vsub(cur, vscale(top - 1, ceiling.coroot))
+            cur = vsub(cur, vscale(top - 1, fraction_wall(ceiling)[2]))
             word.append(ceiling)
         else:
             return cur, tuple(word), shift
@@ -486,6 +485,35 @@ def test_fold_to_alcove_matches_fraction_walk(case, seed):
         assert (folded, g.word, g.shift) == reference_fold(ctx, xi)
 
 
+APPLY_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [
+    ("B3", "id"), ("C4", "id"), ("F4", "id"), ("G2", "id")
+]
+
+
+@pytest.mark.parametrize("case", APPLY_CASES, ids="-".join)
+def test_integer_apply_matches_the_fraction_loop(case):
+    """``AffineElement.apply`` on integer rows against the ``Fraction`` loop
+    (``reference_apply``), exactly: for the elements that fold points 1, 10,
+    100 and 1000 alcove widths out (largest orbit-root pairing), at those
+    points, at a point off the fixed subspace, and without the translation."""
+    ctx = cached_ctx(case)
+    base, orbit = ctx.base, ctx.orbit.datum
+    rng = random.Random(33)
+    for widths in (1, 10, 100, 1000):
+        for _ in range(3):
+            xi = zero_vec(base.ambient_dim)
+            for cw in fundamental_coweights(orbit):
+                xi = vadd(xi, vscale(Fraction(rng.choice((-1, 1)) * rng.randint(1, 97), 97), cw))
+            height = max(abs(base.inner(a, xi)) for a in orbit.positive_roots)
+            xi = vscale(widths / height, xi)
+            folded, g = fold_to_alcove(ctx, xi)
+            off = tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 13)) for _ in xi)
+            bare = AffineElement(g.word)
+            assert g.apply(xi) == reference_apply(g, xi) == folded
+            assert g.apply(off) == reference_apply(g, off)
+            assert bare.apply(xi) == reference_apply(bare, xi)
+
+
 # ---------------------------------------------------------------------------
 # the extended Cartan matrix against Fraction pairings of the alcove walls
 # ---------------------------------------------------------------------------
@@ -505,8 +533,9 @@ def reference_wall_cartan(alc, walls):
     changes sign."""
     ceiling = alc.walls[-1]
     signs = [-1 if w is ceiling else 1 for w in walls]
+    walls = [fraction_wall(w) for w in walls]
     return tuple(
-        tuple(si * sj * vdot(wj.covector, wi.coroot) for sj, wj in zip(signs, walls))
+        tuple(si * sj * vdot(wj[0], wi[2]) for sj, wj in zip(signs, walls))
         for si, wi in zip(signs, walls)
     )
 

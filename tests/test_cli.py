@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -417,3 +418,166 @@ def test_verify_names_the_exception(monkeypatch):
     assert doc["checks"] and not any(c["pass"] for c in doc["checks"])
     for c in doc["checks"]:
         assert c["error"].startswith("ZeroDivisionError: no context for ")
+
+# sha256 of the JSON output of `fold`, `alcove` and `stabilizer` at every
+# alcove vertex, pinned before the walls and the lattice identities moved to
+# integer rows; the nine foldings, D4 rot2, A2 flip, and G2 and B3 id
+PINNED_GEOMETRY_OUTPUTS = {
+    "fold A3 flip":
+        "3bb896b5af601cc261664c5696bf706d205e7fc79502e5529281eeba49397c93",
+    "alcove A3 flip":
+        "0fd3db39455992646d2bab57d858889bdee659bedfd14179b6b9b487196efbd8",
+    "stabilizer A3 flip --point 0/1,0/1,0/1":
+        "6566441f7737e12f3098e48c232cbb5b6f9b00cfcd2c2a30a61a22d6d98717df",
+    "stabilizer A3 flip --point 1/2,1/2,1/2":
+        "59798ad9ee376cc6a9363871400c1d23b5858e10c9d1be40f59f95b352b69e9f",
+    "stabilizer A3 flip --point 1/4,1/2,1/4":
+        "d066ae01fb41bacbc75ba134689f18f0fdff5549a1d495b2a4a9274bde31d38c",
+    "fold A4 flip":
+        "beba5cc5a427296f885b5e94c58b4660b064d3959ba82e82dcd9cc3b86db673e",
+    "alcove A4 flip":
+        "38b7583b6535f3f7cd8471d76c5b3df7d8f53e64072579f2122af9bd52898232",
+    "stabilizer A4 flip --point 0/1,0/1,0/1,0/1":
+        "3374b8e99aee369234767f0eadf0b9b63d3e4025028481445da79b42c892edef",
+    "stabilizer A4 flip --point 1/4,1/4,1/4,1/4":
+        "bebee1759d1092acb5074d5130b2380972d68606d568ae01ac0dfa26a661743a",
+    "stabilizer A4 flip --point 1/4,1/2,1/2,1/4":
+        "99c9fbd3ed00c3f94949628189342f88f25f34ea0bf67b761c4217046b904a72",
+    "fold A5 flip":
+        "09c57924cb6d152ec2390c8acbdef9d4331756c05cf9c3e5430e81d603391054",
+    "alcove A5 flip":
+        "67a4b9fd2847414ffbcdedcf1b00f5e91784bcb5e5ac43662209ccf542f442bc",
+    "stabilizer A5 flip --point 0/1,0/1,0/1,0/1,0/1":
+        "fceb4df5d34b9c482c27f7a7268cc24f0747d02f0b4464f0cedd205286cf8711",
+    "stabilizer A5 flip --point 1/2,1/2,1/2,1/2,1/2":
+        "3821f747a7f42a7ed62422f98280a772ed8145ac3d6a2451d31f3dc447d0b771",
+    "stabilizer A5 flip --point 1/4,1/2,1/2,1/2,1/4":
+        "68e4c6911eb54a9750b752c2865706c548208874e9f78bcea77b5a2fee21faef",
+    "stabilizer A5 flip --point 1/4,1/2,3/4,1/2,1/4":
+        "2c29637b1676d38553547feb8e22707a148bc6822a1e650ef9c8e9764886f940",
+    "fold A6 flip":
+        "ca6656289f5b18e1a4f308e3090afd6d2f451539178d7fb3e71365c5b6b2f672",
+    "alcove A6 flip":
+        "4c5c1c44d523315ef01987bd84689101cbdecef5a1fd886ac9fc567ec0fac51d",
+    "stabilizer A6 flip --point 0/1,0/1,0/1,0/1,0/1,0/1":
+        "41972809b3a56f8333f622c15ca56a95e725367c9fb168fa551e9cc558f9075d",
+    "stabilizer A6 flip --point 1/4,1/4,1/4,1/4,1/4,1/4":
+        "9244c45c4653c6386edcf524f9d03b6ebfd08c621dee6e9ae3fc01fa1e209f1a",
+    "stabilizer A6 flip --point 1/4,1/2,1/2,1/2,1/2,1/4":
+        "c97e4188398270bfdbaacd35ace02dc6e7ffbddc241100464c9c8c20661785f8",
+    "stabilizer A6 flip --point 1/4,1/2,3/4,3/4,1/2,1/4":
+        "673c2fed7c003a1c8af744179a5c39debb7dd4e5775916d89f7601f4c1912574",
+    "fold D5 flip":
+        "be842475520790312b0a33df903be47e194ed2dac0467145938c69b2d6ce3223",
+    "alcove D5 flip":
+        "5884f1505d14d45af2b6ac2e240f4efd28c6d657741af17f67db2e01f80900d1",
+    "stabilizer D5 flip --point 0/1,0/1,0/1,0/1,0/1":
+        "860d72f01c4511d048322fa490f1393e457a9809872bc126f72e898d891b2240",
+    "stabilizer D5 flip --point 1/2,1/2,1/2,1/4,1/4":
+        "46b8b51690bc228b21bed765fd3f9b6f4c91fc48bb19a2d37e06bbb786105925",
+    "stabilizer D5 flip --point 1/2,1/1,1/1,1/2,1/2":
+        "ba88b03f2e8578861fc3b653eb98da6ef3ea6b230a30ba1d66be96d01136fc6b",
+    "stabilizer D5 flip --point 1/2,1/1,3/2,3/4,3/4":
+        "4b7cc5e2fce7cd35ba66794a7c2076cd8883268efa99956eb888c89043ae9443",
+    "stabilizer D5 flip --point 1/2,1/1,3/2,1/1,1/1":
+        "4f79a992b4917ad1651c7b42b8274d9a89cb5a24a03ad1842c5b67f5aefd1e46",
+    "fold D6 flip":
+        "0291d8699804c30c544f3ef3054ab363ef74d4697c0cf200c532d2d3a69cb250",
+    "alcove D6 flip":
+        "99f2cec0f2e17b8f3d8960c452d8b1642b4f67f08f8e16d3392c6cbfdab95e03",
+    "stabilizer D6 flip --point 0/1,0/1,0/1,0/1,0/1,0/1":
+        "63dbef4e35ffb36ff970d3f99c516a2b412a26d3aca318b02d45dc0dda023627",
+    "stabilizer D6 flip --point 1/2,1/2,1/2,1/2,1/4,1/4":
+        "00a810e8688376a29099c1d72debd0d016e75d62655c4f55a4ce8bdf92130880",
+    "stabilizer D6 flip --point 1/2,1/1,1/1,1/1,1/2,1/2":
+        "4c6295cfe114d7e4ed60717906ec6fa1498303d103365575600c8e5f08e51d8a",
+    "stabilizer D6 flip --point 1/2,1/1,3/2,3/2,3/4,3/4":
+        "f44077bd64dbfbc49a43c8200f0da2b6a69adf2852c2f961ea067a5ac0700471",
+    "stabilizer D6 flip --point 1/2,1/1,3/2,2/1,1/1,1/1":
+        "cc75b4a01c1f79f544211e5dd336abc904ee451bae4b4fe45e87659f53af0b6d",
+    "stabilizer D6 flip --point 1/2,1/1,3/2,2/1,5/4,5/4":
+        "84969e94e8f0d6c9d9677041a2669d5aa8829b09665ab8d5cdcdb8998686fa11",
+    "fold D4 swap34":
+        "a21c573a67d3f51f600ebf5f84525a3af45adf9e05e992d22241abd2bdd9e70b",
+    "alcove D4 swap34":
+        "059bd540c8c26f3b286e8feefdbe05e2d2ffa5deba170c2188c701c8f7ab25ef",
+    "stabilizer D4 swap34 --point 0/1,0/1,0/1,0/1":
+        "6474437f026b4fac0f31c6df6c518531cce413dd1d67314cdc7ceded7ad51252",
+    "stabilizer D4 swap34 --point 1/2,1/2,1/4,1/4":
+        "f3f7faab544334ed32a1d15ab9fa139a00f49a927eaf74ce9d9f8501466bbf17",
+    "stabilizer D4 swap34 --point 1/2,1/1,1/2,1/2":
+        "fb9dae4971cced6aca519c63b9b431039b83665afec53449cdf447595e097670",
+    "stabilizer D4 swap34 --point 1/2,1/1,3/4,3/4":
+        "9eb68337f4520c6cc85ddfebaba3fb787c05bc3174080014e794eaed4ae8dd13",
+    "fold D4 rot":
+        "3cce3ece395d4119bffb09cb4a215ad19541b21999b8af96238102b83d8db833",
+    "alcove D4 rot":
+        "818989b4b03bbc09f52f4ad5e02091da5294f14e7c1f31fe2a8dd732be4de885",
+    "stabilizer D4 rot --point 0/1,0/1,0/1,0/1":
+        "f7117a1af6d3ad6622f6c2cd90ba2f863eb4569d0d6add3476e076964af13e36",
+    "stabilizer D4 rot --point 1/3,1/2,1/3,1/3":
+        "ac69118a2920554d8d0daeb2518bc2ea6f76d2013e118fd1b27e64fd59d6f38e",
+    "stabilizer D4 rot --point 1/3,2/3,1/3,1/3":
+        "a4718954071ef2440338ebe1fac79fb4c7a134ee6eb24d44399f265d0d6e4c83",
+    "fold E6 flip":
+        "7153f8d9fcc86c8fe011feb85c83e1112129b7b1dc23fa6e15418534f757a3db",
+    "alcove E6 flip":
+        "d3c8568309966384c561fb06354a268598355237264b0d3898c5910dc6ad96e1",
+    "stabilizer E6 flip --point 0/1,0/1,0/1,0/1,0/1,0/1":
+        "2a059b137b715039eec5e8a593e74acc724d926c907ecb63326afb3bbaaa60fa",
+    "stabilizer E6 flip --point 1/2,1/2,3/4,1/1,3/4,1/2":
+        "b9282dde299a9562d74484eaf0dd80821c18523dada35b5a39b32a88a4e017b7",
+    "stabilizer E6 flip --point 1/2,1/1,1/1,3/2,1/1,1/2":
+        "1330beb5e33457b0659d5e21bbab6d72592bb1af75d9529dbab4ddb1850c9306",
+    "stabilizer E6 flip --point 1/2,2/3,1/1,4/3,1/1,1/2":
+        "85d1a95cd7226b6b77a7f2d62b8f8a8e859b1bdb491a8af243d63ebdc9fd8a85",
+    "stabilizer E6 flip --point 1/2,3/4,1/1,3/2,1/1,1/2":
+        "276593a128f51a2d263eca2f00615b6829cdb3384f18b565da67fcb0a28af752",
+    "fold D4 rot2":
+        "6bc70074712d868f4da61a611f99138c1b78f7ac15950909643b87a089cb0710",
+    "alcove D4 rot2":
+        "117552e7df68872c6036655e5f9971d17c68f53da257e94eba288ff08f75bc58",
+    "stabilizer D4 rot2 --point 0/1,0/1,0/1,0/1":
+        "4408c381c995354242e4138ebf8750a0c00a6da4c19c4f54ff636ba5eb6bcc57",
+    "stabilizer D4 rot2 --point 1/3,1/2,1/3,1/3":
+        "0c01128c880b0031f2dcaac4ae466ca9a8e5db347ba85dced577f6e40411287d",
+    "stabilizer D4 rot2 --point 1/3,2/3,1/3,1/3":
+        "7a543ee1acafb4e4c35dd2b79035c32bcdda6da3619e53a2b8bee6ba4e8e7570",
+    "fold A2 flip":
+        "12e2aed2418483c987b1de6d82815b60ab12eb4dff57cca6e6aadc596f639a84",
+    "alcove A2 flip":
+        "f1a999907fe0cc801d43dababcb9295dcb97469dfd09a6e5c5f9958b2a958ea8",
+    "stabilizer A2 flip --point 0/1,0/1":
+        "1074a5be3ed3af188a75c531084b71c0a34ae575b5a51b65095620b5f8c75cf5",
+    "stabilizer A2 flip --point 1/4,1/4":
+        "c4e9715feb5061201f84f777c1ef8f7157da0a0b37a740affea9032ed82f83af",
+    "fold G2 id":
+        "c04e79a313fb649fbeb15b86aec4fb1ef8f11081acb2889f9791b6e8d4c8e750",
+    "alcove G2 id":
+        "551611fb646f5fe4e90d74e6962eed773d8c04620a3c4c56e946f17a234cf572",
+    "stabilizer G2 id --point 0/1,0/1":
+        "a7a900637c2af26993297073f9be30eb3b31a1246ccf4466d0f1c57da098d70b",
+    "stabilizer G2 id --point 1/1,1/2":
+        "1a0bfec17ab322802e1d048c558a4393c2ae802462d78ae55c707cab3f60ee05",
+    "stabilizer G2 id --point 1/1,2/3":
+        "bdf8a5e8dae305c16557e4cabb4b8052b18adbb3377859bf3d56ee1129f45131",
+    "fold B3 id":
+        "dc57f759b17c27d64aa168e472e937fbf8bf1bbeecf48dceef3172867ccdc8d9",
+    "alcove B3 id":
+        "51fc9616761913c66bd807868de2ce3e0f2208209bfa28967016c0d7a9d80ecd",
+    "stabilizer B3 id --point 0/1,0/1,0/1":
+        "247c60682983e38b3310e5e7786fbbc0d2fbcf4b08e41f4ad67d680486ce896d",
+    "stabilizer B3 id --point 1/1,1/1,1/2":
+        "cb9ac2063afdfbee7a19c7b7f55098ad8af46f1ec7adae6fa44fa57de99ce0dd",
+    "stabilizer B3 id --point 1/2,1/1,1/2":
+        "028e221c1180d7b8c3d14f25e39c76f4e05e3db1c558702f5f6723704754eef1",
+    "stabilizer B3 id --point 1/2,1/1,3/4":
+        "f803aa8b2518dec56a07ecade1565f211124e43149dc254269a70fe3c5c6b0aa",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_GEOMETRY_OUTPUTS))
+def test_geometry_outputs_match_their_pinned_hashes(command):
+    code, text = run(command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_GEOMETRY_OUTPUTS[command]

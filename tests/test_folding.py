@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import invariant_factors, mat_mul, mat_vec, vadd, vscale, zero_vec
+from twinefold.linalg import (
+    invariant_factors,
+    mat_mul,
+    mat_vec,
+    scaled_rows,
+    vadd,
+    vscale,
+    zero_vec,
+)
 from twinefold.rootcore import (
     RootDatum,
     RootSystemError,
@@ -110,7 +118,7 @@ def test_automorphisms_of_seven_orthogonal_a1():
     # the order of a 3-cycle times a 4-cycle, 12, exceeds the rank plus one
     n = 7
     units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    d = RootDatum(None, units, tuple(tuple(2 * x for x in row) for row in units))
+    d = RootDatum(None, (1, units), (1, tuple(tuple(2 * x for x in row) for row in units)))
     assert d.type_label == "+".join(["A1"] * n)
     autos = list_automorphisms(d)
     assert len(autos) == math.factorial(n)
@@ -285,7 +293,7 @@ def a3_inside_a5():
     """An A3 realized inside the five-dimensional space of A5."""
     ctx = ctx_for("A5")
     stab = stabilizer_datum(ctx, fundamental_alcove(ctx).vertices[3])
-    return RootDatum(None, stab.surviving, ctx.base.ambient_gram)
+    return RootDatum(None, scaled_rows(stab.surviving), ctx.base.gram_rows)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B3", "C4", "G2", "F4", "E6", "A3-in-A5"])
@@ -346,12 +354,19 @@ def test_orbit_coroot_lattice_is_projected_integral():
             assert qov.contains(ctx.project(b))
 
 
+def _doubled(rows):
+    """(den, rows) with every row doubled."""
+    den, rows = rows
+    return den, [tuple(2 * x for x in row) for row in rows]
+
+
 def _corrupted(label, name, monkeypatch):
-    """A built context whose ``project`` now returns doubled vectors, so the
-    systems realized from it keep their type but not their roots."""
+    """A built context whose ``_projected_rows`` now returns doubled rows, so
+    the systems realized from the projected simple roots keep their type but
+    not their roots."""
     ctx = ctx_for(label, name)
-    real = ctx.project
-    monkeypatch.setattr(ctx, "project", lambda v: vscale(2, real(v)))
+    real = ctx._projected_rows
+    monkeypatch.setattr(ctx, "_projected_rows", lambda family: _doubled(real(family)))
     return ctx
 
 
@@ -384,7 +399,7 @@ def test_orbit_root_set_identity_raises(label, name, monkeypatch):
 
     def realize(lbl, roots):
         if next(calls) == len(labels):
-            roots = tuple(vscale(2, a) for a in roots)
+            roots = _doubled(roots)
         return real(lbl, roots)
 
     monkeypatch.setattr(ctx, "_realize", realize)

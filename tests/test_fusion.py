@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold import checks, fusion, twining
-from twinefold.linalg import vadd, vdot, vscale, vsub, zero_vec
+from twinefold.linalg import scaled_rows, vadd, vdot, vscale, vsub, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     RootDatum,
@@ -46,7 +46,7 @@ from twinefold.fusion import (
     verlinde_coefficient,
 )
 
-from fraction_reference import lattice_span, weyl_dimension
+from fraction_reference import fraction_wall, lattice_span, weyl_dimension
 
 
 def ctx_for(label, name="flip"):
@@ -497,7 +497,8 @@ def test_phi_project_matches_alcove_fold(case, k, data):
     rho = ctx.orbit.datum.weyl_vector
     folded, g = fold_to_alcove(ctx, vscale(scale, vadd(lam, rho)))
     expected = None
-    *floors, ceiling = (vdot(w.covector, folded) - w.k for w in fundamental_alcove(ctx).walls)
+    walls = map(fraction_wall, fundamental_alcove(ctx).walls)
+    *floors, ceiling = (vdot(covector, folded) - k for covector, k, _ in walls)
     if all(h > 0 for h in floors) and ceiling < 0:
         expected = ((-1) ** len(g.word), vsub(vscale(1 / scale, folded), rho))
     assert phi_project(ctx, level, lam) == expected
@@ -552,7 +553,7 @@ def test_classical_frames():
                 for i in range(datum.rank) for j in range(datum.rank)
             )
     d4 = build_root_datum("D4")
-    reducible = RootDatum(None, [d4.simple_roots[i] for i in (0, 2, 3)], d4.ambient_gram)
+    reducible = RootDatum(None, scaled_rows([d4.simple_roots[i] for i in (0, 2, 3)]), d4.gram_rows)
     assert reducible.classical_frame is None
 
 

@@ -195,7 +195,7 @@ def test_weyl_order_of_base_and_orbit_data(group, name):
 def test_weyl_order_of_a_reducible_datum():
     d4, a4 = build_root_datum("D4"), build_root_datum("A4")
     for d, nodes, label, order in [(d4, (0, 2, 3), "A1+A1+A1", 8), (a4, (0, 2, 3), "A1+A2", 12)]:
-        sub = RootDatum(None, [d.simple_roots[i] for i in nodes], d.ambient_gram)
+        sub = RootDatum(None, scaled_rows([d.simple_roots[i] for i in nodes]), d.gram_rows)
         assert sub.type_label == label
         assert sub.weyl_order == order == system_weyl_order(label)
 
@@ -526,6 +526,48 @@ def test_lattice_span_and_lower_rank_quotients():
         lattice_index(diagonal, z2)
 
 
+def _integer_basis(data, dim):
+    """Up to ``dim`` integer rows of length ``dim`` and full row rank, with a
+    denominator."""
+    rank = data.draw(st.integers(1, dim))
+    rows = [
+        tuple(data.draw(st.lists(st.integers(-5, 5), min_size=dim, max_size=dim)))
+        for _ in range(rank)
+    ]
+    assume(rank_of([vec(*r) for r in rows]) == rank)
+    return rows, data.draw(st.integers(1, 12))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_hermite_form_decides_lattice_equality(data):
+    """``lattice_eq`` compares Hermite normal forms; two-way ``is_sublattice``
+    is the reference.  A full-rank integer basis over a random denominator
+    equals itself after unimodular row operations and a common scaling of
+    rows and denominator, and its form does not depend on the row order.  On
+    that copy, an index-2 sublattice, an index-2 superlattice and a random
+    second basis, the two decisions agree both ways."""
+    dim = data.draw(st.integers(1, 6))
+    rows, den = _integer_basis(data, dim)
+    lat = Lattice(den, rows, dim)
+    m = data.draw(st.integers(1, 3))
+    same = Lattice(m * den, [[m * x for x in r] for r in _unimodular_change(data, rows)], dim)
+    order = data.draw(st.permutations(range(len(rows))))
+    assert Lattice(den, [rows[i] for i in order], dim).hermite == lat.hermite == same.hermite
+    i = data.draw(st.integers(0, len(rows) - 1))
+    doubled = [tuple(2 * x for x in r) if j == i else r for j, r in enumerate(rows)]
+    others = [
+        same,
+        Lattice(den, doubled, dim),
+        Lattice(2 * den, [tuple(2 * x for x in r) if j != i else r for j, r in enumerate(rows)], dim),
+        Lattice(*_integer_basis(data, dim)[::-1], dim),
+    ]
+    assert lattice_eq(lat, same) and not lattice_eq(lat, others[1])
+    for other in others:
+        both_ways = is_sublattice(lat, other) and is_sublattice(other, lat)
+        assert lattice_eq(lat, other) == lattice_eq(other, lat) == both_ways
+
+
 def _reference_closure(cartan):
     """Positive roots in simple-root coordinates by a full reflection closure
     (positive and negative roots) split by sign, sorted by height."""
@@ -765,7 +807,7 @@ def test_stabilizer_data_match_fraction_reference(group, name):
     ctx = fold(base, automorphism_by_name(base, name))
     for vertex in fundamental_alcove(ctx).vertices:
         stab = stabilizer_datum(ctx, vertex)
-        _assert_matches_reference(RootDatum(None, stab.surviving, base.ambient_gram))
+        _assert_matches_reference(RootDatum(None, scaled_rows(stab.surviving), base.gram_rows))
 
 
 def test_every_component_root_count_is_checked(monkeypatch):
@@ -776,7 +818,7 @@ def test_every_component_root_count_is_checked(monkeypatch):
         rootcore, "_positive_roots_by_closure", lambda c: dict(list(closure(c).items())[:-1])
     )
     with pytest.raises(RootSystemError, match=r"^A1\+A1\+A1: closure produced 4 roots, expected 6$"):
-        RootDatum(None, [d4.simple_roots[i] for i in (0, 2, 3)], d4.ambient_gram)
+        RootDatum(None, scaled_rows([d4.simple_roots[i] for i in (0, 2, 3)]), d4.gram_rows)
     with pytest.raises(RootSystemError, match="^A2: closure produced 4 roots, expected 6$"):
         build_root_datum("A2")
 
@@ -793,7 +835,7 @@ def test_half_sum_is_checked_against_the_fundamental_weights(monkeypatch):
 def test_classify():
     for label in ("A2", "B3", "C3", "D4", "G2", "F4", "E6"):
         d = build_root_datum(label)
-        assert RootDatum(None, d.simple_roots, d.ambient_gram).type_label == label
+        assert RootDatum(None, d.root_rows(), d.gram_rows).type_label == label
 
 
 def test_is_of_type_on_realized_c3():
@@ -801,10 +843,10 @@ def test_is_of_type_on_realized_c3():
     a6 = build_root_datum("A6")
     for c3 in (build_root_datum("C3"), fold(a6, automorphism_by_name(a6, "flip")).orbit.datum):
         assert c3.type_label == "C3"
-        assert RootDatum("C3", c3.simple_roots, c3.ambient_gram).type_label == "C3"
+        assert RootDatum("C3", c3.root_rows(), c3.gram_rows).type_label == "C3"
         for wrong in ("B3", "C4"):
             with pytest.raises(RootSystemError, match=f"not of type {wrong}"):
-                RootDatum(wrong, c3.simple_roots, c3.ambient_gram)
+                RootDatum(wrong, c3.root_rows(), c3.gram_rows)
 
 
 @settings(deadline=None, max_examples=60)
@@ -817,7 +859,7 @@ def test_classified_subsystems_match_root_counts(data):
     )
     subset = data.draw(st.sets(st.integers(0, d.rank - 1), min_size=1))
     order = data.draw(st.permutations(sorted(subset)))
-    sub = RootDatum(None, [d.simple_roots[i] for i in order], d.ambient_gram)
+    sub = RootDatum(None, scaled_rows([d.simple_roots[i] for i in order]), d.gram_rows)
     parts = [parse_type_label(c) for c in sub.type_label.split("+")]
     assert sum(rank for _, rank in parts) == len(subset)
     assert 2 * len(sub.positive_roots) == sum(
