@@ -150,21 +150,17 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
         vertices.append(
             tuple(Fraction(x * c.denominator, cw_den * c.numerator) for x in cw)
         )
-    # every covector G a is g a / (g_den a_den), the floors' coroots are over
-    # v_den, and theta^vee = 2 theta / (theta, theta) = 2 g_den a_den t / (t . g t)
+    # per wall: g a (G a is g a / (g_den a_den)), k, a row r along a^vee and
+    # the factor s with s r = den a^vee; the floors' coroots are over v_den,
+    # and theta^vee = 2 theta / (theta, theta) = 2 g_den a_den t / (t . g t)
     t_norm = sum(map(mul, gt, t))
     den = lcm(g_den * a_den, v_den, t_norm)
-    c_scale, v_scale = den // (g_den * a_den), den // v_den
-    t_scale = 2 * g_den * a_den * (den // t_norm)
+    c_scale = den // (g_den * a_den)
+    rows = [(g_times(a), 0, r, den // v_den) for a, r in zip(roots, coroots)]
+    rows.append((gt, 1, t, 2 * g_den * a_den * (den // t_norm)))
     walls = tuple(
-        AffineReflection(
-            tuple(c_scale * x for x in g_times(a)), 0, tuple(v_scale * x for x in r), den
-        )
-        for a, r in zip(roots, coroots)
-    ) + (
-        AffineReflection(
-            tuple(c_scale * x for x in gt), 1, tuple(t_scale * x for x in t), den
-        ),
+        AffineReflection(tuple(c_scale * x for x in c), k, tuple(s * x for x in r), den)
+        for c, k, r, s in rows
     )
     alc = AlcoveDescription(orbit, tuple(vertices), walls)
     for v in alc.vertices:
