@@ -30,7 +30,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul
 
-from .linalg import Vec, reduced_rows, scaled_rows, vneg, vscale
+from .linalg import Vec, reduced_rows, vneg, vscale
 from .rootcore import (
     Labels,
     Lattice,
@@ -156,19 +156,11 @@ def weight_lattice(datum: RootDatum) -> Lattice:
     return Lattice(*datum.weight_rows(), datum.ambient_dim)
 
 
-def coroot_lattice(datum: RootDatum) -> Lattice:
-    return Lattice(*datum.coroot_rows(), datum.ambient_dim)
-
-
 def fundamental_coweights(datum: RootDatum) -> tuple[Vec, ...]:
     """Dual basis to the simple roots under the invariant form: as
     <omega_i, alpha_j^vee> = delta_ij, it is (2 / (alpha_i, alpha_i)) omega_i."""
     den, rows = datum.coweight_rows()
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-
-def coweight_lattice(datum: RootDatum) -> Lattice:
-    return Lattice(*datum.coweight_rows(), datum.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +229,6 @@ class FoldingContext:
         self.outer_weyl_order = self.fixed_intersection.order * orbit_datum.weyl_order
 
     # -- helpers -----------------------------------------------------------
-
-    def project(self, v: Vec) -> Vec:
-        """The kappa-average (1/|kappa|) sum_t kappa^t v: each simple-root
-        coordinate replaced by its mean over the node orbit, as Fractions."""
-        den, (row,) = scaled_rows([v])
-        scale = self.kappa.order * den
-        return tuple(Fraction(x, scale) for x in self._scaled_projection(row))
 
     def orbit_labels(self, b) -> Labels:
         """The orbit Dynkin labels of the highest weight with base labels b: b

@@ -11,12 +11,12 @@ returns an integer matrix over one denominator (a Cartan matrix's inverse,
 say), and ``solve`` eliminates the integer normal equations of its system.
 The rational Gauss-Jordan reference that the tests compare against lives
 with the tests.  Lattice membership never goes through an elimination over
-Q: ``integer_echelon`` row-reduces an integer basis over Z with gcd row
-operations (once per ``rootcore.Lattice``), and ``echelon_coords`` reads a
-vector's integer coordinates off that echelon.  ``hermite_normal_form``
-reduces the echelon to the canonical form that decides lattice equality.
-The Smith normal form of a quotient of lattices comes from the same routine,
-run alternately over rows and columns; it returns the diagonal only, with no
+Q: ``hermite_normal_form``, the one integer row reduction, brings an integer
+basis to its canonical form over Z with gcd row operations (once per
+``rootcore.Lattice``), which decides lattice equality, and
+``hermite_coords`` reads a vector's integer coordinates off that form.  The
+Smith normal form of a quotient of lattices comes from the same routine, run
+alternately over rows and columns; it returns the diagonal only, with no
 transforms.
 """
 
@@ -45,10 +45,6 @@ def zero_vec(n: int) -> Vec:
 
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vneg(u: Vec) -> Vec:
@@ -175,30 +171,28 @@ def solve(a: Matrix, b: Vec) -> Vec | None:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices: echelon form over Z and the Smith normal form
+# integer matrices: the Hermite and Smith normal forms
 # ---------------------------------------------------------------------------
 
 
-def integer_echelon(
+def hermite_normal_form(
     rows: Sequence[Sequence[int]],
-) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """Row echelon form of an integer matrix over Z.
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Row Hermite normal form of an integer matrix over Z, as (pivot column,
+    row) pairs with increasing pivot columns.
 
-    Returns (pivot column, row, combination) triples with increasing pivot
-    columns, where each row is the integer combination
-    ``combination`` of the input rows.  Each column is cleared below its pivot
-    by the Euclidean algorithm on the rows (subtract integer multiples of the
-    row with the smallest entry there), so every step is unimodular and the
-    rows span the same Z-module as the input.  Zero rows are dropped: the
-    number of triples is the rank.  See Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4.
+    Each column is cleared below its pivot by the Euclidean algorithm on the
+    rows (subtract integer multiples of the row with the smallest entry
+    there), the pivot is made positive, and each entry above it is reduced
+    into [0, pivot) by the pivot's row (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.2).  Every step is unimodular, so the rows
+    span the same Z-module as the input, and the form is the same for every
+    basis of it: two modules are equal exactly when their forms are.  Zero
+    rows are dropped: the number of pairs is the rank.
     """
-    n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    # each row carries its combination of the input rows in columns ncols...
-    rest = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    echelon = []
-    for col in range(ncols):
+    rest = [list(row) for row in rows]
+    hnf: list[tuple[int, list[int]]] = []
+    for col in range(len(rows[0]) if rows else 0):
         live = [row for row in rest if row[col]]
         while len(live) > 1:
             p = min(live, key=lambda row: abs(row[col]))
@@ -208,69 +202,53 @@ def integer_echelon(
                     row[col:] = [x - q * y for x, y in zip(row[col:], p[col:])]
             live = [row for row in live if row[col]]
         if live:
-            p = live[0]
+            p = live[0]  # zero before col, as every earlier column is cleared
             rest = [row for row in rest if row is not p]
-            echelon.append((col, tuple(p[:ncols]), tuple(p[ncols:])))
-    return tuple(echelon)
+            if p[col] < 0:
+                p[col:] = [-x for x in p[col:]]
+            for _, h in hnf:
+                if q := h[col] // p[col]:
+                    h[col:] = [x - q * y for x, y in zip(h[col:], p[col:])]
+            hnf.append((col, p))
+    return tuple((col, tuple(row)) for col, row in hnf)
 
 
-def echelon_coords(
-    echelon: Sequence[tuple[int, Sequence[int], Sequence[int]]], w: Sequence[int]
+def hermite_coords(
+    hnf: Sequence[tuple[int, Sequence[int]]], w: Sequence[int]
 ) -> list[int] | None:
-    """Integer coordinates of ``w`` in the input rows of ``integer_echelon``,
-    or None when ``w`` is not in their Z-span.
-
-    ``w`` is reduced to zero against the echelon rows; the multiples taken
-    are its coordinates in those rows, and their combinations turn them into
-    coordinates in the input rows.
-    """
+    """Integer coordinates of ``w`` in the rows of ``hermite_normal_form``, or
+    None when ``w`` is not in their Z-span: the multiples of each row taken
+    to reduce ``w`` to zero (a remainder at a pivot stays, as the later rows
+    are zero there)."""
     w = list(w)
-    coords = [0] * len(echelon[0][2]) if echelon else []
-    for col, row, combination in echelon:
-        q, r = divmod(w[col], row[col])
-        if r:
-            return None
-        if q:
+    coords = []
+    for col, row in hnf:
+        if q := w[col] // row[col]:
             w[col:] = [x - q * y for x, y in zip(w[col:], row[col:], strict=True)]
-            coords = [c + q * y for c, y in zip(coords, combination)]
+        coords.append(q)
     return None if any(w) else coords
-
-
-def hermite_normal_form(echelon) -> tuple[tuple[int, ...], ...]:
-    """Row Hermite normal form of the rows of ``integer_echelon``: pivots made
-    positive, and each entry above a pivot p reduced into [0, p) by the
-    pivot's row (Cohen, 2.4.2).  It is the same for every basis of the
-    Z-module, so two modules are equal exactly when their forms are."""
-    hnf: list[list[int]] = []
-    for col, row, _ in echelon:
-        row = [-x for x in row] if row[col] < 0 else list(row)
-        for h in hnf:
-            if q := h[col] // row[col]:  # row is zero before col
-                h[col:] = [x - q * y for x, y in zip(h[col:], row[col:])]
-        hnf.append(row)
-    return tuple(map(tuple, hnf))
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal d_1 | d_2 | ... of the Smith normal form of ``a``, zeros last,
     with min(rows, columns) entries.
 
-    ``integer_echelon`` passes alternate over the rows and the columns (each
-    pass transposes its result) until every row has one non-zero entry; each
-    pass can only keep or shrink the corner entry, and keeps it only once its
-    row and column are clear (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.4).  The matrix is then diagonal up to a permutation,
-    and replacing pairs of entries by their gcd and lcm turns the entries
-    into a divisor chain.
+    ``hermite_normal_form`` passes alternate over the rows and the columns
+    (each pass transposes its result) until every row has one non-zero
+    entry; each pass can only keep or shrink the corner entry, and keeps it
+    only once its row and column are clear (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4).  The matrix is then diagonal up to a
+    permutation, and replacing pairs of entries by their gcd and lcm turns
+    the entries into a divisor chain.
     """
     rows = [[int(e) for e in row] for row in a]
     size = min(len(rows), len(rows[0])) if rows else 0
     while True:
-        rows = [row for _, row, _ in integer_echelon(rows)]
+        rows = [row for _, row in hermite_normal_form(rows)]
         if all(sum(1 for x in row if x) == 1 for row in rows):
             break
         rows = transpose(rows)
-    diag = [abs(next(x for x in row if x)) for row in rows]
+    diag = [next(x for x in row if x) for row in rows]  # the positive pivots
     for i, j in itertools.combinations(range(len(diag)), 2):
         diag[i], diag[j] = math.gcd(diag[i], diag[j]), math.lcm(diag[i], diag[j])
     return tuple(diag) + (0,) * (size - len(diag))

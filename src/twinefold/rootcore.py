@@ -25,7 +25,8 @@ Construction and its checks read only integers; the ``Fraction`` views of them
 (roots, rho, fundamental weights, the coroot covectors) and the roots' integer
 covectors are built on a datum's first read of each, and the lattice
 generators (``root_rows`` and its siblings) stay integer rows over one
-denominator, from which a ``Lattice`` is built as is.
+denominator, from which a ``Lattice`` is built with no ``Fraction`` round
+trip.
 
 A point xi meets a datum through its simple-coroot coordinates
 <omega_j, xi> (``coroot_coords``, integer numerators over one denominator,
@@ -62,9 +63,8 @@ from .linalg import (
     Vec,
     ZERO,
     bilinear,
-    echelon_coords,
+    hermite_coords,
     hermite_normal_form,
-    integer_echelon,
     integer_inverse,
     invariant_factors,
     mat_vec,
@@ -229,21 +229,24 @@ class FiniteAbelianGroup:
 
 class Lattice:
     """Z-span of linearly independent rational vectors: integer rows over one
-    denominator ``den`` (the vectors row / den), row-reduced once over Z
-    (``linalg.integer_echelon``).  That reduction is the independence check,
-    and v lies in the lattice exactly when den v is an integer vector that
-    reduces to zero against the echelon, so membership never solves a
-    rational system.  ``lattice`` builds one from ``Fraction`` vectors; the
-    ``Fraction`` basis is built only when read, sublattice tests and
-    quotients read the rows, and ``lattice_eq`` is the equality, on the
-    canonical form ``hermite`` built on first read.
+    denominator ``den`` (the vectors row / den), kept in lowest terms, with
+    their Hermite normal form built once (``linalg.hermite_normal_form``).
+    The rank of that form is the independence check, and ``hermite``, the
+    form over ``den``, is the same pair for every basis of the lattice, so
+    ``lattice_eq`` compares it.  v lies in the lattice exactly when den v is
+    an integer vector that reduces to zero against the form, so membership
+    never solves a rational system; sublattice tests and quotients read the
+    rows of the smaller lattice in those coordinates, and the ``Fraction``
+    basis is built only when read.
     """
 
     def __init__(self, den: int, rows, ambient_dim: int):
-        self._den, self._rows, self.ambient_dim = den, rows, ambient_dim
-        self._echelon = integer_echelon(rows)
-        if len(self._echelon) != len(rows):
+        self._den, self._rows = reduced_rows(den, rows)
+        self.ambient_dim = ambient_dim
+        self._hnf = hermite_normal_form(self._rows)
+        if len(self._hnf) != len(self._rows):
             raise ValueError("lattice basis must be linearly independent")
+        self.hermite = (self._den, tuple(row for _, row in self._hnf))
 
     @cached_property
     def basis(self) -> tuple[Vec, ...]:
@@ -257,34 +260,20 @@ class Lattice:
     def rank(self) -> int:
         return len(self._rows)
 
-    @cached_property
-    def hermite(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The Hermite normal form of the rows over ``den``, in lowest terms:
-        the same pair for every basis of the lattice."""
-        return reduced_rows(self._den, hermite_normal_form(self._echelon))
-
     def _row_coords(self, row, den: int) -> list[int] | None:
-        """Integer coordinates of the vector row / den, for an integer row."""
+        """Integer coordinates of the vector row / den in the Hermite rows,
+        for an integer row; None when it is off the lattice."""
         w = []
         for x in row:
             q, r = divmod(x * self._den, den)
             if r:
                 return None
             w.append(q)
-        return echelon_coords(self._echelon, w)
-
-    def integral_coords(self, v: Vec) -> list[int] | None:
-        """Integer coordinates of v in the basis, or None when v is off the
-        lattice."""
-        den, (row,) = scaled_rows([v])
-        return self._row_coords(row, den)
+        return hermite_coords(self._hnf, w)
 
     def contains(self, v: Vec) -> bool:
-        return self.integral_coords(v) is not None
-
-
-def lattice(basis, ambient_dim: int) -> Lattice:
-    return Lattice(*scaled_rows(tuple(basis)), ambient_dim)
+        den, (row,) = scaled_rows([v])
+        return self._row_coords(row, den) is not None
 
 
 def is_sublattice(sub: Lattice, sup: Lattice) -> bool:
@@ -297,8 +286,9 @@ def lattice_eq(a: Lattice, b: Lattice) -> bool:
 
 def lattice_quotient(sub: Lattice, sup: Lattice) -> FiniteAbelianGroup:
     """Torsion of sup/sub for a sublattice of any rank: the invariant factors
-    above 1 of sub's basis in sup's coordinates.  At equal ranks this is the
-    whole quotient."""
+    above 1 of sub's basis in the coordinates of sup's Hermite rows, which
+    differ from those in any other basis of sup by a unimodular change.  At
+    equal ranks this is the whole quotient."""
     rows = []
     for r in sub._rows:
         c = sup._row_coords(r, sub._den)

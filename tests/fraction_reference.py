@@ -4,10 +4,12 @@ for the tests to compare the library's integer paths against.
 Rank, inverse and basis coordinates by rational Gauss-Jordan elimination
 (``_row_reduce``), the Weyl dimension formula over ambient pairings, the
 lattice spanned by dependent generators, and affine reflections and their
-words applied in ``Fraction`` vectors.  The Weyl-group orders and the root
-half-lengths of the simple types are tables by family, which the library
-derives from the root data instead.  No library code path calls any of
-these.
+words applied in ``Fraction`` vectors.  Lattices built from ``Fraction``
+vectors or from a datum's coroots and coweights, vector subtraction and the
+kappa-average of a folding context serve only the tests, so they live here
+too.  The Weyl-group orders and the root half-lengths of the simple types
+are tables by family, which the library derives from the root data instead.
+No library code path calls any of these.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from twinefold.linalg import (
     ZERO,
     Matrix,
     Vec,
-    integer_echelon,
+    hermite_normal_form,
     scaled_rows,
     vadd,
     vdot,
     vscale,
-    vsub,
 )
 from twinefold.alcove import AffineReflection
 from twinefold.rootcore import Lattice, RootDatum, RootSystemError, parse_type_label
@@ -149,12 +150,38 @@ def weyl_dimension(datum: RootDatum, lam: Vec) -> int:
     return q.numerator
 
 
+def vsub(u: Vec, v: Vec) -> Vec:
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def lattice(basis, ambient_dim: int) -> Lattice:
+    """The lattice with the independent ``Fraction`` vectors ``basis``."""
+    return Lattice(*scaled_rows(tuple(basis)), ambient_dim)
+
+
+def coroot_lattice(datum: RootDatum) -> Lattice:
+    return Lattice(*datum.coroot_rows(), datum.ambient_dim)
+
+
+def coweight_lattice(datum: RootDatum) -> Lattice:
+    return Lattice(*datum.coweight_rows(), datum.ambient_dim)
+
+
 def lattice_span(vectors, ambient_dim: int) -> Lattice:
     """The lattice generated by ``vectors``, which need not be independent:
-    its basis is their integer echelon, scaled back by the common
+    its basis is their Hermite normal form, scaled back by the common
     denominator."""
     den, rows = scaled_rows(vectors)
-    return Lattice(den, [row for _, row, _ in integer_echelon(rows)], ambient_dim)
+    return Lattice(den, [row for _, row in hermite_normal_form(rows)], ambient_dim)
+
+
+def project(ctx, v: Vec) -> Vec:
+    """The kappa-average (1/|kappa|) sum_t kappa^t v of a folding context: each
+    simple-root coordinate replaced by its mean over the node orbit, read off
+    the library's integer projection ``ctx._scaled_projection``."""
+    den, (row,) = scaled_rows([v])
+    scale = ctx.kappa.order * den
+    return tuple(Fraction(x, scale) for x in ctx._scaled_projection(row))
 
 
 def fraction_wall(wall) -> tuple[Vec, Fraction, Vec]:

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold.checks import FOLDINGS
-from twinefold.linalg import mat_det, mat_vec, scaled_rows, vadd, vdot, vneg, vscale, vsub, zero_vec
+from twinefold.linalg import mat_det, mat_vec, scaled_rows, vadd, vdot, vneg, vscale, zero_vec
 from twinefold.rootcore import RootDatum, _classify_system, build_root_datum, lattice_quotient
 from twinefold.folding import (
     automorphism_by_name,
-    coroot_lattice,
     fold,
     fundamental_coweights,
 )
@@ -27,7 +26,15 @@ from twinefold.alcove import (
 )
 from twinefold.twining import TorusPoint, denominator_norm_sq, is_regular, weyl_denominator
 
-from fraction_reference import affine_reflection, fraction_wall, identity, reference_apply
+from fraction_reference import (
+    affine_reflection,
+    coroot_lattice,
+    fraction_wall,
+    identity,
+    project,
+    reference_apply,
+    vsub,
+)
 
 
 def ctx_for(label, name="flip"):
@@ -439,7 +446,7 @@ def unfixed_points(ctx, points, rng):
         moving = zero_vec(dim)
         while not any(moving):
             v = draw()
-            moving = vsub(v, ctx.project(v))
+            moving = vsub(v, project(ctx, v))
         out.append(vadd(xi, moving))
     return out
 
@@ -512,6 +519,41 @@ def test_integer_apply_matches_the_fraction_loop(case):
             assert g.apply(xi) == reference_apply(g, xi) == folded
             assert g.apply(off) == reference_apply(g, off)
             assert bare.apply(xi) == reference_apply(bare, xi)
+
+
+NORM_MAP_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [("A2", "flip")]
+
+
+@pytest.mark.parametrize("case", NORM_MAP_CASES, ids="-".join)
+def test_norm_map_takes_twisted_folds_to_ordinary_ones(case):
+    """The norm map x -> x kappa(x) ... kappa^(r-1)(x), for kappa of order r,
+    sends twisted classes to ordinary ones; on the fixed torus it is
+    exp xi -> exp(r xi).  So when ``fold_to_alcove`` takes xi to xi', r xi
+    and r xi' fold to the same point of the base's own alcove (its identity
+    folding), at 20 seeded kappa-fixed points whose orbit-coweight
+    coordinates are p/q, |p| <= 300, q <= 97.  Shifting xi' by 1/997 of the
+    first orbit coweight must change that point.
+
+    The check is one-way.  It catches an orbit coroot lattice that is too
+    fine, whose translations need not lie in the base's affine Weyl group
+    once scaled by r.  It would pass one that is too coarse: r eta lies in
+    the base coroot lattice for every orbit coroot eta, so every sublattice
+    of the right one passes too.
+    """
+    ctx = cached_ctx(case)
+    ordinary = cached_ctx((case[0], "id"))
+    r = ctx.kappa.order
+    coweights = fundamental_coweights(ctx.orbit.datum)
+    rng = random.Random(997)
+    for _ in range(20):
+        xi = zero_vec(ctx.base.ambient_dim)
+        for cw in coweights:
+            xi = vadd(xi, vscale(Fraction(rng.randint(-300, 300), rng.randint(1, 97)), cw))
+        folded, _ = fold_to_alcove(ctx, xi)
+        target = fold_to_alcove(ordinary, vscale(r, xi))[0]
+        assert fold_to_alcove(ordinary, vscale(r, folded))[0] == target, xi
+        shifted = vadd(folded, vscale(Fraction(1, 997), coweights[0]))
+        assert fold_to_alcove(ordinary, vscale(r, shifted))[0] != target, xi
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twinefold import checks, fusion, twining
-from twinefold.linalg import scaled_rows, vadd, vdot, vscale, vsub, zero_vec
+from twinefold.linalg import scaled_rows, vadd, vdot, vscale, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     RootDatum,
@@ -46,7 +46,7 @@ from twinefold.fusion import (
     verlinde_coefficient,
 )
 
-from fraction_reference import fraction_wall, lattice_span, weyl_dimension
+from fraction_reference import fraction_wall, lattice_span, vsub, weyl_dimension
 
 
 def ctx_for(label, name="flip"):

@@ -7,6 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twinefold.linalg import (
     ZERO,
+    hermite_coords,
+    hermite_normal_form,
     integer_inverse,
     invariant_factors,
     mat,
@@ -76,6 +78,62 @@ def test_snf_of_unimodular_matrix_with_large_entries():
         [-6, -429, -182716, 2440747333, 909162745],
     ]
     assert smith_normal_form(a) == (1, 1, 1, 1, 1)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Integer matrices up to 6 x 7 with entries in [-50, 50], zero and
+    repeated rows mixed in."""
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-50, 50), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * ncols)), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6 - len(rows)))):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(_integer_matrices(), st.data())
+def test_hermite_normal_form_is_the_canonical_basis_of_the_row_module(rows, data):
+    ncols = len(rows[0])
+    hnf = hermite_normal_form(rows)
+    pivots = [col for col, _ in hnf]
+    form = [row for _, row in hnf]
+    assert all(a < b for a, b in itertools.pairwise(pivots))
+    for i, (col, row) in enumerate(hnf):
+        assert row[col] > 0 and not any(row[:col])
+        assert all(0 <= h[col] < row[col] for h in form[:i])
+    assert len(hnf) == rank_of([vec(*r) for r in rows])
+
+    # the same form for a permutation and a unimodular change of the rows
+    changed = [list(rows[i]) for i in data.draw(st.permutations(range(len(rows))))]
+    for _ in range(data.draw(st.integers(0, 8))):
+        i, j = (data.draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        q = data.draw(st.integers(-3, 3))
+        changed[i] = [-x for x in changed[i]] if i == j else [
+            x + q * y for x, y in zip(changed[i], changed[j])
+        ]
+    assert hermite_normal_form(changed) == hnf
+
+    # every input row reduces to zero, with integer coordinates that rebuild it
+    for r in rows:
+        coords = hermite_coords(hnf, r)
+        assert coords is not None and all(type(c) is int for c in coords)
+        assert [sum(c * h[k] for c, h in zip(coords, form)) for k in range(ncols)] == r
+
+    # off the span: a unit vector at the first column without a pivot, or at
+    # the first pivot above 1, and a random vector, against the rational
+    # coordinates in the form's rows
+    units = [j for j in range(ncols) if j not in pivots][:1]
+    units += [col for col, row in hnf if row[col] > 1][:1]
+    off = [[int(k == j) for k in range(ncols)] for j in units]
+    for v in off + [data.draw(st.lists(st.integers(-50, 50), min_size=ncols, max_size=ncols))]:
+        ref = coords_in_basis([vec(*h) for h in form], vec(*v))
+        if ref is not None and all(c.denominator == 1 for c in ref):
+            assert v not in off
+            assert hermite_coords(hnf, v) == [int(c) for c in ref]
+        else:
+            assert hermite_coords(hnf, v) is None
 
 
 def _minor_gcd(a, k):

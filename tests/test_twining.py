@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from twinefold import checks
 from twinefold.alcove import fold_to_alcove, fundamental_alcove
-from twinefold.linalg import mat_vec, vadd, vdot, vneg, vscale, vsub, zero_vec
+from twinefold.linalg import mat_vec, vadd, vdot, vneg, vscale, zero_vec
 from twinefold.rootcore import (
     FourierPolynomial,
     RootSystemError,
@@ -33,6 +33,8 @@ from twinefold.twining import (
     twining_character,
     weyl_denominator,
 )
+
+from fraction_reference import vsub
 
 TOL = 1e-9
 
