@@ -219,7 +219,8 @@ def _unit_axiom(group, name, k) -> Outcome:
 
 
 def _indexed_table(table) -> list[list[int]]:
-    return sorted([l, m, n, v] for (l, m, n), v in table.coefficients.items())
+    triples = itertools.product(range(len(table.rows)), repeat=3)
+    return [[l, m, n, table.rows[l][m].get(n, 0)] for l, m, n in triples]
 
 
 def _rank_one_table(k) -> Outcome:
@@ -257,7 +258,8 @@ def _orbit_group_table(group, name, orbit_type, k) -> Outcome:
         table = fusion_table(c, k)
         names = [relabel(m) for m in table.level.labels]
         return {(names[l], names[m], names[n], v)
-                for (l, m, n), v in table.coefficients.items() if v}
+                for l, rows in enumerate(table.rows) for m, row in enumerate(rows)
+                for n, v in row.items()}
 
     twisted = nonzero(ctx, lambda m: tuple(m[i] for i in p))
     own = nonzero(standalone, tuple)

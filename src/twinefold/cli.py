@@ -237,10 +237,8 @@ def cmd_fusion(args) -> dict:
     entries = []
     for lam in weights:
         for mu in weights:
-            for nu in weights:
-                n = table.coefficients[lam, mu, nu]
-                if n:
-                    entries.append([name[lam], name[mu], name[nu], n])
+            row = table.rows[lam][mu]
+            entries += ([name[lam], name[mu], name[nu], row[nu]] for nu in weights if nu in row)
     return {
         "group": ctx.base.type_label,
         "automorphism": ctx.kappa.name,

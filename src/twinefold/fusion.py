@@ -8,17 +8,17 @@ coefficient twice and requires the two to agree:
 
 - the Verlinde route sums over those points, one sum per entry, and decides
   each coefficient by rounding within ``INTEGRALITY_TOL``;
-- the folded route builds the fusion matrices (``_fusion_rows``).  The rows
-  of the unit and of the fundamental weights that are level weights come
-  from the Kac-Walton formula (Kac, Infinite-Dimensional Lie Algebras,
-  Ex. 13.35; Walton, Nucl. Phys. B 340 (1990) 777): tensor products by the
-  Racah-Speiser rule (``_product_labels``), then the rho-shifted level-k
-  affine folding (``_fold_labels``), in the orbit system's integer Dynkin
-  labels.  Every other row follows from the product law of the fusion
-  matrices, which takes the ring to be associative and commutative; the
-  folded route does not test those laws on its own.  Comparing each
-  Verlinde value with the folded entry in both orders of its first two
-  weights does.
+- the folded route builds the fusion matrices (``_fusion_rows``), which
+  become the table (``FusionTable.rows``).  The rows of the unit and of the
+  fundamental weights that are level weights come from the Kac-Walton
+  formula (Kac, Infinite-Dimensional Lie Algebras, Ex. 13.35; Walton,
+  Nucl. Phys. B 340 (1990) 777): tensor products by the Racah-Speiser rule
+  (``_product_labels``), then the rho-shifted level-k affine folding
+  (``_fold_labels``), in the orbit system's integer Dynkin labels.  Every
+  other row follows from the product law of the fusion matrices, which
+  takes the ring to be associative and commutative; the folded route does
+  not test those laws on its own.  Comparing each Verlinde value with the
+  folded entry in both orders of its first two weights does.
 
 Inside a level, a weight is its index in ``LevelData.level_weights``;
 ambient vectors appear only at the API boundary.  Both routes read the level
@@ -290,7 +290,7 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     with D omega_j that is the index of Z^r in Z^r + (2F / E) Z^r, which is
     prod_i E / gcd(E, d_i) over the invariant factors d_i of 2F.
     """
-    if k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise FusionError("level must be a positive integer")
     orbit = ctx.orbit.datum
     form = orbit._form
@@ -444,27 +444,27 @@ def _verlinde(level: LevelData, pair: list[complex], nu: int) -> tuple[int, floa
 def _folded_product(level: LevelData, lam: Labels, mu: Labels) -> dict[int, int]:
     """The affine-folded tensor product of two highest weights given by
     labels, keyed by level-weight index; a coefficient whose signed terms
-    cancel stays as an explicit zero."""
+    cancel is dropped, so no value is zero."""
     folded: dict[int, int] = {}
     for sigma, m in _product_labels(level.datum, lam, mu).items():
         projected = _fold_labels(level, tuple(x + 1 for x in sigma))
         if projected is not None:
             sign, nu = projected
             folded[nu] = folded.get(nu, 0) + sign * m
-    return folded
+    return {nu: c for nu, c in folded.items() if c}
 
 
 def _fusion_rows(level: LevelData) -> list[list[dict[int, int]]]:
     """The fusion matrices of ``level``: rows[lam][mu] = {nu: N_{lam mu}^nu}
-    over level-weight indices.
+    over level-weight indices, with no zero value.
 
     The unit and each fundamental weight omega_i that is a level weight (its
     comark is at most k) are the generators: their rows come from Kac-Walton,
-    ``_folded_product(omega_i, mu)`` for every mu, and may hold explicit
-    zeros.  Every other level weight lam is visited by increasing height
-    (lam, rho) and takes the i with m_i > 0 whose omega_i has the least
-    dimension, so that ``_product_labels`` expands the character of omega_i
-    alone.  In the character ring
+    ``_folded_product(omega_i, mu)`` for every mu.  Every other level weight
+    lam is visited by increasing height (lam, rho) and takes the i with
+    m_i > 0 whose omega_i has the least dimension, so that
+    ``_product_labels`` expands the character of omega_i alone.  In the
+    character ring
     chi_{lam - omega_i} chi_{omega_i} = chi_lam + sum_nu c_nu chi_nu
     (``_product_labels``), and since fusion matrices multiply as
     N_a N_b = sum_c N_{ab}^c N_c,
@@ -520,8 +520,11 @@ def _fusion_rows(level: LevelData) -> list[list[dict[int, int]]]:
 
 @dataclass(frozen=True)
 class FusionTable:
+    """The level-k fusion ring as its fusion matrices: ``rows[lam][mu]`` is
+    {nu: N_{lam mu}^nu} over level-weight indices, with no zero value."""
+
     level: LevelData
-    coefficients: dict[tuple[int, int, int], int]  # by level-weight indices
+    rows: list[list[dict[int, int]]]
     max_residual: float  # largest |Verlinde sum - nearest integer| over entries
 
     def get(self, lam: Vec, mu: Vec, nu: Vec) -> int:
@@ -531,7 +534,7 @@ class FusionTable:
         vector by value; a weight off the level raises FusionError.
         """
         level = self.level
-        return self.coefficients[_index(level, lam), _index(level, mu), _index(level, nu)]
+        return self.rows[_index(level, lam)][_index(level, mu)].get(_index(level, nu), 0)
 
 
 def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
@@ -542,26 +545,21 @@ def fusion_table(ctx: FoldingContext, k: int) -> FusionTable:
     the fusion ring's product law for the rest.  It takes associativity and
     commutativity for granted, so it does not test them on its own; the
     comparison of N[lam][mu] and N[mu][lam] with the one Verlinde value of
-    each pair does, entry by entry.
+    each pair does, entry by entry.  Once compared, those rows are the table.
     """
     level = level_data(ctx, k)
     n = len(level.labels)
     rows = _fusion_rows(level)
-    coeffs: dict[tuple[int, int, int], int] = {}
     max_residual = 0.0
     for lam, mu in itertools.combinations_with_replacement(range(n), 2):
         pair = _pair_vector(level, lam, mu)
-        sides = (lam, mu, rows[lam][mu]), (mu, lam, rows[mu][lam])
         for nu in range(n):
             n_verlinde, residual = _verlinde(level, pair, nu)
             max_residual = max(max_residual, residual)
-            for a, b, row in sides:
-                n_phi = row.get(nu, 0)
+            for a, b in (lam, mu), (mu, lam):
+                n_phi = rows[a][b].get(nu, 0)
                 if n_verlinde != n_phi:
                     a, b, c = (level.level_weights[i] for i in (a, b, nu))
-                    raise FusionError(
-                        "route disagreement at "
-                        f"({a}, {b}, {c}): Verlinde {n_verlinde}, folded {n_phi}"
-                    )
-            coeffs[lam, mu, nu] = coeffs[mu, lam, nu] = n_verlinde
-    return FusionTable(level, coeffs, max_residual)
+                    raise FusionError(f"route disagreement at ({a}, {b}, {c}): "
+                                      f"Verlinde {n_verlinde}, folded {n_phi}")
+    return FusionTable(level, rows, max_residual)

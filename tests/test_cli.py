@@ -280,8 +280,8 @@ def reference_fusion(group, name, k):
         "max_residual": table.max_residual,
         "level_weights": [names[i] for i in order],
         "coefficients": [
-            [names[a], names[b], names[c], table.coefficients[a, b, c]]
-            for a in order for b in order for c in order if table.coefficients[a, b, c]
+            [names[a], names[b], names[c], table.rows[a][b].get(c, 0)]
+            for a in order for b in order for c in order if table.rows[a][b].get(c, 0)
         ],
     }
 

@@ -135,8 +135,13 @@ def test_t_group_order_pinned(case):
 
 
 def test_level_data_rejects_bad_level():
-    with pytest.raises(FusionError):
-        level_data(ctx_for("A2"), 0)
+    """A level that is no int >= 1 fails with one message; a bool is no
+    level, and neither is a float or a string that names an integer."""
+    ctx = ctx_for("A2")
+    for k in (2.0, 1.5, "2", True, 0, -1):
+        for build in (level_data, fusion_table):
+            with pytest.raises(FusionError, match="^level must be a positive integer$"):
+                build(ctx, k)
 
 
 def test_phi_project_a2_level_one():
@@ -206,8 +211,8 @@ def test_route_equivalence_builds():
 def test_symmetric_in_first_two_slots():
     ctx = ctx_for("A3")
     table = fusion_table(ctx, 2)
-    for (lam, mu, nu), n in table.coefficients.items():
-        assert table.coefficients[mu, lam, nu] == n
+    for lam, mu, nu in itertools.product(range(len(table.rows)), repeat=3):
+        assert table.rows[lam][mu].get(nu, 0) == table.rows[mu][lam].get(nu, 0)
 
 
 def test_associativity_a2_level_two():
@@ -346,18 +351,21 @@ def test_fusion_ring_laws(case_k, data):
     associativity at a random triple of level-weight indices."""
     case, k = case_k
     table = table_for(case, k)
-    n = table.coefficients
     level = table.level
+
+    def n(lam, mu, nu):
+        return table.rows[lam][mu].get(nu, 0)
+
     size = len(level.labels)
     lam, mu, nu = data.draw(st.tuples(*[st.integers(0, size - 1)] * 3))
     unit = level.labels.index((0,) * len(level.labels[0]))
     dual = level.dual
-    assert n[lam, mu, nu] == n[mu, lam, nu]
-    assert n[unit, mu, nu] == int(mu == nu)
-    assert n[lam, mu, nu] == n[lam, dual[nu], dual[mu]]
+    assert n(lam, mu, nu) == n(mu, lam, nu)
+    assert n(unit, mu, nu) == int(mu == nu)
+    assert n(lam, mu, nu) == n(lam, dual[nu], dual[mu])
     for rho in range(size):
-        left = sum(n[lam, mu, x] * n[x, nu, rho] for x in range(size))
-        right = sum(n[mu, nu, x] * n[lam, x, rho] for x in range(size))
+        left = sum(n(lam, mu, x) * n(x, nu, rho) for x in range(size))
+        right = sum(n(mu, nu, x) * n(lam, x, rho) for x in range(size))
         assert left == right
 
 
@@ -381,18 +389,15 @@ NON_LEVEL_FUNDAMENTALS = {
 }
 
 
-def _nonzero(row):
-    return {nu: c for nu, c in row.items() if c}
-
-
 @pytest.mark.parametrize("group,name,k", RECURSION_TABLES)
 def test_recursive_rows_match_the_pairwise_reference(group, name, k):
     """The fusion matrices of ``_fusion_rows`` against Kac-Walton on each
-    pair (``_folded_product``), zeros dropped: N[lam][mu] and N[mu][lam] both
-    equal the folded product of lam and mu.  Every pair with a factor of
-    dimension <= 1000 is compared, which is every pair but on D5 and D6 flip
-    k = 2-3 and E6 flip k = 3; there every row is still compared, against the
-    columns of the small factors (the unit among them)."""
+    pair (``_folded_product``): N[lam][mu] and N[mu][lam] both equal the
+    folded product of lam and mu, and none of the three holds a zero.  Every
+    pair with a factor of dimension <= 1000 is compared, which is every pair
+    but on D5 and D6 flip k = 2-3 and E6 flip k = 3; there every row is still
+    compared, against the columns of the small factors (the unit among
+    them)."""
     level = level_for((group, name), k)
     datum, labels, n = level.datum, level.labels, len(level.labels)
     units = [tuple(int(j == i) for j in range(datum.rank)) for i in range(datum.rank)]
@@ -402,9 +407,10 @@ def test_recursive_rows_match_the_pairwise_reference(group, name, k):
     dims = [label_dimension(datum, m) for m in labels]
     for lam, mu in itertools.combinations_with_replacement(range(n), 2):
         if min(dims[lam], dims[mu]) <= 1000:
-            reference = _nonzero(fusion._folded_product(level, labels[lam], labels[mu]))
-            assert _nonzero(rows[lam][mu]) == reference, (lam, mu)
-            assert _nonzero(rows[mu][lam]) == reference, (mu, lam)
+            reference = fusion._folded_product(level, labels[lam], labels[mu])
+            assert all(reference.values()), (lam, mu)
+            assert rows[lam][mu] == reference, (lam, mu)
+            assert rows[mu][lam] == reference, (mu, lam)
 
 
 def test_fusion_table_checks_both_orders(monkeypatch):
@@ -423,6 +429,21 @@ def test_fusion_table_checks_both_orders(monkeypatch):
     w = level_data(ctx, 2).level_weights
     with pytest.raises(FusionError, match=re.escape(f"at ({w[2]}, {w[1]}, {w[0]})")):
         fusion_table(ctx, 2)
+
+
+def test_fusion_table_rows_hold_no_zero():
+    """The fusion matrices are the table: on D6 flip k = 2 no row holds a
+    zero, the rows hold the 2066 non-zero coefficients that the CLI emits,
+    and ``get`` reads a triple absent from its row as 0."""
+    table = fusion_table(ctx_for("D6"), 2)
+    weights = table.level.level_weights
+    assert all(all(row.values()) for rows in table.rows for row in rows)
+    assert sum(len(row) for rows in table.rows for row in rows) == 2066
+    lam, mu, nu = next(
+        (l, m, n) for l, m, n in itertools.product(range(len(weights)), repeat=3)
+        if n not in table.rows[l][m]
+    )
+    assert table.get(weights[lam], weights[mu], weights[nu]) == 0
 
 
 # ten tables across the foldings, levels 2-4, classical and exceptional orbits
@@ -569,7 +590,8 @@ def test_one_verlinde_decision(group, name, k):
     assert (level.datum.classical_frame is None) == (group == "D4")
     weights = level.level_weights
     residuals = []
-    for (lam, mu, nu), n in table.coefficients.items():
+    for lam, mu, nu in itertools.product(range(len(weights)), repeat=3):
+        n = table.rows[lam][mu].get(nu, 0)
         assert verlinde_coefficient(ctx, level, weights[lam], weights[mu], weights[nu]) == n
         residuals.append(fusion._verlinde(level, fusion._pair_vector(level, lam, mu), nu)[1])
     assert table.max_residual == max(residuals)
@@ -772,7 +794,7 @@ def test_fusion_table_pickle_round_trip():
     assert copy.level.weight_index == table.level.weight_index
     assert copy.level.by_id == {id(lam): i for i, lam in enumerate(copy.level.level_weights)}
     for triple in itertools.product(range(len(table.level.level_weights)), repeat=3):
-        n = table.coefficients[triple]
+        n = table.rows[triple[0]][triple[1]].get(triple[2], 0)
         stored = [copy.level.level_weights[i] for i in triple]
         assert copy.get(*stored) == n
         assert verlinde_coefficient(ctx, copy.level, *stored) == n
