@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .linalg import Vec, vadd, vscale, zero_vec
 from .rootcore import build_root_datum, cartan_isomorphisms, is_sublattice, lattice_eq
-from .folding import FoldingContext, automorphism_by_name, fold, fundamental_coweights
+from .folding import (INDEX_TWO_PAIRS, LATTICE_IDENTITIES, LATTICES, FoldingContext,
+                      automorphism_by_name, fold, fundamental_coweights)
 from .twining import (TorusPoint, adjoint_oracle, inner_product, is_regular, jantzen_eval,
                       twining_character)
 from .alcove import fundamental_alcove, stabilizer_datum
@@ -111,33 +112,29 @@ def _half_sum(group, name, *_) -> Outcome:
 # lattices: 03-04
 
 _INCLUSIONS = [("QF", "PF"), ("QFv", "PFv"), ("QO", "PO"), ("QOv", "POv")]
-# equalities that hold for every folding
-_IDENTITIES = [("QF", "p_root"), ("PFv", "fixed_coweight"), ("QOv", "p_integral"),
-               ("PO", "fixed_weight")]
-# and those that hold for every folding but A_2n (which has index-2 quotients)
-_EQUALITIES = [("QFv", "fixed_integral"), ("PF", "p_weight"), ("QO", "fixed_root"),
-               ("POv", "p_coweight")]
 
 
-def _lattices(group, name, *_) -> Outcome:
+def _lattices(group, name, folded, *_) -> Outcome:
     ctx = context(group, name)
     lat = ctx.lattices
+    a_even = folded.startswith("BC")
+    pairs = [(a, b) for a, b, _ in LATTICE_IDENTITIES]
+    if not a_even:  # each named by its folded or orbit datum lattice first
+        datum_side = {n for names in LATTICES.values() for n in names[:2]}
+        pairs += [(a, b) if a in datum_side else (b, a) for a, b, *_ in INDEX_TWO_PAIRS]
     observed = {f"{a} <= {b}": is_sublattice(lat[a], lat[b]) for a, b in _INCLUSIONS}
-    equalities = _IDENTITIES + ([] if ctx._is_a_even else _EQUALITIES)
-    observed |= {f"{a} == {b}": lattice_eq(lat[a], lat[b]) for a, b in equalities}
+    observed |= {f"{a} == {b}": lattice_eq(lat[a], lat[b]) for a, b in pairs}
     expected = dict.fromkeys(observed, True)
-    if ctx._is_a_even:
+    if a_even:
         observed["index-2 quotients"] = sorted(ctx.index_two_quotients.values())
         expected["index-2 quotients"] = [2] * 4
     return _same(observed, expected)
 
 
-def _finite_groups(group, name, *_) -> Outcome:
+def _finite_groups(group, name, factors, outer_weyl_order) -> Outcome:
     ctx = context(group, name)
-    fixed = ctx.fixed_intersection
-    factors = [3] if ctx.kappa.order == 3 else [2] * ctx.moving_dim
-    return _same([list(fixed.invariant_factors), ctx.outer_weyl_order],
-                 [factors, fixed.order * ctx.orbit.datum.weyl_order])
+    return _same([list(ctx.fixed_intersection.invariant_factors), ctx.outer_weyl_order],
+                 [factors, outer_weyl_order])
 
 
 # characters: 05-08
@@ -283,7 +280,11 @@ CRITERIA = [
     Criterion("01 folding table", "tables", lambda: _cases(_folded_types, FOLDINGS)),
     Criterion("02 half sum equality", "tables", lambda: _cases(_half_sum, FOLDINGS)),
     Criterion("03 lattice suite", "lattices", lambda: _cases(_lattices, FOLDINGS)),
-    Criterion("04 finite groups", "lattices", lambda: _cases(_finite_groups, FOLDINGS)),
+    # invariant factors of T^k cap T_k, and |T^k cap T_k| |W_O|
+    Criterion("04 finite groups", "lattices", lambda: _cases(_finite_groups, [
+        ("A3", "flip", [2], 16), ("A4", "flip", [2, 2], 32), ("A5", "flip", [2, 2], 192),
+        ("A6", "flip", [2, 2, 2], 384), ("D5", "flip", [2], 768), ("D6", "flip", [2], 7680),
+        ("D4", "swap34", [2], 96), ("D4", "rot", [3], 36), ("E6", "flip", [2, 2], 4608)])),
     Criterion("05 alcove segment", "characters",
               lambda: _cases(_alcove_segment, [("A2", "flip")])),
     Criterion("06 stabilizer rule", "characters", lambda: _cases(

@@ -1,7 +1,7 @@
 """Dynkin diagram automorphisms and folded/orbit root systems.
 
-A diagram automorphism kappa is a node permutation: its cycles are the node
-orbits, and its order is the lcm of their lengths.
+A diagram automorphism kappa is a node permutation, and only that: its
+cycles are the node orbits, and its order is the lcm of their lengths.
 
 Everything is realized inside the simple-root coordinate space of the base
 system, where kappa permutes coordinates: the fixed subspace of the node
@@ -13,6 +13,8 @@ coroots, fundamental weights and coweights over one denominator
 (``RootDatum.root_rows`` and its siblings), summed over node orbits or
 projected in units of 1/|kappa|; equal rows give one ``Lattice`` per fold,
 and the identities compare Hermite normal forms (``rootcore.lattice_eq``).
+The names, identities and index-2 quotients are written once, in the tables
+``LATTICES``, ``LATTICE_IDENTITIES`` and ``INDEX_TWO_PAIRS``.
 The folded and orbit data are realized from such rows too: the projected
 simple roots, then the folded datum's coroots.  The finite group
 T^kappa ∩ T_kappa is obtained as an exact lattice quotient.
@@ -55,11 +57,19 @@ class FoldingError(ValueError):
 
 @dataclass(frozen=True)
 class DiagramAutomorphism:
-    """A Cartan-matrix-preserving permutation of the simple-root nodes."""
+    """A Cartan-matrix-preserving permutation of the simple-root nodes, and a
+    name; the node orbits and ``order`` are derived from the permutation."""
 
     permutation: tuple[int, ...]
-    order: int
     name: str
+
+    def __post_init__(self):
+        if sorted(self.permutation) != list(range(len(self.permutation))):
+            raise FoldingError(f"{self.permutation} is not a permutation of the nodes")
+
+    @cached_property
+    def order(self) -> int:
+        return lcm(*map(len, self.orbits()))
 
     @property
     def is_identity(self) -> bool:
@@ -73,26 +83,19 @@ class DiagramAutomorphism:
         return tuple(out)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Node orbits, each listed from its smallest member, in node order."""
-        return _cycles(self.permutation)
-
-
-def _cycles(perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The cycles of a permutation, each listed from its smallest member, in
-    order of that member."""
-    seen = set()
-    out = []
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        cycle = [i]
-        j = perm[i]
-        while j != i:
-            cycle.append(j)
-            j = perm[j]
-        seen.update(cycle)
-        out.append(tuple(cycle))
-    return tuple(out)
+        """Node orbits, the cycles of the permutation, each listed from its
+        smallest member, in node order."""
+        perm, seen, out = self.permutation, set(), []
+        for i in range(len(perm)):
+            if i in seen:
+                continue
+            cycle, j = [i], perm[i]
+            while j != i:
+                cycle.append(j)
+                j = perm[j]
+            seen.update(cycle)
+            out.append(tuple(cycle))
+        return tuple(out)
 
 
 def _preserves_cartan(cartan, perm) -> bool:
@@ -104,29 +107,26 @@ def _preserves_cartan(cartan, perm) -> bool:
     )
 
 
-def _automorphism_name(datum: RootDatum, perm: tuple[int, ...], order: int) -> str:
-    if order == 1:
+def _automorphism_name(datum: RootDatum, perm: tuple[int, ...]) -> str:
+    moved = [i for i, j in enumerate(perm) if i != j]
+    if not moved:
         return "id"
     if datum.type_label == "D4":
-        moved = [i for i in range(4) if perm[i] != i]
-        if order == 2:
+        if len(moved) == 2:
             # transposition of two of the three leaf nodes (1-based names)
-            return f"swap{moved[0] + 1}{moved[-1] + 1}"
-        # the two 3-cycles: "rot" sends the lowest moved leaf to the next leaf
-        leaves = [0, 2, 3]
-        return "rot" if perm[leaves[0]] == leaves[1] else "rot2"
+            return f"swap{moved[0] + 1}{moved[1] + 1}"
+        # the two 3-cycles of the leaves 0, 2, 3: "rot" sends 0 to 2
+        return "rot" if perm[0] == 2 else "rot2"
     return "flip"
 
 
 def list_automorphisms(datum: RootDatum) -> tuple[DiagramAutomorphism, ...]:
-    """All Cartan-preserving node permutations, identity first; the order
-    of each is the lcm of its cycle lengths."""
-    found = []
-    for perm in cartan_isomorphisms(datum.cartan, datum.cartan):
-        order = lcm(*map(len, _cycles(perm)))
-        found.append(
-            DiagramAutomorphism(perm, order, _automorphism_name(datum, perm, order))
-        )
+    """All Cartan-preserving node permutations, identity first, then by
+    order and permutation."""
+    found = [
+        DiagramAutomorphism(perm, _automorphism_name(datum, perm))
+        for perm in cartan_isomorphisms(datum.cartan, datum.cartan)
+    ]
     found.sort(key=lambda k: (k.order, k.permutation))
     return tuple(found)
 
@@ -197,6 +197,34 @@ class OrbitDatum:
 
     datum: RootDatum
     coroot_lattice: Lattice
+
+
+# Each generator family (a ``RootDatum`` method) spans four of the sixteen
+# lattices: the folded datum's (the B subsystem for A_2n), the orbit datum's,
+# and the base's kappa-fixed part (orbit sums of its rows) and projection p
+LATTICES = {
+    "root_rows": ("QF", "QO", "fixed_root", "p_root"),
+    "coroot_rows": ("QFv", "QOv", "fixed_integral", "p_integral"),
+    "weight_rows": ("PF", "PO", "fixed_weight", "p_weight"),
+    "coweight_rows": ("PFv", "POv", "fixed_coweight", "p_coweight"),
+}
+
+# (lattice, lattice, name): the identities that hold on every folding
+LATTICE_IDENTITIES = (
+    ("QF", "p_root", "QF = p(Q)"),
+    ("PFv", "fixed_coweight", "PFv = (P^v)^k"),
+    ("QOv", "p_integral", "QOv = p(Lambda)"),
+    ("PO", "fixed_weight", "PO = (Lambda*)^k"),
+)
+
+# (sublattice, lattice, name; on A_2n: name, quotient name): equal on every
+# folding but A_2n, where the sublattice has index 2
+INDEX_TWO_PAIRS = (
+    ("QFv", "fixed_integral", "QFv = Lambda^k", "Q_Bv in Lambda^k", "Lambda^k / Q_Bv"),
+    ("p_weight", "PF", "PF = p(Lambda*)", "p(Lambda*) in P_B", "P_B / p(Lambda*)"),
+    ("p_coweight", "POv", "POv = p(P^v)", "p(P^v) in POv", "POv / p(P^v)"),
+    ("QO", "fixed_root", "QO = Q^k", "QO in Q^k", "Q^k / QO"),
+)
 
 
 class FoldingContext:
@@ -284,9 +312,9 @@ class FoldingContext:
     def _scaled_projection(self, a: tuple[int, ...]) -> tuple[int, ...]:
         """L p(a) for an integer vector a, L = |kappa|: each coordinate
         replaced by L / |orbit| times its node orbit's sum, an integer."""
-        out = list(a)
+        out, scale = list(a), self.kappa.order
         for orb in self.node_orbits:
-            total = self.kappa.order // len(orb) * sum(a[i] for i in orb)
+            total = scale // len(orb) * sum(a[i] for i in orb)
             for i in orb:
                 out[i] = total
         return tuple(out)
@@ -416,9 +444,9 @@ class FoldingContext:
         return folded_datum, orbit_datum
 
     def _assemble_lattices(self, folded_datum: RootDatum, orbit_datum: RootDatum):
-        """The sixteen named lattices and their identities.  Generator rows
-        that are equal in lowest terms give one ``Lattice``, so each distinct
-        set is row-reduced once (two to six per fold)."""
+        """The lattices of ``LATTICES``, checked against ``LATTICE_IDENTITIES``
+        and ``INDEX_TWO_PAIRS``.  Generator rows that are equal in lowest terms
+        give one ``Lattice``, so each distinct set is row-reduced once."""
         base, built = self.base, {}
 
         def lat(family) -> Lattice:
@@ -427,70 +455,28 @@ class FoldingContext:
                 built[key] = Lattice(*key, base.ambient_dim)
             return built[key]
 
-        simple, coroots = base.root_rows(), base.coroot_rows()
-        weights, coweights = base.weight_rows(), base.coweight_rows()
-
-        fixed_integral = lat(self._fixed_rows(coroots))           # Lambda^k
-        fixed_root = lat(self._fixed_rows(simple))                # Q^k
-        fixed_weight = lat(self._fixed_rows(weights))             # (Lambda*)^k
-        fixed_coweight = lat(self._fixed_rows(coweights))         # (P^v)^k
-        p_integral = lat(self._projected_rows(coroots))           # p(Lambda)
-        p_root = lat(self._projected_rows(simple))                # p(Q)
-        p_weight = lat(self._projected_rows(weights))             # p(Lambda*)
-        p_coweight = lat(self._projected_rows(coweights))         # p(P^v)
-
-        qf = lat(folded_datum.root_rows())
-        qfv = lat(folded_datum.coroot_rows())
-        pf = lat(folded_datum.weight_rows())
-        pfv = lat(folded_datum.coweight_rows())
-        qo = lat(orbit_datum.root_rows())
-        qov = lat(orbit_datum.coroot_rows())
-        po = lat(orbit_datum.weight_rows())
-        pov = lat(orbit_datum.coweight_rows())
-
-        checks = [
-            ("QF = p(Q)", lattice_eq(qf, p_root)),
-            ("PFv = (P^v)^k", lattice_eq(pfv, fixed_coweight)),
-            ("QOv = p(Lambda)", lattice_eq(qov, p_integral)),
-            ("PO = (Lambda*)^k", lattice_eq(po, fixed_weight)),
-        ]
+        self.lattices = lats = {}
+        for family, (f, o, fixed, p) in LATTICES.items():
+            rows = getattr(base, family)()
+            lats[f] = lat(getattr(folded_datum, family)())
+            lats[o] = lat(getattr(orbit_datum, family)())
+            lats[fixed] = lat(self._fixed_rows(rows))
+            lats[p] = lat(self._projected_rows(rows))
+        checks = [(name, lattice_eq(lats[a], lats[b])) for a, b, name in LATTICE_IDENTITIES]
         self.index_two_quotients = {}
-        if self._is_a_even:
-            # (check name, quotient name, sublattice, lattice)
-            quotients = [
-                ("Q_Bv in Lambda^k", "Lambda^k / Q_Bv", qfv, fixed_integral),
-                ("p(Lambda*) in P_B", "P_B / p(Lambda*)", p_weight, pf),
-                ("p(P^v) in POv", "POv / p(P^v)", p_coweight, pov),
-                ("QO in Q^k", "Q^k / QO", qo, fixed_root),
-            ]
-            self.index_two_quotients = {
-                q: lattice_index(sub, sup) for _, q, sub, sup in quotients
-            }
-            checks += [
-                (name, self.index_two_quotients[q] == 2) for name, q, _, _ in quotients
-            ]
-        else:
-            checks += [
-                ("QFv = Lambda^k", lattice_eq(qfv, fixed_integral)),
-                ("PF = p(Lambda*)", lattice_eq(pf, p_weight)),
-                ("POv = p(P^v)", lattice_eq(pov, p_coweight)),
-                ("QO = Q^k", lattice_eq(qo, fixed_root)),
-            ]
+        for sub, sup, name, inclusion, quotient in INDEX_TWO_PAIRS:
+            if self._is_a_even:
+                index = lattice_index(lats[sub], lats[sup])
+                self.index_two_quotients[quotient] = index
+                checks.append((inclusion, index == 2))
+            else:
+                checks.append((name, lattice_eq(lats[sub], lats[sup])))
         for name, ok in checks:
             if not ok:
                 raise FoldingError(f"lattice identity failed: {name}")
 
-        self.lattices = {
-            "QF": qf, "QFv": qfv, "PF": pf, "PFv": pfv,
-            "QO": qo, "QOv": qov, "PO": po, "POv": pov,
-            "fixed_integral": fixed_integral, "fixed_root": fixed_root,
-            "fixed_weight": fixed_weight, "fixed_coweight": fixed_coweight,
-            "p_integral": p_integral, "p_root": p_root, "p_weight": p_weight,
-            "p_coweight": p_coweight,
-        }
-
         # T^k cap T_k = Lambda_(k) / Lambda^k with Lambda_(k) = p(Lambda)
-        self.fixed_intersection = lattice_quotient(fixed_integral, p_integral)
+        self.fixed_intersection = lattice_quotient(lats["fixed_integral"], lats["p_integral"])
         expected = (3,) if self.kappa.order == 3 else (2,) * self.moving_dim
         if self.fixed_intersection.invariant_factors != expected:
             raise FoldingError(

@@ -7,8 +7,9 @@ lattice spanned by dependent generators, and affine reflections and their
 words applied in ``Fraction`` vectors.  Lattices built from ``Fraction``
 vectors or from a datum's coroots and coweights, vector subtraction and the
 kappa-average of a folding context serve only the tests, so they live here
-too.  The Weyl-group orders and the root half-lengths of the simple types
-are tables by family, which the library derives from the root data instead.
+too.  The Weyl-group orders, root counts and root half-lengths of the simple
+types are tables by family, which the library derives from the root data
+instead.
 No library code path calls any of these.
 """
 
@@ -55,6 +56,27 @@ def system_weyl_order(label: str) -> int:
     """|W| of a type label, reducible ones 'X+Y' as the product over the
     components; '' (no nodes) is the trivial group."""
     return prod(classical_weyl_order(c) for c in label.split("+") if c)
+
+
+_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1),
+    "B": lambda n: 2 * n * n,
+    "C": lambda n: 2 * n * n,
+    "D": lambda n: 2 * n * (n - 1),
+    "E6": lambda n: 72,
+    "F4": lambda n: 48,
+    "G2": lambda n: 12,
+}
+
+
+def system_root_count(label: str) -> int:
+    """The number of roots of a type label by the table, reducible ones 'X+Y'
+    as the sum over the components."""
+    total = 0
+    for component in label.split("+"):
+        family, rank = parse_type_label(component)
+        total += _ROOT_COUNTS[component if family in ("E", "F", "G") else family](rank)
+    return total
 
 
 def root_half_lengths(family: str, rank: int) -> tuple[Fraction, ...]:

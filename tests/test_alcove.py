@@ -33,6 +33,7 @@ from fraction_reference import (
     identity,
     project,
     reference_apply,
+    system_root_count,
     vsub,
 )
 
@@ -620,3 +621,74 @@ def test_extended_cartan_matches_wall_pairings(case):
         assert (stab.subsystem_label, stab.dual_label) == (
             _classify_system(reference), _classify_system(dual)
         )
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer against the automorphism Ad(exp xi) o kappa of the Lie algebra
+# ---------------------------------------------------------------------------
+
+LIE_ALGEBRA_CASES = [(g, n) for g, n, *_ in FOLDINGS] + [("A2", "flip")]
+
+
+def fixed_algebra_dim(ctx, xi, signed=True):
+    """dim g^sigma for sigma = Ad(exp xi) o kappa, from the base roots alone:
+    the fixed rank, plus each kappa-fixed root a with
+    eps_a e^{2 pi i <a, xi>} = 1, eps_a = (-1)^(ht a + 1) on A_2n (when
+    ``signed``) and 1 otherwise, plus each kappa-orbit of s > 1 roots with
+    s <a, xi> an integer.  The positive roots stand for their negatives,
+    which meet the same conditions."""
+    a_even = signed and ctx.folded.label.startswith("BC")
+    count, seen = 0, set()
+    for alpha in ctx.base.positive_roots:
+        if alpha in seen:
+            continue
+        orbit = [alpha]
+        while (image := ctx.kappa.apply(orbit[-1])) != alpha:
+            orbit.append(image)
+        seen.update(orbit)
+        pairing = ctx.base.inner(alpha, xi)
+        # alpha is in simple-root coordinates, so its height is their sum
+        if len(orbit) == 1 and a_even and sum(alpha) % 2 == 0:
+            # eps_a = -1: the eigenvalue is 1 when <a, xi> is in 1/2 + Z
+            pairing += Fraction(1, 2)
+        if (len(orbit) * pairing).denominator == 1:
+            count += 2
+    return ctx.fixed_dim + count
+
+
+def lie_algebra_points(ctx, rng, count=30):
+    """The alcove vertices and ``count`` convex combinations of random
+    nonempty subsets of them, on the faces and in the interior."""
+    vertices = fundamental_alcove(ctx).vertices
+    points = list(vertices)
+    for _ in range(count):
+        subset = rng.sample(vertices, rng.randint(1, len(vertices)))
+        weights = [rng.randint(1, 9) for _ in subset]
+        total = zero_vec(ctx.base.ambient_dim)
+        for w, v in zip(weights, subset):
+            total = vadd(total, vscale(w, v))
+        points.append(vscale(Fraction(1, sum(weights)), total))
+    return points
+
+
+def test_stabilizer_dimension_matches_the_fixed_lie_algebra():
+    """At every alcove vertex and at seeded points of the closed alcove, the
+    stabilizer's dimension, fixed rank plus the roots of its type on the
+    fixed torus, is dim g^sigma counted from the root spaces.  The count has
+    teeth: without the A_2n sign, or at 2 xi, it differs at some points."""
+    points = unsigned_misses = doubled_misses = 0
+    types = set()
+    for case in LIE_ALGEBRA_CASES:
+        ctx = cached_ctx(case)
+        for xi in lie_algebra_points(ctx, random.Random(20)):
+            stab = stabilizer_datum(ctx, xi)
+            roots = 0 if stab.dual_label == "maximal torus" else system_root_count(stab.dual_label)
+            dim = ctx.fixed_dim + roots
+            assert fixed_algebra_dim(ctx, xi) == dim, (case, xi, stab.dual_label)
+            unsigned_misses += fixed_algebra_dim(ctx, xi, signed=False) != dim
+            doubled_misses += fixed_algebra_dim(ctx, vscale(2, xi)) != dim
+            types.add(stab.dual_label)
+            points += 1
+    assert points == 39 + 30 * len(LIE_ALGEBRA_CASES)
+    assert unsigned_misses > 0 and doubled_misses > 0
+    assert {"maximal torus", "F4", "A1+B3", "B2+B3"} <= types

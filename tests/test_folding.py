@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from twinefold.rootcore import (
 )
 from twinefold.alcove import fundamental_alcove, stabilizer_datum
 from twinefold.folding import (
+    DiagramAutomorphism,
     FoldingError,
     automorphism_by_name,
     fold,
@@ -84,6 +86,45 @@ def test_automorphism_counts():
                 d.cartan[p[i]][p[j]] == d.cartan[i][j] for i in range(n) for j in range(n)
             )
             assert a.order == _least_order(p), (label, a)
+
+
+def test_order_is_derived_from_the_permutation():
+    assert [f.name for f in dataclasses.fields(DiagramAutomorphism)] == ["permutation", "name"]
+    labels = [f"A{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 11)] + ["E6"]
+    for label in labels:
+        for a in list_automorphisms(build_root_datum(label)):
+            # computed once and kept on the instance
+            assert vars(a)["order"] == _least_order(a.permutation), (label, a)
+
+
+def test_fold_with_a_constructed_automorphism():
+    a3 = build_root_datum("A3")
+    made = fold(a3, DiagramAutomorphism((2, 1, 0), "flip"))
+    named = fold(a3, automorphism_by_name(a3, "flip"))
+    assert made.kappa.order == 2
+    types = (made.folded.label, made.orbit.datum.type_label)
+    assert types == (named.folded.label, named.orbit.datum.type_label) == ("C2", "B2")
+    assert made.lattices.keys() == named.lattices.keys()
+    for key, lattice in named.lattices.items():
+        assert lattice_eq(made.lattices[key], lattice), key
+    assert made.fixed_intersection == named.fixed_intersection
+    assert made.index_two_quotients == named.index_two_quotients == {}
+
+
+@pytest.mark.parametrize(
+    "perm,message",
+    [
+        ((1, 0, 2), "^permutation does not preserve the Cartan matrix$"),
+        ((0, 2, 1), "^permutation does not preserve the Cartan matrix$"),
+        ((0, 0, 0), r"^\(0, 0, 0\) is not a permutation of the nodes$"),
+        ((3, 1, 0), r"^\(3, 1, 0\) is not a permutation of the nodes$"),
+        ((1, 0), "^automorphism rank mismatch$"),
+    ],
+    ids=["swap01", "swap12", "repeated", "out-of-range", "short"],
+)
+def test_fold_rejects_a_permutation_that_is_no_automorphism(perm, message):
+    with pytest.raises(FoldingError, match=message):
+        fold(build_root_datum("A3"), DiagramAutomorphism(perm, "flip"))
 
 
 def test_automorphisms_of_a10_within_a_second():
@@ -509,21 +550,31 @@ def test_lattice_identity_check_is_live(label, name, monkeypatch):
         _fold_with(monkeypatch, label, name, "coweight_rows", double_first)
 
 
+def _shift_within_orbit(den, rows):
+    """Row 0 doubled and taken off the last row: where node 0 and the last
+    node form an orbit, every orbit sum is kept, but p of row 0 doubles."""
+    first, last = rows[0], rows[-1]
+    return den, (
+        (tuple(2 * x for x in first),)
+        + rows[1:-1]
+        + (tuple(y - x for x, y in zip(first, last)),)
+    )
+
+
 @pytest.mark.parametrize("label", ["A4", "A6"])
 def test_index_two_quotient_check_is_live(label, monkeypatch):
-    # node 0 and the last node form an orbit of the reversal; doubling row 0
-    # and taking row 0 off the last row keeps every orbit sum, so (P^v)^k
-    # holds, but doubles p of row 0: p(P^v) then has index 4 in POv
-    def shift_within_orbit(den, rows):
-        first, last = rows[0], rows[-1]
-        return den, (
-            (tuple(2 * x for x in first),)
-            + rows[1:-1]
-            + (tuple(y - x for x, y in zip(first, last)),)
-        )
-
+    # node 0 and the last node form an orbit of the reversal, so (P^v)^k
+    # holds, but p(P^v) then has index 4 in POv
     with pytest.raises(FoldingError, match=r"^lattice identity failed: p\(P\^v\) in POv$"):
-        _fold_with(monkeypatch, label, "flip", "coweight_rows", shift_within_orbit)
+        _fold_with(monkeypatch, label, "flip", "coweight_rows", _shift_within_orbit)
+
+
+@pytest.mark.parametrize("label", ["A3", "A5", "E6"])
+def test_index_two_pair_equality_check_is_live(label, monkeypatch):
+    # away from A_2n the same perturbation keeps the four identities of every
+    # folding, (P^v)^k among them, but moves p(P^v) off POv
+    with pytest.raises(FoldingError, match=r"^lattice identity failed: POv = p\(P\^v\)$"):
+        _fold_with(monkeypatch, label, "flip", "coweight_rows", _shift_within_orbit)
 
 
 def test_fixed_intersection_check_is_live(monkeypatch):
