@@ -121,8 +121,9 @@ class AlcoveDescription:
 
 
 def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
-    """Vertices are 0 and the fundamental coweights cw_i of the orbit system,
-    each divided by (theta, cw_i), the coefficient of alpha_i in theta.
+    """Vertices are 0 and the fundamental coweights omega_i^vee of the orbit
+    system, each divided by Kac's mark a_i = (theta, omega_i^vee), the
+    coefficient of alpha_i in theta (``RootDatum.marks``).
 
     Built once per context, from the integer rows of the orbit datum's
     simple roots, coroots and coweights: with the ambient form
@@ -142,14 +143,10 @@ def fundamental_alcove(ctx: FoldingContext) -> AlcoveDescription:
     t = orbit._pos_num[orbit._theta_index]
     gt = g_times(t)
     cw_den, coweights = orbit.coweight_rows()
-    vertices = [zero_vec(ctx.base.ambient_dim)]
-    for cw in coweights:
-        c = Fraction(sum(map(mul, gt, cw)), g_den * a_den * cw_den)
-        if c <= 0:
-            raise AlcoveError("highest root pairs non-positively with a coweight")
-        vertices.append(
-            tuple(Fraction(x * c.denominator, cw_den * c.numerator) for x in cw)
-        )
+    vertices = [zero_vec(ctx.base.ambient_dim)] + [
+        tuple(Fraction(x, cw_den * a) for x in cw)
+        for a, cw in zip(orbit.marks, coweights)
+    ]
     # per wall: g a (G a is g a / (g_den a_den)), k, a row r along a^vee and
     # the factor s with s r = den a^vee; the floors' coroots are over v_den,
     # and theta^vee = 2 theta / (theta, theta) = 2 g_den a_den t / (t . g t)
@@ -256,9 +253,11 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     Everything is read off the nodes of the extended Dynkin diagram whose
     walls contain xi: their submatrix of the orbit datum's extended Cartan
     matrix c_ij = <a_j, a_i^vee> gives the types, and their roots or coroots
-    span the stabilizer's coroot lattice inside Lambda^kappa.
+    span the stabilizer's coroot lattice inside Lambda^kappa.  The affine
+    node's root -theta = -sum_i a_i alpha_i and coroot line, spanned by
+    theta^vee = sum_i a_i^vee alpha_i^vee, come from the simple rows, so no
+    alcove is built.
     """
-    alc = fundamental_alcove(ctx)
     orbit = ctx.orbit.datum
     floors, ceiling = _wall_heights(orbit, *orbit.coroot_coords(xi))
     if not _inside(floors, ceiling):
@@ -281,7 +280,7 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
 
     # the simple roots and -theta, as integer rows over one denominator
     a_den, roots = orbit.root_rows()
-    roots += (tuple(-x for x in orbit._pos_num[orbit._theta_index]),)
+    roots += (tuple(-sum(map(mul, orbit.marks, col)) for col in zip(*roots)),)
     rows = [roots[i] for i in nodes]
     surviving = tuple(tuple(Fraction(x, a_den) for x in r) for r in rows)
     extended = orbit.extended_cartan
@@ -292,7 +291,9 @@ def stabilizer_datum(ctx: FoldingContext, xi: Vec) -> StabilizerDatum:
     if ctx.kappa.is_identity:
         # untwisted case: the stabilizer's roots are the surviving roots
         dual_label = label
-        coroots = Lattice(alc.walls[0].den, [alc.walls[i].coroot for i in nodes], dim)
+        v_den, coroots = orbit.coroot_rows()
+        coroots += (tuple(sum(map(mul, orbit.comarks, col)) for col in zip(*coroots)),)
+        coroots = Lattice(v_den, [coroots[i] for i in nodes], dim)
     else:
         # its roots are the coroots a^v, with the transposed Cartan matrix,
         # and their coroots are the surviving roots again: (a^v)^v = a

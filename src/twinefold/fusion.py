@@ -7,7 +7,8 @@ and the regular torus points s_lambda.  ``fusion_table`` computes every
 coefficient twice and requires the two to agree:
 
 - the Verlinde route sums over those points, one sum per entry, and decides
-  each coefficient by rounding within ``INTEGRALITY_TOL``;
+  each coefficient by rounding within ``INTEGRALITY_TOL``.  It reads
+  chi_{nu*}(s) as the conjugate of chi_nu(s), so no dual weight is formed;
 - the folded route builds the fusion matrices (``_fusion_rows``), which
   become the table (``FusionTable.rows``).  The rows of the unit and of the
   fundamental weights that are level weights come from the Kac-Walton
@@ -47,7 +48,6 @@ from .rootcore import (
     Labels,
     RootDatum,
     RootSystemError,
-    dominant_conjugate,
     label_character,
     label_dimension,
     regular_dominant_labels,
@@ -133,11 +133,6 @@ def ring_product(
     return out
 
 
-def _dual_labels(datum: RootDatum, m: Labels) -> Labels:
-    """-w0 on labels: the dominant conjugate of -m."""
-    return dominant_conjugate(datum, tuple(-x for x in m))[1]
-
-
 # ---------------------------------------------------------------------------
 # level structure
 # ---------------------------------------------------------------------------
@@ -154,10 +149,10 @@ class LevelData:
     rho-shifted action is m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
     ``_index`` resolves a weight to its index (``by_id``, ``weight_index``).
 
-    The Verlinde sum reads three tables of the orbit datum ``datum``, each
+    The Verlinde sum reads two tables of the orbit datum ``datum``, each
     built on first read: ``characters[i][p]`` is chi_i(s_p) for level weights
-    i and p, ``weights[p]`` is |J(rho)(s_p)|^2 / |T|, and ``dual[i]`` is the
-    index of i*.
+    i and p, and ``weights[p]`` is |J(rho)(s_p)|^2 / |T|.  No dual index is
+    kept, as chi_{i*}(s_p) is the conjugate of chi_i(s_p).
     """
 
     k: int
@@ -197,16 +192,6 @@ class LevelData:
     @cached_property
     def weights(self) -> tuple[float, ...]:
         return tuple(_norm_sq_at(self.datum, ph) / self.t_group_order for ph in self.phases)
-
-    @cached_property
-    def dual(self) -> tuple[int, ...]:
-        dual = []
-        for lam, m in zip(self.level_weights, self.labels):
-            i = self.label_index.get(_dual_labels(self.datum, m))
-            if i is None:
-                raise FusionError(f"the dual of level weight {lam} is not a level weight")
-            dual.append(i)
-        return tuple(dual)
 
 
 def _alternant_characters(
@@ -419,16 +404,17 @@ def verlinde_coefficient(
 
 
 def _pair_vector(level: LevelData, lam: int, mu: int) -> list[complex]:
-    """w_p chi_lam(s_p) chi_mu(s_p) over the s-points p, for level-weight
-    indices: each Verlinde sum of the pair is its dot with one chi_{nu*}."""
+    """The conjugates of w_p chi_lam(s_p) chi_mu(s_p) over the s-points p, for
+    level-weight indices: each Verlinde sum of the pair is the conjugate of
+    its dot with one chi_nu, as chi_{nu*} is the conjugate of chi_nu."""
     chi = level.characters
-    return list(map(mul, map(mul, level.weights, chi[lam]), chi[mu]))
+    return [x.conjugate() for x in map(mul, map(mul, level.weights, chi[lam]), chi[mu])]
 
 
 def _verlinde(level: LevelData, pair: list[complex], nu: int) -> tuple[int, float]:
     """Verlinde coefficient of a pair (``_pair_vector``) and the level-weight
     index nu, and the distance of its sum to that integer."""
-    total = sum(map(mul, pair, level.characters[level.dual[nu]]))
+    total = sum(map(mul, pair, level.characters[nu])).conjugate()
     nearest = round(total.real)
     residual = abs(total - nearest)
     if residual > INTEGRALITY_TOL:

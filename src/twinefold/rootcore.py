@@ -35,10 +35,13 @@ inverts it).  Theta's labels, the comarks and the extended Cartan matrix
 (``theta_labels``, ``comarks``, ``extended_cartan``) are integer data of the
 datum too, with the comarks' integrality and positivity checked there once,
 all built on first read, as is the Bourbaki node map of an A1, B_n or C_n
-datum (``classical_frame``).  |W| (``weyl_order``) is read off the positive
-roots at construction, and a stabilizer's order off those of its Cartan
-submatrix, from which ``weyl_traverse`` and ``label_character`` size each
-orbit against ``TWINEFOLD_WEYL_CAP`` before they enumerate it.
+datum (``classical_frame``).  Theta's coordinates in the simple roots, Kac's
+marks a_i (``marks``), are read off the closure; as a_i (alpha_i, alpha_i) =
+a_i^vee (theta, theta), the comarks' check covers them.  |W|
+(``weyl_order``) is read off the positive roots at construction, and a
+stabilizer's order off those of its Cartan submatrix, from which
+``weyl_traverse`` and ``label_character`` size each orbit against
+``TWINEFOLD_WEYL_CAP`` before they enumerate it.
 
 Characters are computed in the same integer labels m_i = <mu, alpha_i^vee>:
 Freudenthal's recursion, the Weyl-orbit expansion and the peel-off
@@ -496,8 +499,8 @@ class RootDatum:
         # and labels m, (beta, beta) = sum_i c_i m_i (alpha_i, alpha_i) / 2, and
         # (alpha_i, alpha_i) is gram[i][i] / gram_den; _pos_norms[i] is that of
         # the root _pos_num[i].  theta and the highest short root are the
-        # dominant roots of the largest and the smallest length (None for
-        # reducible systems).
+        # dominant roots of the largest and the smallest length, and theta's
+        # coordinates are its marks (None for a reducible system).
         half = [self._form_den * row[i] for i, row in enumerate(gram)]
         self._pos_norms = tuple(
             _as_int(sum(map(mul, map(mul, c, m), half)), 2 * gram_den)
@@ -505,6 +508,7 @@ class RootDatum:
         )
         self._theta_index = self._dominant_index(max(self._pos_norms))
         self.highest_root = self._root_vector(self._theta_index)
+        self.marks = None if "+" in type_label else pos_coords[self._theta_index]
         self.highest_short_root = self._root_vector(
             self._dominant_index(min(self._pos_norms))
         )

@@ -212,6 +212,17 @@ def test_stabilizer_a2_far_endpoint():
     assert stab.pi1.invariant_factors == (2,)
 
 
+@pytest.mark.parametrize("case", [("A4", "flip"), ("C4", "id")], ids="-".join)
+def test_stabilizer_builds_no_alcove(case):
+    """The affine node's rows come from theta's identities, so a stabilizer
+    query on a fresh context leaves its alcove unbuilt, at every vertex."""
+    built = ctx_for(*case)
+    for xi in fundamental_alcove(built).vertices:
+        fresh = ctx_for(*case)
+        assert stabilizer_datum(fresh, xi) == stabilizer_datum(built, xi)
+        assert fresh._alcove is None
+
+
 def test_stabilizer_outside_alcove():
     ctx = ctx_for("A2")
     with pytest.raises(AlcoveError):

@@ -19,6 +19,7 @@ from twinefold.rootcore import (
     RootSystemError,
     build_root_datum,
     decompose_into_irreducibles,
+    dominant_conjugate,
     irreducible_character,
     label_character,
     label_dimension,
@@ -54,10 +55,20 @@ def ctx_for(label, name="flip"):
     return fold(d, automorphism_by_name(d, name))
 
 
+def dual_labels(datum, m):
+    """-w0 on labels: the dominant conjugate of -m."""
+    return dominant_conjugate(datum, tuple(-x for x in m))[1]
+
+
+def dual_indices(level):
+    """The index of nu* for each level-weight index nu."""
+    return [level.label_index[dual_labels(level.datum, m)] for m in level.labels]
+
+
 def dual_weight(ctx, lam):
     """-w0(lam) on the orbit system."""
     datum = ctx.orbit.datum
-    return datum.from_labels(fusion._dual_labels(datum, datum.labels_of(lam)))
+    return datum.from_labels(dual_labels(datum, datum.labels_of(lam)))
 
 
 def s_points(ctx, level):
@@ -288,6 +299,21 @@ def test_dual_weight_permutes_level_weights():
         assert sorted(dual_weight(ctx, nu) for nu in ws) == sorted(ws)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("group", ["A2", "A3", "A4", "A5", "D5", "E6"])
+def test_characters_at_the_dual_weight_are_conjugate(group, k):
+    """chi_{nu*}(s_p) is the conjugate of chi_nu(s_p) at every s-point, the
+    identity the Verlinde sum reads instead of a dual index; each case has a
+    level weight that is not self-dual."""
+    level = level_data(ctx_for(group, "id"), k)
+    chi = level.characters
+    duals = dual_indices(level)
+    assert any(star != nu for nu, star in enumerate(duals))
+    for nu, star in enumerate(duals):
+        for p, value in enumerate(chi[nu]):
+            assert abs(chi[star][p] - value.conjugate()) <= 1e-12, (nu, p)
+
+
 def test_fusion_table_skips_weyl_traversal_and_reports_residual():
     ctx = ctx_for("A3")
     table = fusion_table(ctx, 2)
@@ -359,7 +385,7 @@ def test_fusion_ring_laws(case_k, data):
     size = len(level.labels)
     lam, mu, nu = data.draw(st.tuples(*[st.integers(0, size - 1)] * 3))
     unit = level.labels.index((0,) * len(level.labels[0]))
-    dual = level.dual
+    dual = dual_indices(level)
     assert n(lam, mu, nu) == n(mu, lam, nu)
     assert n(unit, mu, nu) == int(mu == nu)
     assert n(lam, mu, nu) == n(lam, dual[nu], dual[mu])
@@ -467,13 +493,14 @@ def test_level_data_satisfy_the_modular_relations(group, name, k):
     ``weights``, and the diagonal T_lam = exp 2 pi i (h_lam - c / 24) with
     h_lam = (lam, lam + 2 rho) / 2 (k + h^vee) in the basic form (the ambient
     form over ``rescale``) and c = k dim / (k + h^vee): S is symmetric, S^2
-    is the charge conjugation of ``dual``, and (ST)^3 = S^2, each entry
-    within MODULAR_TOL; and the genus-g Verlinde dimensions sum_p w_p^(1-g),
+    is the charge conjugation lam -> lam* (a test-local -w0), and
+    (ST)^3 = S^2, each entry within MODULAR_TOL; and the genus-g Verlinde dimensions sum_p w_p^(1-g),
     g = 2, 3, 4, are integers within MODULAR_TOL relative.  Criterion 12
     compares ``level_data`` with itself; these laws check its s-points, |T|
     and rescaling independently."""
     level = level_for((group, name), k)
     datum, chi, w = level.datum, level.characters, level.weights
+    dual = dual_indices(level)
     n = len(level.labels)
     s = [[math.sqrt(w[mu]) * chi[lam][mu] for mu in range(n)] for lam in range(n)]
     height = k + level.dual_coxeter
@@ -492,7 +519,7 @@ def test_level_data_satisfy_the_modular_relations(group, name, k):
     for lam in range(n):
         for mu in range(n):
             assert abs(s[lam][mu] - s[mu][lam]) <= MODULAR_TOL
-            assert abs(s2[lam][mu] - (mu == level.dual[lam])) <= MODULAR_TOL
+            assert abs(s2[lam][mu] - (mu == dual[lam])) <= MODULAR_TOL
             assert abs(st3[lam][mu] - s2[lam][mu]) <= MODULAR_TOL
     for genus in (2, 3, 4):
         dimension = sum(x ** (1 - genus) for x in w)
@@ -801,21 +828,20 @@ def test_fusion_table_pickle_round_trip():
         assert copy.get(*(table.level.level_weights[i] for i in triple)) == n
 
 
-VALUE_TABLES = ("characters", "weights", "dual")
+VALUE_TABLES = ("characters", "weights")
 
 
 def test_level_values_are_built_once_on_first_read(monkeypatch):
     level = level_data(ctx_for("D4", "rot"), 2)
     assert not any(name in level.__dict__ for name in VALUE_TABLES)
     tables = [getattr(level, name) for name in VALUE_TABLES]
-    assert len(tables[0]) == len(tables[1]) == len(tables[2]) == len(level.labels)
+    assert len(tables[0]) == len(tables[1]) == len(level.labels)
 
     def no_recomputation(*args):
         raise AssertionError("a value table was rebuilt")
 
     monkeypatch.setattr(fusion, "label_character", no_recomputation)
     monkeypatch.setattr(fusion, "_norm_sq_at", no_recomputation)
-    monkeypatch.setattr(fusion, "_dual_labels", no_recomputation)
     assert all(getattr(level, n) is t for n, t in zip(VALUE_TABLES, tables))
 
 

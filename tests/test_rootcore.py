@@ -768,6 +768,46 @@ def test_points_and_theta_data_build_no_fraction_views(group, name):
     assert views == [{v for v in LAZY_VIEWS if v in d.__dict__} for d in data]
 
 
+MARK_PINS = {
+    "B3": (1, 2, 2), "C4": (2, 2, 2, 1), "F4": (2, 3, 4, 2), "G2": (2, 3),
+    "E6": (1, 2, 2, 3, 2, 1), "D5": (1, 2, 2, 1, 1),
+}
+
+
+def test_marks_pinned_values():
+    """Kac's marks in this library's node order, and None for a reducible
+    datum."""
+    assert {label: build_root_datum(label).marks for label in MARK_PINS} == MARK_PINS
+    d4 = build_root_datum("D4")
+    reducible = RootDatum(None, scaled_rows([d4.simple_roots[i] for i in (0, 2, 3)]), d4.gram_rows)
+    assert reducible.marks is None
+
+
+def _marked_data():
+    """Every base, folded and orbit datum of the nine foldings and A2 flip."""
+    for group, name in _PINNED_FOLDINGS:
+        base = build_root_datum(group)
+        yield from [base, *_realized(fold(base, automorphism_by_name(base, name)))]
+
+
+def test_marks_are_theta_coordinates():
+    """``marks`` equals theta's coordinates by a Fraction solve in the simple
+    roots, and 1 + sum a_i is the Coxeter number |Phi| / rank."""
+    for datum in [*_marked_data(), *map(build_root_datum, MARK_PINS)]:
+        theta = coords_in_basis(datum.simple_roots, datum.highest_root)
+        assert datum.marks == theta, datum
+        assert (1 + sum(datum.marks)) * datum.rank == 2 * len(datum.positive_roots), datum
+
+
+def test_marks_and_comarks_are_proportional_by_length():
+    """a_i (alpha_i, alpha_i) = a_i^vee (theta, theta): theta^vee is
+    sum_i a_i^vee alpha_i^vee, and alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i)."""
+    for datum in _marked_data():
+        theta_sq = datum.norm_sq(datum.highest_root)
+        for a, alpha, c in zip(datum.marks, datum.simple_roots, datum.comarks):
+            assert a * datum.norm_sq(alpha) == c * theta_sq, datum
+
+
 def test_comark_checks_fire(monkeypatch):
     """One integrality and one positivity check guard the comarks
     2 (F t)_i / tFt, for every reader of theta's extended-diagram data."""
