@@ -1,12 +1,20 @@
 """Command-line interface: folding reports, alcove/stabilizer queries,
 twining character evaluation, fusion tables, and self-verification.
 
+Every command but ``verify`` runs on a folding ``group automorphism`` through
+one front end (``_on_folding``): it builds the context, parses the
+``--weight`` and ``--point`` operands a command takes, and writes ``group``,
+``automorphism``, then ``highest_weight`` and ``point`` before the command's
+own fields.  Errors surface in that order: context, weight, point, then the
+computation.  Each subparser names its handler (``set_defaults(run=...)``).
+
 Conventions: weights are read and written in fundamental-weight coordinates
 of the base group, crossing to the orbit's by ``FoldingContext.orbit_labels``
 and ``base_labels``; torus points in simple-coroot coordinates, kappa-fixed
 (``alcove.require_fixed``).  Rationals are serialized as "p/q" strings and
 complex numbers as [re, im] pairs.  Output is JSON by default or flat CSV with
-``--format csv``; field and row ordering is deterministic.
+``--format csv``; field and row ordering is deterministic, and ``fusion``
+lists the level weights in ``level_data``'s order.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .linalg import Vec, scaled_rows
 from .rootcore import (
@@ -112,11 +120,8 @@ def point_from_ambient(ctx: FoldingContext, xi: Vec) -> Vec:
 def build_context(group: str, automorphism: str) -> FoldingContext:
     try:
         datum = build_root_datum(group)
-    except (RootSystemError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
-    try:
         kappa = automorphism_by_name(datum, automorphism)
-    except FoldingError as exc:
+    except ValueError as exc:  # RootSystemError and FoldingError among them
         raise ParseError(str(exc)) from exc
     return fold(datum, kappa)
 
@@ -126,12 +131,37 @@ def build_context(group: str, automorphism: str) -> FoldingContext:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fold(args) -> dict:
-    ctx = build_context(args.group, args.automorphism)
+def _on_folding(command):
+    """The front end of a command on a folding ``group automorphism``.
+
+    It builds the context and starts the document with ``group`` and
+    ``automorphism``.  A ``--weight`` is parsed to base labels, passed as
+    ``weight`` and written as ``highest_weight``; a ``--point`` is parsed to
+    its kappa-fixed ambient vector, passed as ``xi`` and written as
+    ``point``, in that order.  ``command(ctx, args, ...)`` returns the
+    fields that follow.
+    """
+
+    @wraps(command)
+    def run(args) -> dict:
+        ctx = build_context(args.group, args.automorphism)
+        doc = {"group": ctx.base.type_label, "automorphism": ctx.kappa.name}
+        operands = {}
+        if "weight" in args:
+            operands["weight"] = parse_vector(args.weight, ctx.base.rank)
+            doc["highest_weight"] = format_vector(operands["weight"])
+        if "point" in args:
+            operands["xi"] = point_to_ambient(ctx, parse_vector(args.point, ctx.base.rank))
+            doc["point"] = format_vector(point_from_ambient(ctx, operands["xi"]))
+        return doc | command(ctx, args, **operands)
+
+    return run
+
+
+@_on_folding
+def cmd_fold(ctx, args) -> dict:
     lat = ctx.lattices
     return {
-        "group": ctx.base.type_label,
-        "automorphism": ctx.kappa.name,
         "automorphism_order": ctx.kappa.order,
         "node_orbits": [list(o) for o in ctx.node_orbits],
         "folded_type": ctx.folded.label,
@@ -155,30 +185,23 @@ def cmd_fold(args) -> dict:
     }
 
 
-def cmd_alcove(args) -> dict:
-    ctx = build_context(args.group, args.automorphism)
-    alc = fundamental_alcove(ctx)
+@_on_folding
+def cmd_alcove(ctx, args) -> dict:
     orbit = ctx.orbit.datum
     return {
-        "group": ctx.base.type_label,
-        "automorphism": ctx.kappa.name,
         "orbit_type": orbit.type_label,
         "simple_roots": [format_vector(ctx.base_labels(a)) for a in zip(*orbit.cartan)],
         "highest_root": format_vector(ctx.base_labels(orbit.theta_labels)),
         "vertices": [
-            format_vector(point_from_ambient(ctx, v)) for v in alc.vertices
+            format_vector(point_from_ambient(ctx, v)) for v in fundamental_alcove(ctx).vertices
         ],
     }
 
 
-def cmd_stabilizer(args) -> dict:
-    ctx = build_context(args.group, args.automorphism)
-    xi = point_to_ambient(ctx, parse_vector(args.point, ctx.base.rank))
+@_on_folding
+def cmd_stabilizer(ctx, args, xi) -> dict:
     stab = stabilizer_datum(ctx, xi)
     return {
-        "group": ctx.base.type_label,
-        "automorphism": ctx.kappa.name,
-        "point": format_vector(point_from_ambient(ctx, xi)),
         "surviving_nodes": len(stab.surviving),
         "includes_affine_node": stab.includes_affine_node,
         "subsystem_type": stab.subsystem_label,
@@ -188,35 +211,22 @@ def cmd_stabilizer(args) -> dict:
     }
 
 
-def cmd_char(args) -> dict:
-    ctx = build_context(args.group, args.automorphism)
-    weight = parse_vector(args.weight, ctx.base.rank)
+@_on_folding
+def cmd_char(ctx, args, weight) -> dict:
     labels, orbit = ctx.orbit_labels(weight), ctx.orbit.datum
     terms = sorted((ctx.base_labels(u), c) for u, c in label_character(orbit, labels).items())
     return {
-        "group": ctx.base.type_label,
-        "automorphism": ctx.kappa.name,
-        "highest_weight": format_vector(weight),
         "orbit_weight": format_vector(labels),
         "dimension_at_identity": label_dimension(orbit, labels),
         "terms": [[format_vector(mu), c] for mu, c in terms],
     }
 
 
-def cmd_eval(args) -> dict:
-    ctx = build_context(args.group, args.automorphism)
-    weight = parse_vector(args.weight, ctx.base.rank)
-    lam = ctx.base.from_labels(weight)
-    point = TorusPoint(point_to_ambient(ctx, parse_vector(args.point, ctx.base.rank)))
+@_on_folding
+def cmd_eval(ctx, args, weight, xi) -> dict:
+    lam, point = ctx.base.from_labels(weight), TorusPoint(xi)
     value = twining_character(ctx, lam).eval(ctx, point)
-    doc = {
-        "group": ctx.base.type_label,
-        "automorphism": ctx.kappa.name,
-        "highest_weight": format_vector(weight),
-        "point": format_vector(point_from_ambient(ctx, point.xi)),
-        "regular": is_regular(ctx, point),
-        "value": format_complex(value),
-    }
+    doc = {"regular": is_regular(ctx, point), "value": format_complex(value)}
     if doc["regular"]:
         ratio = jantzen_eval(ctx, lam, point)
         doc["quotient_formula_value"] = format_complex(ratio)
@@ -224,31 +234,28 @@ def cmd_eval(args) -> dict:
     return doc
 
 
-def cmd_fusion(args) -> dict:
-    ctx = build_context(args.group, args.automorphism)
+@_on_folding
+def cmd_fusion(ctx, args) -> dict:
     if args.level < 1:
         raise ParseError("--level must be a positive integer")
     table = fusion_table(ctx, args.level)
     level = table.level
-
-    coords = [ctx.base_labels(m) for m in level.labels]
-    weights = sorted(range(len(coords)), key=coords.__getitem__)
-    name = [format_vector(c) for c in coords]
-    entries = []
-    for lam in weights:
-        for mu in weights:
-            row = table.rows[lam][mu]
-            entries += ([name[lam], name[mu], name[nu], row[nu]] for nu in weights if nu in row)
+    # stored order is the lexicographic order of the orbit labels, and so of
+    # the base labels, as node orbits are listed from their smallest member
+    name = [format_vector(ctx.base_labels(m)) for m in level.labels]
     return {
-        "group": ctx.base.type_label,
-        "automorphism": ctx.kappa.name,
         "level": level.k,
         "rescale": format_rational(level.rescale),
         "dual_coxeter": level.dual_coxeter,
         "t_group_order": level.t_group_order,
         "max_residual": table.max_residual,
-        "level_weights": [name[l] for l in weights],
-        "coefficients": entries,
+        "level_weights": name,
+        "coefficients": [
+            [name[lam], name[mu], name[nu], c]
+            for lam, rows in enumerate(table.rows)
+            for mu, row in enumerate(rows)
+            for nu, c in sorted(row.items())
+        ],
     }
 
 
@@ -324,30 +331,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
+    operand_help = {
+        "weight": "fundamental-weight coordinates, e.g. 1,0,1",
+        "point": "simple-coroot coordinates, e.g. 1/8,0",
+    }
 
-    def group_args(p):
+    def folding_command(name, command, summary, *operands):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("group", help="type label, e.g. A5, D4, E6")
         p.add_argument("automorphism", help="diagram automorphism name, e.g. flip, rot, id")
+        for operand in operands:
+            p.add_argument(f"--{operand}", required=True, help=operand_help[operand])
+        p.set_defaults(run=command)
+        return p
 
-    p = sub.add_parser("fold", help="folded/orbit systems, lattices, finite groups")
-    group_args(p)
-    p = sub.add_parser("alcove", help="fundamental alcove of the twisted affine group")
-    group_args(p)
-    p = sub.add_parser("stabilizer", help="stabilizer data at an alcove point")
-    group_args(p)
-    p.add_argument("--point", required=True, help="simple-coroot coordinates, e.g. 1/8,0")
-    p = sub.add_parser("char", help="twining character polynomial")
-    group_args(p)
-    p.add_argument("--weight", required=True, help="fundamental-weight coordinates, e.g. 1,0,1")
-    p = sub.add_parser("eval", help="evaluate a twining character at a torus point")
-    group_args(p)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--point", required=True)
-    p = sub.add_parser("fusion", help="level-k fusion table (both routes)")
-    group_args(p)
-    p.add_argument("--level", type=int, required=True)
+    folding_command("fold", cmd_fold, "folded/orbit systems, lattices, finite groups")
+    folding_command("alcove", cmd_alcove, "fundamental alcove of the twisted affine group")
+    folding_command("stabilizer", cmd_stabilizer, "stabilizer data at an alcove point", "point")
+    folding_command("char", cmd_char, "twining character polynomial", "weight")
+    folding_command(
+        "eval", cmd_eval, "evaluate a twining character at a torus point", "weight", "point"
+    )
+    folding_command(
+        "fusion", cmd_fusion, "level-k fusion table (both routes)"
+    ).add_argument("--level", type=int, required=True)
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--suite", default="all", help="tables, lattices, characters, fusion or all")
+    p.set_defaults(run=cmd_verify)
     return parser
 
 
@@ -358,17 +368,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_HANDLERS = {
-    "fold": cmd_fold,
-    "alcove": cmd_alcove,
-    "stabilizer": cmd_stabilizer,
-    "char": cmd_char,
-    "eval": cmd_eval,
-    "fusion": cmd_fusion,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     try:
@@ -376,7 +375,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        doc = _HANDLERS[args.command](args)
+        doc = args.run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -231,6 +231,8 @@ class FoldingContext:
     """Everything derived from a base root datum and a diagram automorphism."""
 
     def __init__(self, base: RootDatum, kappa: DiagramAutomorphism):
+        if "+" in base.type_label:
+            raise FoldingError(f"the base must be simple, not of type {base.type_label}")
         if len(kappa.permutation) != base.rank:
             raise FoldingError("automorphism rank mismatch")
         if not _preserves_cartan(base.cartan, kappa.permutation):
@@ -282,16 +284,9 @@ class FoldingContext:
         return out
 
     def _check_supported(self):
+        # the base is simple and kappa preserves its Cartan matrix, so it is
+        # of type A_n (n >= 2), D_n (n >= 4) or E6
         family, rank = parse_type_label(self.base.type_label)
-        ok = (
-            (family == "A" and rank >= 2)
-            or (family == "D" and rank >= 4)
-            or self.base.type_label == "E6"
-        )
-        if not ok:
-            raise FoldingError(
-                f"{self.base.type_label} admits no nontrivial diagram automorphism"
-            )
         dim = self.base.ambient_dim
         units = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
         if self.base.root_rows() != (1, units):

@@ -21,7 +21,8 @@ coefficient twice and requires the two to agree:
   not test those laws on its own.  Comparing each Verlinde value with the
   folded entry in both orders of its first two weights does.
 
-Inside a level, a weight is its index in ``LevelData.level_weights``;
+Inside a level, a weight is its index in ``LevelData.level_weights``, which
+lists the level weights in the lexicographic order of their orbit labels;
 ambient vectors appear only at the API boundary.  Both routes read the level
 alone: ``LevelData`` keeps its orbit datum and builds the characters and
 weights at its s-points on first read.  Theta's labels and comarks, and so
@@ -142,8 +143,9 @@ def ring_product(
 class LevelData:
     """The level-k weights and s-points, and the affine alcove in labels.
 
-    Level weight i has orbit Dynkin labels ``labels[i]``, and its s-point
-    has coroot coordinates ``phases[i]`` (``RootDatum.coroot_coords``); every
+    Level weight i has orbit Dynkin labels ``labels[i]``, which increase
+    lexicographically with i, and its s-point has coroot coordinates
+    ``phases[i]`` (``RootDatum.coroot_coords``); every
     value at an s-point is computed from that frame, so the point itself is
     never built.  With m = labels(lam + rho), the open alcove of the
     rho-shifted action is m_i > 0 and sum comarks_i m_i < k + dual_coxeter.
@@ -273,7 +275,9 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     <omega_j, xi> = 2 (F m)_j / E.  |T| is the index of the orbit coroot
     lattice in its sum with (1 / ((k + h) c)) times the weight lattice; paired
     with D omega_j that is the index of Z^r in Z^r + (2F / E) Z^r, which is
-    prod_i E / gcd(E, d_i) over the invariant factors d_i of 2F.
+    prod_i E / gcd(E, d_i) over the invariant factors d_i of 2F.  The level
+    weights, their labels and their phases are listed in the lexicographic
+    order of the labels.
     """
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise FusionError("level must be a positive integer")
@@ -286,20 +290,13 @@ def level_data(ctx: FoldingContext, k: int) -> LevelData:
     height = (k + h) * tft
 
     # the kappa-fixed weights are the weights of the orbit datum, so a level
-    # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k; they
-    # are sorted as ambient vectors, which share the denominator of
-    # ``from_labels``, so by their integer numerators
-    def numerators(m: Labels) -> tuple[int, ...]:
-        return tuple(sum(map(mul, m, row)) for row in orbit._omega_num)
-
-    labels = tuple(sorted(
-        (
-            combo
-            for combo in itertools.product(*(range(k // a + 1) for a in marks))
-            if sum(map(mul, combo, marks)) <= k
-        ),
-        key=numerators,
-    ))
+    # weight is sum c_i omega_i with sum c_i <omega_i, theta^vee> <= k, in
+    # the lexicographic order of its labels that ``product`` yields
+    labels = tuple(
+        combo
+        for combo in itertools.product(*(range(k // a + 1) for a in marks))
+        if sum(map(mul, combo, marks)) <= k
+    )
 
     phases = []
     for m in labels:

@@ -733,19 +733,20 @@ class RootDatum:
 
     # -- misc ----------------------------------------------------------------
 
-    def _dominant_index(self, target: int) -> int | None:
-        """Index of the dominant positive root with D (alpha, alpha) =
-        ``target``; None for reducible systems.  Dominance is read off the
-        integer labels of the roots."""
-        for i, (n, m) in enumerate(zip(self._pos_norms, self._pos_labels)):
-            if n == target and all(x >= 0 for x in m):
-                return i
-        return None
+    def _dominant_index(self, target: int) -> int:
+        """Index of the first dominant positive root with D (alpha, alpha) =
+        ``target``, a length some root has; dominance is read off the integer
+        labels of the roots.  Each component has a dominant root of each of
+        its lengths, so there is one.  On a reducible system it lies in one
+        component: theta is then one component's dominant root of the
+        largest length."""
+        return next(
+            i for i, (n, m) in enumerate(zip(self._pos_norms, self._pos_labels))
+            if n == target and all(x >= 0 for x in m)
+        )
 
-    def _root_vector(self, i: int | None) -> Vec | None:
-        """The ambient vector of positive root i, None for None."""
-        if i is None:
-            return None
+    def _root_vector(self, i: int) -> Vec:
+        """The ambient vector of positive root i."""
         den = self._alpha_den
         return tuple(Fraction(x, den) if x else ZERO for x in self._pos_num[i])
 

@@ -207,6 +207,34 @@ def test_parse_errors_exit_two():
     assert run(["verify", "--suite", "nosuch"])[0] == EXIT_PARSE
 
 
+@pytest.mark.parametrize("argv,head", [
+    (["fold", "A3", "flip"], []),
+    (["alcove", "A3", "flip"], []),
+    (["stabilizer", "A3", "flip", "--point", "1/8,1/4,1/8"], ["point"]),
+    (["char", "A3", "flip", "--weight", "1,0,1"], ["highest_weight"]),
+    (["eval", "A3", "flip", "--weight", "1,0,1", "--point", "1/8,1/4,1/8"],
+     ["highest_weight", "point"]),
+    (["fusion", "A3", "flip", "--level", "1"], []),
+])
+def test_documents_start_with_the_folding_and_the_operands(argv, head):
+    code, doc = run_json(argv)
+    assert code == EXIT_OK
+    keys = list(doc)
+    assert keys[:2 + len(head)] == ["group", "automorphism", *head]
+    assert not {"highest_weight", "point"} & set(keys[2 + len(head):])
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "A3", "flip"],
+    ["eval", "A3", "flip", "--point", "0,0,0"],
+    ["eval", "A3", "flip", "--weight", "1,0,1"],
+    ["fusion", "A3", "flip"],
+])
+def test_missing_operand_exits_two(argv, capsys):
+    assert run(argv) == (EXIT_PARSE, "")
+    assert "the following arguments are required: --" in capsys.readouterr().err
+
+
 def test_empty_coordinate_is_named(capsys):
     for point, index in (("1/8,,1/8", 2), ("1/8,1/8,", 3)):
         assert run(["stabilizer", "A2", "flip", "--point", point])[0] == EXIT_PARSE

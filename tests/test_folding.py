@@ -377,6 +377,37 @@ def test_fold_needs_simple_root_coordinates():
     assert all(project(trivial, a) == a for a in sub.positive_roots)
 
 
+@pytest.mark.parametrize("group,nodes,label,swap", [
+    ("D4", (0, 2), "A1+A1", (1, 0)),
+    ("A5", (0, 1, 3, 4), "A2+A2", (2, 3, 0, 1)),
+])
+def test_fold_refuses_a_reducible_base(group, nodes, label, swap):
+    """A reducible base is refused under the identity and under the swap of
+    its two components, before any of its data is read."""
+    d = build_root_datum(group)
+    sub = RootDatum(None, scaled_rows([d.simple_roots[i] for i in nodes]), d.gram_rows)
+    assert sub.type_label == label and sub.marks is None
+    for kappa in (DiagramAutomorphism(tuple(range(len(nodes))), "id"),
+                  DiagramAutomorphism(swap, "swap")):
+        with pytest.raises(FoldingError) as info:
+            fold(sub, kappa)
+        assert str(info.value) == f"the base must be simple, not of type {label}"
+
+
+def test_only_a_d_and_e6_have_nontrivial_automorphisms():
+    """Every supported type of rank at most 8 with a non-identity
+    automorphism is A_n (n >= 2), D_n (n >= 4) or E6, so a twisted fold needs
+    no family check."""
+    twisted = set()
+    for family, ranks in [("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)),
+                          ("D", range(4, 9)), ("E", [6]), ("F", [4]), ("G", [2])]:
+        for n in ranks:
+            d = build_root_datum(f"{family}{n}")
+            if any(not a.is_identity for a in list_automorphisms(d)):
+                twisted.add(d.type_label)
+    assert twisted == {f"A{n}" for n in range(2, 9)} | {f"D{n}" for n in range(4, 9)} | {"E6"}
+
+
 def test_kappa_fixed_roots_counts():
     # A3: theta and the middle simple root are fixed (plus negatives)
     ctx = ctx_for("A3")

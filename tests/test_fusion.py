@@ -720,8 +720,9 @@ def reference_level_data(ctx, k):
     fundamental weights with theta^vee, the rescaling is norm_sq(theta) / 2,
     each frame is ``coroot_coords`` of its s-point built in Fractions, and |T|
     is the index of the orbit coroot lattice in its sum with the rescaled
-    weight lattice.  The comarks and theta's labels, which the level data
-    read off the orbit datum, are checked against that datum here."""
+    weight lattice; the level weights are sorted by their labels.  The
+    comarks and theta's labels, which the level data read off the orbit
+    datum, are checked against that datum here."""
     base, orbit = ctx.base, ctx.orbit.datum
     theta = orbit.highest_root
     theta_vee = base.coroot(theta)
@@ -733,9 +734,12 @@ def reference_level_data(ctx, k):
     rescale = base.norm_sq(theta) / 2
     h = 1 + sum(marks)
     weights = sorted(
-        (orbit.from_labels(combo), combo)
-        for combo in itertools.product(*(range(k // a + 1) for a in marks))
-        if sum(c * a for c, a in zip(combo, marks)) <= k
+        (
+            (orbit.from_labels(combo), combo)
+            for combo in itertools.product(*(range(k // a + 1) for a in marks))
+            if sum(c * a for c, a in zip(combo, marks)) <= k
+        ),
+        key=lambda weight: weight[1],
     )
     shift = Fraction(1, k + h) / rescale
     rho = orbit.weyl_vector
@@ -776,6 +780,16 @@ def test_level_data_matches_fraction_reference(group, name, k):
     for f in dataclasses.fields(LevelData):
         if f.name != "by_id":
             assert getattr(level, f.name) == getattr(expected, f.name), f.name
+
+
+@pytest.mark.parametrize("group,name", FOLDING_CASES)
+def test_level_weights_are_in_label_order(group, name):
+    """Level weights come in the strictly increasing order of their labels,
+    the order ``fusion`` writes them in."""
+    ctx = checks.context(group, name)
+    for k in (1, 2, 3):
+        labels = level_data(ctx, k).labels
+        assert all(a < b for a, b in zip(labels, labels[1:])), k
 
 
 def _copy(lam):
@@ -870,7 +884,9 @@ def test_verlinde_values_come_from_the_level_alone():
     assert verlinde_coefficient(a3, own, unit, unit, unit) == 1
     level = level_data(d4, 1)
     w = level.level_weights
-    assert [verlinde_coefficient(a3, level, w[1], w[1], nu) for nu in w] == [1, 0, 1, 0]
+    omega = w[level.labels.index((1, 0, 0))]
+    values = {m: verlinde_coefficient(a3, level, omega, omega, nu) for m, nu in zip(level.labels, w)}
+    assert values == {(0, 0, 0): 1, (1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 0}
     fresh = level_data(ctx_for("D4", "swap34"), 1)
     for triple in itertools.product(range(len(w)), repeat=3):
         assert verlinde_coefficient(a3, level, *(w[i] for i in triple)) == (
